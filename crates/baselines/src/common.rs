@@ -1,9 +1,7 @@
 //! Shared plumbing for the baseline planes.
 
-use grouter_mem::{AllocError, EvictionPolicy, LruPolicy, ObjectMeta};
 use grouter_runtime::dataplane::{OpLeg, PlaneCtx};
 use grouter_sim::time::SimDuration;
-use grouter_store::{DataId, Location};
 use grouter_topology::GpuRef;
 use grouter_transfer::plan::{
     plan_cross_node, plan_d2h, plan_h2d, plan_host_to_host, plan_intra_node, plan_shm, PlanConfig,
@@ -71,73 +69,4 @@ pub fn leg_hh(ctx: &PlaneCtx<'_>, src_node: usize, dst_node: usize, bytes: f64) 
 /// Intra-host shared-memory leg.
 pub fn leg_shm(ctx: &PlaneCtx<'_>, node: usize, bytes: f64) -> OpLeg {
     OpLeg::new(plan_shm(ctx.topo, ctx.net, node, bytes), node)
-}
-
-/// Allocate `bytes` in `gpu`'s pool, LRU-evicting stored objects to host
-/// memory on pressure. Returns `(allocation latency, migration legs)`.
-pub fn alloc_with_lru_eviction(
-    ctx: &mut PlaneCtx<'_>,
-    gpu: GpuRef,
-    bytes: f64,
-    transfer_cfg: &PlanConfig,
-) -> (SimDuration, Vec<OpLeg>) {
-    match ctx.pool(gpu).try_alloc(bytes) {
-        Ok(grant) => (grant.latency, Vec::new()),
-        Err(AllocError::NeedsEviction { shortfall }) => {
-            let legs = evict_lru(ctx, gpu, shortfall, transfer_cfg);
-            let grant = ctx
-                .pool(gpu)
-                .try_alloc(bytes)
-                .expect("eviction freed enough space");
-            (grant.latency, legs)
-        }
-        Err(AllocError::TooLarge) => {
-            // Degenerate: the object can never fit; callers treat latency 0 +
-            // empty legs as "store on host instead".
-            (SimDuration::MAX, Vec::new())
-        }
-    }
-}
-
-/// Migrate LRU victims on `gpu` to host memory until `need` bytes free.
-pub fn evict_lru(
-    ctx: &mut PlaneCtx<'_>,
-    gpu: GpuRef,
-    need: f64,
-    transfer_cfg: &PlanConfig,
-) -> Vec<OpLeg> {
-    let entries = ctx.store.entries_at(Location::Gpu(gpu));
-    let metas: Vec<ObjectMeta> = entries
-        .iter()
-        .map(|e| ObjectMeta {
-            key: e.id.0,
-            bytes: e.bytes,
-            last_access: e.last_access,
-            next_use: e.next_use,
-        })
-        .collect();
-    let victims = LruPolicy.select_victims(&metas, need);
-    let mut legs = Vec::new();
-    for v in victims {
-        let id = DataId(v);
-        let entry = ctx.store.peek(id).expect("victim exists").clone();
-        legs.push(leg_d2h(ctx, gpu, entry.bytes, transfer_cfg));
-        ctx.store
-            .relocate(id, Location::Host(gpu.node))
-            .expect("victim exists");
-        ctx.pool(gpu).free(entry.bytes);
-    }
-    legs
-}
-
-/// Pool release on garbage collection (shared `on_consumed` body).
-pub fn gc_consumed(ctx: &mut PlaneCtx<'_>, id: DataId) {
-    let entry = ctx.store.peek(id).cloned();
-    if ctx.store.consumed(id) {
-        if let Some(entry) = entry {
-            if let Location::Gpu(g) = entry.location {
-                ctx.pool(g).free(entry.bytes);
-            }
-        }
-    }
 }

@@ -7,6 +7,7 @@
 //! serialisation at both ends — the 92 %-of-latency pathology of Fig. 3.
 
 use grouter_runtime::dataplane::{DataOp, DataPlane, Destination, PlaneCtx, PutOp};
+use grouter_runtime::simple_plane::gc_consumed;
 use grouter_sim::time::SimDuration;
 use grouter_store::{AccessToken, DataId, Location, StoreError};
 use grouter_topology::GpuRef;
@@ -115,7 +116,7 @@ impl DataPlane for InflessPlane {
     }
 
     fn on_consumed(&mut self, ctx: &mut PlaneCtx<'_>, id: DataId) -> Vec<DataOp> {
-        common::gc_consumed(ctx, id);
+        gc_consumed(ctx, id);
         Vec::new()
     }
 

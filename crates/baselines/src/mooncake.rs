@@ -11,6 +11,7 @@
 
 use grouter_mem::AllocError;
 use grouter_runtime::dataplane::{DataOp, DataPlane, Destination, PlaneCtx, PutOp};
+use grouter_runtime::simple_plane::{evict_lru, gc_consumed};
 use grouter_sim::time::SimDuration;
 use grouter_store::{AccessToken, DataId, Location, StoreError};
 use grouter_topology::GpuRef;
@@ -69,7 +70,7 @@ impl DataPlane for MooncakePlane {
                 let (alloc_lat, mut legs) = match ctx.pool(cache).try_alloc(bytes) {
                     Ok(grant) => (grant.latency, Vec::new()),
                     Err(AllocError::NeedsEviction { shortfall }) => {
-                        let legs = common::evict_lru(ctx, cache, shortfall, &self.single);
+                        let legs = evict_lru(ctx, cache, shortfall, &self.single);
                         let grant = ctx
                             .pool(cache)
                             .try_alloc(bytes)
@@ -192,7 +193,7 @@ impl DataPlane for MooncakePlane {
     }
 
     fn on_consumed(&mut self, ctx: &mut PlaneCtx<'_>, id: DataId) -> Vec<DataOp> {
-        common::gc_consumed(ctx, id);
+        gc_consumed(ctx, id);
         Vec::new()
     }
 
@@ -201,7 +202,7 @@ impl DataPlane for MooncakePlane {
         if over <= 0.0 {
             return Vec::new();
         }
-        let legs = common::evict_lru(ctx, gpu, over, &self.single);
+        let legs = evict_lru(ctx, gpu, over, &self.single);
         if legs.is_empty() {
             Vec::new()
         } else {

@@ -14,6 +14,7 @@
 
 use grouter_mem::AllocError;
 use grouter_runtime::dataplane::{DataOp, DataPlane, Destination, PlaneCtx, PutOp};
+use grouter_runtime::simple_plane::{evict_lru, gc_consumed};
 use grouter_sim::rng::DetRng;
 use grouter_sim::time::SimDuration;
 use grouter_store::{AccessToken, DataId, Location, StoreError};
@@ -83,7 +84,7 @@ impl DataPlane for NvshmemPlane {
                 let (alloc_lat, mut legs) = match ctx.pool(store_gpu).try_alloc(bytes) {
                     Ok(grant) => (grant.latency, Vec::new()),
                     Err(AllocError::NeedsEviction { shortfall }) => {
-                        let legs = common::evict_lru(ctx, store_gpu, shortfall, &self.host_cfg);
+                        let legs = evict_lru(ctx, store_gpu, shortfall, &self.host_cfg);
                         let grant = ctx
                             .pool(store_gpu)
                             .try_alloc(bytes)
@@ -227,7 +228,7 @@ impl DataPlane for NvshmemPlane {
     }
 
     fn on_consumed(&mut self, ctx: &mut PlaneCtx<'_>, id: DataId) -> Vec<DataOp> {
-        common::gc_consumed(ctx, id);
+        gc_consumed(ctx, id);
         Vec::new()
     }
 
@@ -236,7 +237,7 @@ impl DataPlane for NvshmemPlane {
         if over <= 0.0 {
             return Vec::new();
         }
-        let legs = common::evict_lru(ctx, gpu, over, &self.host_cfg);
+        let legs = evict_lru(ctx, gpu, over, &self.host_cfg);
         if legs.is_empty() {
             Vec::new()
         } else {

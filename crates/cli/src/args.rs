@@ -1,5 +1,7 @@
 //! Command-line argument handling for `grouter-cli`.
 
+use grouter_workloads::azure::ArrivalPattern;
+
 /// Parsed command line.
 #[derive(Clone, Debug)]
 pub struct Args {
@@ -7,7 +9,7 @@ pub struct Args {
     pub plane: String,
     pub topology: String,
     pub nodes: usize,
-    pub pattern: String,
+    pub pattern: ArrivalPattern,
     pub rps: f64,
     pub seconds: u64,
     pub seed: u64,
@@ -26,7 +28,7 @@ pub struct ServeArgs {
     pub preset: String,
     /// Truncate the preset to this many groups (0 = all).
     pub groups: usize,
-    pub pattern: String,
+    pub pattern: ArrivalPattern,
     pub rps: f64,
     /// Total invocations in the trace.
     pub total: u64,
@@ -51,7 +53,7 @@ pub struct LlmArgs {
     /// Total requests injected by the open-loop source.
     pub requests: u64,
     pub rps: f64,
-    pub pattern: String,
+    pub pattern: ArrivalPattern,
     pub seed: u64,
     pub threads: usize,
     /// Decode GPUs per group (the rest of the node runs prefill).
@@ -85,6 +87,14 @@ pub fn usage() -> String {
         .to_string()
 }
 
+/// Parse a `--pattern` value; shared by every subcommand.
+fn parse_pattern(name: &str) -> Result<ArrivalPattern, String> {
+    ArrivalPattern::ALL
+        .into_iter()
+        .find(|p| p.name() == name)
+        .ok_or_else(|| format!("unknown pattern '{name}' (expected bursty, sporadic or periodic)"))
+}
+
 /// Parse `argv` into a [`Command`]; `serve` selects service mode, `llm` the
 /// disaggregated LLM serving experiment.
 pub fn parse_command(argv: &[String]) -> Result<Command, String> {
@@ -104,7 +114,7 @@ pub fn parse_llm_args(argv: &[String]) -> Result<LlmArgs, String> {
         groups: 2,
         requests: 10_000,
         rps: 20.0,
-        pattern: "sporadic".into(),
+        pattern: ArrivalPattern::Sporadic,
         seed: 7,
         threads: 1,
         decode_gpus: 4,
@@ -134,7 +144,7 @@ pub fn parse_llm_args(argv: &[String]) -> Result<LlmArgs, String> {
                     .parse()
                     .map_err(|_| "--rps must be a number".to_string())?
             }
-            "--pattern" => args.pattern = take("--pattern")?,
+            "--pattern" => args.pattern = parse_pattern(&take("--pattern")?)?,
             "--seed" => {
                 args.seed = take("--seed")?
                     .parse()
@@ -176,7 +186,7 @@ pub fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
     let mut args = ServeArgs {
         preset: "uniform64".into(),
         groups: 0,
-        pattern: "sporadic".into(),
+        pattern: ArrivalPattern::Sporadic,
         rps: 400.0,
         total: 10_000,
         seed: 42,
@@ -199,7 +209,7 @@ pub fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
                     .parse()
                     .map_err(|_| "--groups must be an integer".to_string())?
             }
-            "--pattern" => args.pattern = take("--pattern")?,
+            "--pattern" => args.pattern = parse_pattern(&take("--pattern")?)?,
             "--rps" => {
                 args.rps = take("--rps")?
                     .parse()
@@ -247,7 +257,7 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
         plane: "grouter".into(),
         topology: "v100".into(),
         nodes: 1,
-        pattern: "bursty".into(),
+        pattern: ArrivalPattern::Bursty,
         rps: 5.0,
         seconds: 10,
         seed: 42,
@@ -271,7 +281,7 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--nodes must be an integer".to_string())?
             }
-            "--pattern" => args.pattern = take("--pattern")?,
+            "--pattern" => args.pattern = parse_pattern(&take("--pattern")?)?,
             "--rps" => {
                 args.rps = take("--rps")?
                     .parse()
@@ -363,7 +373,7 @@ mod tests {
         assert_eq!(a.plane, "infless");
         assert_eq!(a.topology, "a100");
         assert_eq!(a.nodes, 2);
-        assert_eq!(a.pattern, "sporadic");
+        assert_eq!(a.pattern, ArrivalPattern::Sporadic);
         assert_eq!(a.rps, 12.5);
         assert_eq!(a.seconds, 30);
         assert_eq!(a.seed, 7);
@@ -414,7 +424,7 @@ mod tests {
         };
         assert_eq!(a.preset, "hetero64");
         assert_eq!(a.groups, 4);
-        assert_eq!(a.pattern, "bursty");
+        assert_eq!(a.pattern, ArrivalPattern::Bursty);
         assert_eq!(a.rps, 900.0);
         assert_eq!(a.total, 50_000);
         assert_eq!(a.seed, 9);
@@ -433,6 +443,10 @@ mod tests {
         assert!(parse(&["serve", "--threads", "0"]).is_err(), "zero threads");
         assert!(parse(&["serve", "--hb-ms", "0"]).is_err(), "zero interval");
         assert!(parse(&["serve", "--bogus"]).is_err(), "unknown flag");
+        assert!(
+            parse(&["serve", "--pattern", "steady"]).is_err(),
+            "unknown pattern"
+        );
         assert!(parse(&["serve", "--rps"]).is_err(), "missing value");
         assert!(
             parse(&["serve", "extra.wf"]).is_err(),
@@ -452,7 +466,7 @@ mod tests {
         assert_eq!(a.groups, 2);
         assert_eq!(a.requests, 10_000);
         assert_eq!(a.rps, 20.0);
-        assert_eq!(a.pattern, "sporadic");
+        assert_eq!(a.pattern, ArrivalPattern::Sporadic);
         assert_eq!(a.seed, 7);
         assert_eq!(a.threads, 1);
         assert_eq!(a.decode_gpus, 4);
@@ -468,7 +482,7 @@ mod tests {
             "--rps",
             "32.5",
             "--pattern",
-            "steady",
+            "periodic",
             "--seed",
             "11",
             "--threads",
@@ -488,7 +502,7 @@ mod tests {
         assert_eq!(a.groups, 4);
         assert_eq!(a.requests, 500);
         assert_eq!(a.rps, 32.5);
-        assert_eq!(a.pattern, "steady");
+        assert_eq!(a.pattern, ArrivalPattern::Periodic);
         assert_eq!(a.seed, 11);
         assert_eq!(a.threads, 8);
         assert_eq!(a.decode_gpus, 6);
@@ -516,6 +530,10 @@ mod tests {
             "unknown plane"
         );
         assert!(parse(&["llm", "--bogus"]).is_err(), "unknown flag");
+        assert!(
+            parse(&["llm", "--pattern", "steady"]).is_err(),
+            "unknown pattern"
+        );
         assert!(parse(&["llm", "--rps"]).is_err(), "missing value");
         assert!(parse(&["llm", "extra.wf"]).is_err(), "llm takes no file");
     }
@@ -526,6 +544,10 @@ mod tests {
         assert!(parse(&["a.wf", "--nodes", "x"]).is_err(), "bad integer");
         assert!(parse(&["a.wf", "--rps"]).is_err(), "missing value");
         assert!(parse(&["a.wf", "--bogus"]).is_err(), "unknown flag");
+        assert!(
+            parse(&["a.wf", "--pattern", "steady"]).is_err(),
+            "unknown pattern"
+        );
         assert!(parse(&["a.wf", "b.wf"]).is_err(), "two files");
         assert!(
             parse(&["a.wf", "--trace-buffer", "x"]).is_err(),

@@ -23,7 +23,7 @@ use grouter_cli::args::{parse_command, Command, LlmArgs, ServeArgs};
 use grouter_cli::parse_workflow;
 use grouter_ctl::{ServiceConfig, ServiceSim};
 use grouter_sim::fault::CtlFaultConfig;
-use grouter_workloads::azure::{generate_trace, ArrivalPattern};
+use grouter_workloads::azure::generate_trace;
 use grouter_workloads::cluster::ClusterPreset;
 
 fn topology_of(name: &str) -> Result<TopologySpec, String> {
@@ -46,15 +46,6 @@ fn plane_of(name: &str, seed: u64) -> Result<Box<dyn DataPlane>, String> {
     })
 }
 
-fn pattern_of(name: &str) -> Result<ArrivalPattern, String> {
-    Ok(match name {
-        "bursty" => ArrivalPattern::Bursty,
-        "sporadic" => ArrivalPattern::Sporadic,
-        "periodic" => ArrivalPattern::Periodic,
-        other => return Err(format!("unknown pattern '{other}'")),
-    })
-}
-
 fn preset_of(name: &str) -> Result<ClusterPreset, String> {
     Ok(match name {
         "uniform64" => ClusterPreset::uniform_64(),
@@ -65,17 +56,6 @@ fn preset_of(name: &str) -> Result<ClusterPreset, String> {
     })
 }
 
-/// FNV-1a over the bytes — a dependency-free digest for comparing
-/// service-mode outputs across thread counts / hosts.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The `serve` subcommand: a service-mode cluster run with the
 /// heartbeat-view router at the gateway.
 fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
@@ -84,7 +64,7 @@ fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
         preset.groups.truncate(args.groups);
     }
     let cfg = ServiceConfig {
-        pattern: pattern_of(&args.pattern)?,
+        pattern: args.pattern,
         rps: args.rps,
         total: args.total,
         seed: args.seed,
@@ -96,7 +76,7 @@ fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
          hb {}ms, seed {}, {} threads, faults {}",
         args.preset,
         preset.groups.len(),
-        args.pattern,
+        args.pattern.name(),
         args.rps,
         args.total,
         args.hb_ms,
@@ -128,9 +108,9 @@ fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
     // Thread-count independence is checkable from the digests alone.
     println!(
         "digests: csv={:016x} admission={:016x} recovery={:016x}",
-        fnv64(csv.as_bytes()),
-        fnv64(admission.as_bytes()),
-        fnv64(recovery.as_bytes())
+        grouter_llm::fnv64(csv.as_bytes()),
+        grouter_llm::fnv64(admission.as_bytes()),
+        grouter_llm::fnv64(recovery.as_bytes())
     );
     if let Some(path) = &args.csv {
         std::fs::write(path, &csv).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -140,16 +120,13 @@ fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
 }
 
 /// One LLM serving run on one plane; returns the report for comparison.
-fn llm_run_one(
-    args: &LlmArgs,
-    plane: grouter_llm::PlaneKind,
-) -> Result<grouter_llm::LlmReport, String> {
+fn llm_run_one(args: &LlmArgs, plane: grouter_llm::PlaneKind) -> grouter_llm::LlmReport {
     let cfg = grouter_llm::LlmServeConfig {
         groups: args.groups,
         seed: args.seed,
         requests: args.requests,
         rps: args.rps,
-        pattern: pattern_of(&args.pattern)?,
+        pattern: args.pattern,
         decode_gpus: args.decode_gpus,
         prefill_gpus: 8 - args.decode_gpus,
         threads: args.threads,
@@ -172,7 +149,7 @@ fn llm_run_one(
         report.restores,
         report.metrics.restore_stalls,
     );
-    Ok(report)
+    report
 }
 
 /// The `llm` subcommand: disaggregated prefill/decode serving over the GPU
@@ -184,7 +161,7 @@ fn cmd_llm(args: &LlmArgs) -> Result<(), String> {
         args.groups,
         8 - args.decode_gpus,
         args.decode_gpus,
-        args.pattern,
+        args.pattern.name(),
         args.rps,
         args.requests,
         args.seed,
@@ -214,7 +191,7 @@ fn cmd_llm(args: &LlmArgs) -> Result<(), String> {
     let mut csv = String::new();
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     for &plane in planes {
-        let report = llm_run_one(args, plane)?;
+        let report = llm_run_one(args, plane);
         csv.push_str(&report.csv);
         digest ^= report.digest;
     }
@@ -271,7 +248,6 @@ fn main() -> ExitCode {
     let run_one = |plane_name: &str| -> Result<Runtime, String> {
         let topo = topology_of(&args.topology)?;
         let plane = plane_of(plane_name, args.seed)?;
-        let pattern = pattern_of(&args.pattern)?;
         let config = RuntimeConfig {
             trace: args.trace_out.is_some(),
             trace_buffer: args.trace_buffer,
@@ -280,7 +256,7 @@ fn main() -> ExitCode {
         let mut rt = Runtime::new(topo, args.nodes, plane, config);
         let mut rng = DetRng::new(args.seed);
         for t in generate_trace(
-            pattern,
+            args.pattern,
             args.rps,
             SimDuration::from_secs(args.seconds),
             &mut rng,
@@ -293,7 +269,12 @@ fn main() -> ExitCode {
     let run = || -> Result<(), String> {
         println!(
             "workflow '{}' on {} x {}, {} pattern at {} req/s for {}s",
-            spec.name, args.nodes, args.topology, args.pattern, args.rps, args.seconds
+            spec.name,
+            args.nodes,
+            args.topology,
+            args.pattern.name(),
+            args.rps,
+            args.seconds
         );
         if args.compare {
             println!(

@@ -60,13 +60,6 @@ impl Runtime {
         }
     }
 
-    /// Switch the event core to the historical boxed-closure heap (see
-    /// [`grouter_sim::Scheduler::force_boxed_dispatch`]). Benchmark baseline
-    /// only; must be called before anything is scheduled.
-    pub fn force_boxed_dispatch(&mut self) {
-        self.sim.sched.force_boxed_dispatch();
-    }
-
     /// The world's trace recorder (shared handle; cheap to clone).
     pub fn recorder(&self) -> &grouter_obs::Recorder {
         &self.sim.world.rec
@@ -241,10 +234,8 @@ impl Runtime {
 // Typed event core
 // ---------------------------------------------------------------------------
 
-/// Every event the executor schedules, as a value: dispatch moves a small
-/// enum out of the scheduler's recycled buckets instead of calling a
-/// heap-boxed closure. Cold one-off hooks (tests poking the world) can
-/// still use [`grouter_sim::Scheduler::schedule_boxed`].
+/// Every event the executor schedules, as a value: the scheduler's heap
+/// holds this enum directly and dispatch matches on it.
 #[derive(Debug)]
 pub enum Event {
     /// A submitted request arrives.

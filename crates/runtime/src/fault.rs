@@ -301,9 +301,8 @@ fn op_owner(kind: &OpKind) -> Option<(u64, usize, DataId)> {
 // Fault dispatch
 // ---------------------------------------------------------------------------
 
-/// Interpret one fault event against the world. Installed as the handler of
-/// [`grouter_sim::fault::FaultPlan::install`] by
-/// [`crate::Runtime::install_fault_plan`].
+/// Interpret one fault event against the world. Dispatched for each
+/// `Event::Fault` that [`crate::Runtime::install_fault_plan`] schedules.
 pub(crate) fn apply_fault(w: &mut World, s: &mut Scheduler<World>, ev: &FaultEvent) {
     let now = s.now();
     match &ev.kind {
@@ -556,8 +555,7 @@ pub(crate) fn cancel_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) -> 
     }
     if let Some(leg) = op.staged.take() {
         // A BeginLeg event for this leg is still in flight; park the leg so
-        // that event releases its reservations when it fires — the same
-        // instant the boxed-closure core released them at.
+        // that event releases its reservations at the instant it fires.
         w.orphan_legs.insert(op_id, leg);
     }
     for leg in op.legs.drain(..) {

@@ -3,9 +3,10 @@
 //! [`LocalityPlane`] stores every output where it was produced (GPU outputs
 //! in the producer's pool, CPU outputs in host memory) and serves every
 //! `Get` over a single direct path. It exists to (a) document the
-//! [`DataPlane`] contract with the simplest correct implementation and
+//! [`DataPlane`] contract with the simplest correct implementation,
 //! (b) exercise the executor in this crate's tests without pulling in the
-//! full GROUTER/baseline planes.
+//! full GROUTER/baseline planes, and (c) host [`evict_lru`] and
+//! [`gc_consumed`], which the baseline planes share.
 //!
 //! It is *not* one of the paper's systems: GROUTER adds bandwidth
 //! harvesting, topology-aware multi-path transfers and elastic storage on
@@ -30,44 +31,48 @@ impl LocalityPlane {
     pub fn new() -> LocalityPlane {
         LocalityPlane
     }
+}
 
-    /// Free pool space on `gpu` by migrating LRU victims to host memory.
-    /// Returns the migration legs and accumulates freed bytes.
-    fn evict(ctx: &mut PlaneCtx<'_>, gpu: GpuRef, need: f64) -> Vec<OpLeg> {
-        let entries = ctx.store.entries_at(Location::Gpu(gpu));
-        let metas: Vec<ObjectMeta> = entries
-            .iter()
-            .map(|e| ObjectMeta {
-                key: e.id.0,
-                bytes: e.bytes,
-                last_access: e.last_access,
-                next_use: e.next_use,
-            })
-            .collect();
-        let victims = LruPolicy.select_victims(&metas, need);
-        let mut legs = Vec::new();
-        for v in victims {
-            let id = DataId(v);
-            // Victims come from the store snapshot above; one that vanished
-            // in between is skipped, not fatal.
-            let Some(entry) = ctx.store.peek(id).cloned() else {
-                continue;
-            };
-            if ctx.store.relocate(id, Location::Host(gpu.node)).is_err() {
-                continue;
-            }
-            let plan = plan_d2h(
-                ctx.topo,
-                ctx.net,
-                gpu.node,
-                gpu.gpu,
-                entry.bytes,
-                &PlanConfig::single_path(),
-            );
-            legs.push(OpLeg::new(plan, gpu.node));
-            ctx.pool(gpu).free(entry.bytes);
+/// Free at least `need` bytes of `gpu`'s pool by migrating LRU victims to
+/// host memory, each move planned with `cfg`. Returns the migration legs. A
+/// victim that vanished from the store or cannot move is skipped, not
+/// fatal. Shared by every plane that evicts to host.
+pub fn evict_lru(ctx: &mut PlaneCtx<'_>, gpu: GpuRef, need: f64, cfg: &PlanConfig) -> Vec<OpLeg> {
+    let metas: Vec<ObjectMeta> = ctx
+        .store
+        .entries_at(Location::Gpu(gpu))
+        .iter()
+        .map(|e| ObjectMeta {
+            key: e.id.0,
+            bytes: e.bytes,
+            last_access: e.last_access,
+            next_use: e.next_use,
+        })
+        .collect();
+    let mut legs = Vec::new();
+    for v in LruPolicy.select_victims(&metas, need) {
+        let id = DataId(v);
+        let Some(bytes) = ctx.store.peek(id).map(|e| e.bytes) else {
+            continue;
+        };
+        if ctx.store.relocate(id, Location::Host(gpu.node)).is_err() {
+            continue;
         }
-        legs
+        let plan = plan_d2h(ctx.topo, ctx.net, gpu.node, gpu.gpu, bytes, cfg);
+        legs.push(OpLeg::new(plan, gpu.node));
+        ctx.pool(gpu).free(bytes);
+    }
+    legs
+}
+
+/// Release a fully consumed object's pool space: the shared `on_consumed`
+/// body of planes that keep no state of their own about stored objects.
+pub fn gc_consumed(ctx: &mut PlaneCtx<'_>, id: DataId) {
+    let stored = ctx.store.peek(id).map(|e| (e.location, e.bytes));
+    if ctx.store.consumed(id) {
+        if let Some((Location::Gpu(g), bytes)) = stored {
+            ctx.pool(g).free(bytes);
+        }
     }
 }
 
@@ -91,8 +96,8 @@ impl DataPlane for LocalityPlane {
                 let grant = match ctx.pool(g).try_alloc(bytes) {
                     Ok(grant) => grant,
                     Err(AllocError::NeedsEviction { shortfall }) => {
-                        legs.extend(Self::evict(ctx, g, shortfall));
-                        // grouter-lint: allow(no-panic-in-dataplane): evict() freed at least `shortfall`, so the retry cannot fail
+                        legs.extend(evict_lru(ctx, g, shortfall, &PlanConfig::single_path()));
+                        // grouter-lint: allow(no-panic-in-dataplane): evict_lru() freed at least `shortfall`, so the retry cannot fail
                         ctx.pool(g).try_alloc(bytes).expect("eviction freed space")
                     }
                     Err(AllocError::TooLarge) => {
@@ -237,14 +242,7 @@ impl DataPlane for LocalityPlane {
     }
 
     fn on_consumed(&mut self, ctx: &mut PlaneCtx<'_>, id: DataId) -> Vec<DataOp> {
-        let entry = ctx.store.peek(id).cloned();
-        if ctx.store.consumed(id) {
-            if let Some(entry) = entry {
-                if let Location::Gpu(g) = entry.location {
-                    ctx.pool(g).free(entry.bytes);
-                }
-            }
-        }
+        gc_consumed(ctx, id);
         Vec::new()
     }
 
@@ -253,7 +251,7 @@ impl DataPlane for LocalityPlane {
         if over <= 0.0 {
             return Vec::new();
         }
-        let legs = Self::evict(ctx, gpu, over);
+        let legs = evict_lru(ctx, gpu, over, &PlanConfig::single_path());
         if legs.is_empty() {
             return Vec::new();
         }

@@ -229,8 +229,7 @@ pub struct World {
     /// without scanning (see [`NvFlowIndex`]).
     pub nv_flow_index: NvFlowIndex,
     /// Staged legs of cancelled ops, parked until their still-in-flight
-    /// `BeginLeg` event fires and releases them (matching the instant the
-    /// boxed-closure core released them at).
+    /// `BeginLeg` event fires and releases them.
     pub orphan_legs: FxHashMap<u64, OpLeg>,
     /// Recycled buffer for flow-completion harvests (net-wake batches).
     pub flow_scratch: Vec<grouter_sim::FlowId>,

@@ -1,111 +1,54 @@
-//! Discrete-event scheduler with a typed, allocation-free hot path.
+//! Discrete-event scheduler: one binary heap of typed events.
 //!
-//! The original engine boxed every event (`Box<dyn FnOnce>`) into one
-//! `BinaryHeap`: one heap allocation plus `O(log n)` comparisons per event,
-//! at every step of every run. This version separates the two concerns:
+//! The world implements [`EventWorld`] with an associated `Event` type and a
+//! `dispatch` function. Scheduling moves the event value into the queue; no
+//! per-event allocation beyond the heap's amortised growth.
 //!
-//! * **What fires** is a typed value: the world implements [`EventWorld`]
-//!   with an associated `Event` enum and a `dispatch` function. Scheduling a
-//!   typed event moves a small value into a recycled buffer — no allocation
-//!   in steady state. Rare/cold callers (fault plans, tests, one-off hooks)
-//!   can still pass closures through the [`Scheduler::schedule_boxed`]
-//!   escape hatch.
-//! * **When it fires** is a bucketed timeline: events sharing a virtual
-//!   timestamp live in one bucket (a recycled `VecDeque` in a slab), and the
-//!   heap orders *buckets*, not events. A wave of flow completions landing
-//!   on the same instant — the common case under contention, where one
-//!   allocation pass finishes many transfers at once — costs one heap pop
-//!   for the whole wave instead of one per event.
-//!
-//! Ordering semantics are identical to the boxed engine and are pinned by
-//! golden tests: events fire in nondecreasing time, ties fire in schedule
-//! order (typed and boxed interleaved alike), scheduling in the past clamps
-//! to `now`.
-//!
-//! [`Scheduler::force_boxed_dispatch`] switches a fresh scheduler back to
-//! the historical boxed-closure `BinaryHeap` core so benchmarks can measure
-//! the dispatch layers against each other in the same build.
+//! Ordering is pinned by golden tests: events fire in `(at, seq)` order,
+//! i.e. nondecreasing virtual time with ties in schedule order. `seq` is a
+//! per-scheduler counter stamped when an event is scheduled, and an event
+//! scheduled in the past is clamped to `now`, so the clock never runs
+//! backwards. The benchmark workloads average 1.03–1.15 events per distinct
+//! timestamp, so grouping same-instant events into buckets would save almost
+//! no heap operations (DESIGN.md §5.6).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-use crate::fxhash::FxHashMap;
 use crate::time::{SimDuration, SimTime};
 
 /// A world driven by typed events.
 ///
 /// `dispatch` is the single decode point: the engine hands back the event
-/// value and the world routes it to its handler. Worlds that only ever use
-/// boxed closures can set `type Event = ()` and leave `dispatch` empty.
+/// value and the world routes it to its handler.
 pub trait EventWorld: Sized {
     type Event;
     fn dispatch(&mut self, sched: &mut Scheduler<Self>, ev: Self::Event);
 }
 
-/// Boxed-closure events are `Send` so a whole `Simulation` (world plus
-/// pending timeline) can move to a shard worker thread; see
-/// [`crate::shard`].
-type BoxedEvent<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>) + Send>;
-
-/// One scheduled unit: a typed event or a boxed closure.
-enum Item<W: EventWorld> {
-    Typed(W::Event),
-    Boxed(BoxedEvent<W>),
-}
-
-/// All events sharing one virtual timestamp, in schedule order.
-struct Bucket<W: EventWorld> {
-    at: SimTime,
-    items: VecDeque<Item<W>>,
-}
-
-/// Legacy heap entry (`force_boxed_dispatch` mode).
-struct Scheduled<W: EventWorld> {
+/// One pending event, keyed by `(at, seq)`.
+struct Pending<E> {
     at: SimTime,
     seq: u64,
-    event: BoxedEvent<W>,
+    ev: E,
 }
 
-impl<W: EventWorld> PartialEq for Scheduled<W> {
+impl<E> PartialEq for Pending<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
-impl<W: EventWorld> Eq for Scheduled<W> {}
-impl<W: EventWorld> PartialOrd for Scheduled<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl<E> Eq for Pending<E> {}
+impl<E> PartialOrd for Pending<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<W: EventWorld> Ord for Scheduled<W> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+impl<E> Ord for Pending<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
-}
-
-/// The timeline backend: bucketed slab (default) or the historical
-/// boxed-closure heap (benchmark baseline).
-enum Timeline<W: EventWorld> {
-    Bucketed {
-        /// Bucket slab; slots listed in `free` are empty with their
-        /// `VecDeque` capacity retained for reuse.
-        slots: Vec<Bucket<W>>,
-        free: Vec<u32>,
-        /// Min-order over live buckets. Exactly one entry per bucket,
-        /// pushed at bucket creation and removed only by `take_next` — no
-        /// stale entries to skip.
-        heap: BinaryHeap<Reverse<(SimTime, u32)>>,
-        /// Live bucket for each pending timestamp (including the one being
-        /// drained, so same-instant follow-ups append in schedule order).
-        by_time: FxHashMap<u64, u32>,
-        /// Bucket currently being drained, already popped from the heap.
-        current: Option<u32>,
-    },
-    BoxedHeap {
-        queue: BinaryHeap<Scheduled<W>>,
-        seq: u64,
-    },
 }
 
 /// The event queue and simulated clock.
@@ -113,8 +56,9 @@ enum Timeline<W: EventWorld> {
 /// Handed to every firing event so it can schedule more events.
 pub struct Scheduler<W: EventWorld> {
     now: SimTime,
-    timeline: Timeline<W>,
-    len: usize,
+    queue: BinaryHeap<Pending<W::Event>>,
+    /// Stamp of the next scheduled event; breaks ties on `at`.
+    seq: u64,
     /// Observability handle. The scheduler is the source of truth for
     /// virtual time, so it mirrors the clock into the recorder before each
     /// dispatch; world code then emits events without threading `now`.
@@ -125,14 +69,8 @@ impl<W: EventWorld> Default for Scheduler<W> {
     fn default() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            timeline: Timeline::Bucketed {
-                slots: Vec::new(),
-                free: Vec::new(),
-                heap: BinaryHeap::new(),
-                by_time: FxHashMap::default(),
-                current: None,
-            },
-            len: 0,
+            queue: BinaryHeap::new(),
+            seq: 0,
             rec: grouter_obs::Recorder::disabled(),
         }
     }
@@ -141,18 +79,6 @@ impl<W: EventWorld> Default for Scheduler<W> {
 impl<W: EventWorld> Scheduler<W> {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Switch to the historical boxed-closure `BinaryHeap` core: every
-    /// event (typed or not) is heap-boxed and ordered individually. Only
-    /// meaningful as a benchmark baseline; must be called before anything
-    /// is scheduled.
-    pub fn force_boxed_dispatch(&mut self) {
-        assert_eq!(self.len, 0, "switch dispatch modes before scheduling");
-        self.timeline = Timeline::BoxedHeap {
-            queue: BinaryHeap::new(),
-            seq: 0,
-        };
     }
 
     /// The current simulated instant.
@@ -164,7 +90,7 @@ impl<W: EventWorld> Scheduler<W> {
     /// Number of pending events.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     /// Schedule a typed event to fire at absolute time `at`.
@@ -172,187 +98,34 @@ impl<W: EventWorld> Scheduler<W> {
     /// Scheduling in the past is a logic error; the event is clamped to `now`
     /// so the clock never runs backwards.
     #[inline]
-    pub fn schedule_at(&mut self, at: SimTime, ev: W::Event)
-    where
-        W::Event: Send + 'static,
-    {
-        match &mut self.timeline {
-            Timeline::Bucketed { .. } => self.push_item(at, Item::Typed(ev)),
-            Timeline::BoxedHeap { .. } => {
-                // Baseline mode: pay exactly the old cost — one heap Box
-                // and one ordered heap entry per event.
-                self.push_boxed(
-                    at,
-                    Box::new(move |w: &mut W, s: &mut Scheduler<W>| w.dispatch(s, ev)),
-                );
-            }
-        }
+    pub fn schedule_at(&mut self, at: SimTime, ev: W::Event) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Pending {
+            at: at.max(self.now),
+            seq,
+            ev,
+        });
     }
 
     /// Schedule a typed event to fire `delay` after the current instant.
     #[inline]
-    pub fn schedule_in(&mut self, delay: SimDuration, ev: W::Event)
-    where
-        W::Event: Send + 'static,
-    {
+    pub fn schedule_in(&mut self, delay: SimDuration, ev: W::Event) {
         self.schedule_at(self.now.saturating_add(delay), ev);
     }
 
     /// Schedule a typed event to fire immediately (after already-queued
     /// events at the current instant).
     #[inline]
-    pub fn schedule_now(&mut self, ev: W::Event)
-    where
-        W::Event: Send + 'static,
-    {
+    pub fn schedule_now(&mut self, ev: W::Event) {
         self.schedule_at(self.now, ev);
-    }
-
-    /// Escape hatch: schedule a closure at absolute time `at`. Costs a heap
-    /// allocation — for cold paths (fault plans, tests, one-off hooks), not
-    /// steady-state dispatch.
-    pub fn schedule_boxed<F>(&mut self, at: SimTime, event: F)
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
-    {
-        self.push_boxed(at, Box::new(event));
-    }
-
-    /// [`Self::schedule_boxed`] at `now + delay`.
-    pub fn schedule_boxed_in<F>(&mut self, delay: SimDuration, event: F)
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
-    {
-        self.schedule_boxed(self.now.saturating_add(delay), event);
-    }
-
-    /// [`Self::schedule_boxed`] at the current instant.
-    pub fn schedule_boxed_now<F>(&mut self, event: F)
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
-    {
-        self.schedule_boxed(self.now, event);
-    }
-
-    fn push_boxed(&mut self, at: SimTime, event: BoxedEvent<W>) {
-        let at = at.max(self.now);
-        match &mut self.timeline {
-            Timeline::Bucketed { .. } => self.push_item(at, Item::Boxed(event)),
-            Timeline::BoxedHeap { queue, seq } => {
-                let s = *seq;
-                *seq += 1;
-                queue.push(Scheduled { at, seq: s, event });
-                self.len += 1;
-            }
-        }
-    }
-
-    /// Append an item to the timestamp's bucket, creating (or recycling) the
-    /// bucket if this is the first event at that instant.
-    #[inline]
-    fn push_item(&mut self, at: SimTime, item: Item<W>) {
-        let at = at.max(self.now);
-        let Timeline::Bucketed {
-            slots,
-            free,
-            heap,
-            by_time,
-            ..
-        } = &mut self.timeline
-        else {
-            // grouter-lint: allow(no-panic-in-dataplane): push_boxed routes BoxedHeap mode away before calling push_item
-            unreachable!("push_item is only called in bucketed mode");
-        };
-        let slot = *by_time.entry(at.as_nanos()).or_insert_with(|| {
-            let slot = match free.pop() {
-                Some(s) => {
-                    slots[s as usize].at = at;
-                    s
-                }
-                None => {
-                    slots.push(Bucket {
-                        at,
-                        items: VecDeque::new(),
-                    });
-                    (slots.len() - 1) as u32
-                }
-            };
-            heap.push(Reverse((at, slot)));
-            slot
-        });
-        slots[slot as usize].items.push_back(item);
-        self.len += 1;
-    }
-
-    /// Pop the next item in (time, schedule) order, advancing through the
-    /// current bucket before consulting the heap. Frees a bucket the moment
-    /// it empties, so `next_at` never sees a hollow bucket.
-    fn take_next(&mut self) -> Option<(SimTime, Item<W>)> {
-        match &mut self.timeline {
-            Timeline::Bucketed {
-                slots,
-                free,
-                heap,
-                by_time,
-                current,
-            } => {
-                loop {
-                    if let Some(cur) = *current {
-                        let b = &mut slots[cur as usize];
-                        if let Some(item) = b.items.pop_front() {
-                            let at = b.at;
-                            if b.items.is_empty() {
-                                by_time.remove(&at.as_nanos());
-                                free.push(cur);
-                                *current = None;
-                            }
-                            self.len -= 1;
-                            return Some((at, item));
-                        }
-                        // A bucket is freed the moment its last item is
-                        // taken; an empty current bucket cannot persist.
-                        by_time.remove(&b.at.as_nanos());
-                        free.push(cur);
-                        *current = None;
-                    }
-                    let Reverse((_, slot)) = heap.pop()?;
-                    *current = Some(slot);
-                }
-            }
-            Timeline::BoxedHeap { queue, .. } => {
-                let ev = queue.pop()?;
-                self.len -= 1;
-                Some((ev.at, Item::Boxed(ev.event)))
-            }
-        }
     }
 
     /// Timestamp of the next pending event, if any. The sharded engine uses
     /// this to compute the global safe window without popping anything.
+    #[inline]
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.next_at()
-    }
-
-    /// Timestamp of the next pending event, if any.
-    fn next_at(&self) -> Option<SimTime> {
-        match &self.timeline {
-            Timeline::Bucketed {
-                slots,
-                heap,
-                current,
-                ..
-            } => {
-                // The draining bucket (if any) always precedes the heap: its
-                // time is `now` and heap buckets are strictly later.
-                if let Some(cur) = *current {
-                    if !slots[cur as usize].items.is_empty() {
-                        return Some(slots[cur as usize].at);
-                    }
-                }
-                heap.peek().map(|&Reverse((at, _))| at)
-            }
-            Timeline::BoxedHeap { queue, .. } => queue.peek().map(|e| e.at),
-        }
+        self.queue.peek().map(|p| p.at)
     }
 
     /// Attach a recorder whose virtual clock follows this scheduler.
@@ -366,62 +139,26 @@ impl<W: EventWorld> Scheduler<W> {
         &self.rec
     }
 
-    /// `engine.timeline` (`--features audit`): the bucketed timeline is
-    /// coherent — the pending count equals the sum over live buckets, every
-    /// time-index entry points at a bucket stamped with its key, free slots
-    /// are empty, and heap entries reference live buckets exactly once.
+    /// `engine.timeline` (`--features audit`): no pending event lies before
+    /// `now`, and every stamp was issued by this scheduler's counter.
     #[cfg(feature = "audit")]
     fn audit_timeline(&self) {
-        let Timeline::Bucketed {
-            slots,
-            free,
-            heap,
-            by_time,
-            current,
-        } = &self.timeline
-        else {
-            return;
-        };
         grouter_audit::record_hit("engine.timeline");
-        let live: Vec<u32> = (0..slots.len() as u32)
-            .filter(|s| !free.contains(s))
-            .collect();
-        let total: usize = live.iter().map(|&s| slots[s as usize].items.len()).sum();
-        grouter_audit::check("engine.timeline", total == self.len, || {
-            format!("pending count {} != bucket total {total}", self.len)
-        });
-        // Check in sorted key order: `check` aborts on the first violation,
-        // so a corrupt index must name the same entry on every run.
-        let mut index: Vec<(u64, u32)> = by_time.iter().map(|(&t, &s)| (t, s)).collect();
-        index.sort_unstable();
-        for (t, slot) in index {
+        for p in &self.queue {
             grouter_audit::check(
                 "engine.timeline",
-                slots
-                    .get(slot as usize)
-                    .is_some_and(|b| b.at.as_nanos() == t)
-                    && !free.contains(&slot),
-                || format!("time index {t} -> slot {slot} is stale"),
+                p.at >= self.now && p.seq < self.seq,
+                || {
+                    format!(
+                        "pending event (at {}, seq {}) breaks now {} / next seq {}",
+                        p.at.as_nanos(),
+                        p.seq,
+                        self.now.as_nanos(),
+                        self.seq
+                    )
+                },
             );
         }
-        for &s in free {
-            grouter_audit::check(
-                "engine.timeline",
-                slots[s as usize].items.is_empty(),
-                || format!("free slot {s} still holds events"),
-            );
-        }
-        let mut heap_slots: Vec<u32> = heap.iter().map(|&Reverse((_, s))| s).collect();
-        heap_slots.sort_unstable();
-        let mut expect: Vec<u32> = live
-            .iter()
-            .copied()
-            .filter(|s| Some(*s) != *current)
-            .collect();
-        expect.sort_unstable();
-        grouter_audit::check("engine.timeline", heap_slots == expect, || {
-            format!("heap slots {heap_slots:?} != live non-current buckets {expect:?}")
-        });
     }
 }
 
@@ -445,19 +182,14 @@ impl<W: EventWorld> Simulation<W> {
         if grouter_audit::every("engine.timeline", 64) {
             self.sched.audit_timeline();
         }
-        match self.sched.take_next() {
-            Some((at, item)) => {
-                debug_assert!(at >= self.sched.now);
-                self.sched.now = at;
-                self.sched.rec.set_now(at.as_nanos());
-                match item {
-                    Item::Typed(ev) => self.world.dispatch(&mut self.sched, ev),
-                    Item::Boxed(f) => f(&mut self.world, &mut self.sched),
-                }
-                true
-            }
-            None => false,
-        }
+        let Some(Pending { at, ev, .. }) = self.sched.queue.pop() else {
+            return false;
+        };
+        debug_assert!(at >= self.sched.now);
+        self.sched.now = at;
+        self.sched.rec.set_now(at.as_nanos());
+        self.world.dispatch(&mut self.sched, ev);
+        true
     }
 
     /// Run until the queue drains.
@@ -470,10 +202,7 @@ impl<W: EventWorld> Simulation<W> {
     /// Events scheduled exactly at `deadline` still fire. On return the clock
     /// reads `min(deadline, time of last fired event)`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(next_at) = self.sched.next_at() {
-            if next_at > deadline {
-                break;
-            }
+        while self.sched.next_event_at().is_some_and(|at| at <= deadline) {
             self.step();
         }
     }
@@ -485,10 +214,7 @@ impl<W: EventWorld> Simulation<W> {
     /// may execute exactly the events with `t < horizon` — the horizon
     /// itself is not safe, because a cross-shard message can land there.
     pub fn run_before(&mut self, bound: SimTime) {
-        while let Some(next_at) = self.sched.next_at() {
-            if next_at >= bound {
-                break;
-            }
+        while self.sched.next_event_at().is_some_and(|at| at < bound) {
             self.step();
         }
     }
@@ -503,124 +229,114 @@ impl<W: EventWorld> Simulation<W> {
 mod tests {
     use super::*;
 
-    /// Test world: typed events append `(fire_time_hint, label)` to a log.
+    /// Test world: every event logs `(now, label)`; a `Spawn` then schedules
+    /// a `Log` child at an absolute time (clamped when in the past).
     #[derive(Default)]
     struct World {
         log: Vec<(u64, &'static str)>,
     }
 
+    enum Ev {
+        Log(&'static str),
+        Spawn(&'static str, SimTime, &'static str),
+    }
+
     impl EventWorld for World {
-        type Event = (u64, &'static str);
-        fn dispatch(&mut self, _s: &mut Scheduler<Self>, ev: Self::Event) {
-            self.log.push(ev);
+        type Event = Ev;
+        fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: Ev) {
+            let now = s.now().as_nanos();
+            match ev {
+                Ev::Log(label) => self.log.push((now, label)),
+                Ev::Spawn(label, at, child) => {
+                    self.log.push((now, label));
+                    s.schedule_at(at, Ev::Log(child));
+                }
+            }
         }
+    }
+
+    fn labels(sim: &Simulation<World>) -> Vec<&'static str> {
+        sim.world.log.iter().map(|&(_, l)| l).collect()
     }
 
     #[test]
     fn events_fire_in_time_order() {
         let mut sim = Simulation::new(World::default());
-        sim.sched.schedule_at(SimTime(30), (30, "c"));
-        sim.sched.schedule_at(SimTime(10), (10, "a"));
-        sim.sched.schedule_at(SimTime(20), (20, "b"));
+        sim.sched.schedule_at(SimTime(30), Ev::Log("c"));
+        sim.sched.schedule_at(SimTime(10), Ev::Log("a"));
+        sim.sched.schedule_at(SimTime(20), Ev::Log("b"));
         sim.run();
         assert_eq!(sim.world.log, vec![(10, "a"), (20, "b"), (30, "c")]);
         assert_eq!(sim.now(), SimTime(30));
-    }
-
-    /// Regression: the timeline auditor walks `by_time` in sorted key
-    /// order, so a corrupt index with several stale entries aborts naming
-    /// the smallest key on every run. Before the sort, the entry named
-    /// depended on hash-iteration order (found by grouter-analyze's
-    /// determinism-taint pass).
-    #[cfg(feature = "audit")]
-    #[test]
-    fn corrupt_time_index_aborts_on_the_smallest_key() {
-        let mut sim = Simulation::new(World::default());
-        sim.sched.schedule_at(SimTime(10), (10, "a"));
-        let Timeline::Bucketed { by_time, .. } = &mut sim.sched.timeline else {
-            panic!("default timeline is bucketed");
-        };
-        by_time.insert(777, 99);
-        by_time.insert(555, 98);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.sched.audit_timeline();
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("time index 555 -> slot 98"), "{msg}");
     }
 
     #[test]
     fn ties_fire_in_schedule_order() {
         let mut sim = Simulation::new(World::default());
         for name in ["first", "second", "third"] {
-            sim.sched.schedule_at(SimTime(5), (5, name));
+            sim.sched.schedule_at(SimTime(5), Ev::Log(name));
         }
         sim.run();
-        let names: Vec<_> = sim.world.log.iter().map(|&(_, n)| n).collect();
-        assert_eq!(names, vec!["first", "second", "third"]);
+        assert_eq!(labels(&sim), vec!["first", "second", "third"]);
     }
 
+    /// Plain `Log` events and `Spawn` events (the typed form of the boxed
+    /// closures that once scheduled children) tied at one instant fire in
+    /// schedule order, and the children spawned at that instant follow them.
     #[test]
     fn typed_and_boxed_ties_interleave_in_schedule_order() {
         let mut sim = Simulation::new(World::default());
-        sim.sched.schedule_at(SimTime(5), (5, "typed-1"));
+        sim.sched.schedule_at(SimTime(5), Ev::Log("log-1"));
         sim.sched
-            .schedule_boxed(SimTime(5), |w: &mut World, _| w.log.push((5, "boxed-2")));
-        sim.sched.schedule_at(SimTime(5), (5, "typed-3"));
+            .schedule_at(SimTime(5), Ev::Spawn("spawn-2", SimTime(5), "child-2"));
+        sim.sched.schedule_at(SimTime(5), Ev::Log("log-3"));
         sim.sched
-            .schedule_boxed(SimTime(5), |w: &mut World, _| w.log.push((5, "boxed-4")));
+            .schedule_at(SimTime(5), Ev::Spawn("spawn-4", SimTime(5), "child-4"));
         sim.run();
-        let names: Vec<_> = sim.world.log.iter().map(|&(_, n)| n).collect();
-        assert_eq!(names, vec!["typed-1", "boxed-2", "typed-3", "boxed-4"]);
+        assert_eq!(
+            labels(&sim),
+            vec!["log-1", "spawn-2", "log-3", "spawn-4", "child-2", "child-4"]
+        );
     }
 
     #[test]
     fn events_can_schedule_events() {
         let mut sim = Simulation::new(World::default());
         sim.sched
-            .schedule_boxed(SimTime(10), |_, s: &mut Scheduler<World>| {
-                s.schedule_in(SimDuration(5), (15, "child"));
-            });
+            .schedule_at(SimTime(10), Ev::Spawn("parent", SimTime(15), "child"));
         sim.run();
-        assert_eq!(sim.world.log, vec![(15, "child")]);
+        assert_eq!(sim.world.log, vec![(10, "parent"), (15, "child")]);
     }
 
     #[test]
     fn same_instant_follow_ups_fire_after_queued_ties() {
         // An event firing at t=5 schedules a follow-up at t=5; the follow-up
         // must run after the other already-queued t=5 events (global
-        // schedule order), exactly as with the boxed heap.
+        // schedule order).
         let mut sim = Simulation::new(World::default());
         sim.sched
-            .schedule_boxed(SimTime(5), |w: &mut World, s: &mut Scheduler<World>| {
-                w.log.push((5, "a"));
-                s.schedule_now((5, "a-child"));
-            });
-        sim.sched.schedule_at(SimTime(5), (5, "b"));
+            .schedule_at(SimTime(5), Ev::Spawn("a", SimTime(5), "a-child"));
+        sim.sched.schedule_at(SimTime(5), Ev::Log("b"));
         sim.run();
-        let names: Vec<_> = sim.world.log.iter().map(|&(_, n)| n).collect();
-        assert_eq!(names, vec!["a", "b", "a-child"]);
+        assert_eq!(labels(&sim), vec!["a", "b", "a-child"]);
     }
 
     #[test]
     fn past_scheduling_clamps_to_now() {
         let mut sim = Simulation::new(World::default());
+        // The child is deliberately scheduled in the past.
         sim.sched
-            .schedule_boxed(SimTime(100), |_, s: &mut Scheduler<World>| {
-                // deliberately in the past
-                s.schedule_at(SimTime(1), (100, "clamped"));
-            });
+            .schedule_at(SimTime(100), Ev::Spawn("parent", SimTime(1), "clamped"));
         sim.run();
-        assert_eq!(sim.world.log, vec![(100, "clamped")]);
+        assert_eq!(sim.world.log, vec![(100, "parent"), (100, "clamped")]);
         assert_eq!(sim.now(), SimTime(100));
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
         let mut sim = Simulation::new(World::default());
-        sim.sched.schedule_at(SimTime(10), (10, "in"));
-        sim.sched.schedule_at(SimTime(50), (50, "out"));
+        sim.sched.schedule_at(SimTime(10), Ev::Log("in"));
+        sim.sched.schedule_at(SimTime(50), Ev::Log("out"));
         sim.run_until(SimTime(20));
         assert_eq!(sim.world.log, vec![(10, "in")]);
         // the out-of-window event is still pending
@@ -632,49 +348,77 @@ mod tests {
     #[test]
     fn run_until_inclusive_of_deadline() {
         let mut sim = Simulation::new(World::default());
-        sim.sched.schedule_at(SimTime(20), (20, "edge"));
+        sim.sched.schedule_at(SimTime(20), Ev::Log("edge"));
         sim.run_until(SimTime(20));
         assert_eq!(sim.world.log, vec![(20, "edge")]);
     }
 
     #[test]
-    fn bucket_slots_recycle() {
-        // Interleaved schedule/drain cycles must reuse bucket slots rather
-        // than growing the slab without bound.
+    fn run_before_excludes_the_bound() {
         let mut sim = Simulation::new(World::default());
-        for round in 0..100u64 {
-            for k in 0..4u64 {
-                sim.sched.schedule_at(SimTime(round * 10 + k), (round, "e"));
-            }
-            sim.run();
-        }
-        assert_eq!(sim.world.log.len(), 400);
-        let Timeline::Bucketed { slots, .. } = &sim.sched.timeline else {
-            panic!("default mode is bucketed");
-        };
-        assert!(
-            slots.len() <= 8,
-            "slab grew to {} slots for 4 concurrent timestamps",
-            slots.len()
-        );
+        sim.sched.schedule_at(SimTime(10), Ev::Log("in"));
+        sim.sched.schedule_at(SimTime(20), Ev::Log("edge"));
+        sim.run_before(SimTime(20));
+        assert_eq!(sim.world.log, vec![(10, "in")]);
+        assert_eq!(sim.sched.next_event_at(), Some(SimTime(20)));
     }
 
+    /// The tie-heavy schedule on which the forced boxed mode and the
+    /// bucketed timeline were compared still fires in the order both gave:
+    /// time first, then schedule order.
     #[test]
     fn forced_boxed_mode_matches_bucketed_ordering() {
         let times = [30u64, 10, 10, 50, 10, 30, 0, 50];
-        let run = |boxed: bool| -> Vec<(u64, &'static str)> {
+        let names = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        let mut sim = Simulation::new(World::default());
+        for (&t, &name) in times.iter().zip(&names) {
+            sim.sched.schedule_at(SimTime(t), Ev::Log(name));
+        }
+        sim.run();
+        assert_eq!(
+            sim.world.log,
+            vec![
+                (0, "g"),
+                (10, "b"),
+                (10, "c"),
+                (10, "e"),
+                (30, "a"),
+                (30, "f"),
+                (50, "d"),
+                (50, "h"),
+            ]
+        );
+    }
+
+    /// The `engine.timeline` audit aborts on a pending event stamped before
+    /// `now` or with a sequence number the counter never issued.
+    #[cfg(feature = "audit")]
+    #[test]
+    fn corrupt_heap_entry_fails_the_timeline_audit() {
+        // After one event fired at t=10 the counter has issued seq 0 only.
+        let audit_with = |at: u64, seq: u64| -> String {
             let mut sim = Simulation::new(World::default());
-            if boxed {
-                sim.sched.force_boxed_dispatch();
-            }
-            for (i, &t) in times.iter().enumerate() {
-                let label: &'static str = ["a", "b", "c", "d", "e", "f", "g", "h"][i];
-                sim.sched.schedule_at(SimTime(t), (t, label));
-            }
+            sim.sched.schedule_at(SimTime(10), Ev::Log("a"));
             sim.run();
-            sim.world.log
+            sim.sched.audit_timeline();
+            sim.sched.queue.push(Pending {
+                at: SimTime(at),
+                seq,
+                ev: Ev::Log("corrupt"),
+            });
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.sched.audit_timeline();
+            }))
+            .unwrap_err();
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
         };
-        assert_eq!(run(false), run(true));
+        let msg = audit_with(5, 0);
+        assert!(msg.contains("(at 5, seq 0) breaks now 10"), "{msg}");
+        let msg = audit_with(20, 1);
+        assert!(
+            msg.contains("(at 20, seq 1) breaks now 10 / next seq 1"),
+            "{msg}"
+        );
     }
 }
 
@@ -694,27 +438,98 @@ mod proptests {
         }
     }
 
+    /// Every event logs its label when it fires. Its follow-up `(mode,
+    /// delta)` schedules one more event from inside `dispatch`: mode 0 at
+    /// `now`, 1 at `now - delta` (in the past), 2 at `now + delta`, and any
+    /// other mode nothing. Each schedule call is logged with the clamped
+    /// time the engine must honour.
+    struct Log {
+        scheduled: Vec<(u64, u32)>,
+        fired: Vec<u32>,
+    }
+
+    const LEAF: (u8, u64) = (3, 0);
+
+    impl Log {
+        /// Log a schedule call at `at` and hand out the new event's label.
+        fn stamp(&mut self, s: &Scheduler<Self>, at: SimTime) -> u32 {
+            let label = self.scheduled.len() as u32;
+            self.scheduled.push((at.max(s.now()).as_nanos(), label));
+            label
+        }
+    }
+
+    impl EventWorld for Log {
+        type Event = (u32, (u8, u64));
+        fn dispatch(&mut self, s: &mut Scheduler<Self>, (label, (mode, delta)): Self::Event) {
+            self.fired.push(label);
+            let now = s.now();
+            match mode {
+                0 => {
+                    let l = self.stamp(s, now);
+                    s.schedule_now((l, LEAF));
+                }
+                1 => {
+                    let at = SimTime(now.as_nanos().saturating_sub(delta));
+                    let l = self.stamp(s, at);
+                    s.schedule_at(at, (l, LEAF));
+                }
+                2 => {
+                    let l = self.stamp(s, now.saturating_add(SimDuration(delta)));
+                    s.schedule_in(SimDuration(delta), (l, LEAF));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Reference model of the bucketed timeline the heap replaced: one FIFO
+    /// bucket per timestamp, drained smallest first, with each follow-up
+    /// appended to the bucket of its clamped time. Returns the firing order
+    /// of labels, handed out in schedule order as `Log::stamp` does.
+    fn bucket_model(roots: &[(u64, u8, u64)]) -> Vec<u32> {
+        use std::collections::{BTreeMap, VecDeque};
+        let mut buckets: BTreeMap<u64, VecDeque<<Log as EventWorld>::Event>> = BTreeMap::new();
+        let mut next = 0u32;
+        for &(t, mode, delta) in roots {
+            buckets
+                .entry(t)
+                .or_default()
+                .push_back((next, (mode, delta)));
+            next += 1;
+        }
+        let mut fired = Vec::new();
+        while let Some(mut bucket) = buckets.first_entry() {
+            let now = *bucket.key();
+            let (label, (mode, delta)) = bucket.get_mut().pop_front().unwrap();
+            if bucket.get().is_empty() {
+                bucket.remove();
+            }
+            fired.push(label);
+            let at = match mode {
+                0 => now,
+                1 => now.saturating_sub(delta).max(now),
+                2 => now + delta,
+                _ => continue,
+            };
+            buckets.entry(at).or_default().push_back((next, LEAF));
+            next += 1;
+        }
+        fired
+    }
+
     proptest! {
-        /// Whatever the schedule order, events fire in (time, seq) order and
-        /// the clock never runs backwards — typed and boxed schedules alike.
+        /// Whatever the schedule order, events fire in nondecreasing time
+        /// and the clock never runs backwards.
         #[test]
         fn events_fire_in_nondecreasing_time(
             times in proptest::collection::vec(0u64..10_000, 1..64),
-            typed_mask in proptest::collection::vec(any::<bool>(), 64),
         ) {
             let mut sim = Simulation::new(W { fired: Vec::new() });
-            for (i, &t) in times.iter().enumerate() {
-                if typed_mask[i % typed_mask.len()] {
-                    sim.sched.schedule_at(SimTime(t), ());
-                } else {
-                    sim.sched.schedule_boxed(SimTime(t), |w: &mut W, s: &mut Scheduler<W>| {
-                        w.fired.push(s.now().as_nanos());
-                    });
-                }
+            for &t in &times {
+                sim.sched.schedule_at(SimTime(t), ());
             }
             sim.run();
-            prop_assert_eq!(sim.world.fired.len(), times.len());
-            prop_assert!(sim.world.fired.windows(2).all(|w| w[0] <= w[1]));
             let mut sorted = times.clone();
             sorted.sort_unstable();
             prop_assert_eq!(&sim.world.fired, &sorted);
@@ -746,22 +561,46 @@ mod proptests {
             prop_assert_eq!(sim.now().as_nanos(), hops * step);
         }
 
-        /// The bucketed timeline and the legacy boxed heap produce the same
-        /// firing sequence for any tie-heavy schedule.
+        /// Tie-heavy random schedules, with follow-ups scheduled from inside
+        /// `dispatch` at `now`, in the past and ahead, fire exactly in
+        /// (clamped time, schedule order): the schedule log stably sorted
+        /// by clamped time.
         #[test]
-        fn bucketed_equals_boxed_heap(times in proptest::collection::vec(0u64..16, 1..48)) {
-            let run = |boxed: bool| {
-                let mut sim = Simulation::new(W { fired: Vec::new() });
-                if boxed {
-                    sim.sched.force_boxed_dispatch();
-                }
-                for &t in &times {
-                    sim.sched.schedule_at(SimTime(t), ());
-                }
-                sim.run();
-                sim.world.fired
-            };
-            prop_assert_eq!(run(false), run(true));
+        fn fires_in_clamped_time_then_schedule_order(
+            roots in proptest::collection::vec((0u64..16, 0u8..4, 0u64..8), 1..48),
+        ) {
+            let mut sim = Simulation::new(Log {
+                scheduled: Vec::new(),
+                fired: Vec::new(),
+            });
+            for &(t, mode, delta) in &roots {
+                let l = sim.world.stamp(&sim.sched, SimTime(t));
+                sim.sched.schedule_at(SimTime(t), (l, (mode, delta)));
+            }
+            sim.run();
+            let mut expect = sim.world.scheduled.clone();
+            expect.sort_by_key(|&(at, _)| at);
+            let expect: Vec<u32> = expect.into_iter().map(|(_, label)| label).collect();
+            prop_assert_eq!(&sim.world.fired, &expect);
+        }
+
+        /// The heap, keyed by `(at, seq)` as the boxed heap was, fires
+        /// tie-heavy schedules with follow-ups in the same order as the
+        /// bucketed timeline model.
+        #[test]
+        fn bucketed_equals_boxed_heap(
+            roots in proptest::collection::vec((0u64..16, 0u8..4, 0u64..8), 1..48),
+        ) {
+            let mut sim = Simulation::new(Log {
+                scheduled: Vec::new(),
+                fired: Vec::new(),
+            });
+            for &(t, mode, delta) in &roots {
+                let l = sim.world.stamp(&sim.sched, SimTime(t));
+                sim.sched.schedule_at(SimTime(t), (l, (mode, delta)));
+            }
+            sim.run();
+            prop_assert_eq!(&sim.world.fired, &bucket_model(&roots));
         }
     }
 }

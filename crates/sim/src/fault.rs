@@ -5,24 +5,23 @@
 //! GROUTER data plane (route-GPU harvesting, Algorithm 1 selection) must
 //! therefore be exercised under churn. A [`FaultPlan`] is a *seed-replayable
 //! script* of such events: either written out explicitly (scripted) or
-//! generated from a [`DetRng`] seed (randomized), and installed into a
-//! [`Scheduler`] so faults interleave deterministically with regular
-//! workload events. Two installs of the same plan over the same workload
-//! produce bit-identical simulations.
+//! generated from a [`DetRng`] seed (randomized), and scheduled as typed
+//! events into a world's [`crate::engine::Scheduler`] so faults interleave
+//! deterministically with regular workload events. Two installs of the same
+//! plan over the same workload produce bit-identical simulations.
 //!
 //! The plan itself is pure data — it does not know how a world reacts to a
-//! fault. The world-side interpreter (the runtime's recovery engine) is
-//! passed to [`FaultPlan::install`] as a handler.
+//! fault. The world schedules each [`FaultEvent`] as one of its own events
+//! and interprets it in `dispatch` (the runtime's recovery engine).
 
-use crate::engine::Scheduler;
 use crate::flownet::LinkId;
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
 /// One fault (or repair) the plan injects. GPUs and NICs are named by flat
 /// cluster-wide indices (`node * per_node + local`); FlowNet links by their
-/// [`LinkId`]. The sim crate assigns no meaning to these — the installed
-/// handler interprets them against its topology.
+/// [`LinkId`]. The sim crate assigns no meaning to these — the world
+/// interprets them against its topology.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultKind {
     /// Scale a FlowNet link to `factor` × its healthy capacity
@@ -330,21 +329,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Schedule every event into `sched`. `handler` is the world-side fault
-    /// interpreter; it runs at each event's instant, interleaved
-    /// deterministically with regular events via the scheduler's `(at, seq)`
-    /// order.
-    pub fn install<W, F>(&self, sched: &mut Scheduler<W>, handler: F)
-    where
-        W: crate::engine::EventWorld,
-        F: Fn(&mut W, &mut Scheduler<W>, &FaultEvent) + Clone + Send + 'static,
-    {
-        for ev in self.events.clone() {
-            let h = handler.clone();
-            sched.schedule_boxed(ev.at, move |w, s| h(w, s, &ev));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -444,35 +428,5 @@ mod tests {
         let plans = FaultPlan::randomized_ctl(7, 1, 0, &CtlFaultConfig::default());
         assert_eq!(plans.len(), 1);
         assert!(plans[0].is_empty());
-    }
-
-    impl crate::engine::EventWorld for Vec<(u64, bool)> {
-        type Event = ();
-        fn dispatch(&mut self, _s: &mut crate::engine::Scheduler<Self>, _ev: ()) {}
-    }
-
-    #[test]
-    fn install_schedules_all_events_in_plan_order() {
-        let plan = FaultPlan::scripted(vec![
-            FaultEvent {
-                at: SimTime(2_000),
-                kind: FaultKind::GpuFail { gpu: 1 },
-            },
-            FaultEvent {
-                at: SimTime(1_000),
-                kind: FaultKind::LinkDegrade {
-                    link: LinkId(3),
-                    factor: 0.1,
-                },
-            },
-        ]);
-        // scripted() sorts by time.
-        assert_eq!(plan.events()[0].at, SimTime(1_000));
-        let mut sim = crate::engine::Simulation::new(Vec::<(u64, bool)>::new());
-        plan.install(&mut sim.sched, |w: &mut Vec<(u64, bool)>, _s, ev| {
-            w.push((ev.at.0, matches!(ev.kind, FaultKind::GpuFail { .. })));
-        });
-        sim.run();
-        assert_eq!(sim.world, vec![(1_000, false), (2_000, true)]);
     }
 }

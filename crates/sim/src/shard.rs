@@ -500,10 +500,31 @@ mod tests {
             log: Vec<(u32, u64)>,
             outbox: Vec<Envelope<(u32, u64)>>,
         }
+        enum SinkEv {
+            /// Shard `src` sends two envelopes to shard 0, both stamped
+            /// with the same delivery instant.
+            Kick {
+                src: u32,
+            },
+            Deliver((u32, u64)),
+        }
         impl EventWorld for Sink {
-            type Event = (u32, u64);
-            fn dispatch(&mut self, _s: &mut Scheduler<Self>, ev: (u32, u64)) {
-                self.log.push(ev);
+            type Event = SinkEv;
+            fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: SinkEv) {
+                match ev {
+                    SinkEv::Kick { src } => {
+                        for seq in 0..2 {
+                            self.outbox.push(Envelope {
+                                at: s.now().saturating_add(SimDuration(L)),
+                                src,
+                                dst: 0,
+                                seq,
+                                msg: (src, seq),
+                            });
+                        }
+                    }
+                    SinkEv::Deliver(msg) => self.log.push(msg),
+                }
             }
         }
         impl ShardWorld for Sink {
@@ -512,7 +533,7 @@ mod tests {
                 sink.append(&mut self.outbox);
             }
             fn apply_message(&mut self, sched: &mut Scheduler<Self>, env: Envelope<(u32, u64)>) {
-                sched.schedule_at(env.at, env.msg);
+                sched.schedule_at(env.at, SinkEv::Deliver(env.msg));
             }
         }
         let run = |threads: usize| {
@@ -523,22 +544,11 @@ mod tests {
                 })
                 .collect();
             let mut eng = ShardedEngine::new(worlds, SimDuration(L));
-            // Kick shards 1 and 2; each sends two envelopes to shard 0, all
-            // stamped with the same delivery instant.
+            // Kick shards 2 and 1 (in that order) at the same instant.
             for src in [2u32, 1] {
-                let sim = eng.shard_mut(src as usize);
-                sim.sched
-                    .schedule_boxed(SimTime(0), move |w: &mut Sink, s| {
-                        for seq in 0..2 {
-                            w.outbox.push(Envelope {
-                                at: s.now().saturating_add(SimDuration(L)),
-                                src,
-                                dst: 0,
-                                seq,
-                                msg: (src, seq),
-                            });
-                        }
-                    });
+                eng.shard_mut(src as usize)
+                    .sched
+                    .schedule_at(SimTime(0), SinkEv::Kick { src });
             }
             eng.run(threads);
             eng.shard(0).world.log.clone()

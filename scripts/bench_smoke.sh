@@ -14,7 +14,7 @@
 #     (BENCH_obs.json).
 #   - end-to-end macro throughput on the contended DGX-V100 testbed
 #     (BENCH_e2e.json): minimum ops/sec and simulated-seconds-per-wall-
-#     second floors, plus the paired typed-vs-boxed dispatch ratio.
+#     second floors.
 #
 #   - cluster-scale sharded-vs-monolithic sweep (BENCH_sweep.json): the
 #     sharded engine at >= 4 shards must hold the committed
@@ -195,8 +195,7 @@ fi
 echo "disabled-path tracing overhead: ${ratio}x (bound: <= 1.03x)"
 
 # ---------------------------------------------------------------------------
-# bench_e2e: whole-trace macro throughput (typed event core vs the boxed-
-# closure baseline, both testbeds).
+# bench_e2e: whole-trace macro throughput on both testbeds.
 
 e2e_out="${4:-BENCH_e2e.json}"
 
@@ -207,12 +206,8 @@ e2e_out="${4:-BENCH_e2e.json}"
 # reached: the event-core rework plus the allocation/bookkeeping work
 # delivers ~1.7x end to end (552k vs 325.5k ops/sec), because the remaining
 # cycles are genuine simulation arithmetic (water-filling rate allocation,
-# percentile tracking, the stage state machine), not dispatch overhead —
-# the paired typed-vs-boxed ratio on the *optimized* bookkeeping is ~1.0x,
-# i.e. the seed's cost was the per-event allocations and tree walks around
-# dispatch, not the BinaryHeap itself. The honest measured ratio is
-# committed as "speedup_vs_seed_baseline" and floored here so it cannot
-# silently regress.
+# percentile tracking, the stage state machine), not dispatch overhead.
+# The honest measured ratio is committed as "speedup_vs_seed_baseline".
 e2e_ops_floor=400000
 e2e_simwall_floor=1300
 
@@ -237,7 +232,6 @@ awk '
         name = line; sub(/.*"name":"/, "", name); sub(/".*/, "", name)
         med = line; sub(/.*"median_ns":/, "", med); sub(/,.*/, "", med)
         if (name ~ /^e2e\//) { sub(/^e2e\//, "", name); typed[name] = med }
-        else if (name ~ /^e2e_boxed\//) { sub(/^e2e_boxed\//, "", name); boxed[name] = med }
     }
     END {
         print "{"
@@ -260,8 +254,7 @@ awk '
             i++
             ops_s = opsOf[k] * 1e9 / typed[k]
             simwall = simOf[k] / typed[k]
-            ratio = (k in boxed) ? boxed[k] / typed[k] : 0
-            printf "    \"%s\": {\"ops_per_sec\": %.0f, \"sim_sec_per_wall_sec\": %.1f, \"dispatch_speedup_vs_boxed\": %.2f}%s\n", k, ops_s, simwall, ratio, (i < n ? "," : "")
+            printf "    \"%s\": {\"ops_per_sec\": %.0f, \"sim_sec_per_wall_sec\": %.1f}%s\n", k, ops_s, simwall, (i < n ? "," : "")
         }
         print "  },"
         printf "  \"speedup_vs_seed_baseline\": {\"v100_contended\": %.2f}\n", (opsOf["v100_contended"] * 1e9 / typed["v100_contended"]) / 325513
@@ -275,7 +268,7 @@ echo "wrote $e2e_out"
 # Acceptance gates: ops/sec and simulated-seconds-per-wall-second floors on
 # the contended testbed.
 e2e_ops=$(sed -n 's/.*"v100_contended": {"ops_per_sec": \([0-9]*\),.*/\1/p' "$e2e_out")
-e2e_simwall=$(sed -n 's/.*"v100_contended": {"ops_per_sec": [0-9]*, "sim_sec_per_wall_sec": \([0-9.]*\),.*/\1/p' "$e2e_out")
+e2e_simwall=$(sed -n 's/.*"v100_contended": {"ops_per_sec": [0-9]*, "sim_sec_per_wall_sec": \([0-9.]*\).*/\1/p' "$e2e_out")
 if [ -z "$e2e_ops" ] || [ -z "$e2e_simwall" ]; then
     echo "ERROR: no v100_contended measurements in $e2e_out" >&2
     exit 1
@@ -294,7 +287,7 @@ echo "contended e2e: ${e2e_ops} ops/sec (floor: ${e2e_ops_floor}), ${e2e_simwall
 
 # Same floors policy on the steady single-box testbed.
 a100_ops=$(sed -n 's/.*"a100_steady": {"ops_per_sec": \([0-9]*\),.*/\1/p' "$e2e_out")
-a100_simwall=$(sed -n 's/.*"a100_steady": {"ops_per_sec": [0-9]*, "sim_sec_per_wall_sec": \([0-9.]*\),.*/\1/p' "$e2e_out")
+a100_simwall=$(sed -n 's/.*"a100_steady": {"ops_per_sec": [0-9]*, "sim_sec_per_wall_sec": \([0-9.]*\).*/\1/p' "$e2e_out")
 if [ -z "$a100_ops" ] || [ -z "$a100_simwall" ]; then
     echo "ERROR: no a100_steady measurements in $e2e_out" >&2
     exit 1

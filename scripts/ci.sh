@@ -1,7 +1,7 @@
 #!/bin/sh
 # Offline CI gate: formatting, lints, the workspace linter, the tier-1 test
-# suite (with the data-plane invariant auditors unified on), the benchmark
-# smoke run with its speedup gates, the trace-export determinism smoke, and
+# suite (with the data-plane invariant auditors unified on), the perfbench
+# package's build and tests, the benchmark smoke run with its speedup gates, the trace-export determinism smoke, and
 # the experiment-suite byte-identity check. Everything runs locally with no network access.
 #
 # Usage: scripts/ci.sh
@@ -34,6 +34,12 @@ echo "==> tier-1 tests, audited (cargo build --release && cargo test -q)"
 # if any invariant checker stopped firing.
 cargo build --release
 cargo test -q
+
+echo "==> perfbench builds and passes its own tests"
+# perfbench/ is a separate package (own [workspace]) that builds against the
+# crates' public API; compiling it here makes an API removal fail CI
+# instead of the benchmark run.
+CARGO_TARGET_DIR=target/perfbench cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> chaos smoke (fixed-seed fault injection over the GROUTER plane)"
 # Bounded and deterministic: the suite sweeps a fixed seed batch of
