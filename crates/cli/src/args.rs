@@ -95,6 +95,15 @@ fn parse_pattern(name: &str) -> Result<ArrivalPattern, String> {
         .ok_or_else(|| format!("unknown pattern '{name}' (expected bursty, sporadic or periodic)"))
 }
 
+/// Parse a `--rps` value; shared by every subcommand. Arrival generators
+/// need a positive finite mean rate: zero or negative rates have no
+/// inter-arrival time, and an infinite one never advances the clock.
+fn parse_rps(value: &str) -> Result<f64, String> {
+    crate::parse::parse_finite(value)
+        .filter(|&r| r > 0.0)
+        .ok_or_else(|| format!("--rps must be a positive finite number, got '{value}'"))
+}
+
 /// Parse `argv` into a [`Command`]; `serve` selects service mode, `llm` the
 /// disaggregated LLM serving experiment.
 pub fn parse_command(argv: &[String]) -> Result<Command, String> {
@@ -139,11 +148,7 @@ pub fn parse_llm_args(argv: &[String]) -> Result<LlmArgs, String> {
                     .parse()
                     .map_err(|_| "--requests must be an integer".to_string())?
             }
-            "--rps" => {
-                args.rps = take("--rps")?
-                    .parse()
-                    .map_err(|_| "--rps must be a number".to_string())?
-            }
+            "--rps" => args.rps = parse_rps(&take("--rps")?)?,
             "--pattern" => args.pattern = parse_pattern(&take("--pattern")?)?,
             "--seed" => {
                 args.seed = take("--seed")?
@@ -210,11 +215,7 @@ pub fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
                     .map_err(|_| "--groups must be an integer".to_string())?
             }
             "--pattern" => args.pattern = parse_pattern(&take("--pattern")?)?,
-            "--rps" => {
-                args.rps = take("--rps")?
-                    .parse()
-                    .map_err(|_| "--rps must be a number".to_string())?
-            }
+            "--rps" => args.rps = parse_rps(&take("--rps")?)?,
             "--total" => {
                 args.total = take("--total")?
                     .parse()
@@ -282,11 +283,7 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .map_err(|_| "--nodes must be an integer".to_string())?
             }
             "--pattern" => args.pattern = parse_pattern(&take("--pattern")?)?,
-            "--rps" => {
-                args.rps = take("--rps")?
-                    .parse()
-                    .map_err(|_| "--rps must be a number".to_string())?
-            }
+            "--rps" => args.rps = parse_rps(&take("--rps")?)?,
             "--seconds" => {
                 args.seconds = take("--seconds")?
                     .parse()
@@ -536,6 +533,21 @@ mod tests {
         );
         assert!(parse(&["llm", "--rps"]).is_err(), "missing value");
         assert!(parse(&["llm", "extra.wf"]).is_err(), "llm takes no file");
+    }
+
+    #[test]
+    fn bad_rates_are_refused_by_every_subcommand() {
+        for sub in [&["a.wf"][..], &["serve"], &["llm"]] {
+            for rate in ["0", "-5", "nan", "inf", "-inf", "x"] {
+                let argv: Vec<String> = sub
+                    .iter()
+                    .chain(&["--rps", rate])
+                    .map(|s| s.to_string())
+                    .collect();
+                let e = parse_command(&argv).unwrap_err();
+                assert!(e.contains("--rps"), "{sub:?} --rps {rate}: {e}");
+            }
+        }
     }
 
     #[test]

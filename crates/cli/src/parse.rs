@@ -39,6 +39,12 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Parse a finite decimal number. `nan` and `inf` parse as `f64` but mean
+/// nothing as a size, duration, weight or rate, so they are refused here.
+pub(crate) fn parse_finite(s: &str) -> Option<f64> {
+    s.trim().parse::<f64>().ok().filter(|v| v.is_finite())
+}
+
 /// Parse a size like `48MB`, `1.5GB`, `300KB`, `512B` into bytes.
 pub fn parse_size(s: &str) -> Result<f64, String> {
     let lower = s.trim().to_ascii_uppercase();
@@ -53,10 +59,7 @@ pub fn parse_size(s: &str) -> Result<f64, String> {
     } else {
         return Err(format!("size '{s}' needs a B/KB/MB/GB suffix"));
     };
-    let value: f64 = digits
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad number in size '{s}'"))?;
+    let value = parse_finite(digits).ok_or_else(|| format!("bad number in size '{s}'"))?;
     if value < 0.0 {
         return Err(format!("size '{s}' is negative"));
     }
@@ -75,10 +78,7 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     } else {
         return Err(format!("duration '{s}' needs a us/ms/s suffix"));
     };
-    let value: f64 = digits
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad number in duration '{s}'"))?;
+    let value = parse_finite(digits).ok_or_else(|| format!("bad number in duration '{s}'"))?;
     if value < 0.0 {
         return Err(format!("duration '{s}' is negative"));
     }
@@ -169,9 +169,9 @@ pub fn parse_workflow(text: &str) -> Result<WorkflowSpec, ParseError> {
                             let g: u32 = group
                                 .parse()
                                 .map_err(|_| err(lineno, "cond group must be an integer"))?;
-                            let w: f64 = weight
-                                .parse()
-                                .map_err(|_| err(lineno, "cond weight must be a number"))?;
+                            let w = parse_finite(weight).ok_or_else(|| {
+                                err(lineno, "cond weight must be a finite number")
+                            })?;
                             cond = Some((g, w));
                         }
                         other => {
@@ -254,6 +254,22 @@ stage classify gpu compute=9ms  out=1MB  mem=0.8GB deps=detect
             SimDuration::from_millis(1500)
         );
         assert!(parse_duration("5").is_err());
+        // Non-finite numbers parse as f64 but are refused.
+        for bad in ["nanMB", "NaNB", "infGB", "infinityKB"] {
+            assert!(parse_size(bad).is_err(), "{bad}");
+        }
+        for bad in ["infms", "nanus", "NaNs", "-infs"] {
+            assert!(parse_duration(bad).is_err(), "{bad}");
+        }
+        for stage in ["compute=infms out=1MB", "compute=1ms out=nanMB"] {
+            let text = format!("workflow x\nstage a gpu {stage}\n");
+            assert_eq!(parse_workflow(&text).unwrap_err().line, 2, "{stage}");
+        }
+        for weight in ["nan", "inf"] {
+            let text = format!("workflow x\nstage a gpu compute=1ms out=1MB cond=0:{weight}\n");
+            let e = parse_workflow(&text).unwrap_err();
+            assert!(e.message.contains("cond weight"), "{}", e.message);
+        }
     }
 
     #[test]

@@ -34,6 +34,10 @@ use grouter_transfer::plan::{
 
 use crate::config::GrouterConfig;
 
+/// Proactive restores fill a pool only up to this fraction of its storage
+/// capacity (§4.4.2).
+const RESTORE_HEADROOM: f64 = 0.7;
+
 /// The GPU-centric data plane.
 #[derive(Debug)]
 pub struct GrouterPlane {
@@ -289,6 +293,12 @@ impl GrouterPlane {
         if !self.cfg.elastic_storage || !self.cfg.proactive_restore {
             return Vec::new();
         }
+        // Past the headroom line no candidate fits (see the loop below), so
+        // skip collecting and ordering them.
+        let idx = ctx.pool_index(gpu);
+        if ctx.pools[idx].used() > RESTORE_HEADROOM * ctx.pools[idx].storage_cap() {
+            return Vec::new();
+        }
         let candidates: Vec<ObjectMeta> = self
             .migrated_home
             .iter()
@@ -316,11 +326,10 @@ impl GrouterPlane {
             let Some(bytes) = ctx.store.peek(id).map(|e| e.bytes) else {
                 continue;
             };
-            let idx = ctx.pool_index(gpu);
             // Leave headroom for incoming puts: restoring into a full pool
             // would just force the next put to evict again (thrash), and the
             // restore traffic would contend with critical-path transfers.
-            if ctx.pools[idx].used() + bytes > 0.7 * ctx.pools[idx].storage_cap() {
+            if ctx.pools[idx].used() + bytes > RESTORE_HEADROOM * ctx.pools[idx].storage_cap() {
                 break;
             }
             let Ok(grant) = ctx.pools[idx].try_alloc(bytes) else {

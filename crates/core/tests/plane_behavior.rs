@@ -380,6 +380,90 @@ fn consuming_a_migrated_object_releases_its_scaler_reservation() {
 }
 
 #[test]
+fn proactive_restore_waits_for_usage_below_the_headroom_line() {
+    // §4.4.2: migrated objects come back only while the pool stays under
+    // 70% of its storage cap, so a restore never forces the next put to
+    // evict again.
+    use grouter::mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
+    use grouter::runtime::dataplane::PlaneCtx;
+    use grouter::sim::FlowNet;
+    use grouter::store::{AccessToken, DataStore, FunctionId, Location, WorkflowId};
+    use grouter::topology::{PathLedger, Topology};
+    use grouter::transfer::rate::RateController;
+
+    let mut net = FlowNet::new();
+    let topo = Topology::build(presets::dgx_v100(), 1, &mut net);
+    let mut store = DataStore::new(1);
+    let mut pools: Vec<ElasticPool> = (0..8)
+        .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
+        .collect();
+    let mut scalers: Vec<PrewarmScaler> = (0..8).map(|_| PrewarmScaler::new()).collect();
+    let mut ledgers = vec![PathLedger::from_topology(&topo)];
+    let mut pinned = vec![PinnedRing::new(grouter::sim::params::PINNED_RING_BYTES)];
+    let mut rates = vec![RateController::new()];
+    let mut plane = GrouterPlane::new(GrouterConfig::full());
+
+    let mut ctx = PlaneCtx {
+        topo: &topo,
+        net: &net,
+        store: &mut store,
+        pools: &mut pools,
+        scalers: &mut scalers,
+        ledgers: &mut ledgers,
+        pinned: &mut pinned,
+        rates: &mut rates,
+        now: SimTime::ZERO,
+        slo: None,
+        trace: grouter_obs::Recorder::disabled(),
+    };
+    let token = |f: u64| AccessToken {
+        function: FunctionId(f),
+        workflow: WorkflowId(7),
+    };
+    let gpu = GpuRef::new(0, 0);
+    let migrated = plane
+        .put(&mut ctx, token(1), Destination::Gpu(gpu), 400.0 * MB, 1)
+        .expect("put")
+        .id;
+    // Only objects with a queued consumer are restored proactively.
+    ctx.store.set_next_use(migrated, Some(1));
+    let capacity = ctx.pools[0].capacity();
+    ctx.pools[0].set_runtime_used(capacity - 100.0 * MB);
+    plane.on_memory_change(&mut ctx, gpu);
+    ctx.pools[0].set_runtime_used(0.0);
+    assert!(matches!(
+        ctx.store.peek(migrated).unwrap().location,
+        Location::Host(_)
+    ));
+
+    // Fill the pool past 70% of its cap while the migrated object would
+    // still fit under the cap itself: the threshold alone holds it back.
+    let cap = ctx.pools[0].storage_cap();
+    let resident = plane
+        .put(&mut ctx, token(2), Destination::Gpu(gpu), 0.75 * cap, 1)
+        .expect("put")
+        .id;
+    let used = ctx.pools[0].used();
+    assert!(used > 0.7 * cap && used + 400.0 * MB < cap);
+    assert!(plane.on_memory_change(&mut ctx, gpu).is_empty());
+    assert!(matches!(
+        ctx.store.peek(migrated).unwrap().location,
+        Location::Host(_)
+    ));
+    assert_eq!(plane.stats().restores, 0);
+
+    // Consuming the resident object drops usage below the line: the
+    // migrated object comes home on the same call.
+    let ops = plane.on_consumed(&mut ctx, resident);
+    assert_eq!(ops.len(), 1);
+    assert_eq!(
+        ctx.store.peek(migrated).unwrap().location,
+        Location::Gpu(gpu)
+    );
+    assert_eq!(plane.stats().restores, 1);
+}
+
+#[test]
 fn concurrent_transfers_trigger_live_rebalancing_and_release_cleanly() {
     // Stage s0 (GPU0) feeds s1 (GPU1) with a large object whose Algorithm 1
     // selection occupies the direct (0,3) edge as part of an indirect

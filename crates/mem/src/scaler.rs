@@ -22,12 +22,15 @@ use grouter_sim::time::SimTime;
 /// Samples remembered per function per signal.
 const WINDOW: usize = 256;
 
+/// `R_window` before any interval is known, in seconds.
+const DEFAULT_WINDOW_S: f64 = 1.0;
+
+/// One function's histories on this GPU and its outputs not yet consumed.
 #[derive(Debug)]
 struct FuncStats {
     interval_s: WindowedPercentile,
     size_bytes: WindowedPercentile,
     concurrency: WindowedPercentile,
-    last_request: Option<SimTime>,
     live_outputs: u32,
 }
 
@@ -37,35 +40,56 @@ impl FuncStats {
             interval_s: WindowedPercentile::new(WINDOW),
             size_bytes: WindowedPercentile::new(WINDOW),
             concurrency: WindowedPercentile::new(WINDOW),
-            last_request: None,
             live_outputs: 0,
-        }
-    }
-
-    /// `R_size · R_con` — the reservation while the function is active.
-    fn reservation(&mut self) -> f64 {
-        let size = self.size_bytes.p99().unwrap_or(0.0);
-        let con = self.concurrency.p99().unwrap_or(1.0).max(1.0);
-        size * con
-    }
-
-    /// `R_window` in seconds; a conservative default before any history.
-    fn window_s(&mut self) -> f64 {
-        self.interval_s.p99().unwrap_or(1.0)
-    }
-
-    fn active_at(&mut self, now: SimTime) -> bool {
-        match self.last_request {
-            None => false,
-            Some(last) => (now - last.min(now)).as_secs_f64() <= self.window_s(),
         }
     }
 }
 
+/// A function with at least one recorded request: the only kind that can
+/// be active, so the only kind the target sums over. Its `R_window` and
+/// `R_size · R_con` are cached until one of their windows records a sample.
+#[derive(Debug)]
+struct Requested {
+    stats: FuncStats,
+    last_request: SimTime,
+    window_s: Option<f64>,
+    reservation: Option<f64>,
+}
+
+impl Requested {
+    /// `R_size · R_con` — the reservation while the function is active.
+    fn reservation(&mut self) -> f64 {
+        let s = &mut self.stats;
+        *self.reservation.get_or_insert_with(|| {
+            let size = s.size_bytes.p99().unwrap_or(0.0);
+            let con = s.concurrency.p99().unwrap_or(1.0).max(1.0);
+            size * con
+        })
+    }
+
+    /// `R_window` in seconds; a conservative default before any history.
+    fn window_s(&mut self) -> f64 {
+        let interval = &mut self.stats.interval_s;
+        *self
+            .window_s
+            .get_or_insert_with(|| interval.p99().unwrap_or(DEFAULT_WINDOW_S))
+    }
+
+    fn active_at(&mut self, now: SimTime) -> bool {
+        (now - self.last_request.min(now)).as_secs_f64() <= self.window_s()
+    }
+}
+
 /// Per-GPU pre-warm estimator across all functions that store data there.
+///
+/// Functions that only produced outputs here (a stage re-placed by fault
+/// recovery, or an LLM request's KV blocks) live apart from requested ones
+/// until their first request arrives, so the target walks only functions
+/// that can be active.
 #[derive(Debug, Default)]
 pub struct PrewarmScaler {
-    funcs: BTreeMap<u64, FuncStats>,
+    requested: BTreeMap<u64, Requested>,
+    producers: BTreeMap<u64, FuncStats>,
 }
 
 impl PrewarmScaler {
@@ -73,32 +97,49 @@ impl PrewarmScaler {
         Self::default()
     }
 
-    fn entry(&mut self, func: u64) -> &mut FuncStats {
-        self.funcs.entry(func).or_insert_with(FuncStats::new)
-    }
-
     /// Record a request arrival for `func` (feeds `R_window`).
     pub fn on_request(&mut self, func: u64, now: SimTime) {
-        let stats = self.entry(func);
-        if let Some(last) = stats.last_request {
-            stats.interval_s.record((now - last.min(now)).as_secs_f64());
+        if let Some(r) = self.requested.get_mut(&func) {
+            r.stats
+                .interval_s
+                .record((now - r.last_request.min(now)).as_secs_f64());
+            r.last_request = now;
+            r.window_s = None;
+            return;
         }
-        stats.last_request = Some(now);
+        let stats = self.producers.remove(&func).unwrap_or_else(FuncStats::new);
+        self.requested.insert(
+            func,
+            Requested {
+                stats,
+                last_request: now,
+                window_s: None,
+                reservation: None,
+            },
+        );
     }
 
     /// Record that `func` produced an output of `bytes` (feeds `R_size` and,
     /// via the live-output count, `R_con`).
     pub fn on_output(&mut self, func: u64, bytes: f64) {
-        let stats = self.entry(func);
+        let stats = match self.requested.get_mut(&func) {
+            Some(r) => {
+                r.reservation = None;
+                &mut r.stats
+            }
+            None => self.producers.entry(func).or_insert_with(FuncStats::new),
+        };
         stats.size_bytes.record(bytes);
         stats.live_outputs += 1;
-        let live = stats.live_outputs;
-        stats.concurrency.record(live as f64);
+        stats.concurrency.record(stats.live_outputs as f64);
     }
 
     /// Record that one of `func`'s outputs was consumed/deleted.
     pub fn on_consumed(&mut self, func: u64) {
-        let stats = self.entry(func);
+        let stats = match self.requested.get_mut(&func) {
+            Some(r) => &mut r.stats,
+            None => self.producers.entry(func).or_insert_with(FuncStats::new),
+        };
         stats.live_outputs = stats.live_outputs.saturating_sub(1);
     }
 
@@ -106,9 +147,9 @@ impl PrewarmScaler {
     /// `max(Σ_active R_size·R_con, MIN_POOL_BYTES)`.
     pub fn target_bytes(&mut self, now: SimTime) -> f64 {
         let mut demand = 0.0;
-        for s in self.funcs.values_mut() {
-            if s.active_at(now) {
-                demand += s.reservation();
+        for r in self.requested.values_mut() {
+            if r.active_at(now) {
+                demand += r.reservation();
             }
         }
         let target = demand.max(params::MIN_POOL_BYTES);
@@ -123,7 +164,13 @@ impl PrewarmScaler {
 
     /// Reservation window for one function, if known (testing/diagnostics).
     pub fn window_secs(&mut self, func: u64) -> Option<f64> {
-        self.funcs.get_mut(&func).map(|s| s.window_s())
+        match self.requested.get_mut(&func) {
+            Some(r) => Some(r.window_s()),
+            None => self
+                .producers
+                .contains_key(&func)
+                .then_some(DEFAULT_WINDOW_S),
+        }
     }
 
     /// Outstanding (produced but unconsumed) outputs currently counted for
@@ -131,13 +178,21 @@ impl PrewarmScaler {
     /// balanced by an `on_consumed`, or the concurrency p99 ratchets up and
     /// the pre-warm target over-reserves.
     pub fn live_outputs(&self, func: u64) -> u32 {
-        self.funcs.get(&func).map(|s| s.live_outputs).unwrap_or(0)
+        match self.requested.get(&func) {
+            Some(r) => r.stats.live_outputs,
+            None => self.producers.get(&func).map_or(0, |s| s.live_outputs),
+        }
     }
 
     /// Total outstanding outputs across every tracked function — the leak
     /// indicator chaos tests assert drains to zero.
     pub fn total_live_outputs(&self) -> u64 {
-        self.funcs.values().map(|s| s.live_outputs as u64).sum()
+        self.requested
+            .values()
+            .map(|r| &r.stats)
+            .chain(self.producers.values())
+            .map(|s| s.live_outputs as u64)
+            .sum()
     }
 
     /// Drop every reservation this GPU's scaler holds: the GPU failed, its
@@ -145,16 +200,17 @@ impl PrewarmScaler {
     /// the pre-warm target of the (empty) pool when the GPU rejoins. The
     /// scaler restarts with no history, exactly as at boot.
     pub fn quarantine(&mut self) {
-        self.funcs.clear();
+        self.requested.clear();
+        self.producers.clear();
     }
 
     /// Number of tracked functions.
     pub fn len(&self) -> usize {
-        self.funcs.len()
+        self.requested.len() + self.producers.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.funcs.is_empty()
+        self.requested.is_empty() && self.producers.is_empty()
     }
 }
 
@@ -257,5 +313,72 @@ mod tests {
         }
         let w = s.window_secs(9).unwrap();
         assert!((w - 0.25).abs() < 1e-9, "window {w}");
+    }
+
+    #[test]
+    fn producer_only_function_never_raises_the_target() {
+        let mut s = PrewarmScaler::new();
+        for _ in 0..10 {
+            s.on_output(4, 2000.0 * MB);
+        }
+        assert_eq!(s.target_bytes(SimTime::ZERO), params::MIN_POOL_BYTES);
+        assert_eq!(s.window_secs(4), Some(DEFAULT_WINDOW_S));
+    }
+
+    #[test]
+    fn first_request_keeps_the_output_history() {
+        // A stage re-placed here by fault recovery produces before this GPU
+        // ever sees its request: R_size and R_con must survive the request.
+        let mut s = PrewarmScaler::new();
+        for _ in 0..3 {
+            s.on_output(4, 500.0 * MB);
+        }
+        let t = SimTime::ZERO + SimDuration::from_secs(5);
+        s.on_request(4, t);
+        assert_eq!(s.live_outputs(4), 3);
+        let target = s.target_bytes(t);
+        assert!((target - 1500.0 * MB).abs() < 1.0, "target {target}");
+    }
+
+    #[test]
+    fn cached_percentiles_refresh_after_each_record() {
+        let mut s = PrewarmScaler::new();
+        let mut t = SimTime::ZERO;
+        s.on_request(1, t);
+        s.on_output(1, 400.0 * MB);
+        assert!((s.target_bytes(t) - 400.0 * MB).abs() < 1.0);
+        // A larger output lifts R_size (and R_con: two outputs are live).
+        s.on_output(1, 600.0 * MB);
+        assert!((s.target_bytes(t) - 1200.0 * MB).abs() < 1.0);
+        // Consuming records nothing, so the reservation stands.
+        s.on_consumed(1);
+        s.on_consumed(1);
+        assert!((s.target_bytes(t) - 1200.0 * MB).abs() < 1.0);
+        // A new interval replaces the default R_window at once...
+        t += SimDuration::from_millis(100);
+        s.on_request(1, t);
+        assert!((s.window_secs(1).unwrap() - 0.1).abs() < 1e-9);
+        // ...so 0.2 s of silence now ends the reservation.
+        let later = t + SimDuration::from_millis(200);
+        assert_eq!(s.target_bytes(later), params::MIN_POOL_BYTES);
+    }
+
+    #[test]
+    fn bookkeeping_covers_requested_and_producer_only_functions() {
+        let mut s = PrewarmScaler::new();
+        s.on_request(1, SimTime::ZERO);
+        s.on_output(1, MB);
+        s.on_output(2, MB);
+        s.on_output(2, MB);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.live_outputs(1), 1);
+        assert_eq!(s.live_outputs(2), 2);
+        assert_eq!(s.total_live_outputs(), 3);
+        s.on_consumed(2);
+        assert_eq!(s.total_live_outputs(), 2);
+        s.quarantine();
+        assert!(s.is_empty());
+        assert_eq!(s.total_live_outputs(), 0);
+        assert_eq!(s.window_secs(1), None);
     }
 }

@@ -13,15 +13,16 @@ use crate::time::SimTime;
 #[derive(Clone, Debug)]
 pub struct WindowedPercentile {
     window: usize,
+    /// The window in arrival order; once full, a ring whose oldest sample
+    /// sits at `cursor`.
     samples: Vec<f64>,
     cursor: usize,
-    filled: bool,
-    /// Sorted copy of `samples`, rebuilt lazily on quantile queries. The
-    /// pre-warm scaler reads three p99s per pool resize, several resizes per
-    /// data operation — cloning and sorting the window each time dominated
-    /// the end-to-end profile.
+    /// `samples` in `f64::total_cmp` order, or empty until the first query
+    /// of a non-empty window. Once built, `record` keeps it current (one
+    /// binary search for the evicted sample, one for the new one, one
+    /// shift between them), so a query is a single lookup. Trackers that
+    /// are never queried — most of them — never pay for the copy.
     sorted: Vec<f64>,
-    dirty: bool,
 }
 
 impl WindowedPercentile {
@@ -38,24 +39,51 @@ impl WindowedPercentile {
             // buffers made tracker creation the hottest part of arrivals.
             samples: Vec::new(),
             cursor: 0,
-            filled: false,
             sorted: Vec::new(),
-            dirty: false,
         }
     }
 
     /// Record one observation.
     pub fn record(&mut self, value: f64) {
-        if self.samples.len() < self.window {
+        let evicted = if self.samples.len() < self.window {
             self.samples.push(value);
-            if self.samples.len() == self.window {
-                self.filled = true;
-            }
+            None
         } else {
-            self.samples[self.cursor] = value;
+            let oldest = self.samples.get_mut(self.cursor);
             self.cursor = (self.cursor + 1) % self.window;
+            oldest.map(|slot| std::mem::replace(slot, value))
+        };
+        if !self.sorted.is_empty() {
+            self.update_sorted(evicted, value);
         }
-        self.dirty = true;
+    }
+
+    /// Keep `sorted` equal to the window after `value` replaced `evicted`
+    /// (or was appended, when nothing was evicted).
+    fn update_sorted(&mut self, evicted: Option<f64>, value: f64) {
+        let sorted = &mut self.sorted;
+        let to = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+        let from = evicted.and_then(|old| sorted.binary_search_by(|x| x.total_cmp(&old)).ok());
+        // Shift the samples between the evicted slot and the insertion
+        // point by one, towards the evicted slot, and drop `value` into the
+        // gap that opens.
+        let slot = match from {
+            None => {
+                sorted.insert(to, value);
+                return;
+            }
+            Some(from) if to <= from => {
+                sorted.copy_within(to..from, to + 1);
+                to
+            }
+            Some(from) => {
+                sorted.copy_within(from + 1..to, from);
+                to - 1
+            }
+        };
+        if let Some(s) = sorted.get_mut(slot) {
+            *s = value;
+        }
     }
 
     /// Number of samples currently held.
@@ -75,16 +103,13 @@ impl WindowedPercentile {
         if self.samples.is_empty() {
             return None;
         }
-        if self.dirty || self.sorted.len() != self.samples.len() {
-            self.sorted.clear();
+        if self.sorted.is_empty() {
             self.sorted.extend_from_slice(&self.samples);
-            self.sorted
-                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            self.dirty = false;
+            self.sorted.sort_by(f64::total_cmp);
         }
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        Some(self.sorted[rank - 1])
+        self.sorted.get(rank - 1).copied()
     }
 
     /// Convenience: the 99th percentile.
@@ -149,7 +174,7 @@ impl Summary {
             return 0.0;
         }
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(f64::total_cmp);
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         sorted[rank - 1]
@@ -284,6 +309,46 @@ mod tests {
         let _ = WindowedPercentile::new(0);
     }
 
+    /// Nearest-rank `q`-quantile of `window`, sorted from scratch.
+    fn resorted_quantile(window: &std::collections::VecDeque<f64>, q: f64) -> Option<f64> {
+        let mut sorted: Vec<f64> = window.iter().copied().collect();
+        sorted.sort_by(f64::total_cmp);
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+        sorted.get(rank - 1).copied()
+    }
+
+    proptest::proptest! {
+        /// The incrementally maintained window answers every query exactly
+        /// as re-sorting the live samples would, bit for bit, whatever the
+        /// interleaving of records and queries, through wrap-around and with
+        /// duplicate, negative and signed-zero samples.
+        #[test]
+        fn incremental_window_matches_a_resort(
+            window in proptest::prop_oneof![1usize..9, proptest::Just(256usize)],
+            ops in proptest::collection::vec((0u8..4, 0u8..16), 0..1200),
+        ) {
+            let mut w = WindowedPercentile::new(window);
+            let mut live = std::collections::VecDeque::new();
+            for (op, code) in ops {
+                if op == 0 {
+                    let q = [0.0, 0.5, 0.99, 1.0][usize::from(code % 4)];
+                    let got = w.quantile(q).map(f64::to_bits);
+                    let want = resorted_quantile(&live, q).map(f64::to_bits);
+                    proptest::prop_assert_eq!(got, want, "q {} over {:?}", q, live);
+                } else {
+                    // A few distinct values, so duplicates are common.
+                    let value = if code == 15 { -0.0 } else { f64::from(code) * 0.5 - 3.0 };
+                    w.record(value);
+                    live.push_back(value);
+                    if live.len() > window {
+                        live.pop_front();
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(w.len(), live.len());
+        }
+    }
+
     #[test]
     fn summary_quantiles() {
         let mut s = Summary::new();
@@ -295,6 +360,25 @@ mod tests {
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 1000.0);
         assert!((s.mean() - 500.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn summary_orders_nan_after_every_number() {
+        // Under `partial_cmp` a NaN compares "equal" to everything, which is
+        // no order at all; the standard sort may panic on it. `total_cmp`
+        // puts NaN last and leaves the numbers in their usual order.
+        let mut s = Summary::new();
+        for i in 0..300u64 {
+            let v = i * 7919 % 300; // a permutation of 0..300
+            s.record(if v % 7 == 0 { f64::NAN } else { v as f64 });
+        }
+        // 257 numbers (1..300 minus multiples of 7), then 43 NaNs: the
+        // 150th number is 174.
+        assert_eq!(s.p50(), 174.0);
+        assert!(s.quantile(1.0).is_nan());
+        let cdf = s.cdf_points(4);
+        assert_eq!(cdf[1].0, 174.0);
+        assert!(cdf[2].0.is_finite() && cdf[3].0.is_nan());
     }
 
     #[test]
@@ -342,7 +426,7 @@ impl Summary {
             return Vec::new();
         }
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(f64::total_cmp);
         (1..=n)
             .map(|k| {
                 let q = k as f64 / n as f64;
