@@ -45,8 +45,8 @@ fn check(name: &str, got: &str) {
     assert_eq!(
         got,
         want,
-        "output diverged from boxed-closure golden {} — the event core is no \
-         longer byte-identical",
+        "output diverged from golden {}: a run the goldens pin is no longer \
+         byte-identical",
         path.display()
     );
 }
@@ -240,4 +240,54 @@ fn golden_service_outputs_thread_invariant() {
             "recovery log diverged from the 1-thread run at {threads} threads"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// LLM-mode goldens: the disaggregated serving report on both planes, and a
+// decode-GPU failure mid-stream. At seed 7 the GROUTER run migrates and
+// restores KV blocks about a thousand times, so these pin the pressure path
+// (victim selection, proactive restore order) and the decode bookkeeping.
+// ---------------------------------------------------------------------------
+
+/// The reduced-scale serving config of `crates/llm/tests/serve.rs`.
+fn llm_small(plane: grouter_llm::PlaneKind) -> grouter_llm::LlmServeConfig {
+    grouter_llm::LlmServeConfig {
+        requests: 300,
+        rps: 40.0,
+        ..grouter_llm::LlmServeConfig::reference(plane)
+    }
+}
+
+#[test]
+fn golden_llm_reports_on_both_planes() {
+    use grouter_llm::{run_llm_serve, PlaneKind};
+    check(
+        "llm_grouter_seed7_report.csv",
+        &run_llm_serve(&llm_small(PlaneKind::Grouter)).csv,
+    );
+    check(
+        "llm_mooncake_seed7_report.csv",
+        &run_llm_serve(&llm_small(PlaneKind::Mooncake)).csv,
+    );
+}
+
+/// The decode-GPU failure of `crates/llm/tests/serve.rs`: the second decode
+/// GPU of group 0 fails two seconds in, forcing lineage re-materialization.
+#[test]
+fn golden_llm_decode_gpu_failure_report() {
+    use grouter::sim::time::SimTime;
+    use grouter_llm::{run_llm_serve, LlmServeConfig, PlaneKind};
+    let base = llm_small(PlaneKind::Grouter);
+    let cfg = LlmServeConfig {
+        fail: Some((
+            0,
+            base.prefill_gpus + 1,
+            SimTime::ZERO + SimDuration::from_secs(2),
+        )),
+        ..base
+    };
+    check(
+        "llm_grouter_seed7_decode_fail_report.csv",
+        &run_llm_serve(&cfg).csv,
+    );
 }
