@@ -315,6 +315,9 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.file.is_empty() {
         return Err(usage());
     }
+    if args.nodes == 0 {
+        return Err("--nodes must be at least 1".to_string());
+    }
     Ok(args)
 }
 
@@ -554,6 +557,8 @@ mod tests {
     fn errors_are_reported() {
         assert!(parse(&[]).is_err(), "missing file");
         assert!(parse(&["a.wf", "--nodes", "x"]).is_err(), "bad integer");
+        let e = parse(&["a.wf", "--nodes", "0"]).unwrap_err();
+        assert!(e.contains("--nodes"), "a cluster needs a node: {e}");
         assert!(parse(&["a.wf", "--rps"]).is_err(), "missing value");
         assert!(parse(&["a.wf", "--bogus"]).is_err(), "unknown flag");
         assert!(

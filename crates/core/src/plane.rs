@@ -17,7 +17,7 @@
 //!    migration is request-queue-aware, and migrated objects are restored
 //!    proactively when memory frees up (§4.4).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use grouter_mem::{AllocError, EvictionPolicy, GrouterPolicy, LruPolicy, ObjectMeta};
 use grouter_runtime::dataplane::{
@@ -46,7 +46,13 @@ pub struct GrouterPlane {
     /// (random store GPU, NVSHMEM-style).
     rng: DetRng,
     /// Objects migrated to host memory and the GPU they should return to.
+    /// An object is tracked from the moment `migrate` moves it off its GPU
+    /// until `restores` brings it back or `on_consumed` drops it, so an
+    /// object resident on a GPU is never tracked.
     migrated_home: BTreeMap<u64, GpuRef>,
+    /// The same objects grouped by home GPU, so that restoring to one GPU
+    /// walks only the objects that belong there.
+    migrated_by_home: BTreeMap<GpuRef, BTreeSet<u64>>,
     stats: PlaneStats,
 }
 
@@ -56,12 +62,28 @@ impl GrouterPlane {
             cfg,
             rng: DetRng::new(0x6706_7265),
             migrated_home: BTreeMap::new(),
+            migrated_by_home: BTreeMap::new(),
             stats: PlaneStats::default(),
         }
     }
 
     pub fn config(&self) -> GrouterConfig {
         self.cfg
+    }
+
+    /// Record `id` as migrated to host memory from `home`.
+    fn track_migrated(&mut self, id: u64, home: GpuRef) {
+        self.migrated_home.insert(id, home);
+        self.migrated_by_home.entry(home).or_default().insert(id);
+    }
+
+    /// Forget a migrated object (restored or consumed); returns its home.
+    fn untrack_migrated(&mut self, id: u64) -> Option<GpuRef> {
+        let home = self.migrated_home.remove(&id)?;
+        if let Some(ids) = self.migrated_by_home.get_mut(&home) {
+            ids.remove(&id);
+        }
+        Some(home)
     }
 
     /// Stage a host-bound leg through the node's circular pinned buffer
@@ -280,7 +302,7 @@ impl GrouterPlane {
             ctx.pools[idx].free(entry.bytes);
             self.stats.migrations += 1;
             if self.cfg.elastic_storage {
-                self.migrated_home.insert(v, gpu);
+                self.track_migrated(v, gpu);
             }
         }
         legs
@@ -299,11 +321,12 @@ impl GrouterPlane {
         if ctx.pools[idx].used() > RESTORE_HEADROOM * ctx.pools[idx].storage_cap() {
             return Vec::new();
         }
-        let candidates: Vec<ObjectMeta> = self
-            .migrated_home
+        let Some(homed_here) = self.migrated_by_home.get(&gpu) else {
+            return Vec::new();
+        };
+        let candidates: Vec<ObjectMeta> = homed_here
             .iter()
-            .filter(|&(_, &home)| home == gpu)
-            .filter_map(|(&id, _)| {
+            .filter_map(|&id| {
                 let entry = ctx.store.peek(DataId(id))?;
                 if !matches!(entry.location, Location::Host(_)) {
                     return None;
@@ -340,7 +363,7 @@ impl GrouterPlane {
                 ctx.pools[idx].free(bytes);
                 continue;
             }
-            self.migrated_home.remove(&key);
+            self.untrack_migrated(key);
             self.stats.restores += 1;
             ops.push(DataOp {
                 control_latency: grant.latency,
@@ -608,7 +631,6 @@ impl DataPlane for GrouterPlane {
         let entry = ctx.store.peek(id).cloned();
         let mut freed_gpu = None;
         if ctx.store.consumed(id) {
-            let home = self.migrated_home.remove(&id.0);
             if let Some(entry) = entry {
                 match entry.location {
                     Location::Gpu(g) => {
@@ -625,6 +647,7 @@ impl DataPlane for GrouterPlane {
                     // live — without this release the leaked count inflates
                     // the concurrency p99 and the pool over-reserves forever.
                     Location::Host(_) => {
+                        let home = self.untrack_migrated(id.0);
                         if self.cfg.elastic_storage {
                             if let Some(home) = home {
                                 let idx = ctx.pool_index(home);

@@ -59,6 +59,55 @@ fn gfn_host_ms(rt: &Runtime) -> f64 {
         .as_millis_f64()
 }
 
+/// The state a [`PlaneCtx`] borrows, for calling a plane directly on one
+/// DGX-V100 node.
+struct PlaneRig {
+    net: grouter::sim::FlowNet,
+    topo: grouter::topology::Topology,
+    store: grouter::store::DataStore,
+    pools: Vec<grouter::mem::ElasticPool>,
+    scalers: Vec<grouter::mem::PrewarmScaler>,
+    ledgers: Vec<grouter::topology::PathLedger>,
+    pinned: Vec<grouter::mem::PinnedRing>,
+    rates: Vec<grouter::transfer::rate::RateController>,
+}
+
+impl PlaneRig {
+    fn new() -> PlaneRig {
+        use grouter::mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
+        let mut net = grouter::sim::FlowNet::new();
+        let topo = grouter::topology::Topology::build(presets::dgx_v100(), 1, &mut net);
+        PlaneRig {
+            store: grouter::store::DataStore::new(1),
+            pools: (0..8)
+                .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
+                .collect(),
+            scalers: (0..8).map(|_| PrewarmScaler::new()).collect(),
+            ledgers: vec![grouter::topology::PathLedger::from_topology(&topo)],
+            pinned: vec![PinnedRing::new(grouter::sim::params::PINNED_RING_BYTES)],
+            rates: vec![grouter::transfer::rate::RateController::new()],
+            net,
+            topo,
+        }
+    }
+
+    fn ctx(&mut self) -> grouter::runtime::dataplane::PlaneCtx<'_> {
+        grouter::runtime::dataplane::PlaneCtx {
+            topo: &self.topo,
+            net: &self.net,
+            store: &mut self.store,
+            pools: &mut self.pools,
+            scalers: &mut self.scalers,
+            ledgers: &mut self.ledgers,
+            pinned: &mut self.pinned,
+            rates: &mut self.rates,
+            now: SimTime::ZERO,
+            slo: None,
+            trace: grouter_obs::Recorder::disabled(),
+        }
+    }
+}
+
 #[test]
 fn grouter_intra_node_beats_host_centric_and_nvshmem() {
     let bytes = 240.0 * MB;
@@ -251,38 +300,11 @@ fn queue_aware_migration_protects_imminent_data() {
 #[test]
 fn access_control_blocks_cross_workflow_reads() {
     // Build a tiny world manually to call the plane directly.
-    use grouter::mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
-    use grouter::runtime::dataplane::PlaneCtx;
-    use grouter::sim::FlowNet;
-    use grouter::store::{AccessToken, DataStore, FunctionId, WorkflowId};
-    use grouter::topology::{PathLedger, Topology};
-    use grouter::transfer::rate::RateController;
+    use grouter::store::{AccessToken, FunctionId, WorkflowId};
 
-    let mut net = FlowNet::new();
-    let topo = Topology::build(presets::dgx_v100(), 1, &mut net);
-    let mut store = DataStore::new(1);
-    let mut pools: Vec<ElasticPool> = (0..8)
-        .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
-        .collect();
-    let mut scalers: Vec<PrewarmScaler> = (0..8).map(|_| PrewarmScaler::new()).collect();
-    let mut ledgers = vec![PathLedger::from_topology(&topo)];
-    let mut pinned = vec![PinnedRing::new(grouter::sim::params::PINNED_RING_BYTES)];
-    let mut rates = vec![RateController::new()];
+    let mut rig = PlaneRig::new();
+    let mut ctx = rig.ctx();
     let mut plane = GrouterPlane::new(GrouterConfig::full());
-
-    let mut ctx = PlaneCtx {
-        topo: &topo,
-        net: &net,
-        store: &mut store,
-        pools: &mut pools,
-        scalers: &mut scalers,
-        ledgers: &mut ledgers,
-        pinned: &mut pinned,
-        rates: &mut rates,
-        now: SimTime::ZERO,
-        slo: None,
-        trace: grouter_obs::Recorder::disabled(),
-    };
     let owner = AccessToken {
         function: FunctionId(1),
         workflow: WorkflowId(7),
@@ -317,38 +339,11 @@ fn consuming_a_migrated_object_releases_its_scaler_reservation() {
     // memory pressure and then consumed from there used to keep its
     // live-output count on the home GPU's pre-warm scaler forever,
     // ratcheting the concurrency p99 and the pool target upward.
-    use grouter::mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
-    use grouter::runtime::dataplane::PlaneCtx;
-    use grouter::sim::FlowNet;
-    use grouter::store::{AccessToken, DataStore, FunctionId, Location, WorkflowId};
-    use grouter::topology::{PathLedger, Topology};
-    use grouter::transfer::rate::RateController;
+    use grouter::store::{AccessToken, FunctionId, Location, WorkflowId};
 
-    let mut net = FlowNet::new();
-    let topo = Topology::build(presets::dgx_v100(), 1, &mut net);
-    let mut store = DataStore::new(1);
-    let mut pools: Vec<ElasticPool> = (0..8)
-        .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
-        .collect();
-    let mut scalers: Vec<PrewarmScaler> = (0..8).map(|_| PrewarmScaler::new()).collect();
-    let mut ledgers = vec![PathLedger::from_topology(&topo)];
-    let mut pinned = vec![PinnedRing::new(grouter::sim::params::PINNED_RING_BYTES)];
-    let mut rates = vec![RateController::new()];
+    let mut rig = PlaneRig::new();
+    let mut ctx = rig.ctx();
     let mut plane = GrouterPlane::new(GrouterConfig::full());
-
-    let mut ctx = PlaneCtx {
-        topo: &topo,
-        net: &net,
-        store: &mut store,
-        pools: &mut pools,
-        scalers: &mut scalers,
-        ledgers: &mut ledgers,
-        pinned: &mut pinned,
-        rates: &mut rates,
-        now: SimTime::ZERO,
-        slo: None,
-        trace: grouter_obs::Recorder::disabled(),
-    };
     let producer = AccessToken {
         function: FunctionId(1),
         workflow: WorkflowId(7),
@@ -373,7 +368,7 @@ fn consuming_a_migrated_object_releases_its_scaler_reservation() {
     // occupies its pool.
     plane.on_consumed(&mut ctx, put.id);
     assert_eq!(
-        scalers[0].live_outputs(1),
+        rig.scalers[0].live_outputs(1),
         0,
         "consuming a migrated object leaked its live-output count"
     );
@@ -384,38 +379,11 @@ fn proactive_restore_waits_for_usage_below_the_headroom_line() {
     // §4.4.2: migrated objects come back only while the pool stays under
     // 70% of its storage cap, so a restore never forces the next put to
     // evict again.
-    use grouter::mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
-    use grouter::runtime::dataplane::PlaneCtx;
-    use grouter::sim::FlowNet;
-    use grouter::store::{AccessToken, DataStore, FunctionId, Location, WorkflowId};
-    use grouter::topology::{PathLedger, Topology};
-    use grouter::transfer::rate::RateController;
+    use grouter::store::{AccessToken, FunctionId, Location, WorkflowId};
 
-    let mut net = FlowNet::new();
-    let topo = Topology::build(presets::dgx_v100(), 1, &mut net);
-    let mut store = DataStore::new(1);
-    let mut pools: Vec<ElasticPool> = (0..8)
-        .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
-        .collect();
-    let mut scalers: Vec<PrewarmScaler> = (0..8).map(|_| PrewarmScaler::new()).collect();
-    let mut ledgers = vec![PathLedger::from_topology(&topo)];
-    let mut pinned = vec![PinnedRing::new(grouter::sim::params::PINNED_RING_BYTES)];
-    let mut rates = vec![RateController::new()];
+    let mut rig = PlaneRig::new();
+    let mut ctx = rig.ctx();
     let mut plane = GrouterPlane::new(GrouterConfig::full());
-
-    let mut ctx = PlaneCtx {
-        topo: &topo,
-        net: &net,
-        store: &mut store,
-        pools: &mut pools,
-        scalers: &mut scalers,
-        ledgers: &mut ledgers,
-        pinned: &mut pinned,
-        rates: &mut rates,
-        now: SimTime::ZERO,
-        slo: None,
-        trace: grouter_obs::Recorder::disabled(),
-    };
     let token = |f: u64| AccessToken {
         function: FunctionId(f),
         workflow: WorkflowId(7),
@@ -461,6 +429,100 @@ fn proactive_restore_waits_for_usage_below_the_headroom_line() {
         Location::Gpu(gpu)
     );
     assert_eq!(plane.stats().restores, 1);
+}
+
+#[test]
+fn restores_walk_only_the_home_gpu_in_next_use_then_key_order() {
+    // §4.4.2 across two GPUs: a restore to one GPU brings back only that
+    // GPU's migrated objects, soonest-needed first with ties by key, and an
+    // object consumed while on host is released and never restored.
+    use grouter::store::{AccessToken, DataId, FunctionId, Location, WorkflowId};
+
+    let mut rig = PlaneRig::new();
+    let mut ctx = rig.ctx();
+    let mut plane = GrouterPlane::new(GrouterConfig::full());
+    let (g0, g1) = (GpuRef::new(0, 0), GpuRef::new(0, 1));
+    let mut put = |ctx: &mut grouter::runtime::dataplane::PlaneCtx<'_>,
+                   gpu: GpuRef,
+                   f: u64,
+                   next_use: Option<u64>| {
+        let token = AccessToken {
+            function: FunctionId(f),
+            workflow: WorkflowId(7),
+        };
+        let id = plane
+            .put(ctx, token, Destination::Gpu(gpu), 400.0 * MB, 1)
+            .expect("put")
+            .id;
+        ctx.store.set_next_use(id, next_use);
+        id
+    };
+    // GPU 0: in restore order y (rank 1), then x and z (rank 2, by key);
+    // w has no queued consumer and is never restored proactively.
+    let x = put(&mut ctx, g0, 1, Some(2));
+    let y = put(&mut ctx, g0, 2, Some(1));
+    let z = put(&mut ctx, g0, 3, Some(2));
+    let w = put(&mut ctx, g0, 4, None);
+    // GPU 1: needed sooner than anything on GPU 0.
+    let p = put(&mut ctx, g1, 11, Some(0));
+    let q = put(&mut ctx, g1, 12, Some(0));
+    let on_host = |ctx: &grouter::runtime::dataplane::PlaneCtx<'_>, id: DataId| {
+        matches!(
+            ctx.store.peek(id).map(|e| e.location),
+            Some(Location::Host(_))
+        )
+    };
+
+    // Squeeze both GPUs: everything migrates to host memory.
+    for (i, gpu) in [(0, g0), (1, g1)] {
+        let capacity = ctx.pools[i].capacity();
+        ctx.pools[i].set_runtime_used(capacity - 100.0 * MB);
+        plane.on_memory_change(&mut ctx, gpu);
+        ctx.pools[i].set_runtime_used(0.0);
+    }
+    assert!([x, y, z, w, p, q].iter().all(|&id| on_host(&ctx, id)));
+    assert_eq!(plane.stats().migrations, 6);
+
+    // Leave GPU 0 room under the 70% headroom line for exactly two objects.
+    let line = 0.7 * ctx.pools[0].storage_cap();
+    let filler_token = AccessToken {
+        function: FunctionId(5),
+        workflow: WorkflowId(7),
+    };
+    let filler = plane
+        .put(
+            &mut ctx,
+            filler_token,
+            Destination::Gpu(g0),
+            line - 1_000.0 * MB,
+            1,
+        )
+        .expect("put")
+        .id;
+    assert_eq!(plane.on_memory_change(&mut ctx, g0).len(), 2);
+    assert_eq!(ctx.store.peek(y).unwrap().location, Location::Gpu(g0));
+    assert_eq!(ctx.store.peek(x).unwrap().location, Location::Gpu(g0));
+    assert!(on_host(&ctx, z) && on_host(&ctx, w));
+    assert!(on_host(&ctx, p) && on_host(&ctx, q), "GPU 1's objects stay");
+    assert_eq!(ctx.pools[1].used(), 0.0);
+
+    // Freeing the filler brings z home; w stays on host.
+    assert_eq!(plane.on_consumed(&mut ctx, filler).len(), 1);
+    assert_eq!(ctx.store.peek(z).unwrap().location, Location::Gpu(g0));
+    assert!(on_host(&ctx, w));
+    assert!(on_host(&ctx, p) && on_host(&ctx, q));
+    assert_eq!(plane.stats().restores, 3);
+
+    // q is consumed straight from host: GPU 1's scaler releases it, and the
+    // next restore to GPU 1 brings back p alone.
+    assert_eq!(ctx.scalers[1].live_outputs(12), 1);
+    assert!(plane.on_consumed(&mut ctx, q).is_empty());
+    assert_eq!(ctx.scalers[1].live_outputs(12), 0);
+    assert!(ctx.store.peek(q).is_none());
+    assert_eq!(plane.on_memory_change(&mut ctx, g1).len(), 1);
+    assert_eq!(ctx.store.peek(p).unwrap().location, Location::Gpu(g1));
+    assert_eq!(plane.stats().restores, 4);
+    assert!(plane.on_memory_change(&mut ctx, g1).is_empty());
 }
 
 #[test]

@@ -10,10 +10,10 @@
 //! machinery. Each block remembers its *home* location (where the plane
 //! stored it); residency elsewhere means the pressure path migrated it.
 
-use std::collections::BTreeMap;
-
 use grouter_store::{DataId, DataStore, Location};
 use grouter_topology::GpuRef;
+
+use crate::table::RidTable;
 
 /// Tokens per KV block.
 pub const KV_BLOCK_TOKENS: u32 = 256;
@@ -51,7 +51,7 @@ impl RequestKv {
 /// placement.
 #[derive(Debug, Default)]
 pub struct KvBlockMap {
-    map: BTreeMap<u64, RequestKv>,
+    map: RidTable<RequestKv>,
     /// Live KV bytes *homed* on each flat GPU (residency may differ while
     /// a block is migrated; placement balances by ownership).
     home_bytes: Vec<f64>,
@@ -60,7 +60,7 @@ pub struct KvBlockMap {
 impl KvBlockMap {
     pub fn new(num_gpus: usize) -> KvBlockMap {
         KvBlockMap {
-            map: BTreeMap::new(),
+            map: RidTable::new(),
             home_bytes: vec![0.0; num_gpus],
         }
     }
@@ -73,15 +73,15 @@ impl KvBlockMap {
     }
 
     pub fn get(&self, rid: u64) -> Option<&RequestKv> {
-        self.map.get(&rid)
+        self.map.get(rid)
     }
 
     pub fn get_mut(&mut self, rid: u64) -> Option<&mut RequestKv> {
-        self.map.get_mut(&rid)
+        self.map.get_mut(rid)
     }
 
     pub fn remove(&mut self, rid: u64, gpus_per_node: usize) -> Option<RequestKv> {
-        let kv = self.map.remove(&rid)?;
+        let kv = self.map.remove(rid)?;
         for b in &kv.blocks {
             self.credit(b.home, -b.bytes, gpus_per_node);
         }
@@ -105,20 +105,13 @@ impl KvBlockMap {
         &self.home_bytes
     }
 
+    /// Live KV bytes over every request, summed in request-id order.
     pub fn total_bytes(&self) -> f64 {
         self.map.values().map(|kv| kv.total_bytes()).sum()
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &RequestKv)> {
-        self.map.iter()
     }
 
     /// `--features audit`: the `llm.kv_blocks` checker. Every mapped block
@@ -132,7 +125,7 @@ impl KvBlockMap {
             return;
         }
         grouter_audit::record_hit("llm.kv_blocks");
-        for (rid, kv) in &self.map {
+        for (rid, kv) in self.map.iter() {
             for b in &kv.blocks {
                 let Some(entry) = store.peek(b.id) else {
                     grouter_audit::check("llm.kv_blocks", false, || {

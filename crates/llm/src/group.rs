@@ -23,12 +23,13 @@ use grouter_sim::{params, FlowNet};
 use grouter_store::{AccessToken, DataStore, FunctionId, Location, WorkflowId};
 use grouter_topology::{presets, GpuRef, PathLedger, Topology};
 use grouter_transfer::rate::RateController;
-use grouter_workloads::llm::LlmRequestSpec;
+use grouter_workloads::llm::{LlmModel, LlmRequestSpec};
 
 use crate::blocks::{KvBlock, KvBlockMap, RequestKv, KV_BLOCK_TOKENS};
 use crate::exec::{run_op, run_ops};
 use crate::metrics::LlmMetrics;
 use crate::request::ActiveRequest;
+use crate::table::RidTable;
 
 /// Which data plane a group serves over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,8 +123,11 @@ pub struct GroupState {
     /// Continuous batch per decode GPU (flat index): sorted request ids.
     batches: BTreeMap<usize, Vec<u64>>,
     tick_scheduled: BTreeMap<usize, bool>,
-    pub requests: BTreeMap<u64, ActiveRequest>,
-    pub kv: KvBlockMap,
+    /// The batch a decode tick walks, copied out so the walk can mutate
+    /// the group; kept between ticks to reuse its allocation.
+    tick_rids: Vec<u64>,
+    requests: RidTable<ActiveRequest>,
+    kv: KvBlockMap,
     failed: Vec<bool>,
     beat_on: bool,
     pub metrics: LlmMetrics,
@@ -174,7 +178,8 @@ impl GroupState {
             plane,
             batches,
             tick_scheduled,
-            requests: BTreeMap::new(),
+            tick_rids: Vec::new(),
+            requests: RidTable::new(),
             beat_on: false,
             metrics: LlmMetrics::default(),
             next_use_clock: 0,
@@ -297,7 +302,7 @@ impl GroupState {
 
     /// Queue `rid` on the earliest-free healthy prefill GPU.
     fn start_prefill(&mut self, now: SimTime, rid: u64, out: &mut Actions) {
-        let Some(req) = self.requests.get(&rid) else {
+        let Some(req) = self.requests.get(rid) else {
             return;
         };
         let mut best: Option<usize> = None;
@@ -321,7 +326,7 @@ impl GroupState {
                 .model
                 .prefill_latency(req.kv_tokens, self.params.tp);
         self.prefill_free_at[g] = done;
-        if let Some(r) = self.requests.get_mut(&rid) {
+        if let Some(r) = self.requests.get_mut(rid) {
             r.decode_gpu = None;
         }
         out.at(done, GroupEv::PrefillDone { rid });
@@ -333,7 +338,7 @@ impl GroupState {
     /// decode pin — Mooncake+ stages both directions through its cache
     /// GPU; GROUTER's locality put lands directly on the pin).
     pub fn prefill_done(&mut self, now: SimTime, rid: u64, out: &mut Actions) {
-        let Some(req) = self.requests.get(&rid) else {
+        let Some(req) = self.requests.get(rid) else {
             return;
         };
         let spec = req.spec;
@@ -429,7 +434,7 @@ impl GroupState {
             self.topo.gpus_per_node(),
         );
         self.refresh_next_use(rid);
-        if let Some(r) = self.requests.get_mut(&rid) {
+        if let Some(r) = self.requests.get_mut(rid) {
             r.decode_gpu = Some(dg);
             r.ready_at = t + spec.model.first_token_latency(self.params.tp);
         }
@@ -443,7 +448,7 @@ impl GroupState {
 
     /// Handoff complete: join the decode GPU's continuous batch.
     pub fn handoff_done(&mut self, now: SimTime, rid: u64, out: &mut Actions) {
-        let Some(dg) = self.requests.get(&rid).and_then(|r| r.decode_gpu) else {
+        let Some(dg) = self.requests.get(rid).and_then(|r| r.decode_gpu) else {
             return;
         };
         let flat = dg.gpu;
@@ -475,33 +480,46 @@ impl GroupState {
         self.run_background(&ops);
     }
 
-    /// One decode step on `gpu`'s batch.
+    /// One decode step on `gpu`'s batch: the slowest model in the batch
+    /// sets the pace. The step time depends only on the model and the
+    /// batch size, so it is computed once per model present.
     fn step_latency(&self, gpu: usize) -> SimDuration {
+        let floor = SimDuration::from_millis(1);
         let Some(batch) = self.batches.get(&gpu) else {
-            return SimDuration::from_millis(1);
+            return floor;
         };
-        let n = batch.len() as u32;
-        let mut step = SimDuration::from_millis(1);
-        for rid in batch {
-            if let Some(r) = self.requests.get(rid) {
-                step = step.max(r.spec.model.decode_step_latency(n, self.params.tp));
+        let mut present = [false; LlmModel::ALL.len()];
+        for r in batch.iter().filter_map(|&rid| self.requests.get(rid)) {
+            for (p, m) in present.iter_mut().zip(LlmModel::ALL) {
+                *p |= m == r.spec.model;
             }
         }
-        step
+        let n = batch.len() as u32;
+        LlmModel::ALL
+            .iter()
+            .zip(present)
+            .filter(|&(_, p)| p)
+            .map(|(m, _)| m.decode_step_latency(n, self.params.tp))
+            .fold(floor, SimDuration::max)
     }
 
     pub fn decode_tick(&mut self, now: SimTime, gpu: usize, out: &mut Actions) {
         if let Some(flag) = self.tick_scheduled.get_mut(&gpu) {
             *flag = false;
         }
-        let rids: Vec<u64> = self.batches.get(&gpu).cloned().unwrap_or_default();
+        let mut rids = std::mem::take(&mut self.tick_rids);
+        rids.clear();
+        if let Some(batch) = self.batches.get(&gpu) {
+            rids.extend_from_slice(batch);
+        }
         if rids.is_empty() {
+            self.tick_rids = rids;
             return;
         }
         let step = self.step_latency(gpu);
         let mut finished: Vec<u64> = Vec::new();
-        for rid in rids {
-            let ready = match self.requests.get(&rid) {
+        for &rid in &rids {
+            let ready = match self.requests.get(rid) {
                 Some(r) => r.ready_at,
                 None => continue,
             };
@@ -511,27 +529,28 @@ impl GroupState {
             self.emit_token(now, rid);
             let emitted = self
                 .requests
-                .get(&rid)
+                .get(rid)
                 .map(|r| r.stream.emitted)
                 .unwrap_or(0);
             if emitted > 0 && emitted.is_multiple_of(self.params.touch_tokens) {
                 let stall = self.touch_kv(now, rid);
                 if stall > SimDuration::ZERO {
                     self.metrics.restore_stalls += 1;
-                    if let Some(r) = self.requests.get_mut(&rid) {
+                    if let Some(r) = self.requests.get_mut(rid) {
                         r.ready_at = now + stall;
                     }
                 }
             }
             if self
                 .requests
-                .get(&rid)
+                .get(rid)
                 .map(|r| r.stream.complete())
                 .unwrap_or(false)
             {
                 finished.push(rid);
             }
         }
+        self.tick_rids = rids;
         for rid in finished {
             self.complete_request(now, rid, out);
         }
@@ -552,14 +571,14 @@ impl GroupState {
     /// Emit one token: record stream progress and append its KV.
     fn emit_token(&mut self, now: SimTime, rid: u64) {
         #[cfg(feature = "audit")]
-        if let Some(r) = self.requests.get(&rid) {
+        if let Some(r) = self.requests.get(rid) {
             grouter_audit::check(
                 "llm.stream_order",
                 r.stream.last_emit.map(|t| now >= t).unwrap_or(true),
                 || format!("request {rid}: token completion before its predecessor"),
             );
         }
-        if let Some(r) = self.requests.get_mut(&rid) {
+        if let Some(r) = self.requests.get_mut(rid) {
             r.stream.emit(now);
         }
         self.metrics.tokens += 1;
@@ -572,7 +591,7 @@ impl GroupState {
     fn append_kv(&mut self, now: SimTime, rid: u64) {
         let Some((model, dg)) = self
             .requests
-            .get(&rid)
+            .get(rid)
             .and_then(|r| r.decode_gpu.map(|d| (r.spec.model, d)))
         else {
             return;
@@ -723,7 +742,7 @@ impl GroupState {
 
     fn complete_request(&mut self, now: SimTime, rid: u64, out: &mut Actions) {
         self.drop_kv(now, rid);
-        let Some(req) = self.requests.remove(&rid) else {
+        let Some(req) = self.requests.remove(rid) else {
             return;
         };
         self.metrics.completed += 1;
@@ -742,7 +761,7 @@ impl GroupState {
     /// and the router told.
     fn fail_request(&mut self, now: SimTime, rid: u64, out: &mut Actions) {
         self.drop_kv(now, rid);
-        let Some(req) = self.requests.remove(&rid) else {
+        let Some(req) = self.requests.remove(rid) else {
             return;
         };
         self.metrics.failed += 1;
@@ -784,18 +803,18 @@ impl GroupState {
             .filter(|(rid, r)| {
                 !rids.contains(rid) && r.decode_gpu.map(|d| d.gpu == gpu).unwrap_or(false)
             })
-            .map(|(rid, _)| *rid)
+            .map(|(rid, _)| rid)
             .collect();
         for rid in rids.into_iter().chain(pinned_inflight) {
             self.drop_kv(now, rid);
-            let retried = self.requests.get(&rid).map(|r| r.retried).unwrap_or(true);
+            let retried = self.requests.get(rid).map(|r| r.retried).unwrap_or(true);
             if retried {
-                let Some(_req) = self.requests.remove(&rid) else {
+                let Some(_req) = self.requests.remove(rid) else {
                     continue;
                 };
                 self.metrics.failed += 1;
                 out.send(GroupOut::Done { rid, ok: false });
-            } else if let Some(r) = self.requests.get_mut(&rid) {
+            } else if let Some(r) = self.requests.get_mut(rid) {
                 r.retried = true;
                 r.decode_gpu = None;
                 r.kv_tokens = r.spec.prompt_tokens + r.stream.emitted;

@@ -14,6 +14,9 @@
 //!   [`GrouterPolicy::restore_order`] returns migrated objects in ascending
 //!   need order so the store can pull them back as soon as memory frees.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use grouter_sim::time::SimTime;
 
 /// Metadata the policies see for each stored object.
@@ -41,14 +44,31 @@ pub trait EvictionPolicy {
     fn name(&self) -> &'static str;
 }
 
-/// Walk `ordered` (best victims first) until `need` bytes are covered.
-fn take_until(ordered: Vec<&ObjectMeta>, need: f64) -> Vec<u64> {
+/// Take victims in ascending `rank` order until `need` bytes are covered.
+///
+/// Equal ranks keep input order, so the result is the prefix a stable sort
+/// by `rank` would give. Only that prefix is ordered: the heap is built in
+/// O(n) and each victim costs O(log n), where a sort orders every resident
+/// object to take a few.
+fn take_until<K: Ord>(
+    objects: &[ObjectMeta],
+    need: f64,
+    rank: impl Fn(&ObjectMeta) -> K,
+) -> Vec<u64> {
+    let mut heap: BinaryHeap<Reverse<(K, usize)>> = objects
+        .iter()
+        .enumerate()
+        .map(|(i, o)| Reverse((rank(o), i)))
+        .collect();
     let mut out = Vec::new();
     let mut freed = 0.0;
-    for obj in ordered {
+    loop {
         if freed >= need {
             break;
         }
+        let Some(obj) = heap.pop().and_then(|Reverse((_, i))| objects.get(i)) else {
+            break;
+        };
         freed += obj.bytes;
         out.push(obj.key);
     }
@@ -61,10 +81,8 @@ pub struct LruPolicy;
 
 impl EvictionPolicy for LruPolicy {
     fn select_victims(&self, objects: &[ObjectMeta], need: f64) -> Vec<u64> {
-        let mut ordered: Vec<&ObjectMeta> = objects.iter().collect();
         // Oldest access first; key breaks ties deterministically.
-        ordered.sort_by_key(|o| (o.last_access, o.key));
-        take_until(ordered, need)
+        take_until(objects, need, |o| (o.last_access, o.key))
     }
 
     fn name(&self) -> &'static str {
@@ -78,14 +96,12 @@ pub struct QueueAwarePolicy;
 
 impl EvictionPolicy for QueueAwarePolicy {
     fn select_victims(&self, objects: &[ObjectMeta], need: f64) -> Vec<u64> {
-        let mut ordered: Vec<&ObjectMeta> = objects.iter().collect();
         // Best victims first: objects nobody is scheduled to read, then
         // objects whose consumer sits deepest in the queue.
-        ordered.sort_by_key(|o| match o.next_use {
+        take_until(objects, need, |o| match o.next_use {
             None => (0u8, 0u64, o.key),
             Some(rank) => (1, u64::MAX - rank, o.key),
-        });
-        take_until(ordered, need)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -214,6 +230,67 @@ mod tests {
             obj(4, 100.0, 40, Some(5)),
         ];
         assert_eq!(GrouterPolicy.restore_order(&migrated), vec![2, 4, 1]);
+    }
+
+    /// The selection the heap replaced: stable-sort every object, then take
+    /// a prefix until `need` is covered.
+    fn sorted_prefix<K: Ord>(
+        objects: &[ObjectMeta],
+        need: f64,
+        rank: impl Fn(&ObjectMeta) -> K,
+    ) -> Vec<u64> {
+        let mut ordered: Vec<&ObjectMeta> = objects.iter().collect();
+        ordered.sort_by_key(|o| rank(o));
+        let mut out = Vec::new();
+        let mut freed = 0.0;
+        for obj in ordered {
+            if freed >= need {
+                break;
+            }
+            freed += obj.bytes;
+            out.push(obj.key);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Heap selection returns exactly the full-sort prefix for both
+        /// policies: few distinct ranks, stamps and keys make ties common
+        /// (equal keys fall back to input order), and `need` ranges from
+        /// negative through zero to more than everything resident.
+        #[test]
+        fn heap_selection_matches_a_full_sort(
+            raw in proptest::collection::vec((0u64..6, 1u32..5, 0u64..4, 0u64..5), 0..40),
+            need_code in 0u32..14,
+        ) {
+            let objects: Vec<ObjectMeta> = raw
+                .iter()
+                .map(|&(key, mb, stamp, rank)| ObjectMeta {
+                    key,
+                    bytes: f64::from(mb) * 100.0,
+                    last_access: SimTime(stamp),
+                    next_use: (rank > 0).then_some(rank),
+                })
+                .collect();
+            let total: f64 = objects.iter().map(|o| o.bytes).sum();
+            let need = match need_code {
+                0 => -50.0,
+                1 => 0.0,
+                2 => total + 1.0,
+                c => f64::from(c - 3) * 150.0,
+            };
+            proptest::prop_assert_eq!(
+                LruPolicy.select_victims(&objects, need),
+                sorted_prefix(&objects, need, |o| (o.last_access, o.key))
+            );
+            let queue_rank = |o: &ObjectMeta| match o.next_use {
+                None => (0u8, 0u64, o.key),
+                Some(rank) => (1, u64::MAX - rank, o.key),
+            };
+            let want = sorted_prefix(&objects, need, queue_rank);
+            proptest::prop_assert_eq!(QueueAwarePolicy.select_victims(&objects, need), want.clone());
+            proptest::prop_assert_eq!(GrouterPolicy.select_victims(&objects, need), want);
+        }
     }
 
     #[test]

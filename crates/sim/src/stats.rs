@@ -157,11 +157,19 @@ impl Summary {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
+    /// Smallest sample; 0 when empty, like [`Summary::mean`].
     pub fn min(&self) -> f64 {
+        if self.samples.is_empty() {
+            return 0.0;
+        }
         self.samples.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
+    /// Largest sample; 0 when empty, like [`Summary::mean`].
     pub fn max(&self) -> f64 {
+        if self.samples.is_empty() {
+            return 0.0;
+        }
         self.samples
             .iter()
             .copied()
@@ -360,6 +368,20 @@ mod tests {
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 1000.0);
         assert!((s.mean() - 500.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_summary_reports_zero() {
+        // An empty run (`serve --total 0`, a workflow run at `--seconds 0`)
+        // prints its summary: every statistic is 0, never an infinity.
+        let s = Summary::new();
+        assert_eq!(
+            (s.min(), s.max(), s.mean(), s.p50(), s.p99()),
+            (0.0, 0.0, 0.0, 0.0, 0.0)
+        );
+        let mut one = Summary::new();
+        one.record(-2.5);
+        assert_eq!((one.min(), one.max()), (-2.5, -2.5));
     }
 
     #[test]
