@@ -1,17 +1,18 @@
 //! Runs the full experiment suite (every table and figure of the paper's
 //! evaluation) and prints each report, separated by rulers.
 //!
-//! Every experiment is a pure `fn() -> String` over its own deterministic
-//! simulator state, so the figure bins run on scoped worker threads. Each
-//! worker claims the next unclaimed bin off a shared counter, buffers its
-//! report, and the main thread emits the reports in the fixed suite order —
-//! the output is byte-identical to a serial run (`--serial` forces one).
+//! This is the only experiments binary. Every experiment is a pure
+//! `fn() -> String` over its own deterministic simulator state, so the
+//! sections run on scoped worker threads. Each worker claims the next
+//! unclaimed section off a shared counter, buffers its report, and the main
+//! thread emits the reports in the fixed suite order — the output is
+//! byte-identical to a serial run (`--serial` forces one).
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use grouter_bench::experiments as e;
 
-/// One figure/table bin: display name plus its report generator.
+/// One figure/table section: display name plus its report generator.
 type Run = (&'static str, fn() -> String);
 
 fn main() {
@@ -51,10 +52,10 @@ fn main() {
     }
 }
 
-/// Run every bin across `min(bins, parallelism)` scoped threads. Work is
-/// claimed dynamically (the bins' costs are wildly uneven), results land in
-/// a slot table indexed by bin, so completion order never affects output
-/// order.
+/// Run every section across `min(sections, parallelism)` scoped threads.
+/// Work is claimed dynamically (the sections' costs are wildly uneven),
+/// results land in a slot table indexed by section, so completion order
+/// never affects output order.
 fn run_parallel(runs: &[Run]) -> Vec<String> {
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -77,7 +78,7 @@ fn run_parallel(runs: &[Run]) -> Vec<String> {
         .map(|s| {
             s.into_inner()
                 .expect("poisoned slot")
-                .expect("all bins ran")
+                .expect("all sections ran")
         })
         .collect()
 }

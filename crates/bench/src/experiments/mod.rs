@@ -1,5 +1,5 @@
 //! One module per paper table/figure. Each `run()` returns the formatted
-//! report that the matching `src/bin/` binary prints.
+//! report that `all_experiments` prints under that section's ruler.
 
 pub mod fig03;
 pub mod fig05;

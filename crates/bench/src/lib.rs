@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one module per table/figure of the paper's
 //! evaluation (§6), each exposing `run() -> String` that regenerates the
-//! table's rows / figure's series on the simulated cluster. Thin binaries in
-//! `src/bin/` print them; `all_experiments` runs the whole suite.
+//! table's rows / figure's series on the simulated cluster. The
+//! `all_experiments` binary runs the whole suite and prints every report.
 //!
 //! The goal is shape fidelity, not absolute numbers (the substrate is a
 //! simulator — `DESIGN.md` §2): who wins, by roughly what factor, and where

@@ -1,73 +1,107 @@
 //! Command-line argument handling for `grouter-cli`.
+//!
+//! Each subcommand writes its flags straight into the library's run
+//! config ([`RuntimeConfig`], [`ServiceConfig`], [`LlmServeConfig`]), so a
+//! flag left out takes the library default. Plane, topology and preset
+//! names are resolved here, before a run prints anything.
 
+use std::str::FromStr;
+
+use grouter::runtime::dataplane::DataPlane;
+use grouter::runtime::world::RuntimeConfig;
+use grouter::sim::time::SimDuration;
+use grouter::topology::graph::TopologySpec;
+use grouter::topology::presets;
+use grouter::{GrouterConfig, GrouterPlane};
+use grouter_baselines::{deepplan_plane, InflessPlane, NvshmemPlane};
+use grouter_ctl::ServiceConfig;
+use grouter_llm::{LlmServeConfig, PlaneKind};
+use grouter_sim::fault::CtlFaultConfig;
 use grouter_workloads::azure::ArrivalPattern;
+use grouter_workloads::cluster::ClusterPreset;
 
-/// Parsed command line.
-#[derive(Clone, Debug)]
-pub struct Args {
+/// Builds a workflow-mode data plane from the run seed.
+pub type PlaneFn = fn(u64) -> Box<dyn DataPlane>;
+/// Builds a testbed node spec.
+pub type TopologyFn = fn() -> TopologySpec;
+type PresetFn = fn() -> ClusterPreset;
+
+/// Workflow-mode `--plane` choices, in `--compare` table order.
+pub const PLANES: [(&str, PlaneFn); 4] = [
+    ("infless", |_| Box::new(InflessPlane::new())),
+    ("nvshmem", |seed| Box::new(NvshmemPlane::new(seed))),
+    ("deepplan", deepplan_plane),
+    ("grouter", |_| {
+        Box::new(GrouterPlane::new(GrouterConfig::full()))
+    }),
+];
+
+const TOPOLOGIES: [(&str, TopologyFn); 4] = [
+    ("v100", presets::dgx_v100),
+    ("a100", presets::dgx_a100),
+    ("a10", presets::a10x4),
+    ("h800", presets::h800x8),
+];
+
+const PRESETS: [(&str, PresetFn); 4] = [
+    ("uniform64", ClusterPreset::uniform_64),
+    ("uniform128", ClusterPreset::uniform_128),
+    ("hetero64", ClusterPreset::hetero_64),
+    ("hetero128", ClusterPreset::hetero_128),
+];
+
+const LLM_PLANES: [(&str, &[PlaneKind]); 3] = [
+    ("grouter", &[PlaneKind::Grouter]),
+    ("mooncake", &[PlaneKind::Mooncake]),
+    ("both", &[PlaneKind::Grouter, PlaneKind::Mooncake]),
+];
+
+/// A `.wf` workflow run on one single-world runtime.
+pub struct WorkflowRun {
     pub file: String,
-    pub plane: String,
-    pub topology: String,
+    /// `--plane`: name and constructor.
+    pub plane: (&'static str, PlaneFn),
+    /// `--topology`: name and testbed.
+    pub topology: (&'static str, TopologyFn),
     pub nodes: usize,
     pub pattern: ArrivalPattern,
     pub rps: f64,
     pub seconds: u64,
-    pub seed: u64,
+    /// Run every plane in [`PLANES`] and print one table row each.
     pub compare: bool,
     pub csv: Option<String>,
     /// Write a Chrome trace_event JSON of the run here.
     pub trace_out: Option<String>,
-    /// Flight-recorder capacity in events.
-    pub trace_buffer: usize,
+    /// `--seed` (arrivals, branches, random placement) and `--trace-buffer`.
+    pub config: RuntimeConfig,
 }
 
-/// Parsed `serve` subcommand: a service-mode cluster run (heartbeat-view
-/// router admitting an open-loop stream over the sharded fabric).
-#[derive(Clone, Debug)]
-pub struct ServeArgs {
-    pub preset: String,
-    /// Truncate the preset to this many groups (0 = all).
-    pub groups: usize,
-    pub pattern: ArrivalPattern,
-    pub rps: f64,
-    /// Total invocations in the trace.
-    pub total: u64,
-    pub seed: u64,
+/// A `serve` run: the heartbeat-view router admitting an open-loop stream
+/// over the sharded fabric.
+pub struct ServeRun {
+    /// `--preset`, truncated to `--groups` when given.
+    pub preset: ClusterPreset,
     /// Shard worker threads (outputs are identical for any value).
     pub threads: usize,
-    /// Heartbeat interval in milliseconds.
-    pub hb_ms: u64,
-    /// Inject the randomized control-plane fault plan.
-    pub faults: bool,
     pub csv: Option<String>,
+    pub config: ServiceConfig,
 }
 
-/// Parsed `llm` subcommand: a disaggregated LLM serving run (prefill/decode
-/// split over the GPU store, TTFT/TBT report).
-#[derive(Clone, Debug)]
-pub struct LlmArgs {
-    /// `grouter`, `mooncake`, or `both` (side-by-side comparison).
-    pub plane: String,
-    /// Serving groups (one H800 node each).
-    pub groups: usize,
-    /// Total requests injected by the open-loop source.
-    pub requests: u64,
-    pub rps: f64,
-    pub pattern: ArrivalPattern,
-    pub seed: u64,
-    pub threads: usize,
-    /// Decode GPUs per group (the rest of the node runs prefill).
-    pub decode_gpus: usize,
+/// An `llm` run: disaggregated prefill/decode serving over the GPU store.
+pub struct LlmRun {
+    /// `--plane`: the planes to run, side by side.
+    pub planes: &'static [PlaneKind],
     pub csv: Option<String>,
+    /// Every other flag; `plane` is set per run from `planes`.
+    pub config: LlmServeConfig,
 }
 
-/// Either the classic single-runtime run, the service-mode cluster, or the
+/// The classic single-runtime run, the service-mode cluster, or the
 /// disaggregated LLM serving experiment.
-#[derive(Clone, Debug)]
 pub enum Command {
-    Run(Args),
-    Serve(ServeArgs),
-    Llm(LlmArgs),
+    Run(WorkflowRun),
+    Serve(ServeRun),
+    Llm(LlmRun),
 }
 
 /// The usage string printed on `--help` or bad invocations.
@@ -87,260 +121,251 @@ pub fn usage() -> String {
         .to_string()
 }
 
-/// Parse a `--pattern` value; shared by every subcommand.
-fn parse_pattern(name: &str) -> Result<ArrivalPattern, String> {
-    ArrivalPattern::ALL
-        .into_iter()
-        .find(|p| p.name() == name)
-        .ok_or_else(|| format!("unknown pattern '{name}' (expected bursty, sporadic or periodic)"))
+/// Reads one subcommand's words in order; every subcommand shares these
+/// value readers, so a flag means the same thing wherever it appears.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    /// The next word; `--help` ends parsing with the usage text.
+    fn next(&mut self) -> Result<Option<&'a str>, String> {
+        match self.0.next().map(String::as_str) {
+            Some("--help" | "-h") => Err(usage()),
+            word => Ok(word),
+        }
+    }
+
+    /// The value after `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.0
+            .next()
+            .map(String::as_str)
+            .ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    fn int<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        self.value(flag)?
+            .parse()
+            .map_err(|_| format!("{flag} must be an integer"))
+    }
+
+    /// Arrival generators need a positive finite mean rate: zero or
+    /// negative rates have no inter-arrival time, and an infinite one never
+    /// advances the clock.
+    fn rps(&mut self) -> Result<f64, String> {
+        let value = self.value("--rps")?;
+        crate::parse::parse_finite(value)
+            .filter(|&r| r > 0.0)
+            .ok_or_else(|| format!("--rps must be a positive finite number, got '{value}'"))
+    }
+
+    fn pattern(&mut self) -> Result<ArrivalPattern, String> {
+        let value = self.value("--pattern")?;
+        ArrivalPattern::ALL
+            .into_iter()
+            .find(|p| p.name() == value)
+            .ok_or_else(|| {
+                format!("unknown pattern '{value}' (expected bursty, sporadic or periodic)")
+            })
+    }
+
+    /// Resolve the value after `flag` against `choices` by name.
+    fn name<T: Copy>(
+        &mut self,
+        flag: &str,
+        choices: &[(&'static str, T)],
+    ) -> Result<(&'static str, T), String> {
+        let value = self.value(flag)?;
+        choices
+            .iter()
+            .find(|(name, _)| *name == value)
+            .copied()
+            .ok_or_else(|| {
+                let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+                format!("unknown {flag} '{value}' (expected {})", names.join(", "))
+            })
+    }
 }
 
-/// Parse a `--rps` value; shared by every subcommand. Arrival generators
-/// need a positive finite mean rate: zero or negative rates have no
-/// inter-arrival time, and an infinite one never advances the clock.
-fn parse_rps(value: &str) -> Result<f64, String> {
-    crate::parse::parse_finite(value)
-        .filter(|&r| r > 0.0)
-        .ok_or_else(|| format!("--rps must be a positive finite number, got '{value}'"))
-}
-
-/// Parse `argv` into a [`Command`]; `serve` selects service mode, `llm` the
-/// disaggregated LLM serving experiment.
+/// Parse `argv` (without the program name) into a [`Command`]; `serve`
+/// selects service mode, `llm` the disaggregated LLM serving experiment.
 pub fn parse_command(argv: &[String]) -> Result<Command, String> {
-    if argv.first().map(String::as_str) == Some("serve") {
-        return parse_serve_args(&argv[1..]).map(Command::Serve);
+    match argv.first().map(String::as_str) {
+        Some("serve") => parse_serve(Flags(argv[1..].iter())).map(Command::Serve),
+        Some("llm") => parse_llm(Flags(argv[1..].iter())).map(Command::Llm),
+        _ => parse_workflow_run(Flags(argv.iter())).map(Command::Run),
     }
-    if argv.first().map(String::as_str) == Some("llm") {
-        return parse_llm_args(&argv[1..]).map(Command::Llm);
-    }
-    parse_args(argv).map(Command::Run)
 }
 
-/// Parse the `llm` subcommand's flags (after the literal `llm`).
-pub fn parse_llm_args(argv: &[String]) -> Result<LlmArgs, String> {
-    let mut args = LlmArgs {
-        plane: "both".into(),
-        groups: 2,
-        requests: 10_000,
-        rps: 20.0,
-        pattern: ArrivalPattern::Sporadic,
-        seed: 7,
-        threads: 1,
-        decode_gpus: 4,
-        csv: None,
-    };
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--plane" => args.plane = take("--plane")?,
-            "--groups" => {
-                args.groups = take("--groups")?
-                    .parse()
-                    .map_err(|_| "--groups must be an integer".to_string())?
-            }
-            "--requests" => {
-                args.requests = take("--requests")?
-                    .parse()
-                    .map_err(|_| "--requests must be an integer".to_string())?
-            }
-            "--rps" => args.rps = parse_rps(&take("--rps")?)?,
-            "--pattern" => args.pattern = parse_pattern(&take("--pattern")?)?,
-            "--seed" => {
-                args.seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?
-            }
-            "--threads" => {
-                args.threads = take("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be an integer".to_string())?
-            }
-            "--decode-gpus" => {
-                args.decode_gpus = take("--decode-gpus")?
-                    .parse()
-                    .map_err(|_| "--decode-gpus must be an integer".to_string())?
-            }
-            "--csv" => args.csv = Some(take("--csv")?),
-            "--help" | "-h" => return Err(usage()),
-            flag => return Err(format!("unknown llm flag {flag}")),
-        }
-    }
-    if args.threads == 0 {
-        return Err("--threads must be at least 1".to_string());
-    }
-    if args.groups == 0 {
-        return Err("--groups must be at least 1".to_string());
-    }
-    if args.decode_gpus == 0 || args.decode_gpus > 7 {
-        return Err("--decode-gpus must be in 1..=7 (one node is 8 GPUs)".to_string());
-    }
-    match args.plane.as_str() {
-        "grouter" | "mooncake" | "both" => {}
-        other => return Err(format!("unknown llm plane '{other}'")),
-    }
-    Ok(args)
-}
-
-/// Parse the `serve` subcommand's flags (after the literal `serve`).
-pub fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        preset: "uniform64".into(),
-        groups: 0,
-        pattern: ArrivalPattern::Sporadic,
-        rps: 400.0,
-        total: 10_000,
-        seed: 42,
-        threads: 1,
-        hb_ms: 50,
-        faults: false,
-        csv: None,
-    };
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--preset" => args.preset = take("--preset")?,
-            "--groups" => {
-                args.groups = take("--groups")?
-                    .parse()
-                    .map_err(|_| "--groups must be an integer".to_string())?
-            }
-            "--pattern" => args.pattern = parse_pattern(&take("--pattern")?)?,
-            "--rps" => args.rps = parse_rps(&take("--rps")?)?,
-            "--total" => {
-                args.total = take("--total")?
-                    .parse()
-                    .map_err(|_| "--total must be an integer".to_string())?
-            }
-            "--seed" => {
-                args.seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?
-            }
-            "--threads" => {
-                args.threads = take("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be an integer".to_string())?
-            }
-            "--hb-ms" => {
-                args.hb_ms = take("--hb-ms")?
-                    .parse()
-                    .map_err(|_| "--hb-ms must be an integer".to_string())?
-            }
-            "--faults" => args.faults = true,
-            "--csv" => args.csv = Some(take("--csv")?),
-            "--help" | "-h" => return Err(usage()),
-            flag => return Err(format!("unknown serve flag {flag}")),
-        }
-    }
-    if args.threads == 0 {
-        return Err("--threads must be at least 1".to_string());
-    }
-    if args.hb_ms == 0 {
-        return Err("--hb-ms must be at least 1".to_string());
-    }
-    Ok(args)
-}
-
-/// Parse `argv` (without the program name).
-pub fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
+fn parse_workflow_run(mut f: Flags) -> Result<WorkflowRun, String> {
+    let mut run = WorkflowRun {
         file: String::new(),
-        plane: "grouter".into(),
-        topology: "v100".into(),
+        plane: PLANES[3], // grouter
+        topology: TOPOLOGIES[0],
         nodes: 1,
         pattern: ArrivalPattern::Bursty,
         rps: 5.0,
         seconds: 10,
-        seed: 42,
         compare: false,
         csv: None,
         trace_out: None,
-        trace_buffer: 65_536,
+        config: RuntimeConfig::default(),
     };
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--plane" => args.plane = take("--plane")?,
-            "--topology" => args.topology = take("--topology")?,
-            "--nodes" => {
-                args.nodes = take("--nodes")?
-                    .parse()
-                    .map_err(|_| "--nodes must be an integer".to_string())?
-            }
-            "--pattern" => args.pattern = parse_pattern(&take("--pattern")?)?,
-            "--rps" => args.rps = parse_rps(&take("--rps")?)?,
-            "--seconds" => {
-                args.seconds = take("--seconds")?
-                    .parse()
-                    .map_err(|_| "--seconds must be an integer".to_string())?
-            }
-            "--seed" => {
-                args.seed = take("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer".to_string())?
-            }
-            "--compare" => args.compare = true,
-            "--csv" => args.csv = Some(take("--csv")?),
-            "--trace-out" => args.trace_out = Some(take("--trace-out")?),
-            "--trace-buffer" => {
-                args.trace_buffer = take("--trace-buffer")?
-                    .parse()
-                    .map_err(|_| "--trace-buffer must be an integer".to_string())?
-            }
-            "--help" | "-h" => return Err(usage()),
+    while let Some(word) = f.next()? {
+        match word {
+            "--plane" => run.plane = f.name("--plane", &PLANES)?,
+            "--topology" => run.topology = f.name("--topology", &TOPOLOGIES)?,
+            "--nodes" => run.nodes = f.int("--nodes")?,
+            "--pattern" => run.pattern = f.pattern()?,
+            "--rps" => run.rps = f.rps()?,
+            "--seconds" => run.seconds = f.int("--seconds")?,
+            "--seed" => run.config.seed = f.int("--seed")?,
+            "--compare" => run.compare = true,
+            "--csv" => run.csv = Some(f.value("--csv")?.to_string()),
+            "--trace-out" => run.trace_out = Some(f.value("--trace-out")?.to_string()),
+            "--trace-buffer" => run.config.trace_buffer = f.int("--trace-buffer")?,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             path => {
-                if !args.file.is_empty() {
+                if !run.file.is_empty() {
                     return Err("only one workflow file is accepted".to_string());
                 }
-                args.file = path.to_string();
+                run.file = path.to_string();
             }
         }
     }
-    if args.file.is_empty() {
+    if run.file.is_empty() {
         return Err(usage());
     }
-    if args.nodes == 0 {
+    if run.nodes == 0 {
         return Err("--nodes must be at least 1".to_string());
     }
-    Ok(args)
+    run.config.trace = run.trace_out.is_some();
+    Ok(run)
+}
+
+fn parse_serve(mut f: Flags) -> Result<ServeRun, String> {
+    let (mut preset, mut groups, mut threads, mut csv) = (PRESETS[0], 0, 1, None);
+    let mut config = ServiceConfig::default();
+    while let Some(word) = f.next()? {
+        match word {
+            "--preset" => preset = f.name("--preset", &PRESETS)?,
+            "--groups" => groups = f.int("--groups")?,
+            "--pattern" => config.pattern = f.pattern()?,
+            "--rps" => config.rps = f.rps()?,
+            "--total" => config.total = f.int("--total")?,
+            "--seed" => config.seed = f.int("--seed")?,
+            "--threads" => threads = f.int("--threads")?,
+            "--hb-ms" => config.hb_interval = SimDuration::from_millis(f.int("--hb-ms")?),
+            "--faults" => config.ctl_faults = Some(CtlFaultConfig::default()),
+            "--csv" => csv = Some(f.value("--csv")?.to_string()),
+            flag => return Err(format!("unknown serve flag {flag}")),
+        }
+    }
+    if threads == 0 {
+        return Err("--threads must be at least 1".to_string());
+    }
+    if config.hb_interval == SimDuration::ZERO {
+        return Err("--hb-ms must be at least 1".to_string());
+    }
+    let mut preset = (preset.1)();
+    if groups > preset.groups.len() {
+        return Err(format!(
+            "--groups {groups} exceeds the {} groups of preset {}",
+            preset.groups.len(),
+            preset.name
+        ));
+    }
+    if groups > 0 {
+        preset.groups.truncate(groups);
+    }
+    Ok(ServeRun {
+        preset,
+        threads,
+        csv,
+        config,
+    })
+}
+
+fn parse_llm(mut f: Flags) -> Result<LlmRun, String> {
+    let mut run = LlmRun {
+        planes: LLM_PLANES[2].1, // both
+        csv: None,
+        config: LlmServeConfig::reference(PlaneKind::Grouter),
+    };
+    // One H800 node per group: the GPUs decode does not take run prefill.
+    let gpus = run.config.prefill_gpus + run.config.decode_gpus;
+    while let Some(word) = f.next()? {
+        match word {
+            "--plane" => run.planes = f.name("--plane", &LLM_PLANES)?.1,
+            "--groups" => run.config.groups = f.int("--groups")?,
+            "--requests" => run.config.requests = f.int("--requests")?,
+            "--rps" => run.config.rps = f.rps()?,
+            "--pattern" => run.config.pattern = f.pattern()?,
+            "--seed" => run.config.seed = f.int("--seed")?,
+            "--threads" => run.config.threads = f.int("--threads")?,
+            "--decode-gpus" => run.config.decode_gpus = f.int("--decode-gpus")?,
+            "--csv" => run.csv = Some(f.value("--csv")?.to_string()),
+            flag => return Err(format!("unknown llm flag {flag}")),
+        }
+    }
+    if run.config.threads == 0 {
+        return Err("--threads must be at least 1".to_string());
+    }
+    if run.config.groups == 0 {
+        return Err("--groups must be at least 1".to_string());
+    }
+    if !(1..gpus).contains(&run.config.decode_gpus) {
+        return Err(format!(
+            "--decode-gpus must be in 1..={} (one node is {gpus} GPUs)",
+            gpus - 1
+        ));
+    }
+    run.config.prefill_gpus = gpus - run.config.decode_gpus;
+    Ok(run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Result<Args, String> {
-        let argv: Vec<String> = words.iter().map(|s| s.to_string()).collect();
-        parse_args(&argv)
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse(words: &[&str]) -> Result<WorkflowRun, String> {
+        match parse_command(&argv(words))? {
+            Command::Run(run) => Ok(run),
+            _ => panic!("{words:?} must select workflow mode"),
+        }
+    }
+
+    fn serve(words: &[&str]) -> Result<ServeRun, String> {
+        match parse_command(&argv(&[&["serve"], words].concat()))? {
+            Command::Serve(run) => Ok(run),
+            _ => panic!("serve must select service mode"),
+        }
+    }
+
+    fn llm(words: &[&str]) -> Result<LlmRun, String> {
+        match parse_command(&argv(&[&["llm"], words].concat()))? {
+            Command::Llm(run) => Ok(run),
+            _ => panic!("llm must select serving mode"),
+        }
     }
 
     #[test]
     fn defaults_apply() {
         let a = parse(&["wf.wf"]).expect("valid");
         assert_eq!(a.file, "wf.wf");
-        assert_eq!(a.plane, "grouter");
-        assert_eq!(a.topology, "v100");
+        assert_eq!(a.plane.0, "grouter");
+        assert_eq!(a.topology.0, "v100");
         assert_eq!(a.nodes, 1);
         assert!(!a.compare);
         assert!(a.csv.is_none());
         assert!(a.trace_out.is_none());
-        assert_eq!(a.trace_buffer, 65_536);
+        let lib = RuntimeConfig::default();
+        assert_eq!(a.config.seed, lib.seed);
+        assert_eq!(a.config.trace_buffer, lib.trace_buffer);
+        assert!(!a.config.trace);
     }
 
     #[test]
@@ -370,32 +395,34 @@ mod tests {
             "1024",
         ])
         .expect("valid");
-        assert_eq!(a.plane, "infless");
-        assert_eq!(a.topology, "a100");
+        assert_eq!(a.plane.0, "infless");
+        assert_eq!(a.topology.0, "a100");
         assert_eq!(a.nodes, 2);
         assert_eq!(a.pattern, ArrivalPattern::Sporadic);
         assert_eq!(a.rps, 12.5);
         assert_eq!(a.seconds, 30);
-        assert_eq!(a.seed, 7);
         assert!(a.compare);
         assert_eq!(a.csv.as_deref(), Some("out.csv"));
         assert_eq!(a.trace_out.as_deref(), Some("run.trace.json"));
-        assert_eq!(a.trace_buffer, 1024);
+        // The seed reaches the world RNG (branch draws, random placement),
+        // not just the arrival trace.
+        assert_eq!(a.config.seed, 7);
+        assert!(a.config.trace);
+        assert_eq!(a.config.trace_buffer, 1024);
     }
 
     #[test]
     fn serve_defaults_and_flags_parse() {
-        let c = parse_command(&["serve".to_string()]).expect("bare serve is valid");
-        let Command::Serve(a) = c else {
-            panic!("serve must select service mode");
-        };
-        assert_eq!(a.preset, "uniform64");
-        assert_eq!(a.groups, 0);
+        let a = serve(&[]).expect("bare serve is valid");
+        assert_eq!(a.preset.name, "uniform64");
+        assert_eq!(a.preset.groups.len(), 8);
         assert_eq!(a.threads, 1);
-        assert_eq!(a.hb_ms, 50);
-        assert!(!a.faults);
-        let argv: Vec<String> = [
-            "serve",
+        let lib = ServiceConfig::default();
+        assert_eq!(a.config.seed, 42);
+        assert_eq!(a.config.seed, lib.seed);
+        assert_eq!(a.config.hb_interval, SimDuration::from_millis(50));
+        assert!(a.config.ctl_faults.is_none());
+        let a = serve(&[
             "--preset",
             "hetero64",
             "--groups",
@@ -415,64 +442,65 @@ mod tests {
             "--faults",
             "--csv",
             "m.csv",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let Command::Serve(a) = parse_command(&argv).expect("valid") else {
-            panic!("serve must select service mode");
-        };
-        assert_eq!(a.preset, "hetero64");
-        assert_eq!(a.groups, 4);
-        assert_eq!(a.pattern, ArrivalPattern::Bursty);
-        assert_eq!(a.rps, 900.0);
-        assert_eq!(a.total, 50_000);
-        assert_eq!(a.seed, 9);
+        ])
+        .expect("valid");
+        assert_eq!(a.preset.name, "hetero64");
+        assert_eq!(a.preset.groups.len(), 4);
+        assert_eq!(a.config.pattern, ArrivalPattern::Bursty);
+        assert_eq!(a.config.rps, 900.0);
+        assert_eq!(a.config.total, 50_000);
+        assert_eq!(a.config.seed, 9);
         assert_eq!(a.threads, 8);
-        assert_eq!(a.hb_ms, 25);
-        assert!(a.faults);
+        assert_eq!(a.config.hb_interval, SimDuration::from_millis(25));
+        assert!(a.config.ctl_faults.is_some());
         assert_eq!(a.csv.as_deref(), Some("m.csv"));
+        // The whole preset may be asked for by size.
+        assert_eq!(
+            serve(&["--groups", "8"])
+                .expect("valid")
+                .preset
+                .groups
+                .len(),
+            8
+        );
     }
 
     #[test]
     fn serve_errors_are_reported() {
-        let parse = |words: &[&str]| {
-            let argv: Vec<String> = words.iter().map(|s| s.to_string()).collect();
-            parse_command(&argv)
-        };
-        assert!(parse(&["serve", "--threads", "0"]).is_err(), "zero threads");
-        assert!(parse(&["serve", "--hb-ms", "0"]).is_err(), "zero interval");
-        assert!(parse(&["serve", "--bogus"]).is_err(), "unknown flag");
-        assert!(
-            parse(&["serve", "--pattern", "steady"]).is_err(),
-            "unknown pattern"
-        );
-        assert!(parse(&["serve", "--rps"]).is_err(), "missing value");
-        assert!(
-            parse(&["serve", "extra.wf"]).is_err(),
-            "serve takes no file"
-        );
-        let c = parse(&["plain.wf"]).expect("non-serve argv still parses");
-        assert!(matches!(c, Command::Run(_)));
+        assert!(serve(&["--threads", "0"]).is_err(), "zero threads");
+        assert!(serve(&["--hb-ms", "0"]).is_err(), "zero interval");
+        assert!(serve(&["--bogus"]).is_err(), "unknown flag");
+        assert!(serve(&["--pattern", "steady"]).is_err(), "unknown pattern");
+        assert!(serve(&["--preset", "bogus"]).is_err(), "unknown preset");
+        assert!(serve(&["--rps"]).is_err(), "missing value");
+        assert!(serve(&["extra.wf"]).is_err(), "serve takes no file");
+        // More groups than the preset has is refused, not capped.
+        let e = serve(&["--groups", "100"])
+            .err()
+            .expect("uniform64 has 8 groups");
+        assert!(e.contains("--groups"), "{e}");
+        assert!(serve(&["--preset", "uniform128", "--groups", "17"]).is_err());
+        assert!(serve(&["--preset", "uniform128", "--groups", "16"]).is_ok());
+        assert!(matches!(
+            parse_command(&argv(&["plain.wf"])),
+            Ok(Command::Run(_))
+        ));
     }
 
     #[test]
     fn llm_defaults_and_flags_parse() {
-        let c = parse_command(&["llm".to_string()]).expect("bare llm is valid");
-        let Command::Llm(a) = c else {
-            panic!("llm must select serving mode");
-        };
-        assert_eq!(a.plane, "both");
-        assert_eq!(a.groups, 2);
-        assert_eq!(a.requests, 10_000);
-        assert_eq!(a.rps, 20.0);
-        assert_eq!(a.pattern, ArrivalPattern::Sporadic);
-        assert_eq!(a.seed, 7);
-        assert_eq!(a.threads, 1);
-        assert_eq!(a.decode_gpus, 4);
+        let a = llm(&[]).expect("bare llm is valid");
+        assert_eq!(a.planes, &[PlaneKind::Grouter, PlaneKind::Mooncake]);
+        assert_eq!(a.config.groups, 2);
+        assert_eq!(a.config.requests, 10_000);
+        assert_eq!(a.config.rps, 20.0);
+        assert_eq!(a.config.pattern, ArrivalPattern::Sporadic);
+        assert_eq!(a.config.seed, 7);
+        assert_eq!(a.config.threads, 1);
+        assert_eq!(a.config.decode_gpus, 4);
+        assert_eq!(a.config.prefill_gpus, 4);
         assert!(a.csv.is_none());
-        let argv: Vec<String> = [
-            "llm",
+        let a = llm(&[
             "--plane",
             "mooncake",
             "--groups",
@@ -491,63 +519,43 @@ mod tests {
             "6",
             "--csv",
             "llm.csv",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let Command::Llm(a) = parse_command(&argv).expect("valid") else {
-            panic!("llm must select serving mode");
-        };
-        assert_eq!(a.plane, "mooncake");
-        assert_eq!(a.groups, 4);
-        assert_eq!(a.requests, 500);
-        assert_eq!(a.rps, 32.5);
-        assert_eq!(a.pattern, ArrivalPattern::Periodic);
-        assert_eq!(a.seed, 11);
-        assert_eq!(a.threads, 8);
-        assert_eq!(a.decode_gpus, 6);
+        ])
+        .expect("valid");
+        assert_eq!(a.planes, &[PlaneKind::Mooncake]);
+        assert_eq!(a.config.groups, 4);
+        assert_eq!(a.config.requests, 500);
+        assert_eq!(a.config.rps, 32.5);
+        assert_eq!(a.config.pattern, ArrivalPattern::Periodic);
+        assert_eq!(a.config.seed, 11);
+        assert_eq!(a.config.threads, 8);
+        assert_eq!(a.config.decode_gpus, 6);
+        assert_eq!(a.config.prefill_gpus, 2);
         assert_eq!(a.csv.as_deref(), Some("llm.csv"));
     }
 
     #[test]
     fn llm_errors_are_reported() {
-        let parse = |words: &[&str]| {
-            let argv: Vec<String> = words.iter().map(|s| s.to_string()).collect();
-            parse_command(&argv)
-        };
-        assert!(parse(&["llm", "--threads", "0"]).is_err(), "zero threads");
-        assert!(parse(&["llm", "--groups", "0"]).is_err(), "zero groups");
+        assert!(llm(&["--threads", "0"]).is_err(), "zero threads");
+        assert!(llm(&["--groups", "0"]).is_err(), "zero groups");
+        assert!(llm(&["--decode-gpus", "0"]).is_err(), "no decode GPUs");
         assert!(
-            parse(&["llm", "--decode-gpus", "0"]).is_err(),
-            "no decode GPUs"
-        );
-        assert!(
-            parse(&["llm", "--decode-gpus", "8"]).is_err(),
+            llm(&["--decode-gpus", "8"]).is_err(),
             "no prefill GPUs left"
         );
-        assert!(
-            parse(&["llm", "--plane", "bogus"]).is_err(),
-            "unknown plane"
-        );
-        assert!(parse(&["llm", "--bogus"]).is_err(), "unknown flag");
-        assert!(
-            parse(&["llm", "--pattern", "steady"]).is_err(),
-            "unknown pattern"
-        );
-        assert!(parse(&["llm", "--rps"]).is_err(), "missing value");
-        assert!(parse(&["llm", "extra.wf"]).is_err(), "llm takes no file");
+        assert!(llm(&["--plane", "bogus"]).is_err(), "unknown plane");
+        assert!(llm(&["--bogus"]).is_err(), "unknown flag");
+        assert!(llm(&["--pattern", "steady"]).is_err(), "unknown pattern");
+        assert!(llm(&["--rps"]).is_err(), "missing value");
+        assert!(llm(&["extra.wf"]).is_err(), "llm takes no file");
     }
 
     #[test]
     fn bad_rates_are_refused_by_every_subcommand() {
         for sub in [&["a.wf"][..], &["serve"], &["llm"]] {
             for rate in ["0", "-5", "nan", "inf", "-inf", "x"] {
-                let argv: Vec<String> = sub
-                    .iter()
-                    .chain(&["--rps", rate])
-                    .map(|s| s.to_string())
-                    .collect();
-                let e = parse_command(&argv).unwrap_err();
+                let e = parse_command(&argv(&[sub, &["--rps", rate]].concat()))
+                    .err()
+                    .expect("bad rate");
                 assert!(e.contains("--rps"), "{sub:?} --rps {rate}: {e}");
             }
         }
@@ -557,7 +565,7 @@ mod tests {
     fn errors_are_reported() {
         assert!(parse(&[]).is_err(), "missing file");
         assert!(parse(&["a.wf", "--nodes", "x"]).is_err(), "bad integer");
-        let e = parse(&["a.wf", "--nodes", "0"]).unwrap_err();
+        let e = parse(&["a.wf", "--nodes", "0"]).err().expect("zero nodes");
         assert!(e.contains("--nodes"), "a cluster needs a node: {e}");
         assert!(parse(&["a.wf", "--rps"]).is_err(), "missing value");
         assert!(parse(&["a.wf", "--bogus"]).is_err(), "unknown flag");
@@ -570,5 +578,10 @@ mod tests {
             parse(&["a.wf", "--trace-buffer", "x"]).is_err(),
             "bad trace buffer"
         );
+        assert!(parse(&["a.wf", "--help"]).is_err(), "help prints usage");
+        for (flag, value) in [("--plane", "bogus"), ("--topology", "bogus")] {
+            let e = parse(&["a.wf", flag, value]).err().expect("unknown name");
+            assert!(e.contains(flag) && e.contains(value), "{e}");
+        }
     }
 }

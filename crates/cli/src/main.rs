@@ -1,91 +1,55 @@
-//! `grouter-cli` — simulate a `.wf` workflow on any testbed / data plane.
+//! `grouter-cli` — simulate a `.wf` workflow on any testbed / data plane,
+//! or run the `serve` cluster or the `llm` serving experiment.
 //!
 //! ```text
 //! grouter-cli <workflow.wf> [--plane grouter|infless|nvshmem|deepplan]
 //!             [--topology v100|a100|a10|h800] [--nodes N]
 //!             [--pattern bursty|sporadic|periodic] [--rps R]
 //!             [--seconds S] [--seed N]
+//! grouter-cli serve [...]
+//! grouter-cli llm [...]
 //! ```
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use grouter::runtime::dataplane::DataPlane;
-use grouter::runtime::world::RuntimeConfig;
+use grouter::runtime::spec::WorkflowSpec;
 use grouter::runtime::Runtime;
 use grouter::sim::rng::DetRng;
 use grouter::sim::time::SimDuration;
-use grouter::topology::graph::TopologySpec;
-use grouter::topology::presets;
-use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::{deepplan_plane, InflessPlane, NvshmemPlane};
-use grouter_cli::args::{parse_command, Command, LlmArgs, ServeArgs};
+use grouter_cli::args::{parse_command, Command, LlmRun, PlaneFn, ServeRun, WorkflowRun, PLANES};
 use grouter_cli::parse_workflow;
-use grouter_ctl::{ServiceConfig, ServiceSim};
-use grouter_sim::fault::CtlFaultConfig;
+use grouter_ctl::ServiceSim;
+use grouter_llm::{LlmServeConfig, PlaneKind};
 use grouter_workloads::azure::generate_trace;
-use grouter_workloads::cluster::ClusterPreset;
 
-fn topology_of(name: &str) -> Result<TopologySpec, String> {
-    Ok(match name {
-        "v100" => presets::dgx_v100(),
-        "a100" => presets::dgx_a100(),
-        "a10" => presets::a10x4(),
-        "h800" => presets::h800x8(),
-        other => return Err(format!("unknown topology '{other}'")),
-    })
-}
-
-fn plane_of(name: &str, seed: u64) -> Result<Box<dyn DataPlane>, String> {
-    Ok(match name {
-        "grouter" => Box::new(GrouterPlane::new(GrouterConfig::full())),
-        "infless" => Box::new(InflessPlane::new()),
-        "nvshmem" => Box::new(NvshmemPlane::new(seed)),
-        "deepplan" => deepplan_plane(seed),
-        other => return Err(format!("unknown plane '{other}'")),
-    })
-}
-
-fn preset_of(name: &str) -> Result<ClusterPreset, String> {
-    Ok(match name {
-        "uniform64" => ClusterPreset::uniform_64(),
-        "uniform128" => ClusterPreset::uniform_128(),
-        "hetero64" => ClusterPreset::hetero_64(),
-        "hetero128" => ClusterPreset::hetero_128(),
-        other => return Err(format!("unknown preset '{other}'")),
-    })
+fn write(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// The `serve` subcommand: a service-mode cluster run with the
 /// heartbeat-view router at the gateway.
-fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
-    let mut preset = preset_of(&args.preset)?;
-    if args.groups > 0 && args.groups < preset.groups.len() {
-        preset.groups.truncate(args.groups);
-    }
-    let cfg = ServiceConfig {
-        pattern: args.pattern,
-        rps: args.rps,
-        total: args.total,
-        seed: args.seed,
-        hb_interval: SimDuration::from_millis(args.hb_ms),
-        ctl_faults: args.faults.then(CtlFaultConfig::default),
-    };
+fn cmd_serve(run: &ServeRun) -> Result<(), String> {
+    let cfg = &run.config;
     println!(
         "serve: {} preset, {} groups, {} pattern at {} req/s, {} invocations, \
          hb {}ms, seed {}, {} threads, faults {}",
-        args.preset,
-        preset.groups.len(),
-        args.pattern.name(),
-        args.rps,
-        args.total,
-        args.hb_ms,
-        args.seed,
-        args.threads,
-        if args.faults { "on" } else { "off" }
+        run.preset.name,
+        run.preset.groups.len(),
+        cfg.pattern.name(),
+        cfg.rps,
+        cfg.total,
+        cfg.hb_interval.as_millis_f64(),
+        cfg.seed,
+        run.threads,
+        if cfg.ctl_faults.is_some() {
+            "on"
+        } else {
+            "off"
+        }
     );
-    let mut svc = ServiceSim::build(&preset, &cfg);
-    svc.run(args.threads);
+    let mut svc = ServiceSim::build(&run.preset, cfg);
+    svc.run(run.threads);
     let lat = svc.latency_ms();
     let (hb_sent, hb_recv, hb_drop) = svc.cluster().heartbeat_stats();
     println!(
@@ -112,60 +76,28 @@ fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
         grouter_llm::fnv64(admission.as_bytes()),
         grouter_llm::fnv64(recovery.as_bytes())
     );
-    if let Some(path) = &args.csv {
-        std::fs::write(path, &csv).map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = &run.csv {
+        write(path, &csv)?;
         println!("merged per-request records written to {path}");
     }
     Ok(())
 }
 
-/// One LLM serving run on one plane; returns the report for comparison.
-fn llm_run_one(args: &LlmArgs, plane: grouter_llm::PlaneKind) -> grouter_llm::LlmReport {
-    let cfg = grouter_llm::LlmServeConfig {
-        groups: args.groups,
-        seed: args.seed,
-        requests: args.requests,
-        rps: args.rps,
-        pattern: args.pattern,
-        decode_gpus: args.decode_gpus,
-        prefill_gpus: 8 - args.decode_gpus,
-        threads: args.threads,
-        ..grouter_llm::LlmServeConfig::reference(plane)
-    };
-    let report = grouter_llm::run_llm_serve(&cfg);
-    println!(
-        "{:<10} {:>9} {:>9} {:>7} {:>12.1} {:>12.1} {:>11.2} {:>10} {:>9} {:>8}",
-        match plane {
-            grouter_llm::PlaneKind::Grouter => "grouter",
-            grouter_llm::PlaneKind::Mooncake => "mooncake+",
-        },
-        report.completed,
-        report.failed,
-        report.metrics.rematerialized,
-        report.metrics.ttft.p50() * 1e3,
-        report.metrics.ttft.p99() * 1e3,
-        report.metrics.tbt.mean() * 1e3,
-        report.migrations,
-        report.restores,
-        report.metrics.restore_stalls,
-    );
-    report
-}
-
 /// The `llm` subcommand: disaggregated prefill/decode serving over the GPU
 /// store, GROUTER vs the Mooncake+ baseline.
-fn cmd_llm(args: &LlmArgs) -> Result<(), String> {
+fn cmd_llm(run: &LlmRun) -> Result<(), String> {
+    let cfg = &run.config;
     println!(
         "llm: {} groups x h800 ({} prefill + {} decode GPUs), {} pattern at {} req/s, \
          {} requests, seed {}, {} threads",
-        args.groups,
-        8 - args.decode_gpus,
-        args.decode_gpus,
-        args.pattern.name(),
-        args.rps,
-        args.requests,
-        args.seed,
-        args.threads
+        cfg.groups,
+        cfg.prefill_gpus,
+        cfg.decode_gpus,
+        cfg.pattern.name(),
+        cfg.rps,
+        cfg.requests,
+        cfg.seed,
+        cfg.threads
     );
     println!(
         "{:<10} {:>9} {:>9} {:>7} {:>12} {:>12} {:>11} {:>10} {:>9} {:>8}",
@@ -180,166 +112,149 @@ fn cmd_llm(args: &LlmArgs) -> Result<(), String> {
         "restores",
         "stalls"
     );
-    let planes: &[grouter_llm::PlaneKind] = match args.plane.as_str() {
-        "grouter" => &[grouter_llm::PlaneKind::Grouter],
-        "mooncake" => &[grouter_llm::PlaneKind::Mooncake],
-        _ => &[
-            grouter_llm::PlaneKind::Grouter,
-            grouter_llm::PlaneKind::Mooncake,
-        ],
-    };
     let mut csv = String::new();
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for &plane in planes {
-        let report = llm_run_one(args, plane);
+    for &plane in run.planes {
+        let report = grouter_llm::run_llm_serve(&LlmServeConfig {
+            plane,
+            ..cfg.clone()
+        });
+        println!(
+            "{:<10} {:>9} {:>9} {:>7} {:>12.1} {:>12.1} {:>11.2} {:>10} {:>9} {:>8}",
+            match plane {
+                PlaneKind::Grouter => "grouter",
+                PlaneKind::Mooncake => "mooncake+",
+            },
+            report.completed,
+            report.failed,
+            report.metrics.rematerialized,
+            report.metrics.ttft.p50() * 1e3,
+            report.metrics.ttft.p99() * 1e3,
+            report.metrics.tbt.mean() * 1e3,
+            report.migrations,
+            report.restores,
+            report.metrics.restore_stalls,
+        );
         csv.push_str(&report.csv);
         digest ^= report.digest;
     }
     // Thread-count independence is checkable from the digest alone.
     println!("digests: csv={digest:016x}");
-    if let Some(path) = &args.csv {
-        std::fs::write(path, &csv).map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = &run.csv {
+        write(path, &csv)?;
         println!("metrics written to {path}");
+    }
+    Ok(())
+}
+
+/// One single-world run of `spec` on `plane`.
+fn run_workflow(run: &WorkflowRun, spec: &Arc<WorkflowSpec>, plane: PlaneFn) -> Runtime {
+    let seed = run.config.seed;
+    let mut rt = Runtime::new(
+        (run.topology.1)(),
+        run.nodes,
+        plane(seed),
+        run.config.clone(),
+    );
+    let mut rng = DetRng::new(seed);
+    for t in generate_trace(
+        run.pattern,
+        run.rps,
+        SimDuration::from_secs(run.seconds),
+        &mut rng,
+    ) {
+        rt.submit(spec.clone(), t);
+    }
+    rt.run();
+    rt
+}
+
+/// The default mode: a `.wf` workflow on one plane, or `--compare` across
+/// every plane.
+fn cmd_run(run: &WorkflowRun) -> Result<(), String> {
+    let text =
+        std::fs::read_to_string(&run.file).map_err(|e| format!("cannot read {}: {e}", run.file))?;
+    let spec = Arc::new(parse_workflow(&text).map_err(|e| format!("{}: {e}", run.file))?);
+    println!(
+        "workflow '{}' on {} x {}, {} pattern at {} req/s for {}s",
+        spec.name,
+        run.nodes,
+        run.topology.0,
+        run.pattern.name(),
+        run.rps,
+        run.seconds
+    );
+    if run.compare {
+        println!(
+            "{:<12} {:>10} {:>10} {:>10} {:>16}",
+            "plane", "mean (ms)", "p50 (ms)", "p99 (ms)", "data pass (ms)"
+        );
+        for (name, plane) in PLANES {
+            let rt = run_workflow(run, &spec, plane);
+            let lat = rt.metrics().latency_ms(None);
+            let (_, gg, gh, hh) = rt.metrics().breakdown_ms(None);
+            println!(
+                "{:<12} {:>10.1} {:>10.1} {:>10.1} {:>16.1}",
+                name,
+                lat.mean(),
+                lat.p50(),
+                lat.p99(),
+                gg + gh + hh
+            );
+        }
+        return Ok(());
+    }
+    let rt = run_workflow(run, &spec, run.plane.1);
+    let m = rt.metrics();
+    let lat = m.latency_ms(None);
+    let (comp, gg, gh, hh) = m.breakdown_ms(None);
+    println!("plane: {}", run.plane.0);
+    println!(
+        "requests: {} submitted, {} completed",
+        m.arrivals,
+        m.completed()
+    );
+    println!(
+        "latency (ms): mean {:.1}  p50 {:.1}  p99 {:.1}  max {:.1}",
+        lat.mean(),
+        lat.p50(),
+        lat.p99(),
+        lat.max()
+    );
+    println!(
+        "mean breakdown (ms): compute {comp:.1}  gFn-gFn {gg:.1}  gFn-host {gh:.1}  cFn-cFn {hh:.1}"
+    );
+    if spec.slo > SimDuration::ZERO {
+        println!(
+            "SLO {:.0} ms: {:.0}% of requests met it",
+            spec.slo.as_millis_f64(),
+            m.slo_compliance(None, spec.slo) * 100.0
+        );
+    }
+    if let Some(path) = &run.csv {
+        write(path, &m.to_csv())?;
+        println!("per-request records written to {path}");
+    }
+    if let Some(path) = &run.trace_out {
+        let trace = rt.recorder().snapshot();
+        write(path, &trace.chrome_json())?;
+        println!(
+            "trace written to {path} ({} events, {} dropped)",
+            trace.events.len(),
+            trace.dropped
+        );
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_command(&argv) {
-        Ok(Command::Run(a)) => a,
-        Ok(Command::Serve(a)) => {
-            return match cmd_serve(&a) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(m) => {
-                    eprintln!("{m}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Ok(Command::Llm(a)) => {
-            return match cmd_llm(&a) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(m) => {
-                    eprintln!("{m}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Err(m) => {
-            eprintln!("{m}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let text = match std::fs::read_to_string(&args.file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", args.file);
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec = match parse_workflow(&text) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("{}: {e}", args.file);
-            return ExitCode::FAILURE;
-        }
-    };
-    let run_one = |plane_name: &str| -> Result<Runtime, String> {
-        let topo = topology_of(&args.topology)?;
-        let plane = plane_of(plane_name, args.seed)?;
-        let config = RuntimeConfig {
-            trace: args.trace_out.is_some(),
-            trace_buffer: args.trace_buffer,
-            ..RuntimeConfig::default()
-        };
-        let mut rt = Runtime::new(topo, args.nodes, plane, config);
-        let mut rng = DetRng::new(args.seed);
-        for t in generate_trace(
-            args.pattern,
-            args.rps,
-            SimDuration::from_secs(args.seconds),
-            &mut rng,
-        ) {
-            rt.submit(spec.clone(), t);
-        }
-        rt.run();
-        Ok(rt)
-    };
-    let run = || -> Result<(), String> {
-        println!(
-            "workflow '{}' on {} x {}, {} pattern at {} req/s for {}s",
-            spec.name,
-            args.nodes,
-            args.topology,
-            args.pattern.name(),
-            args.rps,
-            args.seconds
-        );
-        if args.compare {
-            println!(
-                "{:<12} {:>10} {:>10} {:>10} {:>16}",
-                "plane", "mean (ms)", "p50 (ms)", "p99 (ms)", "data pass (ms)"
-            );
-            for plane_name in ["infless", "nvshmem", "deepplan", "grouter"] {
-                let m = run_one(plane_name)?.metrics().clone();
-                let lat = m.latency_ms(None);
-                let (_, gg, gh, hh) = m.breakdown_ms(None);
-                println!(
-                    "{:<12} {:>10.1} {:>10.1} {:>10.1} {:>16.1}",
-                    plane_name,
-                    lat.mean(),
-                    lat.p50(),
-                    lat.p99(),
-                    gg + gh + hh
-                );
-            }
-            return Ok(());
-        }
-        let rt = run_one(&args.plane)?;
-        let m = rt.metrics().clone();
-        let lat = m.latency_ms(None);
-        let (comp, gg, gh, hh) = m.breakdown_ms(None);
-        println!("plane: {}", args.plane);
-        println!(
-            "requests: {} submitted, {} completed",
-            m.arrivals,
-            m.completed()
-        );
-        println!(
-            "latency (ms): mean {:.1}  p50 {:.1}  p99 {:.1}  max {:.1}",
-            lat.mean(),
-            lat.p50(),
-            lat.p99(),
-            lat.max()
-        );
-        println!(
-            "mean breakdown (ms): compute {comp:.1}  gFn-gFn {gg:.1}  gFn-host {gh:.1}  cFn-cFn {hh:.1}"
-        );
-        if spec.slo > SimDuration::ZERO {
-            println!(
-                "SLO {:.0} ms: {:.0}% of requests met it",
-                spec.slo.as_millis_f64(),
-                m.slo_compliance(None, spec.slo) * 100.0
-            );
-        }
-        if let Some(path) = &args.csv {
-            std::fs::write(path, m.to_csv()).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("per-request records written to {path}");
-        }
-        if let Some(path) = &args.trace_out {
-            let trace = rt.recorder().snapshot();
-            std::fs::write(path, trace.chrome_json())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!(
-                "trace written to {path} ({} events, {} dropped)",
-                trace.events.len(),
-                trace.dropped
-            );
-        }
-        Ok(())
-    };
-    match run() {
+    let result = parse_command(&argv).and_then(|command| match command {
+        Command::Run(run) => cmd_run(&run),
+        Command::Serve(run) => cmd_serve(&run),
+        Command::Llm(run) => cmd_llm(&run),
+    });
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(m) => {
             eprintln!("{m}");

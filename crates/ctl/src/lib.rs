@@ -10,12 +10,6 @@
 //!   plus its own routing history; between beats the view is stale by
 //!   construction, and a classic 3×-interval failure detector marks silent
 //!   busy groups suspect ([`grouter_sim::params::HEARTBEAT_SUSPECT_FACTOR`]).
-//! * [`ViewPlacer`] — the GPU-level MAPA scan run against a
-//!   heartbeat-reconstructed load vector instead of the omniscient
-//!   [`grouter_runtime::Placer`] counters. Both call the *same*
-//!   [`grouter_runtime::mapa_scan`] kernel, so the placement-oracle test
-//!   can prove the zero-staleness view is decision-identical to the
-//!   omniscient scheduler.
 //! * [`ServiceSim`] — a [`grouter_runtime::ClusterSim`] wired for service
 //!   mode: one open-loop stream entering at the router group, heartbeat
 //!   daemons on every group, optional randomized control-plane faults
@@ -29,9 +23,7 @@
 pub mod admission;
 pub mod router;
 pub mod service;
-pub mod view;
 
 pub use admission::{admit, pick_group, Admission, DecodeBudget, DecodeView};
 pub use router::HeartbeatRouter;
 pub use service::{ServiceConfig, ServiceSim};
-pub use view::ViewPlacer;

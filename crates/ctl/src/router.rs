@@ -176,8 +176,6 @@ mod tests {
             seq,
             at,
             depth,
-            gpu_load: vec![depth; 8],
-            gpu_failed: vec![false; 8],
             pool: vec![PoolOccupancy::default(); 8],
             completed: 0,
             failed: 0,

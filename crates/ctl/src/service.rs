@@ -39,7 +39,7 @@ impl Default for ServiceConfig {
             pattern: ArrivalPattern::Sporadic,
             rps: 400.0,
             total: 10_000,
-            seed: 1,
+            seed: 42,
             hb_interval: params::HEARTBEAT_INTERVAL,
             ctl_faults: None,
         }

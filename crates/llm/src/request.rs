@@ -5,16 +5,6 @@ use grouter_sim::time::SimTime;
 use grouter_topology::GpuRef;
 use grouter_workloads::llm::LlmRequestSpec;
 
-/// Why a request left the system without completing its stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailReason {
-    /// No healthy decode GPU remained in the group.
-    NoDecodeGpu,
-    /// The decode GPU failed mid-stream and the one lineage
-    /// re-materialization was already spent.
-    LineageExhausted,
-}
-
 /// One admitted request inside a serving group.
 #[derive(Clone, Debug)]
 pub struct ActiveRequest {

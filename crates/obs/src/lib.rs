@@ -385,14 +385,6 @@ impl Trace {
             .collect()
     }
 
-    /// Every event correlated with workflow instance `inst`.
-    pub fn events_for_instance(&self, inst: u64) -> Vec<&Event> {
-        self.events
-            .iter()
-            .filter(|e| e.ids.inst == Some(inst))
-            .collect()
-    }
-
     /// Events with the given name, in order.
     pub fn events_named(&self, name: &str) -> Vec<&Event> {
         self.events.iter().filter(|e| e.name == name).collect()
@@ -498,12 +490,6 @@ impl Recorder {
         Recorder::with_mask(cap, MASK_ALL)
     }
 
-    /// True when this handle is attached to a ring (even if all components
-    /// are currently masked off).
-    pub fn is_attached(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// True when events from `comp` are currently recorded. Hot paths call
     /// this before building argument vectors.
     #[inline]
@@ -511,13 +497,6 @@ impl Recorder {
         match &self.0 {
             None => false,
             Some(i) => i.mask.load(Ordering::Relaxed) & comp.bit() != 0,
-        }
-    }
-
-    /// Replace the component enable mask.
-    pub fn set_mask(&self, mask: u32) {
-        if let Some(i) = &self.0 {
-            i.mask.store(mask, Ordering::Relaxed);
         }
     }
 
@@ -695,14 +674,6 @@ impl Recorder {
         }
         let mut st = i.state.lock().unwrap();
         st.stats.hists.entry((comp, name)).or_default().record(v);
-    }
-
-    /// Number of open (unbalanced) spans right now.
-    pub fn open_spans(&self) -> usize {
-        match &self.0 {
-            None => 0,
-            Some(i) => i.state.lock().unwrap().live.len(),
-        }
     }
 
     /// Clone out a snapshot without draining the ring.

@@ -63,10 +63,6 @@ pub struct Heartbeat {
     pub at: SimTime,
     /// Live workflow instances on the group (queue depth).
     pub depth: u32,
-    /// Outstanding stage count per flat GPU index (the MAPA load vector).
-    pub gpu_load: Vec<u32>,
-    /// Per-GPU failure flags (flat index).
-    pub gpu_failed: Vec<bool>,
     /// Per-GPU memory occupancy snapshots (flat index).
     pub pool: Vec<grouter_mem::PoolOccupancy>,
     /// Requests completed so far.
@@ -399,8 +395,6 @@ pub(crate) fn heartbeat_tick(w: &mut World, s: &mut Scheduler<World>) {
     // Snapshot world state before borrowing the port.
     let depth = w.instances.len() as u32;
     let active = depth > 0;
-    let gpu_load = w.placer.load().to_vec();
-    let gpu_failed = w.placer.failed_mask().to_vec();
     let pool: Vec<grouter_mem::PoolOccupancy> = w.pools.iter().map(|p| p.occupancy()).collect();
     let completed = w.metrics.completed() as u64;
     let failed = w.metrics.failed;
@@ -420,8 +414,6 @@ pub(crate) fn heartbeat_tick(w: &mut World, s: &mut Scheduler<World>) {
         seq: port.hb_seq,
         at: now,
         depth,
-        gpu_load,
-        gpu_failed,
         pool,
         completed,
         failed,

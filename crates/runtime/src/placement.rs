@@ -163,17 +163,6 @@ impl Placer {
         self.failed[idx] = failed;
     }
 
-    /// Outstanding stage count per flat GPU index — the load vector
-    /// heartbeats publish and [`mapa_scan`] consumes.
-    pub fn load(&self) -> &[u32] {
-        &self.load
-    }
-
-    /// Per-GPU failure flags (flat index).
-    pub fn failed_mask(&self) -> &[bool] {
-        &self.failed
-    }
-
     /// Nodes eligible for placement.
     pub fn nodes(&self) -> &[usize] {
         &self.nodes
@@ -231,12 +220,9 @@ impl Placer {
     }
 }
 
-/// The MAPA scoring scan, as a pure function of the scheduler's *view* of
-/// per-GPU state: `load` and `failed` are indexed by flat GPU index
-/// ([`Topology::flat_index`]). The omniscient [`Placer`] calls this with its
-/// live counters; the service-mode router (`grouter-ctl`) calls it with
-/// heartbeat-reconstructed ones — the placement-oracle test proves the two
-/// coincide when the view is exact.
+/// The MAPA scoring scan, as a pure function of per-GPU state: `load` and
+/// `failed` are indexed by flat GPU index ([`Topology::flat_index`]), and
+/// the [`Placer`] passes its live counters.
 pub fn mapa_scan(
     topo: &Topology,
     nodes: &[usize],

@@ -104,7 +104,7 @@ pub const CROSS_GROUP_BW: f64 = 10.0 * GBPS;
 /// genuinely stale between beats.
 pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(50);
 /// Wire size of one heartbeat message on the frontend channel (a few
-/// counters plus a per-GPU load vector).
+/// counters plus per-GPU pool occupancy).
 pub const HEARTBEAT_BYTES: f64 = 256.0;
 /// A worker is suspected dead after this many silent heartbeat intervals
 /// (classic 3× failure-detector timeout); the router stops routing to it
@@ -128,8 +128,6 @@ pub const CHUNKS_PER_BATCH: usize = 5;
 pub const MIN_POOL_BYTES: f64 = 300.0 * 1e6;
 /// Fraction of free GPU memory the storage may occupy (§4.4.2: 50 %).
 pub const STORAGE_FREE_FRACTION: f64 = 0.5;
-/// SLO multiplier over measured solo latency (§4.3.2 / §6.3: 1.5–2×).
-pub const SLO_FACTOR: f64 = 1.5;
 
 /// Capacity of the per-node circular pinned staging buffer GROUTER shares
 /// across functions (§4.3.2). Baselines that pin per transfer pay

@@ -281,11 +281,6 @@ impl Topology {
         node * self.spec.gpus_per_node + gpu
     }
 
-    /// Inverse of [`Topology::flat_index`].
-    pub fn unflatten(&self, idx: usize) -> GpuRef {
-        GpuRef::new(idx / self.spec.gpus_per_node, idx % self.spec.gpus_per_node)
-    }
-
     pub fn gpu_mem_bytes(&self) -> f64 {
         self.spec.gpu_mem_bytes
     }
@@ -358,12 +353,6 @@ impl Topology {
     /// PCIe-only machines; everyone else on NVSwitch machines).
     pub fn nvlink_neighbors(&self, a: usize) -> &[usize] {
         &self.neighbors[a]
-    }
-
-    /// NVLink neighbors of `a` in descending link-bandwidth order (ties by
-    /// ascending index) — the expansion order route searches prefer.
-    pub fn nvlink_neighbors_by_bw(&self, a: usize) -> &[usize] {
-        &self.neighbors_by_bw[a]
     }
 
     fn compute_neighbors(&self, a: usize) -> Vec<usize> {

@@ -88,11 +88,6 @@ impl PathLedger {
         &self.selector
     }
 
-    /// Mutable selector access (benches drive it directly).
-    pub fn selector_mut(&mut self) -> &mut PathSelector {
-        &mut self.selector
-    }
-
     /// Attach an observability recorder to the underlying selector (see
     /// [`PathSelector::set_recorder`]).
     pub fn set_recorder(&mut self, rec: grouter_obs::Recorder) {

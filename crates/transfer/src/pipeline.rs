@@ -13,8 +13,8 @@
 //! at a time). The flow-level network model elsewhere in the simulator is
 //! the *idealised* (continuously fair) limit of this mechanism; this module
 //! quantifies how close a given batch size gets to that limit and what it
-//! costs — the trade-off behind the paper's default, swept in
-//! `grouter-bench --bin sweeps`.
+//! costs — the trade-off behind the paper's default, swept in the
+//! design-constant sweeps of `grouter-bench`'s `all_experiments`.
 
 use grouter_sim::time::{SimDuration, SimTime};
 

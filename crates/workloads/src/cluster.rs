@@ -242,6 +242,42 @@ impl ArrivalSource for OpenLoopArrivals {
     }
 }
 
+/// One [`GroupSetup`] per group of `preset`: the group's topology and
+/// GPU-tuned [`cluster_mix`] registry, the run `seed` on its world (world
+/// RNGs are split from it by `ClusterSim::new`), `plane(g)` as its data
+/// plane, `hb` as its heartbeat wiring, and `source(g, specs)` as its
+/// arrival source.
+fn build_setups(
+    preset: &ClusterPreset,
+    seed: u64,
+    hb: Option<grouter_runtime::HeartbeatConfig>,
+    plane: impl Fn(usize) -> Box<dyn DataPlane>,
+    source: impl Fn(usize, u32) -> Option<Box<dyn ArrivalSource>>,
+) -> Vec<GroupSetup> {
+    preset
+        .groups
+        .iter()
+        .enumerate()
+        .map(|(g, gs)| {
+            let specs = cluster_mix(gs.gpu);
+            GroupSetup {
+                topo: (gs.topo)(),
+                nodes: gs.nodes,
+                plane: plane(g),
+                config: RuntimeConfig {
+                    seed,
+                    ..RuntimeConfig::default()
+                },
+                source: source(g, specs.len() as u32),
+                specs,
+                fault_plans: Vec::new(),
+                hb,
+                agent: None,
+            }
+        })
+        .collect()
+}
+
 /// Assemble ready-to-run group setups for `preset`: per-group GPU-tuned
 /// [`cluster_mix`] registries and [`OpenLoopArrivals`] sources emitting
 /// `per_group` invocations each at `rps` per group. `plane` builds each
@@ -258,94 +294,22 @@ pub fn group_setups(
 ) -> Vec<GroupSetup> {
     let n = preset.groups.len() as u32;
     let root = DetRng::new(seed).fork(0xA21);
-    preset
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(g, gs)| {
-            let specs = cluster_mix(gs.gpu);
-            let source = OpenLoopArrivals::new(
-                pattern,
-                rps,
-                per_group,
-                root.split(g as u64),
-                g as u32,
-                n,
-                specs.len() as u32,
-            );
-            GroupSetup {
-                topo: (gs.topo)(),
-                nodes: gs.nodes,
-                plane: plane(g),
-                config: RuntimeConfig {
-                    seed,
-                    ..RuntimeConfig::default()
-                },
-                specs,
-                source: Some(Box::new(source)),
-                fault_plans: Vec::new(),
-                hb: None,
-                agent: None,
-            }
-        })
-        .collect()
-}
-
-/// Service-mode arrival source: the whole open-loop stream enters at the
-/// router group's gateway (group [`ROUTER_GROUP`]); the router's
-/// heartbeat-view agent — not the trace — decides where each request runs.
-/// Workflow draws use the same RNG stream shape as [`OpenLoopArrivals`].
-pub struct ServiceArrivals {
-    gen: OpenLoopGen,
-    rng: DetRng,
-    router: u32,
-    specs: u32,
-    remaining: u64,
+    build_setups(preset, seed, None, plane, |g, specs| {
+        let rng = root.split(g as u64);
+        let source = OpenLoopArrivals::new(pattern, rps, per_group, rng, g as u32, n, specs);
+        Some(Box::new(source))
+    })
 }
 
 /// The group hosting the service-mode router (and its gateway).
 pub const ROUTER_GROUP: u32 = 0;
 
-impl ServiceArrivals {
-    pub fn new(
-        pattern: ArrivalPattern,
-        rps: f64,
-        count: u64,
-        rng: DetRng,
-        router: u32,
-        specs: u32,
-    ) -> ServiceArrivals {
-        assert!(specs > 0);
-        ServiceArrivals {
-            gen: OpenLoopGen::unbounded(pattern, rps, rng.split(0)),
-            rng: rng.split(1),
-            router,
-            specs,
-            remaining: count,
-        }
-    }
-}
-
-impl ArrivalSource for ServiceArrivals {
-    fn next(&mut self) -> Option<ClusterArrival> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let at: SimTime = self.gen.next()?;
-        let spec = self.rng.next_below(self.specs as u64) as u32;
-        Some(ClusterArrival {
-            at,
-            spec,
-            home: self.router,
-        })
-    }
-}
-
 /// Assemble service-mode group setups for `preset`: every group runs a
 /// heartbeat daemon publishing to the router group, and the single
 /// open-loop stream (`total` invocations at `rps`) enters at the router's
-/// gateway. The caller installs the router agent on
+/// gateway — an [`OpenLoopArrivals`] over one group, so every request is
+/// homed there and the router's heartbeat-view agent, not the trace,
+/// decides where it runs. The caller installs the router agent on
 /// `setups[ROUTER_GROUP as usize].agent` (the policy lives in
 /// `grouter-ctl`; this crate only wires the fabric).
 pub fn service_setups(
@@ -358,41 +322,17 @@ pub fn service_setups(
     plane: impl Fn(usize) -> Box<dyn DataPlane>,
 ) -> Vec<GroupSetup> {
     let root = DetRng::new(seed).fork(0xA22);
-    preset
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(g, gs)| {
-            let specs = cluster_mix(gs.gpu);
-            let source = (g as u32 == ROUTER_GROUP).then(|| {
-                Box::new(ServiceArrivals::new(
-                    pattern,
-                    rps,
-                    total,
-                    root.split(g as u64),
-                    ROUTER_GROUP,
-                    specs.len() as u32,
-                )) as Box<dyn ArrivalSource>
-            });
-            GroupSetup {
-                topo: (gs.topo)(),
-                nodes: gs.nodes,
-                plane: plane(g),
-                config: RuntimeConfig {
-                    seed,
-                    ..RuntimeConfig::default()
-                },
-                specs,
-                source,
-                fault_plans: Vec::new(),
-                hb: Some(grouter_runtime::HeartbeatConfig {
-                    to: ROUTER_GROUP,
-                    interval: hb_interval,
-                }),
-                agent: None,
-            }
+    let hb = grouter_runtime::HeartbeatConfig {
+        to: ROUTER_GROUP,
+        interval: hb_interval,
+    };
+    build_setups(preset, seed, Some(hb), plane, |g, specs| {
+        (g as u32 == ROUTER_GROUP).then(|| {
+            let rng = root.split(g as u64);
+            let source = OpenLoopArrivals::new(pattern, rps, total, rng, ROUTER_GROUP, 1, specs);
+            Box::new(source) as Box<dyn ArrivalSource>
         })
-        .collect()
+    })
 }
 
 #[cfg(test)]

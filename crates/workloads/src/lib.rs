@@ -23,6 +23,5 @@ pub mod models;
 pub use apps::{suite, WorkloadParams};
 pub use azure::{generate_trace, ArrivalPattern, OpenLoopGen};
 pub use cluster::{
-    cluster_mix, group_setups, service_setups, ClusterPreset, OpenLoopArrivals, ServiceArrivals,
-    ROUTER_GROUP,
+    cluster_mix, group_setups, service_setups, ClusterPreset, OpenLoopArrivals, ROUTER_GROUP,
 };

@@ -3,7 +3,7 @@
 //! *video* workflow, with and without GROUTER's `Rate_least` guarantees.
 //!
 //! ```text
-//! cargo run -p grouter-examples --bin bandwidth_partitioning --release
+//! cargo run -p grouter-examples --example bandwidth_partitioning --release
 //! ```
 
 use std::sync::Arc;

@@ -3,7 +3,7 @@
 //! how eviction policy and proactive restoration change tail latency.
 //!
 //! ```text
-//! cargo run -p grouter-examples --bin elastic_storage --release
+//! cargo run -p grouter-examples --example elastic_storage --release
 //! ```
 
 use std::sync::Arc;

@@ -3,7 +3,7 @@
 //! time-to-first-token (TTFT).
 //!
 //! ```text
-//! cargo run -p grouter-examples --bin llm_moa --release
+//! cargo run -p grouter-examples --example llm_moa --release
 //! ```
 
 use std::sync::Arc;

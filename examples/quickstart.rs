@@ -2,7 +2,7 @@
 //! compare GROUTER against the host-centric baseline.
 //!
 //! ```text
-//! cargo run -p grouter-examples --bin quickstart
+//! cargo run -p grouter-examples --example quickstart
 //! ```
 
 use std::sync::Arc;

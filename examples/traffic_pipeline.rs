@@ -2,7 +2,7 @@
 //! workflow under a bursty Azure-style trace, across all four data planes.
 //!
 //! ```text
-//! cargo run -p grouter-examples --bin traffic_pipeline --release
+//! cargo run -p grouter-examples --example traffic_pipeline --release
 //! ```
 
 use grouter::runtime::dataplane::DataPlane;

@@ -16,6 +16,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "==> cargo clippy --workspace --examples -- -D warnings"
+# The demos under examples/ are Cargo examples, which clippy's default
+# targets skip.
+cargo clippy --workspace --examples -- -D warnings
+
 echo "==> grouter-lint (workspace rules over crates/)"
 cargo run -q --release -p grouter-lint -- crates
 
