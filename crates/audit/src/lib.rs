@@ -66,6 +66,14 @@ pub fn every(counter: &'static str, period: u64) -> bool {
     fire
 }
 
+/// Put every sampler one call past a firing, so each [`every`] key stays
+/// quiet for its next `period - 1` calls. Tests that count what a code path
+/// itself costs (allocations, say) call it to keep the sampled checkers,
+/// which allocate on their own schedule, out of the measured window.
+pub fn quiet_samplers() {
+    lock(tick_registry()).values_mut().for_each(|t| *t = 1);
+}
+
 /// Run a checker: count the hit, and panic with a labelled audit violation
 /// if `ok` is false. The message closure only runs on failure.
 pub fn check(checker: &'static str, ok: bool, msg: impl FnOnce() -> String) {

@@ -274,7 +274,7 @@ mod tests {
                 rates: &mut self.rates,
                 now: SimTime::ZERO,
                 slo: None,
-                trace: grouter_obs::Recorder::disabled(),
+                trace: &grouter_obs::DISABLED,
             }
         }
     }

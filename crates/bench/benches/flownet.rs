@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use grouter::sim::time::SimTime;
-use grouter::sim::{FlowNet, FlowOptions, LinkId, ReferenceNet};
+use grouter::sim::{FlowNet, FlowOptions, LinkId, LinkPath, ReferenceNet};
 use grouter::topology::{presets, Topology};
 
 const CHUNK_BYTES: f64 = 2e6; // GROUTER's 2 MB chunk granularity
@@ -32,7 +32,7 @@ fn nodes_for(flows: usize) -> usize {
 /// A pool of realistic transfer paths: per GPU d2h and h2d (PCIe + DRAM),
 /// plus every directed NVLink edge. Round-robin assignment spreads flows
 /// over nodes, so churn on one node leaves the others' components alone.
-fn path_pool(topo: &Topology) -> Vec<Vec<LinkId>> {
+fn path_pool(topo: &Topology) -> Vec<LinkPath> {
     let mut pool = Vec::new();
     for node in 0..topo.num_nodes() {
         for gpu in 0..topo.gpus_per_node() {
@@ -68,7 +68,7 @@ fn bench_incremental(c: &mut Criterion, flows: usize) {
         let f = net
             .start_flow(
                 SimTime::ZERO,
-                pool[i % pool.len()].clone(),
+                pool[i % pool.len()],
                 CHUNK_BYTES,
                 flow_opts(i),
             )
@@ -83,7 +83,7 @@ fn bench_incremental(c: &mut Criterion, flows: usize) {
             let f = net
                 .start_flow(
                     SimTime::ZERO,
-                    pool[next % pool.len()].clone(),
+                    pool[next % pool.len()],
                     CHUNK_BYTES,
                     flow_opts(next),
                 )
@@ -112,7 +112,7 @@ fn bench_reference(c: &mut Criterion, flows: usize) {
         let f = net
             .start_flow(
                 SimTime::ZERO,
-                pool[i % pool.len()].clone(),
+                pool[i % pool.len()].to_vec(),
                 CHUNK_BYTES,
                 flow_opts(i),
             )
@@ -127,7 +127,7 @@ fn bench_reference(c: &mut Criterion, flows: usize) {
             let f = net
                 .start_flow(
                     SimTime::ZERO,
-                    pool[next % pool.len()].clone(),
+                    pool[next % pool.len()].to_vec(),
                     CHUNK_BYTES,
                     flow_opts(next),
                 )

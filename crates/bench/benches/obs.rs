@@ -27,7 +27,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, Criterion};
 
 use grouter::sim::time::SimTime;
-use grouter::sim::{FlowId, FlowNet, FlowOptions, LinkId};
+use grouter::sim::{FlowId, FlowNet, FlowOptions, LinkPath};
 use grouter::topology::{presets, Topology};
 use grouter_obs::Recorder;
 
@@ -38,7 +38,7 @@ fn nodes_for(flows: usize) -> usize {
     (flows / 64).max(1)
 }
 
-fn path_pool(topo: &Topology) -> Vec<Vec<LinkId>> {
+fn path_pool(topo: &Topology) -> Vec<LinkPath> {
     let mut pool = Vec::new();
     for node in 0..topo.num_nodes() {
         for gpu in 0..topo.gpus_per_node() {
@@ -65,7 +65,7 @@ fn flow_opts(i: usize) -> FlowOptions {
 /// A steady-state 1k-flow churn population with a given recorder wiring.
 struct ChurnState {
     net: FlowNet,
-    pool: Vec<Vec<LinkId>>,
+    pool: Vec<LinkPath>,
     live: VecDeque<FlowId>,
     next: usize,
 }
@@ -81,7 +81,7 @@ impl ChurnState {
             let f = net
                 .start_flow(
                     SimTime::ZERO,
-                    pool[i % pool.len()].clone(),
+                    pool[i % pool.len()],
                     CHUNK_BYTES,
                     flow_opts(i),
                 )
@@ -105,7 +105,7 @@ impl ChurnState {
             .net
             .start_flow(
                 SimTime::ZERO,
-                self.pool[self.next % self.pool.len()].clone(),
+                self.pool[self.next % self.pool.len()],
                 CHUNK_BYTES,
                 flow_opts(self.next),
             )

@@ -53,7 +53,7 @@ impl Probe {
             rates: &mut self.rates,
             now: SimTime::ZERO,
             slo: None,
-            trace: grouter_obs::Recorder::disabled(),
+            trace: &grouter_obs::DISABLED,
         }
     }
 }

@@ -28,8 +28,8 @@ use grouter_sim::time::SimDuration;
 use grouter_store::{AccessToken, DataId, Location, StoreError};
 use grouter_topology::GpuRef;
 use grouter_transfer::plan::{
-    plan_cross_node, plan_d2h, plan_h2d, plan_host_to_host, plan_intra_node, plan_shm, PlannedFlow,
-    TransferPlan,
+    nvlink_route_links, plan_cross_node, plan_d2h, plan_h2d, plan_host_to_host, plan_intra_node,
+    plan_shm, PlannedFlow, TransferPlan,
 };
 
 use crate::config::GrouterConfig;
@@ -182,18 +182,23 @@ impl GrouterPlane {
         // without an NVLink edge cannot happen while the path cache is
         // epoch-coherent with the topology; if it ever does, that path is
         // dropped and planning degrades rather than crashing the data plane.
-        let routed: Vec<(grouter_topology::NvPath, Vec<grouter_sim::LinkId>)> = sel
+        // Routes move into the planned flows instead of being re-cloned per
+        // path, and each flow carries its selected rate as the capacity its
+        // byte share is split by.
+        let mut flows: Vec<PlannedFlow> = sel
             .paths
             .into_iter()
             .filter_map(|p| {
-                let mut links = Vec::new();
-                for hop in p.gpus.windows(2) {
-                    links.extend(ctx.topo.nvlink_edge(node, hop[0], hop[1])?);
-                }
-                Some((p, links))
+                Some(PlannedFlow {
+                    links: nvlink_route_links(ctx.topo, node, &p.gpus)?,
+                    bytes: p.rate,
+                    opts: Default::default(),
+                    nv_reservation: None, // the ledger owns the reservation
+                    route: Some(p.gpus),
+                })
             })
             .collect();
-        if routed.is_empty() {
+        if flows.is_empty() {
             // No NVLink route (all masked out by failures, or none existed):
             // fall back to the single-path planner (PCIe peer-to-peer or
             // shortest route). The leg is typed Degraded so the executor's
@@ -215,21 +220,7 @@ impl GrouterPlane {
             self.stats.degraded_legs += 1;
             return leg;
         }
-        let caps: Vec<f64> = routed.iter().map(|(p, _)| p.rate).collect();
-        let shares = grouter_transfer::chunk::proportional_split(bytes, &caps);
-        // Consume the selection: routes move into the planned flows instead
-        // of being re-cloned per path.
-        let flows: Vec<PlannedFlow> = routed
-            .into_iter()
-            .zip(shares)
-            .map(|((p, links), share)| PlannedFlow {
-                links,
-                bytes: share,
-                opts: Default::default(),
-                nv_reservation: None, // the ledger owns the reservation
-                route: Some(p.gpus),
-            })
-            .collect();
+        grouter_transfer::chunk::split_in_place(bytes, &mut flows, |f| &mut f.bytes);
         let plan = TransferPlan {
             flows,
             setup: params::IPC_MAP_FIRST + params::DMA_LAUNCH + params::CHUNK_OVERHEAD,

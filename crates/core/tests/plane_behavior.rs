@@ -103,7 +103,7 @@ impl PlaneRig {
             rates: &mut self.rates,
             now: SimTime::ZERO,
             slo: None,
-            trace: grouter_obs::Recorder::disabled(),
+            trace: &grouter_obs::DISABLED,
         }
     }
 }

@@ -140,12 +140,14 @@ impl RouterAgent for HeartbeatRouter {
         }
         v.routed_since += 1;
         self.routed += 1;
-        rec.instant(
-            Comp::Ctl,
-            "route",
-            Ids::NONE,
-            vec![("spec", spec.into()), ("group", g.into())],
-        );
+        if rec.on(Comp::Ctl) {
+            rec.instant(
+                Comp::Ctl,
+                "route",
+                Ids::NONE,
+                vec![("spec", spec.into()), ("group", g.into())],
+            );
+        }
         // grouter-lint: allow(no-panic-in-dataplane): fmt::Write to String cannot fail
         writeln!(
             self.log,

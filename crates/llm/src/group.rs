@@ -222,7 +222,7 @@ impl GroupState {
             rates,
             now,
             slo: None,
-            trace: grouter_obs::Recorder::disabled(),
+            trace: &grouter_obs::DISABLED,
         };
         f(plane.as_mut(), &mut ctx)
     }

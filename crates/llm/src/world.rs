@@ -115,6 +115,9 @@ pub struct LlmWorld {
     pub role: Role,
     outbox: Vec<Envelope<Msg>>,
     seq: u64,
+    /// A group's side-effect buffer, drained by `apply_actions` and reused
+    /// by the next event.
+    acts: Actions,
 }
 
 impl LlmWorld {
@@ -125,6 +128,7 @@ impl LlmWorld {
             role: Role::Router(Box::new(state)),
             outbox: Vec::new(),
             seq: 0,
+            acts: Actions::default(),
         }
     }
 
@@ -135,6 +139,7 @@ impl LlmWorld {
             role: Role::Group(Box::new(state)),
             outbox: Vec::new(),
             seq: 0,
+            acts: Actions::default(),
         }
     }
 
@@ -165,19 +170,20 @@ impl LlmWorld {
     }
 
     /// Apply a group's side effects: local schedules plus envelopes to the
-    /// router.
-    fn apply_actions(&mut self, sched: &mut Scheduler<Self>, now: SimTime, acts: Actions) {
+    /// router. The drained buffer goes back to `self.acts` for reuse.
+    fn apply_actions(&mut self, sched: &mut Scheduler<Self>, now: SimTime, mut acts: Actions) {
         let group = self.shard as usize - 1;
-        for (at, ev) in acts.schedule {
+        for (at, ev) in acts.schedule.drain(..) {
             sched.schedule_at(at, Ev::Group(ev));
         }
-        for out in acts.send {
+        for out in acts.send.drain(..) {
             let msg = match out {
                 GroupOut::View(view) => Msg::View { group, view },
                 GroupOut::Done { rid, ok } => Msg::Done { rid, ok },
             };
             self.send(now, 0, msg);
         }
+        self.acts = acts;
     }
 
     // ------------------------------------------------------------------
@@ -262,7 +268,7 @@ impl EventWorld for LlmWorld {
                 let Role::Group(g) = &mut self.role else {
                     return;
                 };
-                let mut acts = Actions::default();
+                let mut acts = std::mem::take(&mut self.acts);
                 match gev {
                     GroupEv::PrefillDone { rid } => g.prefill_done(now, rid, &mut acts),
                     GroupEv::HandoffDone { rid } => g.handoff_done(now, rid, &mut acts),
@@ -276,7 +282,7 @@ impl EventWorld for LlmWorld {
                 let Role::Group(g) = &mut self.role else {
                     return;
                 };
-                let mut acts = Actions::default();
+                let mut acts = std::mem::take(&mut self.acts);
                 g.admit(now, rid, spec, arrival, &mut acts);
                 self.apply_actions(sched, now, acts);
             }

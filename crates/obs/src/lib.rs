@@ -446,6 +446,10 @@ impl Trace {
 #[derive(Clone)]
 pub struct Recorder(Option<Arc<Inner>>);
 
+/// A disabled recorder for code that needs `&Recorder` with no recorder of
+/// its own to borrow.
+pub static DISABLED: Recorder = Recorder::disabled();
+
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.0 {

@@ -114,9 +114,9 @@ pub struct PlaneCtx<'a> {
     /// guarantees of §4.3.2.
     pub slo: Option<SloSpec>,
     /// Trace recorder for plane-level decisions (route-GPU picks, rate
-    /// clamps). Cheap shared handle; `Recorder::disabled()` for hand-built
-    /// contexts.
-    pub trace: grouter_obs::Recorder,
+    /// clamps), borrowed from the world; hand-built contexts borrow
+    /// [`grouter_obs::DISABLED`].
+    pub trace: &'a grouter_obs::Recorder,
 }
 
 impl<'a> PlaneCtx<'a> {

@@ -16,7 +16,6 @@ use std::sync::Arc;
 use grouter_sim::engine::{Scheduler, Simulation};
 use grouter_sim::params;
 use grouter_sim::time::{SimDuration, SimTime};
-use grouter_store::patterns::DataPassPattern;
 use grouter_store::{AccessToken, DataId, FunctionId, Location, WorkflowId};
 use grouter_topology::graph::TopologySpec;
 use grouter_transfer::exec::BeginOutcome;
@@ -364,7 +363,7 @@ pub(crate) fn with_plane<R>(
             rates: &mut w.rates,
             now,
             slo,
-            trace: w.rec.clone(),
+            trace: &w.rec,
         };
         f(plane.as_mut(), &mut ctx)
     };
@@ -393,21 +392,6 @@ fn edge_category(producer_is_gfn: bool, consumer_is_gfn: bool) -> PassCategory {
         (true, true) => PassCategory::GpuGpu,
         (false, false) => PassCategory::HostHost,
         _ => PassCategory::GpuHost,
-    }
-}
-
-#[allow(dead_code)]
-fn pass_category(pattern: DataPassPattern) -> PassCategory {
-    match pattern {
-        DataPassPattern::ZeroCopy
-        | DataPassPattern::IntraNodeGpu { .. }
-        | DataPassPattern::CrossNodeGpu { .. } => PassCategory::GpuGpu,
-        DataPassPattern::HostToGpu { .. } | DataPassPattern::GpuToHost { .. } => {
-            PassCategory::GpuHost
-        }
-        DataPassPattern::HostLocal { .. } | DataPassPattern::HostCross { .. } => {
-            PassCategory::HostHost
-        }
     }
 }
 
@@ -1090,15 +1074,9 @@ fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
     w.net.begin_batch();
     for (node, rb) in &leg.reroutes {
         if let Some(fid) = w.nv_flow_index.find(*node, &rb.old) {
-            let mut links = Vec::new();
-            for hop in rb.new.windows(2) {
-                links.extend(
-                    w.topo
-                        .nvlink_edge(*node, hop[0], hop[1])
-                        // grouter-lint: allow(no-panic-in-dataplane): ledger rebalances route over edges of the live topology
-                        .expect("rebalance routes use existing edges"),
-                );
-            }
+            let links = grouter_transfer::plan::nvlink_route_links(&w.topo, *node, &rb.new)
+                // grouter-lint: allow(no-panic-in-dataplane): ledger rebalances route over edges of the live topology
+                .expect("rebalance routes use existing edges");
             w.net
                 .reroute_flow(now, fid, links)
                 // grouter-lint: allow(no-panic-in-dataplane): the flow id comes from nv_flow_index, which tracks only live flows

@@ -60,6 +60,129 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LinkId(pub u32);
 
+/// An ordered link sequence stored inline, so building, copying and
+/// dropping a path never touches the allocator. Derefs to `&[LinkId]`.
+///
+/// The longest path the transfer planners build on the shipped presets is
+/// 8 links (cross-node GPUDirect RDMA with NVLink legs on both sides);
+/// [`LinkPath::CAPACITY`] leaves twice that.
+#[derive(Clone, Copy)]
+pub struct LinkPath {
+    len: u8,
+    links: [LinkId; LinkPath::CAPACITY],
+}
+
+/// A [`LinkPath`] append that would exceed [`LinkPath::CAPACITY`]; the path
+/// is left unchanged.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PathTooLong;
+
+impl std::fmt::Display for PathTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "link path exceeds {} links", LinkPath::CAPACITY)
+    }
+}
+
+impl std::error::Error for PathTooLong {}
+
+impl LinkPath {
+    /// Most links one path holds.
+    pub const CAPACITY: usize = 16;
+
+    /// The empty path.
+    pub const fn new() -> LinkPath {
+        LinkPath {
+            len: 0,
+            links: [LinkId(0); LinkPath::CAPACITY],
+        }
+    }
+
+    /// Append `links` in order; all or nothing.
+    pub fn extend_from_slice(&mut self, links: &[LinkId]) -> Result<(), PathTooLong> {
+        let start = usize::from(self.len);
+        let end = start + links.len();
+        let dst = self.links.get_mut(start..end).ok_or(PathTooLong)?;
+        dst.copy_from_slice(links);
+        self.len = u8::try_from(end).map_err(|_| PathTooLong)?;
+        Ok(())
+    }
+}
+
+impl Default for LinkPath {
+    fn default() -> Self {
+        LinkPath::new()
+    }
+}
+
+impl std::ops::Deref for LinkPath {
+    type Target = [LinkId];
+
+    #[inline]
+    fn deref(&self) -> &[LinkId] {
+        self.links.get(..usize::from(self.len)).unwrap_or_default()
+    }
+}
+
+impl AsRef<[LinkId]> for LinkPath {
+    fn as_ref(&self) -> &[LinkId] {
+        self
+    }
+}
+
+impl IntoIterator for LinkPath {
+    type Item = LinkId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<LinkId, { LinkPath::CAPACITY }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.links.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a> IntoIterator for &'a LinkPath {
+    type Item = &'a LinkId;
+    type IntoIter = std::slice::Iter<'a, LinkId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Compile-time proof that an `N`-link array fits a [`LinkPath`].
+struct Fits<const N: usize>;
+
+impl<const N: usize> Fits<N> {
+    const OK: () = assert!(
+        N <= LinkPath::CAPACITY,
+        "array longer than LinkPath::CAPACITY"
+    );
+}
+
+/// Builds a path of at most [`LinkPath::CAPACITY`] links; a longer array
+/// does not compile.
+impl<const N: usize> From<[LinkId; N]> for LinkPath {
+    fn from(links: [LinkId; N]) -> LinkPath {
+        let () = Fits::<N>::OK;
+        let mut path = LinkPath::new();
+        // Cannot fail: `Fits` checked the length at compile time.
+        let _ = path.extend_from_slice(&links);
+        path
+    }
+}
+
+impl PartialEq for LinkPath {
+    fn eq(&self, other: &LinkPath) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for LinkPath {}
+
+impl std::fmt::Debug for LinkPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Identifies a flow inside one [`FlowNet`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FlowId(pub u64);
@@ -382,38 +505,21 @@ impl FlowNet {
 
     /// Start transferring `bytes` over `path`. Progress is settled to `now`
     /// first, then rates are recomputed for the affected contention
-    /// component.
+    /// component. The path is copied into a recycled slot buffer, so a
+    /// steady-state start allocates nothing.
     pub fn start_flow(
         &mut self,
         now: SimTime,
-        path: Vec<LinkId>,
+        path: impl AsRef<[LinkId]>,
         bytes: f64,
         opts: FlowOptions,
     ) -> Result<FlowId, FlowNetError> {
-        if path.is_empty() {
-            return Err(FlowNetError::EmptyPath);
-        }
-        for &l in &path {
-            if l.0 as usize >= self.links.len() {
-                return Err(FlowNetError::UnknownLink(l));
-            }
-        }
+        let path = path.as_ref();
+        self.check_path(path)?;
         self.advance_clock(now);
         let id = self.next_id;
         self.next_id += 1;
-        let floor = opts.floor.max(0.0);
-        let slot_idx = self.alloc_slot(Slot {
-            id,
-            path,
-            member_pos: Vec::new(),
-            remaining: bytes.max(0.0),
-            rate: 0.0,
-            floor,
-            cap: normalize_cap(opts.cap),
-            weight: if opts.weight > 0.0 { opts.weight } else { 1.0 },
-            settled_at: self.now,
-            stamp: 0,
-        });
+        let slot_idx = self.alloc_slot(id, path, bytes, opts);
         self.attach_members(slot_idx);
         self.id_index.insert(id, slot_idx);
         self.live_flows += 1;
@@ -491,34 +597,29 @@ impl FlowNet {
         &mut self,
         now: SimTime,
         id: FlowId,
-        new_path: Vec<LinkId>,
+        new_path: impl AsRef<[LinkId]>,
     ) -> Result<(), FlowNetError> {
-        if new_path.is_empty() {
-            return Err(FlowNetError::EmptyPath);
-        }
-        for &l in &new_path {
-            if l.0 as usize >= self.links.len() {
-                return Err(FlowNetError::UnknownLink(l));
-            }
-        }
+        let new_path = new_path.as_ref();
+        self.check_path(new_path)?;
         let slot = *self
             .id_index
             .get(&id.0)
             .ok_or(FlowNetError::UnknownFlow(id))?;
         self.advance_clock(now);
         self.settle_slot(slot);
-        let old_links: Vec<u32> = {
-            let s = &mut self.slots[slot as usize];
-            s.path.iter().map(|l| l.0).collect()
-        };
+        let mut old_links = std::mem::take(&mut self.scratch.freed_links);
+        old_links.clear();
+        old_links.extend(self.slots[slot as usize].path.iter().map(|l| l.0));
         self.detach_members(slot);
         {
             let s = &mut self.slots[slot as usize];
-            s.path = new_path;
-            s.member_pos.clear();
+            s.path.clear();
+            s.path.extend_from_slice(new_path);
         }
         self.attach_members(slot);
         self.recompute_scoped(&[slot], &old_links);
+        old_links.clear();
+        self.scratch.freed_links = old_links;
         Ok(())
     }
 
@@ -653,18 +754,53 @@ impl FlowNet {
         }
     }
 
-    fn alloc_slot(&mut self, slot: Slot) -> u32 {
-        match self.free_slots.pop() {
-            Some(idx) => {
-                self.slots[idx as usize] = slot;
-                idx
-            }
+    /// Fill a free slot with a new flow (members not yet attached). A
+    /// recycled slot keeps its `path` and `member_pos` buffers (cleared on
+    /// removal), sized on creation for any [`LinkPath`], so steady-state
+    /// starts allocate nothing.
+    fn alloc_slot(&mut self, id: u64, path: &[LinkId], bytes: f64, opts: FlowOptions) -> u32 {
+        let idx = match self.free_slots.pop() {
+            Some(idx) => idx,
             None => {
-                self.slots.push(slot);
+                self.slots.push(Slot {
+                    id: FREE,
+                    path: Vec::with_capacity(LinkPath::CAPACITY),
+                    member_pos: Vec::with_capacity(LinkPath::CAPACITY),
+                    remaining: 0.0,
+                    rate: 0.0,
+                    floor: 0.0,
+                    cap: f64::INFINITY,
+                    weight: 1.0,
+                    settled_at: SimTime::ZERO,
+                    stamp: 0,
+                });
                 self.scratch.flow_seen.push(0);
                 self.scratch.flow_local.push(0);
                 (self.slots.len() - 1) as u32
             }
+        };
+        let s = &mut self.slots[idx as usize];
+        s.id = id;
+        s.path.clear();
+        s.path.extend_from_slice(path);
+        s.remaining = bytes.max(0.0);
+        s.rate = 0.0;
+        s.floor = opts.floor.max(0.0);
+        s.cap = normalize_cap(opts.cap);
+        s.weight = if opts.weight > 0.0 { opts.weight } else { 1.0 };
+        s.settled_at = self.now;
+        s.stamp = 0;
+        idx
+    }
+
+    /// A flow path must be non-empty and name only known links.
+    fn check_path(&self, path: &[LinkId]) -> Result<(), FlowNetError> {
+        if path.is_empty() {
+            return Err(FlowNetError::EmptyPath);
+        }
+        match path.iter().find(|l| l.0 as usize >= self.links.len()) {
+            Some(&l) => Err(FlowNetError::UnknownLink(l)),
+            None => Ok(()),
         }
     }
 
@@ -1817,6 +1953,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn link_path_appends_keep_their_order() {
+        let mut p = LinkPath::new();
+        assert!(p.is_empty());
+        p.extend_from_slice(&[LinkId(3)]).unwrap();
+        p.extend_from_slice(&[LinkId(1), LinkId(2)]).unwrap();
+        p.extend_from_slice(&[LinkId(0)]).unwrap();
+        let want = [LinkId(3), LinkId(1), LinkId(2), LinkId(0)];
+        assert_eq!(&*p, &want);
+        assert_eq!(p.into_iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn link_path_equals_the_slice_it_was_built_from() {
+        let links: Vec<LinkId> = (0..5).map(LinkId).collect();
+        let mut p = LinkPath::new();
+        p.extend_from_slice(&links).unwrap();
+        assert_eq!(&*p, links.as_slice());
+        let array = LinkPath::from([LinkId(0), LinkId(1), LinkId(2), LinkId(3), LinkId(4)]);
+        assert_eq!(p, array);
+        assert_ne!(p, LinkPath::from([LinkId(0)]));
+    }
+
+    #[test]
+    fn full_link_path_refuses_one_more_link_unchanged() {
+        let mut p = LinkPath::new();
+        for i in 0..LinkPath::CAPACITY {
+            p.extend_from_slice(&[LinkId(i as u32)]).unwrap();
+        }
+        let before = p;
+        assert_eq!(p.extend_from_slice(&[LinkId(99)]), Err(PathTooLong));
+        assert_eq!(p, before);
+        assert_eq!(p.len(), LinkPath::CAPACITY);
+        // An append that only partly fits is refused whole.
+        let mut q = LinkPath::from([LinkId(1); 10]);
+        let over = [LinkId(2); LinkPath::CAPACITY - 9];
+        assert_eq!(q.extend_from_slice(&over), Err(PathTooLong));
+        assert_eq!(&*q, &[LinkId(1); 10]);
     }
 }
 

@@ -42,7 +42,7 @@ pub mod time;
 
 pub use engine::{EventWorld, Scheduler, Simulation};
 pub use fault::{FaultDomain, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
-pub use flownet::{FlowId, FlowNet, FlowNetError, FlowOptions, LinkId};
+pub use flownet::{FlowId, FlowNet, FlowNetError, FlowOptions, LinkId, LinkPath, PathTooLong};
 pub use flownet_ref::ReferenceNet;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use shard::{Envelope, RunStats, ShardWorld, ShardedEngine};

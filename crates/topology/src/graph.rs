@@ -17,7 +17,7 @@
 //! * **Host memory** — DRAM read/write links plus an intra-host shared-memory
 //!   link for cFn–cFn exchanges.
 
-use grouter_sim::{FlowNet, LinkId};
+use grouter_sim::{FlowNet, LinkId, LinkPath};
 
 /// Globally identifies a GPU: `(server node, local index)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -338,15 +338,18 @@ impl Topology {
     }
 
     /// Directed single-hop NVLink path `a → b` on `node`, if connected.
-    pub fn nvlink_edge(&self, node: usize, a: usize, b: usize) -> Option<Vec<LinkId>> {
+    pub fn nvlink_edge(&self, node: usize, a: usize, b: usize) -> Option<LinkPath> {
         if a == b {
             return None;
         }
         let links = &self.nodes[node];
         if self.has_nvswitch() {
-            return Some(vec![links.switch_egress[a], links.switch_ingress[b]]);
+            return Some(LinkPath::from([
+                links.switch_egress[a],
+                links.switch_ingress[b],
+            ]));
         }
-        links.nvlink[a * self.spec.gpus_per_node + b].map(|l| vec![l])
+        links.nvlink[a * self.spec.gpus_per_node + b].map(|l| LinkPath::from([l]))
     }
 
     /// GPUs directly NVLink-connected to `a`, ascending index (empty on
@@ -364,62 +367,56 @@ impl Topology {
     }
 
     /// Device-to-host path: GPU segment → switch uplink → DRAM write.
-    pub fn d2h_path(&self, node: usize, gpu: usize) -> Vec<LinkId> {
+    pub fn d2h_path(&self, node: usize, gpu: usize) -> LinkPath {
         let links = &self.nodes[node];
         let sw = self.spec.switch_of[gpu];
-        vec![links.pcie_up[gpu], links.uplink_up[sw], links.dram_w]
+        LinkPath::from([links.pcie_up[gpu], links.uplink_up[sw], links.dram_w])
     }
 
     /// Host-to-device path: DRAM read → switch downlink → GPU segment.
-    pub fn h2d_path(&self, node: usize, gpu: usize) -> Vec<LinkId> {
+    pub fn h2d_path(&self, node: usize, gpu: usize) -> LinkPath {
         let links = &self.nodes[node];
         let sw = self.spec.switch_of[gpu];
-        vec![links.dram_r, links.uplink_down[sw], links.pcie_down[gpu]]
+        LinkPath::from([links.dram_r, links.uplink_down[sw], links.pcie_down[gpu]])
     }
 
     /// PCIe peer-to-peer path `a → b` (the only gFn–gFn route on machines
     /// without NVLink). Same-switch pairs stay inside the switch; otherwise
     /// the transfer crosses the host bridge via both uplinks.
-    pub fn pcie_p2p_path(&self, node: usize, a: usize, b: usize) -> Vec<LinkId> {
+    pub fn pcie_p2p_path(&self, node: usize, a: usize, b: usize) -> LinkPath {
         assert_ne!(a, b, "p2p path requires distinct GPUs");
         let links = &self.nodes[node];
         let (sa, sb) = (self.spec.switch_of[a], self.spec.switch_of[b]);
-        let mut path = vec![links.pcie_up[a]];
-        if sa != sb {
-            path.push(links.uplink_up[sa]);
-            path.push(links.uplink_down[sb]);
+        let (up, down) = (links.pcie_up[a], links.pcie_down[b]);
+        if sa == sb {
+            return LinkPath::from([up, down]);
         }
-        path.push(links.pcie_down[b]);
-        path
+        LinkPath::from([up, links.uplink_up[sa], links.uplink_down[sb], down])
     }
 
     /// Sender half of a GPUDirect RDMA path: GPU `gpu` pushes through its
     /// PCIe segment into `nic`. Switch-local NICs are reached peer-to-peer
     /// under the switch; a NIC on another switch costs both host-bridge
     /// uplinks (the congestion GROUTER's NIC-route selection avoids).
-    pub fn gdr_tx_path(&self, node: usize, gpu: usize, nic: usize) -> Vec<LinkId> {
+    pub fn gdr_tx_path(&self, node: usize, gpu: usize, nic: usize) -> LinkPath {
         let links = &self.nodes[node];
         let (sg, sn) = (self.spec.switch_of[gpu], self.spec.nics[nic].0);
-        let mut p = vec![links.pcie_up[gpu]];
-        if sg != sn {
-            p.push(links.uplink_up[sg]);
-            p.push(links.uplink_down[sn]);
+        let (up, tx) = (links.pcie_up[gpu], links.nic_tx[nic]);
+        if sg == sn {
+            return LinkPath::from([up, tx]);
         }
-        p.push(links.nic_tx[nic]);
-        p
+        LinkPath::from([up, links.uplink_up[sg], links.uplink_down[sn], tx])
     }
 
     /// Receiver half of a GPUDirect RDMA path: `nic` writes into GPU `gpu`.
-    pub fn gdr_rx_path(&self, node: usize, gpu: usize, nic: usize) -> Vec<LinkId> {
+    pub fn gdr_rx_path(&self, node: usize, gpu: usize, nic: usize) -> LinkPath {
         let links = &self.nodes[node];
         let (sg, sn) = (self.spec.switch_of[gpu], self.spec.nics[nic].0);
-        let mut p = vec![links.nic_rx[nic]];
-        if sg != sn {
-            p.push(links.uplink_up[sn]);
-            p.push(links.uplink_down[sg]);
+        let (rx, down) = (links.nic_rx[nic], links.pcie_down[gpu]);
+        if sg == sn {
+            return LinkPath::from([rx, down]);
         }
-        p.push(links.pcie_down[gpu]);
-        p
+        LinkPath::from([rx, links.uplink_up[sn], links.uplink_down[sg], down])
     }
 
     /// Shortest NVLink route `a → b` on one node as a GPU sequence
@@ -540,34 +537,30 @@ impl Topology {
 
     /// Full cross-node GDR path `src → dst` over the given NICs (the fabric
     /// between NICs is assumed non-blocking, as on AWS EFA placements).
-    pub fn gdr_path(
-        &self,
-        src: GpuRef,
-        src_nic: usize,
-        dst: GpuRef,
-        dst_nic: usize,
-    ) -> Vec<LinkId> {
+    pub fn gdr_path(&self, src: GpuRef, src_nic: usize, dst: GpuRef, dst_nic: usize) -> LinkPath {
         assert_ne!(src.node, dst.node, "GDR path is cross-node");
         let mut p = self.gdr_tx_path(src.node, src.gpu, src_nic);
-        p.extend(self.gdr_rx_path(dst.node, dst.gpu, dst_nic));
+        let rx = self.gdr_rx_path(dst.node, dst.gpu, dst_nic);
+        // Cannot fail: each half is at most 4 links.
+        let _ = p.extend_from_slice(&rx);
         p
     }
 
     /// Host-to-host network path (host-centric cross-node data passing):
     /// DRAM read → NIC tx → NIC rx → DRAM write.
-    pub fn host_net_path(&self, src_node: usize, dst_node: usize, nic: usize) -> Vec<LinkId> {
+    pub fn host_net_path(&self, src_node: usize, dst_node: usize, nic: usize) -> LinkPath {
         assert_ne!(src_node, dst_node, "host network path is cross-node");
-        vec![
+        LinkPath::from([
             self.nodes[src_node].dram_r,
             self.nodes[src_node].nic_tx[nic],
             self.nodes[dst_node].nic_rx[nic],
             self.nodes[dst_node].dram_w,
-        ]
+        ])
     }
 
     /// Intra-host shared-memory path (cFn–cFn).
-    pub fn shm_path(&self, node: usize) -> Vec<LinkId> {
-        vec![self.nodes[node].shm]
+    pub fn shm_path(&self, node: usize) -> LinkPath {
+        LinkPath::from([self.nodes[node].shm])
     }
 
     /// The undirected NVLink pair list `(a, b, bw)` (empty for NVSwitch).

@@ -51,14 +51,29 @@ impl ChunkPlan {
 /// per capacity; shares sum to `bytes`. Paths with non-positive capacity get
 /// zero.
 pub fn proportional_split(bytes: f64, capacities: &[f64]) -> Vec<f64> {
-    let total: f64 = capacities.iter().filter(|&&c| c > 0.0).sum();
+    let mut shares = capacities.to_vec();
+    split_in_place(bytes, &mut shares, |c| c);
+    shares
+}
+
+/// [`proportional_split`] over the items' own fields: `field` reaches each
+/// item's capacity, which is overwritten with its share. The planners keep
+/// a candidate flow's capacity in its byte count, so a plan is split
+/// without side vectors.
+pub fn split_in_place<T>(bytes: f64, items: &mut [T], field: impl Fn(&mut T) -> &mut f64) {
+    let total: f64 = items
+        .iter_mut()
+        .map(|t| *field(t))
+        .filter(|&c| c > 0.0)
+        .sum();
     if total <= 0.0 {
-        return vec![0.0; capacities.len()];
+        items.iter_mut().for_each(|t| *field(t) = 0.0);
+        return;
     }
-    capacities
-        .iter()
-        .map(|&c| if c > 0.0 { bytes * c / total } else { 0.0 })
-        .collect()
+    for t in items {
+        let c = field(t);
+        *c = if *c > 0.0 { bytes * *c / total } else { 0.0 };
+    }
 }
 
 #[cfg(test)]

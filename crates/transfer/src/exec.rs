@@ -277,7 +277,9 @@ impl TransferEngine {
             }
             if entry.pending.is_empty() {
                 if let Some(act) = self.active.remove(&tid) {
-                    self.rec.end(act.span, vec![("bytes", act.bytes.into())]);
+                    if act.span != 0 {
+                        self.rec.end(act.span, vec![("bytes", act.bytes.into())]);
+                    }
                     finished.push(TransferDone {
                         id: TransferId(tid),
                         started: act.started,

@@ -11,7 +11,7 @@
 //! awareness), selected through [`PlanConfig`].
 
 use grouter_sim::time::SimDuration;
-use grouter_sim::{params, FlowNet, FlowOptions, LinkId};
+use grouter_sim::{params, FlowNet, FlowOptions, LinkId, LinkPath, PathTooLong};
 use grouter_topology::{GpuRef, PathSelector, Topology};
 
 /// Feature switches for the planners (the ablation knobs of Fig. 16 map to
@@ -76,7 +76,7 @@ impl PlanConfig {
 #[derive(Clone, Debug)]
 pub struct PlannedFlow {
     /// Ordered links the bytes traverse.
-    pub links: Vec<LinkId>,
+    pub links: LinkPath,
     /// Bytes assigned to this path.
     pub bytes: f64,
     /// Rate constraints (rewritten by the SLO controller where applicable).
@@ -122,33 +122,43 @@ impl TransferPlan {
     }
 }
 
-/// A candidate link path, optionally backed by an NVLink bandwidth
-/// reservation `(GPU route, reserved rate)`.
-type CandidatePath = (Vec<LinkId>, Option<(Vec<usize>, f64)>);
+/// A candidate flow over `links` with no NVLink reservation. Its `bytes`
+/// holds the path's bottleneck capacity until [`share_by_capacity`]
+/// replaces it with the flow's share.
+fn candidate(net: &FlowNet, links: LinkPath) -> PlannedFlow {
+    PlannedFlow {
+        bytes: path_capacity(net, &links),
+        links,
+        opts: FlowOptions::default(),
+        nv_reservation: None,
+        route: None,
+    }
+}
 
-fn flows_from_paths(paths: Vec<CandidatePath>, caps: &[f64], bytes: f64) -> Vec<PlannedFlow> {
-    let shares = crate::chunk::proportional_split(bytes, caps);
-    paths
-        .into_iter()
-        .zip(shares)
-        .filter(|(_, share)| *share > 0.0 || bytes == 0.0)
-        .map(|((links, nv_reservation), share)| PlannedFlow {
-            route: nv_reservation.as_ref().map(|(r, _)| r.clone()),
-            links,
-            bytes: share,
-            opts: FlowOptions::default(),
-            nv_reservation,
-        })
-        .collect()
+/// Split `bytes` over candidate flows in proportion to the capacity each
+/// carries in its `bytes` field. Flows left with no share are dropped,
+/// except in a zero-byte plan, which keeps them to signal completion.
+fn share_by_capacity(mut flows: Vec<PlannedFlow>, bytes: f64) -> Vec<PlannedFlow> {
+    crate::chunk::split_in_place(bytes, &mut flows, |f| &mut f.bytes);
+    flows.retain(|f| f.bytes > 0.0 || bytes == 0.0);
+    flows
+}
+
+/// Consecutive `(from, to)` GPU pairs of a route.
+fn hops(route: &[usize]) -> impl DoubleEndedIterator<Item = (usize, usize)> + '_ {
+    route.windows(2).map(|h| (h[0], h[1]))
 }
 
 /// Link sequence for a GPU route that must ride NVLink edges only.
-/// `None` when some hop has no NVLink edge — callers drop or degrade the
-/// path instead of panicking in the data plane.
-fn nvlink_route_links(topo: &Topology, node: usize, route: &[usize]) -> Option<Vec<LinkId>> {
-    let mut links = Vec::new();
-    for hop in route.windows(2) {
-        links.extend(topo.nvlink_edge(node, hop[0], hop[1])?);
+/// `None` when some hop has no NVLink edge, or the path would outgrow a
+/// [`LinkPath`] — callers drop or degrade the path instead of panicking in
+/// the data plane.
+pub fn nvlink_route_links(topo: &Topology, node: usize, route: &[usize]) -> Option<LinkPath> {
+    let mut links = LinkPath::new();
+    for (a, b) in hops(route) {
+        links
+            .extend_from_slice(&topo.nvlink_edge(node, a, b)?)
+            .ok()?;
     }
     Some(links)
 }
@@ -199,31 +209,24 @@ pub fn plan_intra_node(
                     // selection cache is epoch-coherent with the topology;
                     // if it ever does, release that reservation and degrade
                     // to fewer paths instead of crashing the data plane.
+                    // Each flow's selected rate is its capacity weight.
                     let nv_paths = sel.take_last_selection();
-                    let mut routed = Vec::new();
+                    let mut flows = Vec::with_capacity(nv_paths.len());
                     for p in nv_paths {
                         match nvlink_route_links(topo, node, &p.gpus) {
-                            Some(links) => routed.push((p, links)),
+                            Some(links) => flows.push(PlannedFlow {
+                                route: Some(p.gpus.clone()),
+                                links,
+                                bytes: p.rate,
+                                opts: FlowOptions::default(),
+                                nv_reservation: Some((p.gpus, p.rate)),
+                            }),
                             None => sel.bwm_mut().release_path(&p.gpus, p.rate),
                         }
                     }
-                    if !routed.is_empty() {
-                        let caps: Vec<f64> = routed.iter().map(|(p, _)| p.rate).collect();
-                        let shares = crate::chunk::proportional_split(bytes, &caps);
-                        let flows = routed
-                            .into_iter()
-                            .zip(shares)
-                            .filter(|(_, share)| *share > 0.0 || bytes == 0.0)
-                            .map(|((p, links), share)| PlannedFlow {
-                                route: Some(p.gpus.clone()),
-                                links,
-                                bytes: share,
-                                opts: FlowOptions::default(),
-                                nv_reservation: Some((p.gpus, p.rate)),
-                            })
-                            .collect();
+                    if !flows.is_empty() {
                         return TransferPlan {
-                            flows,
+                            flows: share_by_capacity(flows, bytes),
                             setup,
                             total_bytes: bytes,
                         };
@@ -236,21 +239,21 @@ pub fn plan_intra_node(
         // comes from the live topology, so every hop has an edge; should
         // one be missing, feeder_links degrades that hop to PCIe p2p.
         if let Some(route) = topo.nvlink_route(src, dst) {
-            let links = feeder_links(topo, node, route);
-            let cap = path_capacity(net, &links);
-            return TransferPlan {
-                flows: flows_from_paths(vec![(links, None)], &[cap], bytes),
-                setup,
-                total_bytes: bytes,
-            };
+            let mut links = LinkPath::new();
+            if feeder_links(&mut links, topo, node, hops(route)).is_ok() {
+                return TransferPlan {
+                    flows: share_by_capacity(vec![candidate(net, links)], bytes),
+                    setup,
+                    total_bytes: bytes,
+                };
+            }
         }
     }
 
     // PCIe peer-to-peer fallback.
     let links = topo.pcie_p2p_path(node, src, dst);
-    let cap = path_capacity(net, &links);
     TransferPlan {
-        flows: flows_from_paths(vec![(links, None)], &[cap], bytes),
+        flows: share_by_capacity(vec![candidate(net, links)], bytes),
         setup,
         total_bytes: bytes,
     }
@@ -266,43 +269,66 @@ pub fn plan_intra_node(
 /// or NVLink reachability — unreachable ones are fed over PCIe peer-to-peer,
 /// which doubles traffic on `gpu`'s own PCIe segment (§3.2.2).
 ///
-/// Both modes read the topology's precomputed feeder tables; the
-/// topology-aware table is unlimited and truncated to the `max_paths`
-/// budget here (a prefix of the table is exactly what a limited search
-/// would have produced — see [`Topology::pcie_feeder_route_table`]).
-fn pcie_feeder_routes<'t>(topo: &'t Topology, gpu: usize, cfg: &PlanConfig) -> Vec<&'t [usize]> {
-    let limit = cfg.max_paths.saturating_sub(1);
-    if cfg.topology_aware {
-        let mut routes: Vec<&[usize]> = topo
-            .pcie_feeder_route_table(gpu)
-            .iter()
-            .take(limit)
-            .map(|r| r.as_slice())
-            .collect();
-        // Nearest routes first so the widest feeders carry shares first.
-        routes.sort_by_key(|r| (r.len(), r[r.len() - 1]));
-        routes
+/// Both modes read the topology's precomputed feeder tables, truncated to
+/// the `max_paths` budget here (for the topology-aware table, a prefix is
+/// exactly what a limited search would have produced — see
+/// [`Topology::pcie_feeder_route_table`]).
+fn pcie_feeder_routes<'t>(
+    topo: &'t Topology,
+    gpu: usize,
+    cfg: &PlanConfig,
+) -> impl Iterator<Item = &'t [usize]> {
+    let aware = cfg.topology_aware;
+    let table = if aware {
+        topo.pcie_feeder_route_table(gpu)
     } else {
         topo.naive_feeder_route_table(gpu)
-            .iter()
-            .take(limit)
-            .map(|r| r.as_slice())
-            .collect()
-    }
+    };
+    let prefix = table
+        .get(..cfg.max_paths.saturating_sub(1))
+        .unwrap_or(table);
+    // Topology-aware routes go nearest first, so the widest feeders carry
+    // shares first: a stable sort of the prefix by (hops, last GPU). The
+    // keys below are unique (the table index breaks ties), so yielding the
+    // prefix in increasing key order is that sort, with nothing allocated;
+    // the prefix holds at most `max_paths - 1` routes. Naive routes keep
+    // table order.
+    let keyed = move || {
+        prefix.iter().enumerate().map(move |(i, r)| {
+            let key = if aware {
+                (r.len(), r.last().copied().unwrap_or(0), i)
+            } else {
+                (0, 0, i)
+            };
+            (key, r.as_slice())
+        })
+    };
+    let next_after = move |floor: Option<(usize, usize, usize)>| {
+        keyed()
+            .filter(|&(key, _)| Some(key) > floor)
+            .min_by_key(|&(key, _)| key)
+    };
+    std::iter::successors(next_after(None), move |&(key, _)| next_after(Some(key)))
+        .map(|(_, route)| route)
 }
 
-/// Feeder path along `route` (a GPU sequence): NVLink edges when they exist,
-/// PCIe peer-to-peer otherwise — the naive mode's congestion source (the
-/// data crosses `gpu`'s own PCIe segment twice, §3.2.2).
-fn feeder_links(topo: &Topology, node: usize, route: &[usize]) -> Vec<LinkId> {
-    let mut links = Vec::new();
-    for hop in route.windows(2) {
-        match topo.nvlink_edge(node, hop[0], hop[1]) {
-            Some(edge) => links.extend(edge),
-            None => links.extend(topo.pcie_p2p_path(node, hop[0], hop[1])),
+/// Append the feeder path along `hops` (GPU pairs) to `links`: NVLink
+/// edges when they exist, PCIe peer-to-peer otherwise — the naive mode's
+/// congestion source (the data crosses `gpu`'s own PCIe segment twice,
+/// §3.2.2).
+fn feeder_links(
+    links: &mut LinkPath,
+    topo: &Topology,
+    node: usize,
+    hops: impl Iterator<Item = (usize, usize)>,
+) -> Result<(), PathTooLong> {
+    for (a, b) in hops {
+        match topo.nvlink_edge(node, a, b) {
+            Some(edge) => links.extend_from_slice(&edge)?,
+            None => links.extend_from_slice(&topo.pcie_p2p_path(node, a, b))?,
         }
     }
-    links
+    Ok(())
 }
 
 /// Plan a device-to-host transfer (paper §4.2.2 pattern 3 / Fig. 5a).
@@ -315,20 +341,24 @@ pub fn plan_d2h(
     cfg: &PlanConfig,
 ) -> TransferPlan {
     let setup = params::DMA_LAUNCH + params::CHUNK_OVERHEAD;
-    let mut paths: Vec<CandidatePath> = vec![(topo.d2h_path(node, gpu), None)];
+    let mut flows = Vec::with_capacity(cfg.max_paths.max(1));
+    flows.push(candidate(net, topo.d2h_path(node, gpu)));
     if cfg.parallel_pcie && topo.has_nvlink() {
         for route in pcie_feeder_routes(topo, gpu, cfg) {
             let Some(&peer) = route.last() else {
                 continue; // feeder routes are at least [gpu, peer]
             };
-            let mut links = feeder_links(topo, node, route);
-            links.extend(topo.d2h_path(node, peer));
-            paths.push((links, None));
+            // Feed the peer, then stage through its own PCIe path.
+            let mut links = LinkPath::new();
+            let fits = feeder_links(&mut links, topo, node, hops(route))
+                .and_then(|()| links.extend_from_slice(&topo.d2h_path(node, peer)));
+            if fits.is_ok() {
+                flows.push(candidate(net, links));
+            }
         }
     }
-    let caps: Vec<f64> = paths.iter().map(|(l, _)| path_capacity(net, l)).collect();
     TransferPlan {
-        flows: flows_from_paths(paths, &caps, bytes),
+        flows: share_by_capacity(flows, bytes),
         setup,
         total_bytes: bytes,
     }
@@ -344,23 +374,23 @@ pub fn plan_h2d(
     cfg: &PlanConfig,
 ) -> TransferPlan {
     let setup = params::DMA_LAUNCH + params::CHUNK_OVERHEAD;
-    let mut paths: Vec<CandidatePath> = vec![(topo.h2d_path(node, gpu), None)];
+    let mut flows = Vec::with_capacity(cfg.max_paths.max(1));
+    flows.push(candidate(net, topo.h2d_path(node, gpu)));
     if cfg.parallel_pcie && topo.has_nvlink() {
         for route in pcie_feeder_routes(topo, gpu, cfg) {
             let Some(&peer) = route.last() else {
                 continue; // feeder routes are at least [gpu, peer]
             };
+            // Stage into the peer, then feed back along the route: peer → gpu.
             let mut links = topo.h2d_path(node, peer);
-            // Reverse feeder: peer → gpu.
-            let mut back = route.to_vec();
-            back.reverse();
-            links.extend(feeder_links(topo, node, &back));
-            paths.push((links, None));
+            let back = hops(route).rev().map(|(a, b)| (b, a));
+            if feeder_links(&mut links, topo, node, back).is_ok() {
+                flows.push(candidate(net, links));
+            }
         }
     }
-    let caps: Vec<f64> = paths.iter().map(|(l, _)| path_capacity(net, l)).collect();
     TransferPlan {
-        flows: flows_from_paths(paths, &caps, bytes),
+        flows: share_by_capacity(flows, bytes),
         setup,
         total_bytes: bytes,
     }
@@ -368,25 +398,20 @@ pub fn plan_h2d(
 
 /// NIC routes for a cross-node transfer (Fig. 9a): per NIC, a forwarding
 /// GPU on the NIC's switch reachable from `src` over NVLink, and the mirror
-/// entry GPU on the destination node.
-fn nic_routes(topo: &Topology, src_gpu: usize, dst_gpu: usize) -> Vec<(usize, &[usize], &[usize])> {
-    // (nic, src-side GPU route ending at forwarder, dst-side route from entry)
-    let mut routes = Vec::new();
-    for nic in 0..topo.num_nics() {
-        let fwd = best_gpu_on_nic_switch(topo, src_gpu, nic);
-        let entry = best_gpu_on_nic_switch(topo, dst_gpu, nic);
-        let (Some(fwd), Some(entry)) = (fwd, entry) else {
-            continue;
-        };
-        let Some(src_route) = topo.nvlink_route(src_gpu, fwd) else {
-            continue;
-        };
-        let Some(dst_route) = topo.nvlink_route(entry, dst_gpu) else {
-            continue;
-        };
-        routes.push((nic, src_route, dst_route));
-    }
-    routes
+/// entry GPU on the destination node. Yields `(nic, src-side GPU route
+/// ending at the forwarder, dst-side route from the entry GPU)`.
+fn nic_routes(
+    topo: &Topology,
+    src_gpu: usize,
+    dst_gpu: usize,
+) -> impl Iterator<Item = (usize, &[usize], &[usize])> {
+    (0..topo.num_nics()).filter_map(move |nic| {
+        let fwd = best_gpu_on_nic_switch(topo, src_gpu, nic)?;
+        let entry = best_gpu_on_nic_switch(topo, dst_gpu, nic)?;
+        let src_route = topo.nvlink_route(src_gpu, fwd)?;
+        let dst_route = topo.nvlink_route(entry, dst_gpu)?;
+        Some((nic, src_route, dst_route))
+    })
 }
 
 /// The GPU on `nic`'s switch that is cheapest to reach from `from` over
@@ -420,40 +445,48 @@ pub fn plan_cross_node(
     assert_ne!(src.node, dst.node, "cross-node plan needs distinct nodes");
     let setup = params::GDR_SETUP + params::NIC_CONN_SETUP + params::CHUNK_OVERHEAD;
 
-    let mut paths: Vec<CandidatePath> = Vec::new();
+    let mut flows = Vec::with_capacity(cfg.max_paths.max(1));
     if cfg.parallel_nics && topo.has_nvlink() {
         for (nic, src_route, dst_route) in nic_routes(topo, src.gpu, dst.gpu) {
             // Routes come from `nvlink_shortest_route`, so every hop has an
             // edge and the endpoints exist; a NIC whose routes cannot be
             // resolved is simply skipped.
-            let (Some(src_links), Some(dst_links), Some(&fwd), Some(&entry)) = (
-                nvlink_route_links(topo, src.node, src_route),
-                nvlink_route_links(topo, dst.node, dst_route),
-                src_route.last(),
-                dst_route.first(),
-            ) else {
+            let path = || {
+                let (&fwd, &entry) = (src_route.last()?, dst_route.first()?);
+                let mut links = nvlink_route_links(topo, src.node, src_route)?;
+                let dst_links = nvlink_route_links(topo, dst.node, dst_route)?;
+                links
+                    .extend_from_slice(&topo.gdr_tx_path(src.node, fwd, nic))
+                    .ok()?;
+                links
+                    .extend_from_slice(&topo.gdr_rx_path(dst.node, entry, nic))
+                    .ok()?;
+                links.extend_from_slice(&dst_links).ok()?;
+                Some(links)
+            };
+            let Some(links) = path() else {
                 continue;
             };
-            let mut links = src_links;
-            links.extend(topo.gdr_tx_path(src.node, fwd, nic));
-            links.extend(topo.gdr_rx_path(dst.node, entry, nic));
-            links.extend(dst_links);
-            paths.push((links, None));
-            if paths.len() >= cfg.max_paths {
+            flows.push(candidate(net, links));
+            if flows.len() >= cfg.max_paths {
                 break;
             }
         }
     }
-    if paths.is_empty() {
+    if flows.is_empty() {
         // Single NIC: the source's nearest NIC into the destination GPU.
+        // Each half is at most four links, so the join always fits.
         let nic = topo.nic_of_gpu(src.gpu);
         let mut links = topo.gdr_tx_path(src.node, src.gpu, nic);
-        links.extend(topo.gdr_rx_path(dst.node, dst.gpu, nic));
-        paths.push((links, None));
+        if links
+            .extend_from_slice(&topo.gdr_rx_path(dst.node, dst.gpu, nic))
+            .is_ok()
+        {
+            flows.push(candidate(net, links));
+        }
     }
-    let caps: Vec<f64> = paths.iter().map(|(l, _)| path_capacity(net, l)).collect();
     TransferPlan {
-        flows: flows_from_paths(paths, &caps, bytes),
+        flows: share_by_capacity(flows, bytes),
         setup,
         total_bytes: bytes,
     }
@@ -471,9 +504,8 @@ pub fn plan_host_to_host(
 ) -> TransferPlan {
     let nic = (src_node * 7 + dst_node * 3) % topo.num_nics().max(1);
     let links = topo.host_net_path(src_node, dst_node, nic);
-    let cap = path_capacity(net, &links);
     TransferPlan {
-        flows: flows_from_paths(vec![(links, None)], &[cap], bytes),
+        flows: share_by_capacity(vec![candidate(net, links)], bytes),
         setup: params::NIC_CONN_SETUP,
         total_bytes: bytes,
     }
@@ -482,9 +514,8 @@ pub fn plan_host_to_host(
 /// cFn–cFn exchange over host shared memory ("negligible overhead", §2.2).
 pub fn plan_shm(topo: &Topology, net: &FlowNet, node: usize, bytes: f64) -> TransferPlan {
     let links = topo.shm_path(node);
-    let cap = path_capacity(net, &links);
     TransferPlan {
-        flows: flows_from_paths(vec![(links, None)], &[cap], bytes),
+        flows: share_by_capacity(vec![candidate(net, links)], bytes),
         setup: SimDuration::from_micros(2),
         total_bytes: bytes,
     }
@@ -683,6 +714,96 @@ mod tests {
         let p = plan_intra_node(&topo, &net, Some(&mut sel), 0, 0, 5, 100.0 * MB, &cfg);
         assert_eq!(p.flows.len(), 1, "NVSwitch gains nothing from detours");
         assert_eq!(p.flows[0].links.len(), 2, "egress + ingress port");
+    }
+
+    /// Every candidate the planners build on the shipped presets fits a
+    /// `LinkPath`, so none is dropped for length: each plan has one flow per
+    /// candidate the topology offers, and the longest path (cross-node GDR
+    /// with NVLink legs on both sides) stays below the capacity.
+    #[test]
+    fn preset_candidates_all_fit_a_link_path() {
+        let cfgs = [
+            PlanConfig::grouter(),
+            PlanConfig::single_path(),
+            PlanConfig::deepplan(),
+        ];
+        let specs = [
+            presets::dgx_v100(),
+            presets::dgx_a100(),
+            presets::a10x4(),
+            presets::h800x8(),
+        ];
+        let longest = |p: &TransferPlan| p.flows.iter().map(|f| f.links.len()).max();
+        let mut overall = 0;
+        for spec in specs {
+            let mut net = FlowNet::new();
+            let topo = Topology::build(spec, 2, &mut net);
+            let g = topo.gpus_per_node();
+            for cfg in &cfgs {
+                let mut sel = PathSelector::from_topology(&topo);
+                let staged = cfg.parallel_pcie && topo.has_nvlink();
+                let nic_fanout = cfg.parallel_nics && topo.has_nvlink();
+                let max_hops = if topo.has_nvswitch() { 1 } else { cfg.max_hops };
+                for a in 0..g {
+                    // Feeder routes come out as a stable (hops, last GPU)
+                    // sort of the table prefix; naive ones in table order.
+                    let limit = cfg.max_paths - 1;
+                    let mut sorted: Vec<&[usize]> = if cfg.topology_aware {
+                        topo.pcie_feeder_route_table(a)
+                            .iter()
+                            .take(limit)
+                            .map(|r| &r[..])
+                            .collect()
+                    } else {
+                        topo.naive_feeder_route_table(a)
+                            .iter()
+                            .take(limit)
+                            .map(|r| &r[..])
+                            .collect()
+                    };
+                    if cfg.topology_aware {
+                        sorted.sort_by_key(|r| (r.len(), r.last().copied()));
+                    }
+                    let feeders: Vec<&[usize]> = pcie_feeder_routes(&topo, a, cfg).collect();
+                    assert_eq!(feeders, sorted);
+                    let want = 1 + if staged { feeders.len() } else { 0 };
+                    for plan in [
+                        plan_d2h(&topo, &net, 0, a, MB, cfg),
+                        plan_h2d(&topo, &net, 0, a, MB, cfg),
+                    ] {
+                        assert_eq!(plan.flows.len(), want, "gpu {a}");
+                        overall = overall.max(longest(&plan).unwrap_or(0));
+                    }
+                    for b in 0..g {
+                        let mut want = usize::from(a != b);
+                        if a != b && cfg.parallel_nvlink && topo.has_nvlink() {
+                            let picked = sel.select(a, b, max_hops, cfg.max_paths).paths.len();
+                            for p in sel.take_last_selection() {
+                                sel.bwm_mut().release_path(&p.gpus, p.rate);
+                            }
+                            want = want.max(picked);
+                        }
+                        let plan = plan_intra_node(&topo, &net, Some(&mut sel), 0, a, b, MB, cfg);
+                        for (route, rate) in
+                            plan.flows.iter().filter_map(|f| f.nv_reservation.as_ref())
+                        {
+                            sel.bwm_mut().release_path(route, *rate);
+                        }
+                        assert_eq!(plan.flows.len(), want, "intra {a}->{b}");
+                        overall = overall.max(longest(&plan).unwrap_or(0));
+
+                        let nics = nic_routes(&topo, a, b).count().min(cfg.max_paths);
+                        let want = if nic_fanout && nics > 0 { nics } else { 1 };
+                        let (src, dst) = (GpuRef::new(0, a), GpuRef::new(1, b));
+                        let plan = plan_cross_node(&topo, &net, src, dst, MB, cfg);
+                        assert_eq!(plan.flows.len(), want, "cross {a}->{b}");
+                        overall = overall.max(longest(&plan).unwrap_or(0));
+                    }
+                }
+            }
+        }
+        assert_eq!(overall, 8, "longest planned path");
+        assert!(overall < LinkPath::CAPACITY);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Offline CI gate: formatting, lints, the workspace linter, the tier-1 test
 # suite (with the data-plane invariant auditors unified on), the perfbench
-# package's build and tests, the benchmark smoke run with its speedup gates, the trace-export determinism smoke, and
+# package's build and tests, its allocation gates, the benchmark smoke run
+# with its speedup gates, the trace-export determinism smoke, and
 # the experiment-suite byte-identity check. Everything runs locally with no network access.
 #
 # Usage: scripts/ci.sh
@@ -45,6 +46,25 @@ echo "==> perfbench builds and passes its own tests"
 # crates' public API; compiling it here makes an API removal fail CI
 # instead of the benchmark run.
 CARGO_TARGET_DIR=target/perfbench cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> allocation gates (perfbench --trace 1, seed 11: wf <= 80, llm <= 200 per request)"
+# The counted run's host.allocs_per_request repeats exactly from run to run.
+# A steady-state transfer leg builds its link paths inline and FlowNet
+# recycles its slot buffers (DESIGN §5.6); a change that puts the allocator
+# back on the transfer path fails here.
+CARGO_TARGET_DIR=target/perfbench cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+for gate in wf_v100_contended:80 llm_grouter:200; do
+    workload=${gate%%:*}
+    limit=${gate#*:}
+    allocs=$(target/perfbench/release/perfbench --workload "$workload" --trace 1 \
+        --seconds 1 --seed 11 | grep -o '"host.allocs_per_request": {"value": [0-9.e+-]*' \
+        | grep -o '[0-9.e+-]*$' || true)
+    [ -n "$allocs" ] || { echo "$workload: no host.allocs_per_request" >&2; exit 1; }
+    awk -v a="$allocs" -v l="$limit" 'BEGIN { exit !(a <= l) }' || {
+        echo "$workload: $allocs allocations per request, gate $limit" >&2; exit 1;
+    }
+    echo "$workload: $allocs allocations per request (gate $limit)"
+done
 
 echo "==> chaos smoke (fixed-seed fault injection over the GROUTER plane)"
 # Bounded and deterministic: the suite sweeps a fixed seed batch of

@@ -56,7 +56,7 @@ impl Cluster {
             rates: &mut self.rates,
             now: SimTime::ZERO,
             slo: None,
-            trace: grouter_obs::Recorder::disabled(),
+            trace: &grouter_obs::DISABLED,
         }
     }
 }
