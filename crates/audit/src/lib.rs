@@ -14,6 +14,8 @@
 //! so a release build without `--features audit` compiles none of the
 //! checker code and links nothing from here.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -81,6 +83,61 @@ pub fn check(checker: &'static str, ok: bool, msg: impl FnOnce() -> String) {
     if !ok {
         panic!("audit violation [{checker}]: {}", msg());
     }
+}
+
+/// The system allocator, counting the allocations of the calling thread
+/// (tests run on parallel threads, so a global count would mix them). An
+/// allocation-budget test installs it with
+/// `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;` and
+/// measures with [`count_allocs`].
+pub struct CountingAlloc;
+
+thread_local! {
+    // Const-initialised and without a destructor: reading it from inside
+    // the allocator never allocates or registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter has no effect on the memory handed out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: forwarded from the caller, who upholds `alloc`'s contract.
+        unsafe { System.alloc(l) }
+    }
+
+    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(l) }
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        // SAFETY: `p` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(p, l) }
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: `p` came from `System` with layout `l`; forwarded as is.
+        unsafe { System.realloc(p, l, new_size) }
+    }
+}
+
+/// Run `f`; return its result and the allocations it made on this thread
+/// (zero unless [`CountingAlloc`] is the global allocator). The sampled
+/// checkers of audited builds are parked first ([`quiet_samplers`]): they
+/// allocate on their own schedule, and the window must measure `f` alone.
+pub fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    quiet_samplers();
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (r, ALLOCS.with(Cell::get) - before)
 }
 
 #[cfg(test)]

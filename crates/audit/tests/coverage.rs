@@ -55,7 +55,7 @@ fn every_checker_fires_at_least_once() {
     let mut engine = TransferEngine::new();
     let plan = plan_d2h(&topo, &net, 0, 0, 120e6, &PlanConfig::grouter());
     engine
-        .begin(&mut net, SimTime::ZERO, plan, 0)
+        .begin(&mut net, SimTime::ZERO, plan, 0, &mut Vec::new())
         .expect("planned transfer starts");
     net.start_flow(
         SimTime::ZERO,
@@ -67,7 +67,7 @@ fn every_checker_fires_at_least_once() {
     while engine.in_flight() > 0 {
         let due = net.next_completion().expect("transfer still in flight");
         let done = net.advance_to(due);
-        engine.on_flows_complete(&done);
+        engine.on_flows_complete(&done, &mut Vec::new());
     }
     let rest = net.next_completion().expect("best-effort flow still live");
     net.advance_to(rest);

@@ -186,6 +186,21 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// `count` arrivals at `rps` must fit on the simulated clock, which ends at
+/// about 1.8e10 s: their mean span may be at most 1e9 s. An arrival stamped
+/// past the clock's end could never be reached.
+fn arrival_span(count_flag: &str, count: u64, rps: f64) -> Result<(), String> {
+    const MAX_SPAN_S: f64 = 1e9;
+    let span = count as f64 / rps;
+    if span > MAX_SPAN_S {
+        return Err(format!(
+            "--rps {rps:e} spreads {count_flag} {count} over {span:.3e} s; \
+             the mean arrival span may be at most {MAX_SPAN_S:e} s"
+        ));
+    }
+    Ok(())
+}
+
 /// Parse `argv` (without the program name) into a [`Command`]; `serve`
 /// selects service mode, `llm` the disaggregated LLM serving experiment.
 pub fn parse_command(argv: &[String]) -> Result<Command, String> {
@@ -266,6 +281,7 @@ fn parse_serve(mut f: Flags) -> Result<ServeRun, String> {
     if config.hb_interval == SimDuration::ZERO {
         return Err("--hb-ms must be at least 1".to_string());
     }
+    arrival_span("--total", config.total, config.rps)?;
     let mut preset = (preset.1)();
     if groups > preset.groups.len() {
         return Err(format!(
@@ -313,6 +329,7 @@ fn parse_llm(mut f: Flags) -> Result<LlmRun, String> {
     if run.config.groups == 0 {
         return Err("--groups must be at least 1".to_string());
     }
+    arrival_span("--requests", run.config.requests, run.config.rps)?;
     if !(1..gpus).contains(&run.config.decode_gpus) {
         return Err(format!(
             "--decode-gpus must be in 1..={} (one node is {gpus} GPUs)",
@@ -559,6 +576,18 @@ mod tests {
                 assert!(e.contains("--rps"), "{sub:?} --rps {rate}: {e}");
             }
         }
+        // A rate so low that the arrivals would run past the end of the
+        // simulated clock (their mean span is capped at 1e9 s).
+        for args in [
+            &["serve", "--rps", "1e-10", "--total", "3", "--groups", "2"][..],
+            &["serve", "--total", "3", "--rps", "1e-9"],
+            &["llm", "--rps", "1e-12", "--requests", "3"],
+        ] {
+            let e = parse_command(&argv(args)).err().expect("span refused");
+            assert!(e.contains("--rps") && e.contains("1e9 s"), "{args:?}: {e}");
+        }
+        assert!(serve(&["--rps", "1e-6", "--total", "1000"]).is_ok());
+        assert!(llm(&["--rps", "1e-6", "--requests", "1000"]).is_ok());
     }
 
     #[test]

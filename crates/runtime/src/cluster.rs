@@ -31,6 +31,7 @@ use grouter_topology::graph::TopologySpec;
 
 use crate::dataplane::DataPlane;
 use crate::exec::{Event, Runtime};
+use crate::metrics::Metrics;
 use crate::spec::WorkflowSpec;
 use crate::world::{RuntimeConfig, World};
 
@@ -643,14 +644,9 @@ impl ClusterSim {
     /// CSV prefixed with a `group` column, groups in index order. Identical
     /// bytes for any worker thread count.
     pub fn merged_csv(&self) -> String {
-        let mut out = String::from(
-            "group,workflow,arrived_s,latency_ms,compute_ms,gfn_gfn_ms,gfn_host_ms,cfn_cfn_ms\n",
-        );
+        let mut out = format!("group,{}", Metrics::CSV_HEADER);
         for (g, w) in self.each().enumerate() {
-            let csv = w.metrics.to_csv();
-            for line in csv.lines().skip(1) {
-                out.push_str(&format!("{g},{line}\n"));
-            }
+            w.metrics.write_csv_rows(&mut out, Some(g));
         }
         out
     }

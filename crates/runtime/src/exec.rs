@@ -233,7 +233,7 @@ impl Runtime {
 // Typed event core
 // ---------------------------------------------------------------------------
 
-/// Every event the executor schedules, as a value: the scheduler's heap
+/// Every event the executor schedules, as a value: the scheduler's queue
 /// holds this enum directly and dispatch matches on it.
 #[derive(Debug)]
 pub enum Event {
@@ -442,8 +442,21 @@ pub(crate) fn arrival(
         }
     }
 
-    // Conditional branch sampling: pick one alternative per group.
-    let mut skipped = vec![false; spec.stages.len()];
+    // Conditional branch sampling: pick one alternative per group. The stage
+    // records double as the skip marks; a stage left unskipped learns its
+    // count of live dependencies once every skip is settled.
+    let n_stages = spec.stages.len();
+    let mut stages: Vec<StageRun> = (0..n_stages)
+        .map(|_| StageRun {
+            state: StageState::Waiting { deps_left: 0 },
+            output: None,
+            rank: None,
+            enqueued: None,
+            attempt: 0,
+            got: 0,
+            egressed: false,
+        })
+        .collect();
     let mut groups: std::collections::BTreeMap<u32, Vec<usize>> = Default::default();
     for (i, st) in spec.stages.iter().enumerate() {
         if let Some((g, _)) = st.cond_group {
@@ -469,49 +482,49 @@ pub(crate) fn arrival(
         }
         for &i in members {
             if i != chosen {
-                skipped[i] = true;
+                stages[i].state = StageState::Skipped;
             }
         }
     }
+    let skipped = |stages: &[StageRun], i: usize| stages[i].state == StageState::Skipped;
     // Cascade: a stage whose deps are all skipped is skipped too.
-    for i in 0..spec.stages.len() {
+    for i in 0..n_stages {
         let deps = &spec.stages[i].deps;
-        if !deps.is_empty() && deps.iter().all(|&d| skipped[d]) {
-            skipped[i] = true;
+        if !deps.is_empty() && deps.iter().all(|&d| skipped(&stages, d)) {
+            stages[i].state = StageState::Skipped;
         }
     }
 
-    let stages: Vec<StageRun> = (0..spec.stages.len())
-        .map(|i| {
-            let state = if skipped[i] {
-                StageState::Skipped
-            } else {
-                let deps_left = spec.stages[i].deps.iter().filter(|&&d| !skipped[d]).count() as u32;
-                StageState::Waiting { deps_left }
-            };
-            StageRun {
-                state,
-                output: None,
-                rank: None,
-                enqueued: None,
-                attempt: 0,
-                got: Vec::new(),
-                egressed: false,
-            }
-        })
-        .collect();
-
-    let terminals_left = (0..spec.stages.len())
-        .filter(|&i| !skipped[i] && spec.is_terminal(i))
-        .count() as u32;
-    let roots: Vec<usize> = (0..spec.stages.len())
-        .filter(|&i| !skipped[i] && spec.stages[i].deps.is_empty())
-        .collect();
+    // Live stages: their dependency counts, the terminals still to egress,
+    // the data operations a failure-free run makes (one Get per input, one
+    // Put, one egress per terminal) and the roots.
+    let mut terminals_left = 0u32;
+    let mut ops = 0usize;
+    let mut roots = std::mem::take(&mut w.stage_scratch);
+    for i in 0..n_stages {
+        if skipped(&stages, i) {
+            continue;
+        }
+        let deps_left = spec.stages[i]
+            .deps
+            .iter()
+            .filter(|&&d| !skipped(&stages, d))
+            .count() as u32;
+        stages[i].state = StageState::Waiting { deps_left };
+        ops += deps_left.max(1) as usize + 1;
+        if spec.is_terminal(i) {
+            terminals_left += 1;
+            ops += 1;
+        }
+        if spec.stages[i].deps.is_empty() {
+            roots.push(i);
+        }
+    }
 
     // Pre-warm hook for the elastic store.
     with_plane(w, now, None, |p, ctx| p.on_request(ctx, &placements));
     for (i, &fid) in fn_ids.iter().enumerate() {
-        if !skipped[i] {
+        if !skipped(&stages, i) {
             if let Destination::Gpu(g) = placements[i] {
                 let idx = g.node * w.topo.gpus_per_node() + g.gpu;
                 w.scalers[idx].on_request(fid, now);
@@ -549,17 +562,19 @@ pub(crate) fn arrival(
             input_data,
             terminals_left,
             compute_total: SimDuration::ZERO,
-            passing: Default::default(),
-            op_durations: Vec::new(),
+            passing: [SimDuration::ZERO; PassCategory::COUNT],
+            op_durations: Vec::with_capacity(ops),
             workflow_id: WorkflowId(inst_id),
             wf_name,
             fn_ids,
         },
     );
 
-    for root in roots {
+    for &root in &roots {
         stage_ready(w, s, inst_id, root);
     }
+    roots.clear();
+    w.stage_scratch = roots;
     if w.config.sample_memory {
         w.sample_memory(now);
     }
@@ -578,19 +593,23 @@ pub(crate) fn stage_ready(w: &mut World, s: &mut Scheduler<World>, inst_id: u64,
     // will consume each input and when.
     let rank = w.enqueue_counter;
     w.enqueue_counter += 1;
-    let (dest, inputs) = {
+    let mut inputs = std::mem::take(&mut w.input_scratch);
+    let dest = {
         // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
         let inst = w.instances.get_mut(&inst_id).expect("live");
         inst.stages[stage].rank = Some(rank);
         inst.stages[stage].state = StageState::Queued;
-        (inst.placements[stage], stage_inputs(inst, stage))
+        stage_inputs(inst, stage, &mut inputs);
+        inst.placements[stage]
     };
-    for d in inputs {
+    for &d in &inputs {
         let cur = w.store.peek(d).and_then(|e| e.next_use);
         if cur.is_none_or(|c| rank < c) {
             w.store.set_next_use(d, Some(rank));
         }
     }
+    inputs.clear();
+    w.input_scratch = inputs;
     match dest {
         Destination::Gpu(g) => {
             let idx = w.gpu_index(g.node, g.gpu);
@@ -619,18 +638,20 @@ pub(crate) fn stage_ready(w: &mut World, s: &mut Scheduler<World>, inst_id: u64,
     }
 }
 
-/// The data IDs a stage consumes (outputs of completed deps, or the
-/// workflow input for roots).
-fn stage_inputs(inst: &Instance, stage: usize) -> Vec<DataId> {
+/// Write into `out` (cleared first) the data IDs a stage consumes: outputs
+/// of completed deps, or the workflow input for roots.
+fn stage_inputs(inst: &Instance, stage: usize, out: &mut Vec<DataId>) {
+    out.clear();
     let deps = &inst.spec.stages[stage].deps;
     if deps.is_empty() {
-        vec![inst.input_data]
+        out.push(inst.input_data);
     } else {
-        deps.iter()
-            .filter(|&&d| inst.stages[d].state == StageState::Done)
-            // grouter-lint: allow(no-panic-in-dataplane): stage_done records the output before dependents are enqueued
-            .map(|&d| inst.stages[d].output.expect("done stage has output"))
-            .collect()
+        out.extend(
+            deps.iter()
+                .filter(|&&d| inst.stages[d].state == StageState::Done)
+                // grouter-lint: allow(no-panic-in-dataplane): stage_done records the output before dependents are enqueued
+                .map(|&d| inst.stages[d].output.expect("done stage has output")),
+        );
     }
 }
 
@@ -683,24 +704,26 @@ pub(crate) fn try_dispatch_gpu(w: &mut World, s: &mut Scheduler<World>, gpu_idx:
 /// through the data plane, then run.
 fn start_fetch(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usize) {
     let now = s.now();
-    let (token, dest, inputs) = {
+    let mut inputs = std::mem::take(&mut w.input_scratch);
+    let (token, dest) = {
         // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
         let inst = w.instances.get_mut(&inst_id).expect("live instance");
         let token = AccessToken {
             function: FunctionId(inst.fn_ids[stage]),
             workflow: inst.workflow_id,
         };
-        let inputs = stage_inputs(inst, stage);
+        stage_inputs(inst, stage, &mut inputs);
         inst.stages[stage].state = StageState::Fetching {
             gets_left: inputs.len() as u32,
         };
-        (token, inst.placements[stage], inputs)
+        (token, inst.placements[stage])
     };
     if inputs.is_empty() {
+        w.input_scratch = inputs;
         start_running(w, s, inst_id, stage);
         return;
     }
-    for d in inputs {
+    for &d in &inputs {
         let cat = {
             // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
             let inst = w.instances.get(&inst_id).expect("live");
@@ -734,6 +757,8 @@ fn start_fetch(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usi
             cat,
         );
     }
+    inputs.clear();
+    w.input_scratch = inputs;
 }
 
 fn start_running(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usize) {
@@ -881,7 +906,8 @@ fn compute_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: us
 
 fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usize, data: DataId) {
     let now = s.now();
-    let (is_terminal, dependents, dest) = {
+    let mut dependents = std::mem::take(&mut w.stage_scratch);
+    let (is_terminal, dest) = {
         // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
         let inst = w.instances.get_mut(&inst_id).expect("live");
         inst.stages[stage].state = StageState::Done;
@@ -889,7 +915,6 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
         // A re-run of a terminal whose egress already completed must not
         // egress (and decrement `terminals_left`) twice.
         let is_terminal = inst.spec.is_terminal(stage) && !inst.stages[stage].egressed;
-        let mut dependents = Vec::new();
         for (j, st) in inst.spec.stages.iter().enumerate() {
             if st.deps.contains(&stage)
                 && matches!(inst.stages[j].state, StageState::Waiting { .. })
@@ -897,12 +922,12 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
                 dependents.push(j);
             }
         }
-        (is_terminal, dependents, inst.placements[stage])
+        (is_terminal, inst.placements[stage])
     };
     let topo = &w.topo;
     w.placer.release(topo, dest);
 
-    for j in dependents {
+    for &j in &dependents {
         let ready = {
             // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
             let inst = w.instances.get_mut(&inst_id).expect("live");
@@ -918,6 +943,8 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
             stage_ready(w, s, inst_id, j);
         }
     }
+    dependents.clear();
+    w.stage_scratch = dependents;
 
     if is_terminal {
         // Response egress: pull the output into host memory.
@@ -962,11 +989,9 @@ fn finish_instance(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
     let inst = w.instances.remove(&inst_id).expect("live");
     // Response payload back to the admitting gateway: the terminal stages'
     // outputs (what egress returned to the caller).
-    let resp_bytes: f64 = inst
-        .spec
-        .terminals()
-        .iter()
-        .map(|&t| inst.spec.stages[t].output_bytes)
+    let resp_bytes: f64 = (0..inst.spec.stages.len())
+        .filter(|&t| inst.spec.is_terminal(t))
+        .map(|t| inst.spec.stages[t].output_bytes)
         .sum();
     w.metrics.record(InstanceRecord {
         workflow: inst.wf_name,
@@ -1085,7 +1110,13 @@ fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
             w.rebalances_applied += 1;
         }
     }
-    let outcome = w.engine.begin(&mut w.net, now, leg.plan, leg.nv_node);
+    let outcome = w.engine.begin(
+        &mut w.net,
+        now,
+        leg.plan,
+        leg.nv_node,
+        &mut w.started_scratch,
+    );
     w.net.commit_batch();
     match outcome {
         // grouter-lint: allow(no-panic-in-dataplane): a plan over unknown links is a planner/topology mismatch; the driver aborts the run
@@ -1095,8 +1126,8 @@ fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
             release_ledger(w, op_id);
             advance_op(w, s, op_id);
         }
-        Ok(BeginOutcome::InFlight(tid, flows)) => {
-            for (fid, route) in flows {
+        Ok(BeginOutcome::InFlight(tid)) => {
+            for (fid, route) in w.started_scratch.drain(..) {
                 if let Some(route) = route {
                     w.nv_flow_index.insert(fid, leg.nv_node, route);
                 }
@@ -1157,7 +1188,7 @@ fn complete_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
                     return;
                 };
                 if let StageState::Fetching { gets_left } = instance.stages[stage].state {
-                    instance.stages[stage].got.push(data);
+                    instance.mark_got(stage, data);
                     let left = gets_left - 1;
                     instance.stages[stage].state = StageState::Fetching { gets_left: left };
                     left == 0
@@ -1195,8 +1226,9 @@ fn complete_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
 
 fn record_pass(w: &mut World, inst_id: u64, cat: PassCategory, dur: SimDuration) {
     if let Some(inst) = w.instances.get_mut(&inst_id) {
-        let slot = inst.passing.entry(cat).or_insert(SimDuration::ZERO);
-        *slot = *slot + dur;
+        if let Some(slot) = inst.passing.get_mut(cat.index()) {
+            *slot = *slot + dur;
+        }
         inst.op_durations.push((cat, dur));
     }
 }
@@ -1230,10 +1262,11 @@ fn net_wake(w: &mut World, s: &mut Scheduler<World>, version: u64) {
     for fid in &done {
         w.nv_flow_index.remove(fid);
     }
-    let finished = w.engine.on_flows_complete(&done);
+    let mut finished = std::mem::take(&mut w.done_scratch);
+    w.engine.on_flows_complete(&done, &mut finished);
     done.clear();
     w.flow_scratch = done;
-    for td in finished {
+    for td in finished.drain(..) {
         for (route, rate) in &td.nv_releases {
             w.ledgers[td.nv_node].bwm_mut().release_path(route, *rate);
         }
@@ -1243,5 +1276,6 @@ fn net_wake(w: &mut World, s: &mut Scheduler<World>, version: u64) {
             advance_op(w, s, op_id);
         }
     }
+    w.done_scratch = finished;
     schedule_net_wake(w, s);
 }

@@ -871,8 +871,9 @@ fn reset_stage(
         inst.placements[stage] = dest;
         inst.stages[stage].attempt += 1;
         inst.stages[stage].output = None;
+        inst.forget_fetches_of(Some(stage));
         inst.stages[stage].rank = None;
-        inst.stages[stage].got.clear();
+        inst.stages[stage].got = 0;
         inst.stages[stage].state = StageState::Waiting { deps_left };
         inst.stages[stage].attempt
     };
@@ -925,9 +926,9 @@ fn restart_stage(
             st.deps.contains(&p)
                 && match inst.stages[*j].state {
                     StageState::Waiting { .. } | StageState::Queued => true,
-                    StageState::Fetching { .. } => old_output
-                        .map(|o| !inst.stages[*j].got.contains(&o))
-                        .unwrap_or(true),
+                    StageState::Fetching { .. } => {
+                        old_output.is_none() || !inst.got_from(*j, Some(p))
+                    }
                     _ => false,
                 }
         })
@@ -995,10 +996,11 @@ fn fixup_claims(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
         return;
     };
 
-    // How many future fetches does `data` have from dependents in the given
-    // states? Waiting/Queued stages will fetch on invocation; a Fetching
-    // stage re-fetches only what it has not `got`.
-    let future_fetches = |deps_on: Option<usize>, data: DataId, inst: &Instance| -> u32 {
+    // How many future fetches does the current output of `deps_on` (`None`:
+    // the workflow input) have from dependents in the given states?
+    // Waiting/Queued stages will fetch on invocation; a Fetching stage
+    // re-fetches only what it has not `got`.
+    let future_fetches = |deps_on: Option<usize>, inst: &Instance| -> u32 {
         let mut n = 0;
         for (j, st) in inst.spec.stages.iter().enumerate() {
             let is_consumer = match deps_on {
@@ -1010,7 +1012,7 @@ fn fixup_claims(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
             }
             match inst.stages[j].state {
                 StageState::Waiting { .. } | StageState::Queued => n += 1,
-                StageState::Fetching { .. } if !inst.stages[j].got.contains(&data) => n += 1,
+                StageState::Fetching { .. } if !inst.got_from(j, deps_on) => n += 1,
                 _ => {}
             }
         }
@@ -1018,7 +1020,7 @@ fn fixup_claims(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
     };
 
     let input_id = inst.input_data;
-    let input_needed = future_fetches(None, input_id, inst);
+    let input_needed = future_fetches(None, inst);
     let input_bytes = inst.spec.input_bytes;
     let wf = inst.workflow_id;
     let input_node = inst
@@ -1042,7 +1044,7 @@ fn fixup_claims(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
         if w.store.peek(o).is_none() {
             continue;
         }
-        let mut needed = future_fetches(Some(p), o, inst);
+        let mut needed = future_fetches(Some(p), inst);
         if inst.spec.is_terminal(p) && !run.egressed {
             needed += 1; // the response egress still consumes one claim
         }
@@ -1067,6 +1069,7 @@ fn fixup_claims(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
             );
             if let Some(inst) = w.instances.get_mut(&inst_id) {
                 inst.input_data = new_id;
+                inst.forget_fetches_of(None);
             }
         }
         None => {}

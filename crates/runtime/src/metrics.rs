@@ -5,7 +5,7 @@
 //! elastic-storage experiments (Fig. 18) additionally need raw data-passing
 //! latencies. [`Metrics`] collects all of it per workflow instance.
 
-use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use grouter_sim::stats::Summary;
 use grouter_sim::time::{SimDuration, SimTime};
@@ -26,6 +26,17 @@ pub enum PassCategory {
     Recovery,
 }
 
+impl PassCategory {
+    /// Number of categories: the length of [`InstanceRecord::passing`].
+    pub const COUNT: usize = 4;
+
+    /// Index into [`InstanceRecord::passing`] (declaration order).
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Finished-instance record. The workflow name is an interned id into the
 /// owning [`Metrics`]' name table ([`Metrics::intern`] /
 /// [`Metrics::workflow_name`]) so recording an instance never clones a
@@ -37,8 +48,9 @@ pub struct InstanceRecord {
     pub completed: SimTime,
     /// Total busy compute time across stages (not the critical path).
     pub compute: SimDuration,
-    /// Data-passing wall time by category, summed over operations.
-    pub passing: BTreeMap<PassCategory, SimDuration>,
+    /// Data-passing wall time by category, summed over operations and
+    /// indexed by [`PassCategory::index`].
+    pub passing: [SimDuration; PassCategory::COUNT],
     /// Individual data-passing operation durations (for Fig. 18c averages).
     pub op_durations: Vec<(PassCategory, SimDuration)>,
 }
@@ -49,11 +61,11 @@ impl InstanceRecord {
     }
 
     pub fn passing_total(&self) -> SimDuration {
-        self.passing.values().fold(SimDuration::ZERO, |a, &b| a + b)
+        self.passing.iter().fold(SimDuration::ZERO, |a, &b| a + b)
     }
 
     pub fn passing_of(&self, cat: PassCategory) -> SimDuration {
-        self.passing.get(&cat).copied().unwrap_or(SimDuration::ZERO)
+        self.passing[cat.index()]
     }
 }
 
@@ -193,12 +205,26 @@ impl Metrics {
     /// Per-request records as CSV (for external plotting):
     /// `workflow,arrived_s,latency_ms,compute_ms,gfn_gfn_ms,gfn_host_ms,cfn_cfn_ms`.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "workflow,arrived_s,latency_ms,compute_ms,gfn_gfn_ms,gfn_host_ms,cfn_cfn_ms\n",
-        );
+        let mut out = String::from(Self::CSV_HEADER);
+        self.write_csv_rows(&mut out, None);
+        out
+    }
+
+    /// The header line of [`Metrics::to_csv`], newline included.
+    pub(crate) const CSV_HEADER: &'static str =
+        "workflow,arrived_s,latency_ms,compute_ms,gfn_gfn_ms,gfn_host_ms,cfn_cfn_ms\n";
+
+    /// Append one [`Metrics::to_csv`] row per record to `out`, each line
+    /// led by a `group` column when `group` is given.
+    pub(crate) fn write_csv_rows(&self, out: &mut String, group: Option<usize>) {
         for r in &self.records {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
+            // Writing into a `String` cannot fail.
+            if let Some(g) = group {
+                let _ = write!(out, "{g},");
+            }
+            let _ = writeln!(
+                out,
+                "{},{},{},{},{},{},{}",
                 self.workflow_name(r.workflow),
                 r.arrived.as_secs_f64(),
                 r.latency().as_millis_f64(),
@@ -206,9 +232,8 @@ impl Metrics {
                 r.passing_of(PassCategory::GpuGpu).as_millis_f64(),
                 r.passing_of(PassCategory::GpuHost).as_millis_f64(),
                 r.passing_of(PassCategory::HostHost).as_millis_f64(),
-            ));
+            );
         }
-        out
     }
 
     fn filtered<'a>(
@@ -231,9 +256,9 @@ mod tests {
 
     fn rec(m: &mut Metrics, name: &str, arrive_ms: u64, done_ms: u64, gg_ms: u64, gh_ms: u64) {
         let workflow = m.intern(name);
-        let mut passing = BTreeMap::new();
-        passing.insert(PassCategory::GpuGpu, SimDuration::from_millis(gg_ms));
-        passing.insert(PassCategory::GpuHost, SimDuration::from_millis(gh_ms));
+        let mut passing = [SimDuration::ZERO; PassCategory::COUNT];
+        passing[PassCategory::GpuGpu.index()] = SimDuration::from_millis(gg_ms);
+        passing[PassCategory::GpuHost.index()] = SimDuration::from_millis(gh_ms);
         let record = InstanceRecord {
             workflow,
             arrived: SimTime(arrive_ms * 1_000_000),

@@ -83,6 +83,10 @@ impl StageSpec {
     }
 }
 
+/// Most dependencies one stage may have: the executor records which inputs
+/// a stage has fetched in one `u64` bitmask.
+pub const MAX_DEPS: usize = 64;
+
 /// A full inference workflow.
 #[derive(Clone, Debug)]
 pub struct WorkflowSpec {
@@ -117,12 +121,20 @@ impl WorkflowSpec {
     }
 
     /// Validate DAG shape: deps in range, acyclic by construction (deps must
-    /// point backwards), conditional groups have positive total weight.
+    /// point backwards), at most [`MAX_DEPS`] deps per stage, conditional
+    /// groups have positive total weight.
     pub fn validate(&self) -> Result<(), String> {
         if self.stages.is_empty() {
             return Err(format!("workflow '{}' has no stages", self.name));
         }
         for (i, s) in self.stages.iter().enumerate() {
+            if s.deps.len() > MAX_DEPS {
+                return Err(format!(
+                    "stage {i} ('{}') has {} dependencies; at most {MAX_DEPS} are supported",
+                    s.name,
+                    s.deps.len()
+                ));
+            }
             for &d in &s.deps {
                 if d >= i {
                     return Err(format!(
@@ -241,6 +253,24 @@ mod tests {
         let mut wf = WorkflowSpec::new("bad", 1e6);
         wf.push(StageSpec::cpu("a", vec![0], ms(1), 1.0));
         assert!(wf.validate().is_err());
+    }
+
+    #[test]
+    fn too_many_dependencies_rejected() {
+        let mut wf = WorkflowSpec::new("wide", 1e6);
+        let roots: Vec<usize> = (0..=MAX_DEPS)
+            .map(|i| wf.push(StageSpec::cpu(format!("r{i}"), vec![], ms(1), 1.0)))
+            .collect();
+        wf.push(StageSpec::cpu(
+            "join",
+            roots[..MAX_DEPS].to_vec(),
+            ms(1),
+            1.0,
+        ));
+        assert!(wf.validate().is_ok());
+        wf.push(StageSpec::cpu("join-all", roots, ms(1), 1.0));
+        let err = wf.validate().unwrap_err();
+        assert!(err.contains("has 65 dependencies; at most 64"), "{err}");
     }
 
     #[test]

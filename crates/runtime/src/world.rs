@@ -6,7 +6,7 @@
 //! controllers, GPU run queues, live workflow instances and in-flight data
 //! operations.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use grouter_mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
@@ -18,7 +18,7 @@ use grouter_store::DataStore;
 use grouter_store::{DataId, WorkflowId};
 use grouter_topology::graph::TopologySpec;
 use grouter_topology::{PathLedger, Topology};
-use grouter_transfer::exec::{TransferEngine, TransferId};
+use grouter_transfer::exec::{TransferDone, TransferEngine, TransferId};
 use grouter_transfer::rate::RateController;
 
 use crate::dataplane::{DataPlane, Destination, OpLeg};
@@ -102,10 +102,13 @@ pub struct StageRun {
     /// (compute completions, retry re-issues) carry the attempt they were
     /// created under and no-op when it has moved on.
     pub attempt: u32,
-    /// Inputs this attempt has already consumed (`Get` completed). A reset
-    /// re-fetches everything, so these claims must be re-added to the
-    /// store's pending-consumer counts.
-    pub got: Vec<DataId>,
+    /// Inputs this attempt has already consumed (`Get` completed), one bit
+    /// per input position: bit `k` is the current output of the stage's
+    /// `k`-th dependency, bit 0 of a root the workflow input. A bit drops
+    /// when that output is replaced, so it always speaks of the object the
+    /// store holds now. A reset re-fetches everything, so these claims must
+    /// be re-added to the store's pending-consumer counts.
+    pub got: u64,
     /// Response egress for this terminal already completed (guards against
     /// double egress when a terminal stage re-runs).
     pub egressed: bool,
@@ -122,7 +125,8 @@ pub struct Instance {
     /// Non-skipped terminal stages whose egress has not completed yet.
     pub terminals_left: u32,
     pub compute_total: SimDuration,
-    pub passing: BTreeMap<PassCategory, SimDuration>,
+    /// Data-passing time by category, indexed by [`PassCategory::index`].
+    pub passing: [SimDuration; PassCategory::COUNT],
     pub op_durations: Vec<(PassCategory, SimDuration)>,
     pub workflow_id: WorkflowId,
     /// Interned workflow name (id into `Metrics`' name table).
@@ -148,6 +152,60 @@ impl Instance {
         }
         n
     }
+
+    /// `stage` consumed `data`: set the bit of every input position whose
+    /// object is `data` now. An object that is no longer any position's
+    /// (its producer was reset meanwhile) sets none.
+    pub(crate) fn mark_got(&mut self, stage: usize, data: DataId) {
+        let Some(st) = self.spec.stages.get(stage) else {
+            return;
+        };
+        let bits = if st.deps.is_empty() {
+            u64::from(data == self.input_data)
+        } else {
+            let stages = &self.stages;
+            input_bits(&st.deps, |d| {
+                stages.get(d).is_some_and(|run| run.output == Some(data))
+            })
+        };
+        if let Some(run) = self.stages.get_mut(stage) {
+            run.got |= bits;
+        }
+    }
+
+    /// Whether `stage` consumed the current output of `producer` (`None`:
+    /// the workflow input, which only roots consume).
+    pub(crate) fn got_from(&self, stage: usize, producer: Option<usize>) -> bool {
+        let (Some(run), Some(st)) = (self.stages.get(stage), self.spec.stages.get(stage)) else {
+            return false;
+        };
+        let bits = match producer {
+            None => 1,
+            Some(p) => input_bits(&st.deps, |d| d == p),
+        };
+        run.got & bits != 0
+    }
+
+    /// `producer`'s output (`None`: the workflow input) is being replaced:
+    /// no consumer has fetched the new object yet.
+    pub(crate) fn forget_fetches_of(&mut self, producer: Option<usize>) {
+        for (run, st) in self.stages.iter_mut().zip(&self.spec.stages) {
+            let bits = match producer {
+                None => u64::from(st.deps.is_empty()),
+                Some(p) => input_bits(&st.deps, |d| d == p),
+            };
+            run.got &= !bits;
+        }
+    }
+}
+
+/// The [`StageRun::got`] bits of the input positions whose dependency
+/// satisfies `hit`.
+fn input_bits(deps: &[usize], hit: impl Fn(usize) -> bool) -> u64 {
+    deps.iter()
+        .enumerate()
+        .filter(|&(_, &d)| hit(d))
+        .fold(0, |bits, (k, _)| bits | 1 << k)
 }
 
 /// What a finished [`crate::dataplane::DataOp`] was doing.
@@ -233,6 +291,16 @@ pub struct World {
     pub orphan_legs: FxHashMap<u64, OpLeg>,
     /// Recycled buffer for flow-completion harvests (net-wake batches).
     pub flow_scratch: Vec<grouter_sim::FlowId>,
+    /// Recycled buffer for the transfers a net wake finished.
+    pub done_scratch: Vec<TransferDone>,
+    /// Recycled buffer for the flows a leg start began, with their routes.
+    pub started_scratch: Vec<(grouter_sim::FlowId, Option<Vec<usize>>)>,
+    /// Recycled buffer for the inputs of the stage being enqueued or
+    /// invoked.
+    pub input_scratch: Vec<DataId>,
+    /// Recycled buffer of stage indices: an arrival's roots, a finished
+    /// stage's dependents.
+    pub stage_scratch: Vec<usize>,
     pub metrics: Metrics,
     pub mem_series: Vec<TimeSeries>,
     /// Watched links and their utilisation-fraction time series (enabled by
@@ -338,6 +406,10 @@ impl World {
             nv_flow_index: NvFlowIndex::default(),
             orphan_legs: FxHashMap::default(),
             flow_scratch: Vec::new(),
+            done_scratch: Vec::new(),
+            started_scratch: Vec::new(),
+            input_scratch: Vec::new(),
+            stage_scratch: Vec::new(),
             metrics: Metrics::new(),
             mem_series,
             link_series: Vec::new(),

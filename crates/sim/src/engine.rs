@@ -1,19 +1,29 @@
-//! Discrete-event scheduler: one binary heap of typed events.
+//! Discrete-event scheduler: a binary heap of typed events plus a FIFO lane.
 //!
 //! The world implements [`EventWorld`] with an associated `Event` type and a
 //! `dispatch` function. Scheduling moves the event value into the queue; no
-//! per-event allocation beyond the heap's amortised growth.
+//! per-event allocation beyond the containers' amortised growth.
 //!
 //! Ordering is pinned by golden tests: events fire in `(at, seq)` order,
 //! i.e. nondecreasing virtual time with ties in schedule order. `seq` is a
 //! per-scheduler counter stamped when an event is scheduled, and an event
 //! scheduled in the past is clamped to `now`, so the clock never runs
-//! backwards. The benchmark workloads average 1.03–1.15 events per distinct
-//! timestamp, so grouping same-instant events into buckets would save almost
-//! no heap operations (DESIGN.md §5.6).
+//! backwards.
+//!
+//! An event whose time is not before the last one appended to the lane
+//! joins the back of the lane; any other goes onto the heap. Since `seq`
+//! only grows, the lane is sorted by `(at, seq)` by construction, and
+//! [`Simulation::step`] fires whichever front is earlier: the order is the
+//! same as one heap's, whichever container holds an event. A trace
+//! submitted before the run (workflow mode schedules its whole arrival
+//! trace up front, 8,596 events at seed 11) then costs O(1) per event
+//! instead of a heap push and pop over thousands of pending entries. The
+//! benchmark workloads average 1.03–1.15 events per distinct timestamp, so
+//! grouping same-instant events into buckets would save almost no heap
+//! operations (DESIGN.md §5.6).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -51,12 +61,25 @@ impl<E> Ord for Pending<E> {
     }
 }
 
+impl<E> Pending<E> {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 /// The event queue and simulated clock.
 ///
 /// Handed to every firing event so it can schedule more events.
 pub struct Scheduler<W: EventWorld> {
     now: SimTime,
+    /// Events scheduled out of time order.
     queue: BinaryHeap<Pending<W::Event>>,
+    /// Events scheduled in nondecreasing time order, oldest first.
+    lane: VecDeque<Pending<W::Event>>,
+    /// Time of the event last appended to `lane` (`ZERO` before the first).
+    /// Kept beside the deque so the append test reads no deque memory.
+    lane_tail: SimTime,
     /// Stamp of the next scheduled event; breaks ties on `at`.
     seq: u64,
     /// Observability handle. The scheduler is the source of truth for
@@ -70,6 +93,8 @@ impl<W: EventWorld> Default for Scheduler<W> {
         Scheduler {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            lane_tail: SimTime::ZERO,
             seq: 0,
             rec: grouter_obs::Recorder::disabled(),
         }
@@ -90,7 +115,7 @@ impl<W: EventWorld> Scheduler<W> {
     /// Number of pending events.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.lane.len()
     }
 
     /// Schedule a typed event to fire at absolute time `at`.
@@ -101,11 +126,15 @@ impl<W: EventWorld> Scheduler<W> {
     pub fn schedule_at(&mut self, at: SimTime, ev: W::Event) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Pending {
-            at: at.max(self.now),
-            seq,
-            ev,
-        });
+        let at = at.max(self.now);
+        // No test for an empty lane is needed: its last entry fired at
+        // `lane_tail`, so `now`, and with it `at`, is not before it.
+        if at >= self.lane_tail {
+            self.lane_tail = at;
+            self.lane.push_back(Pending { at, seq, ev });
+        } else {
+            self.queue.push(Pending { at, seq, ev });
+        }
     }
 
     /// Schedule a typed event to fire `delay` after the current instant.
@@ -125,7 +154,21 @@ impl<W: EventWorld> Scheduler<W> {
     /// this to compute the global safe window without popping anything.
     #[inline]
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|p| p.at)
+        match (self.queue.peek(), self.lane.front()) {
+            (Some(h), Some(l)) => Some(h.at.min(l.at)),
+            (h, l) => h.or(l).map(|p| p.at),
+        }
+    }
+
+    /// Remove the earliest pending event by `(at, seq)`, from whichever
+    /// container holds it.
+    #[inline]
+    fn pop_next(&mut self) -> Option<Pending<W::Event>> {
+        match (self.queue.peek(), self.lane.front()) {
+            (Some(h), Some(l)) if h.key() < l.key() => self.queue.pop(),
+            (_, Some(_)) => self.lane.pop_front(),
+            (_, None) => self.queue.pop(),
+        }
     }
 
     /// Attach a recorder whose virtual clock follows this scheduler.
@@ -140,11 +183,23 @@ impl<W: EventWorld> Scheduler<W> {
     }
 
     /// `engine.timeline` (`--features audit`): no pending event lies before
-    /// `now`, and every stamp was issued by this scheduler's counter.
+    /// `now`, every stamp was issued by this scheduler's counter, and the
+    /// lane is sorted by `(at, seq)`.
     #[cfg(feature = "audit")]
     fn audit_timeline(&self) {
         grouter_audit::record_hit("engine.timeline");
-        for p in &self.queue {
+        for (a, b) in self.lane.iter().zip(self.lane.iter().skip(1)) {
+            grouter_audit::check("engine.timeline", a.key() < b.key(), || {
+                format!(
+                    "lane entry (at {}, seq {}) precedes (at {}, seq {})",
+                    a.at.as_nanos(),
+                    a.seq,
+                    b.at.as_nanos(),
+                    b.seq
+                )
+            });
+        }
+        for p in self.queue.iter().chain(&self.lane) {
             grouter_audit::check(
                 "engine.timeline",
                 p.at >= self.now && p.seq < self.seq,
@@ -182,7 +237,7 @@ impl<W: EventWorld> Simulation<W> {
         if grouter_audit::every("engine.timeline", 64) {
             self.sched.audit_timeline();
         }
-        let Some(Pending { at, ev, .. }) = self.sched.queue.pop() else {
+        let Some(Pending { at, ev, .. }) = self.sched.pop_next() else {
             return false;
         };
         debug_assert!(at >= self.sched.now);
@@ -390,6 +445,57 @@ mod tests {
         );
     }
 
+    /// Events split across the lane and the heap: the queries and both
+    /// bounded runs see the earlier front, whichever container holds it.
+    #[test]
+    fn queries_and_bounded_runs_span_lane_and_heap() {
+        let mut sim = Simulation::new(World::default());
+        for (t, name) in [(10, "l10"), (20, "l20"), (40, "l40")] {
+            sim.sched.schedule_at(SimTime(t), Ev::Log(name));
+        }
+        // Before the lane's tail (40): these go onto the heap.
+        for (t, name) in [(5, "h5"), (15, "h15"), (20, "h20"), (30, "h30")] {
+            sim.sched.schedule_at(SimTime(t), Ev::Log(name));
+        }
+        assert_eq!((sim.sched.lane.len(), sim.sched.queue.len()), (3, 4));
+        assert_eq!(sim.sched.pending(), 7);
+        assert_eq!(sim.sched.next_event_at(), Some(SimTime(5)));
+
+        sim.run_before(SimTime(15));
+        assert_eq!(labels(&sim), vec!["h5", "l10"]);
+        assert_eq!(sim.sched.next_event_at(), Some(SimTime(15)));
+        assert_eq!(sim.sched.pending(), 5);
+
+        // The tie at 20: the lane entry was scheduled first, as it always
+        // is (the tail never falls, so a later lane entry cannot tie with
+        // an earlier heap entry).
+        sim.run_until(SimTime(20));
+        assert_eq!(labels(&sim), vec!["h5", "l10", "h15", "l20", "h20"]);
+        assert_eq!(sim.now(), SimTime(20));
+        assert_eq!(sim.sched.next_event_at(), Some(SimTime(30)));
+        assert_eq!(sim.sched.pending(), 2);
+
+        // The lane front (40) is now later than the heap front (30).
+        sim.run_before(SimTime(40));
+        assert_eq!(sim.sched.next_event_at(), Some(SimTime(40)));
+        assert_eq!((sim.sched.lane.len(), sim.sched.queue.len()), (1, 0));
+        sim.run();
+        assert_eq!(
+            sim.world.log,
+            vec![
+                (5, "h5"),
+                (10, "l10"),
+                (15, "h15"),
+                (20, "l20"),
+                (20, "h20"),
+                (30, "h30"),
+                (40, "l40"),
+            ]
+        );
+        assert_eq!(sim.sched.pending(), 0);
+        assert_eq!(sim.sched.next_event_at(), None);
+    }
+
     /// The `engine.timeline` audit aborts on a pending event stamped before
     /// `now` or with a sequence number the counter never issued.
     #[cfg(feature = "audit")]
@@ -417,6 +523,29 @@ mod tests {
         let msg = audit_with(20, 1);
         assert!(
             msg.contains("(at 20, seq 1) breaks now 10 / next seq 1"),
+            "{msg}"
+        );
+    }
+
+    /// The `engine.timeline` audit aborts on a lane that is not sorted by
+    /// `(at, seq)`: popping its front would fire a later event first.
+    #[cfg(feature = "audit")]
+    #[test]
+    fn out_of_order_lane_entry_fails_the_timeline_audit() {
+        let mut sim = Simulation::new(World::default());
+        for (t, name) in [(10, "a"), (20, "b"), (30, "c")] {
+            sim.sched.schedule_at(SimTime(t), Ev::Log(name));
+        }
+        assert_eq!(sim.sched.lane.len(), 3);
+        sim.sched.audit_timeline();
+        sim.sched.lane.swap(1, 2);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.sched.audit_timeline();
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("lane entry (at 30, seq 2) precedes (at 20, seq 1)"),
             "{msg}"
         );
     }
@@ -577,6 +706,49 @@ mod proptests {
                 let l = sim.world.stamp(&sim.sched, SimTime(t));
                 sim.sched.schedule_at(SimTime(t), (l, (mode, delta)));
             }
+            sim.run();
+            let mut expect = sim.world.scheduled.clone();
+            expect.sort_by_key(|&(at, _)| at);
+            let expect: Vec<u32> = expect.into_iter().map(|(_, label)| label).collect();
+            prop_assert_eq!(&sim.world.fired, &expect);
+        }
+
+        /// Long ascending runs, which land in the lane, mixed with runs that
+        /// start below the lane's tail (heap inserts), partial runs that
+        /// drain the lane between segments, and follow-ups scheduled from
+        /// `dispatch`: events fire in the schedule log stably sorted by
+        /// clamped time, i.e. in `(at, seq)` order.
+        #[test]
+        fn lane_and_heap_fire_in_clamped_time_then_schedule_order(
+            segments in proptest::collection::vec(
+                (
+                    0u64..4_000,
+                    proptest::collection::vec((0u64..4, 0u8..5, 0u64..64), 1..64),
+                    // A partial run to this time; none from 4,000 on.
+                    0u64..8_000,
+                ),
+                1..8,
+            ),
+        ) {
+            let mut sim = Simulation::new(Log {
+                scheduled: Vec::new(),
+                fired: Vec::new(),
+            });
+            let mut longest_lane = 0;
+            for (base, run, stop) in &segments {
+                let mut t = *base;
+                for &(step, mode, delta) in run {
+                    t += step;
+                    let l = sim.world.stamp(&sim.sched, SimTime(t));
+                    sim.sched.schedule_at(SimTime(t), (l, (mode, delta)));
+                    longest_lane = longest_lane.max(sim.sched.lane.len());
+                }
+                if *stop < 4_000 {
+                    sim.run_until(SimTime(*stop));
+                }
+            }
+            // The first segment is ascending and meets an empty lane.
+            prop_assert!(longest_lane >= segments[0].1.len());
             sim.run();
             let mut expect = sim.world.scheduled.clone();
             expect.sort_by_key(|&(at, _)| at);

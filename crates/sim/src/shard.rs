@@ -193,7 +193,9 @@ where
     fn run_inline(&mut self) -> RunStats {
         let mut stats = RunStats::default();
         while let Some(horizon) = self.next_horizon(&mut stats) {
-            for env in std::mem::take(&mut self.pending) {
+            // Drained in place: the buffer keeps its capacity for the
+            // envelopes this window sends.
+            for env in self.pending.drain(..) {
                 Self::deliver(&mut self.sims[env.dst as usize], env);
             }
             for sim in &mut self.sims {

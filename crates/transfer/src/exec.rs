@@ -6,6 +6,11 @@
 //! with whatever [`grouter_sim::FlowNet::advance_to`] harvested; the engine
 //! reports which logical transfers finished so the runtime can resume the
 //! waiting function and release NVLink reservations.
+//!
+//! Both calls write into buffers the caller keeps, and finished transfer
+//! records go back to a free list with their flow and route lists'
+//! capacity intact, so a warm engine starts and retires transfers without
+//! touching the allocator.
 
 use std::collections::BTreeMap;
 
@@ -18,7 +23,7 @@ use crate::plan::TransferPlan;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TransferId(pub u64);
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Active {
     /// Flows not yet complete. Plans are at most a handful of paths wide, so
     /// a flat vector with `swap_remove` beats a hash set on every metric.
@@ -26,8 +31,10 @@ struct Active {
     started: SimTime,
     bytes: f64,
     nv_releases: Vec<(Vec<usize>, f64)>,
-    /// GPU routes of this transfer's flows (rebalance index keys).
-    routes: Vec<Vec<usize>>,
+    /// Every GPU on the NVLink routes of this transfer's flows, routes
+    /// concatenated: all [`TransferEngine::transfers_using_route`] asks is
+    /// whether a GPU is on any of them.
+    route_gpus: Vec<usize>,
     /// Node whose bandwidth matrix holds the reservations.
     nv_node: usize,
     /// Open `transfer.leg` span (0 when tracing was off at begin).
@@ -43,8 +50,6 @@ pub struct TransferDone {
     pub bytes: f64,
     /// NVLink reservations `(gpu route, rate)` to release on `nv_node`.
     pub nv_releases: Vec<(Vec<usize>, f64)>,
-    /// GPU routes of this transfer's flows (for rebalance de-indexing).
-    pub routes: Vec<Vec<usize>>,
     pub nv_node: usize,
 }
 
@@ -53,6 +58,8 @@ pub struct TransferDone {
 pub struct TransferEngine {
     next_id: u64,
     active: BTreeMap<u64, Active>,
+    /// Retired records, vectors emptied but not freed, for the next begin.
+    spare: Vec<Active>,
     flow_owner: FxHashMap<FlowId, u64>,
     /// Observability handle ([`TransferEngine::set_recorder`]).
     rec: grouter_obs::Recorder,
@@ -82,12 +89,13 @@ impl std::fmt::Display for BeginError {
 impl std::error::Error for BeginError {}
 
 /// Result of starting a plan.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BeginOutcome {
     /// Flows are in flight; completion arrives via `on_flows_complete`.
-    /// Carries each started flow with its GPU route (if any) so the caller
-    /// can index flows for live rebalancing.
-    InFlight(TransferId, Vec<(FlowId, Option<Vec<usize>>)>),
+    /// [`TransferEngine::begin`] wrote each started flow with its GPU route
+    /// (if any) into the caller's buffer, so the caller can index flows for
+    /// live rebalancing.
+    InFlight(TransferId),
     /// The plan was zero-copy: it is already complete (after its setup
     /// latency, which the caller charges).
     Immediate,
@@ -157,8 +165,10 @@ impl TransferEngine {
     /// the plan has none).
     ///
     /// The plan is consumed: its link paths, reservations and routes move
-    /// straight into the flow network and the active-transfer record, so a
-    /// steady-state leg start performs no per-flow clones.
+    /// straight into the flow network, the active-transfer record and
+    /// `started`, so a steady-state leg start performs no per-flow clones.
+    /// `started` is cleared, then receives each started flow with its GPU
+    /// route (if any); it is left empty on error and for zero-copy plans.
     ///
     /// The caller is responsible for charging `plan.setup` *before* `now`
     /// (schedule `begin` at `t + setup`).
@@ -168,16 +178,16 @@ impl TransferEngine {
         now: SimTime,
         plan: TransferPlan,
         nv_node: usize,
+        started: &mut Vec<(FlowId, Option<Vec<usize>>)>,
     ) -> Result<BeginOutcome, BeginError> {
+        started.clear();
         if plan.is_zero_copy() {
             return Ok(BeginOutcome::Immediate);
         }
         let id = self.next_id;
         self.next_id += 1;
         let total_bytes = plan.total_bytes;
-        let mut pending = Vec::new();
-        let mut nv_releases = Vec::new();
-        let mut started = Vec::new();
+        let mut act = self.spare.pop().unwrap_or_default();
         // A multi-path plan starts all of its flows at the same instant;
         // batching collapses the per-flow rate recomputes into one pass
         // over the affected contention component.
@@ -185,30 +195,30 @@ impl TransferEngine {
         for (flow_index, flow) in plan.flows.into_iter().enumerate() {
             match net.start_flow(now, flow.links, flow.bytes, flow.opts) {
                 Ok(fid) => {
-                    pending.push(fid);
+                    act.pending.push(fid);
                     self.flow_owner.insert(fid, id);
                     if let Some(res) = flow.nv_reservation {
-                        nv_releases.push(res);
+                        act.nv_releases.push(res);
+                    }
+                    if let Some(route) = &flow.route {
+                        act.route_gpus.extend_from_slice(route);
                     }
                     started.push((fid, flow.route));
                 }
                 Err(source) => {
                     // Unwind the flows already started so the caller sees
                     // an all-or-nothing failure.
-                    for (fid, _) in &started {
-                        self.flow_owner.remove(fid);
-                        let _ = net.cancel_flow(now, *fid);
+                    for (fid, _) in started.drain(..) {
+                        self.flow_owner.remove(&fid);
+                        let _ = net.cancel_flow(now, fid);
                     }
                     net.commit_batch();
+                    self.retire(act);
                     return Err(BeginError { flow_index, source });
                 }
             }
         }
         net.commit_batch();
-        let routes: Vec<Vec<usize>> = started
-            .iter()
-            .filter_map(|(_, r)| r.as_ref().cloned())
-            .collect();
         let mut span = 0;
         if self.rec.on(grouter_obs::Comp::Transfer) {
             span = self.rec.begin(
@@ -222,7 +232,7 @@ impl TransferEngine {
                     ("nv_node", nv_node.into()),
                 ],
             );
-            for (fid, route) in &started {
+            for (fid, route) in started.iter() {
                 let mut args: Vec<(&'static str, grouter_obs::Val)> = vec![("transfer", id.into())];
                 if let Some(route) = route {
                     args.push(("route_gpus", format!("{route:?}").into()));
@@ -240,27 +250,43 @@ impl TransferEngine {
                 started.len() as u64,
             );
         }
-        self.active.insert(
-            id,
-            Active {
-                pending,
-                started: now,
-                bytes: total_bytes,
-                nv_releases,
-                routes,
-                nv_node,
-                span,
-            },
-        );
+        act.started = now;
+        act.bytes = total_bytes;
+        act.nv_node = nv_node;
+        act.span = span;
+        self.active.insert(id, act);
         #[cfg(feature = "audit")]
         self.audit_pending();
-        Ok(BeginOutcome::InFlight(TransferId(id), started))
+        Ok(BeginOutcome::InFlight(TransferId(id)))
     }
 
-    /// Feed flow completions from `FlowNet::advance_to`; returns transfers
-    /// whose last flow just finished (ascending id order).
-    pub fn on_flows_complete(&mut self, done: &[FlowId]) -> Vec<TransferDone> {
-        let mut finished = Vec::new();
+    /// Empty a finished or abandoned record's vectors, keeping their
+    /// capacity, and park it for the next [`TransferEngine::begin`].
+    fn retire(&mut self, mut act: Active) {
+        act.pending.clear();
+        act.nv_releases.clear();
+        act.route_gpus.clear();
+        self.spare.push(act);
+    }
+
+    /// Move a record's results out and retire it.
+    fn finish(&mut self, id: u64, mut act: Active) -> TransferDone {
+        let done = TransferDone {
+            id: TransferId(id),
+            started: act.started,
+            bytes: act.bytes,
+            nv_releases: std::mem::take(&mut act.nv_releases),
+            nv_node: act.nv_node,
+        };
+        self.retire(act);
+        done
+    }
+
+    /// Feed flow completions from `FlowNet::advance_to`; appends to
+    /// `finished` the transfers whose last flow just finished, in ascending
+    /// id order.
+    pub fn on_flows_complete(&mut self, done: &[FlowId], finished: &mut Vec<TransferDone>) {
+        let first = finished.len();
         for fid in done {
             let Some(tid) = self.flow_owner.remove(fid) else {
                 continue; // flow owned by someone else (e.g. background noise)
@@ -280,21 +306,16 @@ impl TransferEngine {
                     if act.span != 0 {
                         self.rec.end(act.span, vec![("bytes", act.bytes.into())]);
                     }
-                    finished.push(TransferDone {
-                        id: TransferId(tid),
-                        started: act.started,
-                        bytes: act.bytes,
-                        nv_releases: act.nv_releases,
-                        routes: act.routes,
-                        nv_node: act.nv_node,
-                    });
+                    let td = self.finish(tid, act);
+                    finished.push(td);
                 }
             }
         }
-        finished.sort_by_key(|t| t.id);
+        if let Some(new) = finished.get_mut(first..) {
+            new.sort_by_key(|t| t.id);
+        }
         #[cfg(feature = "audit")]
         self.audit_pending();
-        finished
     }
 
     /// Abort an in-flight transfer, cancelling its flows. Returns the
@@ -315,17 +336,7 @@ impl TransferEngine {
             self.flow_owner.remove(fid);
             let _ = net.cancel_flow(now, *fid);
         }
-        Some((
-            TransferDone {
-                id,
-                started: act.started,
-                bytes: act.bytes,
-                nv_releases: act.nv_releases,
-                routes: act.routes,
-                nv_node: act.nv_node,
-            },
-            cancelled,
-        ))
+        Some((self.finish(id.0, act), cancelled))
     }
 
     /// In-flight transfers on `nv_node` whose NVLink routes visit `gpu`
@@ -334,7 +345,7 @@ impl TransferEngine {
     pub fn transfers_using_route(&self, nv_node: usize, gpu: usize) -> Vec<TransferId> {
         self.active
             .iter()
-            .filter(|(_, a)| a.nv_node == nv_node && a.routes.iter().any(|r| r.contains(&gpu)))
+            .filter(|(_, a)| a.nv_node == nv_node && a.route_gpus.contains(&gpu))
             .map(|(&id, _)| TransferId(id))
             .collect()
     }
@@ -364,7 +375,7 @@ mod tests {
             let next = net.next_completion().expect("flows make progress");
             t = next;
             let done = net.advance_to(next);
-            all.extend(eng.on_flows_complete(&done));
+            eng.on_flows_complete(&done, &mut all);
         }
         (t, all)
     }
@@ -375,7 +386,8 @@ mod tests {
         let mut eng = TransferEngine::new();
         let plan = TransferPlan::zero_copy(SimDuration::from_micros(5));
         assert_eq!(
-            eng.begin(&mut net, SimTime::ZERO, plan, 0).unwrap(),
+            eng.begin(&mut net, SimTime::ZERO, plan, 0, &mut Vec::new())
+                .unwrap(),
             BeginOutcome::Immediate
         );
         assert_eq!(eng.in_flight(), 0);
@@ -388,7 +400,9 @@ mod tests {
         let cfg = PlanConfig::single_path();
         // 120 MB over one 12 GB/s PCIe chain → 10 ms.
         let plan = plan_d2h(&topo, &net, 0, 0, 120.0 * MB, &cfg);
-        let out = eng.begin(&mut net, SimTime::ZERO, plan, 0).unwrap();
+        let out = eng
+            .begin(&mut net, SimTime::ZERO, plan, 0, &mut Vec::new())
+            .unwrap();
         assert!(matches!(out, BeginOutcome::InFlight(..)));
         let (t, done) = drain(&mut net, &mut eng);
         assert_eq!(done.len(), 1);
@@ -400,13 +414,15 @@ mod tests {
         let (mut net1, topo1) = setup();
         let mut eng = TransferEngine::new();
         let single = plan_d2h(&topo1, &net1, 0, 0, 480.0 * MB, &PlanConfig::single_path());
-        eng.begin(&mut net1, SimTime::ZERO, single, 0).unwrap();
+        eng.begin(&mut net1, SimTime::ZERO, single, 0, &mut Vec::new())
+            .unwrap();
         let (t_single, _) = drain(&mut net1, &mut eng);
 
         let (mut net2, topo2) = setup();
         let mut eng2 = TransferEngine::new();
         let par = plan_d2h(&topo2, &net2, 0, 0, 480.0 * MB, &PlanConfig::grouter());
-        eng2.begin(&mut net2, SimTime::ZERO, par, 0).unwrap();
+        eng2.begin(&mut net2, SimTime::ZERO, par, 0, &mut Vec::new())
+            .unwrap();
         let (t_par, _) = drain(&mut net2, &mut eng2);
 
         // 4 disjoint PCIe chains → ~4× faster (paper: 2–4×).
@@ -430,7 +446,8 @@ mod tests {
             &PlanConfig::grouter(),
         );
         assert!(plan.flows.len() >= 2);
-        eng.begin(&mut net, SimTime::ZERO, plan.clone(), 0).unwrap();
+        eng.begin(&mut net, SimTime::ZERO, plan.clone(), 0, &mut Vec::new())
+            .unwrap();
         // First completion may not finish the transfer if flows end at
         // different instants; drain handles the general case.
         let (_, done) = drain(&mut net, &mut eng);
@@ -453,7 +470,8 @@ mod tests {
             10.0 * MB,
             &PlanConfig::grouter(),
         );
-        eng.begin(&mut net, SimTime::ZERO, plan, 0).unwrap();
+        eng.begin(&mut net, SimTime::ZERO, plan, 0, &mut Vec::new())
+            .unwrap();
         let (_, done) = drain(&mut net, &mut eng);
         for (route, rate) in &done[0].nv_releases {
             assert!(route.len() >= 2);
@@ -469,7 +487,9 @@ mod tests {
         let (mut net, topo) = setup();
         let mut eng = TransferEngine::new();
         let plan = plan_d2h(&topo, &net, 0, 0, 480.0 * MB, &PlanConfig::grouter());
-        let BeginOutcome::InFlight(id, _) = eng.begin(&mut net, SimTime::ZERO, plan, 0).unwrap()
+        let BeginOutcome::InFlight(id) = eng
+            .begin(&mut net, SimTime::ZERO, plan, 0, &mut Vec::new())
+            .unwrap()
         else {
             panic!("expected in-flight");
         };
@@ -502,8 +522,9 @@ mod tests {
             100.0 * MB,
             &PlanConfig::grouter(),
         );
-        let BeginOutcome::InFlight(id, _) =
-            eng.begin(&mut net, SimTime::ZERO, plan.clone(), 0).unwrap()
+        let BeginOutcome::InFlight(id) = eng
+            .begin(&mut net, SimTime::ZERO, plan.clone(), 0, &mut Vec::new())
+            .unwrap()
         else {
             panic!("expected in-flight");
         };
@@ -531,12 +552,15 @@ mod tests {
         let mut eng = TransferEngine::new();
         let small = plan_d2h(&topo, &net, 0, 2, 12.0 * MB, &PlanConfig::single_path());
         let large = plan_d2h(&topo, &net, 0, 4, 480.0 * MB, &PlanConfig::single_path());
-        eng.begin(&mut net, SimTime::ZERO, small, 0).unwrap();
-        eng.begin(&mut net, SimTime::ZERO, large, 0).unwrap();
+        eng.begin(&mut net, SimTime::ZERO, small, 0, &mut Vec::new())
+            .unwrap();
+        eng.begin(&mut net, SimTime::ZERO, large, 0, &mut Vec::new())
+            .unwrap();
         // Distinct switches → no contention; small finishes first.
         let next = net.next_completion().unwrap();
         let done = net.advance_to(next);
-        let finished = eng.on_flows_complete(&done);
+        let mut finished = Vec::new();
+        eng.on_flows_complete(&done, &mut finished);
         assert_eq!(finished.len(), 1);
         assert!((finished[0].bytes - 12.0 * MB).abs() < 1.0);
         assert_eq!(eng.in_flight(), 1);
@@ -553,7 +577,8 @@ mod tests {
         let fid = net
             .start_flow(SimTime::ZERO, links, 1.0 * MB, Default::default())
             .unwrap();
-        let done = eng.on_flows_complete(&[fid]);
+        let mut done = Vec::new();
+        eng.on_flows_complete(&[fid], &mut done);
         assert!(done.is_empty());
     }
 }

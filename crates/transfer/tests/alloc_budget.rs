@@ -1,74 +1,27 @@
 //! Allocation budget of a steady-state transfer leg. Once warm, planning a
 //! DGX-V100 host-to-device transfer, starting its flows and draining them
 //! to completion touches the allocator only for the plan's flow list and
-//! the engine's per-transfer records, never per link path; starting a flow
-//! on the network allocates nothing at all.
+//! the engine's transfer map: the engine recycles its per-transfer records
+//! and writes into the caller's buffers, and starting a flow on the network
+//! allocates nothing at all.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use grouter_audit::{count_allocs, CountingAlloc};
 use grouter_sim::time::SimTime;
 use grouter_sim::{FlowId, FlowNet};
 use grouter_topology::{presets, Topology};
 use grouter_transfer::plan::{plan_h2d, PlanConfig};
-use grouter_transfer::TransferEngine;
-
-/// The system allocator, counting the allocations of the calling thread
-/// (tests run on parallel threads, so a global count would mix them).
-struct Counting;
-
-thread_local! {
-    // Const-initialised and without a destructor: reading it from inside
-    // the allocator never allocates or registers anything.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note() {
-    ALLOCS.with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter has no effect on the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        note();
-        // SAFETY: forwarded from the caller, who upholds `alloc`'s contract.
-        unsafe { System.alloc(l) }
-    }
-
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        note();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(l) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        // SAFETY: `p` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(p, l) }
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `p` came from `System` with layout `l`; forwarded as is.
-        unsafe { System.realloc(p, l, new_size) }
-    }
-}
+use grouter_transfer::{TransferDone, TransferEngine};
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Run `f`; return its result and the allocations it made on this thread.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let r = f();
-    (r, ALLOCS.with(Cell::get) - before)
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 struct Bed {
     net: FlowNet,
     topo: Topology,
     engine: TransferEngine,
     done: Vec<FlowId>,
+    started: Vec<(FlowId, Option<Vec<usize>>)>,
+    finished: Vec<TransferDone>,
     now: SimTime,
 }
 
@@ -81,6 +34,8 @@ impl Bed {
             topo,
             engine: TransferEngine::new(),
             done: Vec::new(),
+            started: Vec::new(),
+            finished: Vec::new(),
             now: SimTime::ZERO,
         }
     }
@@ -91,26 +46,19 @@ impl Bed {
         let plan = plan_h2d(&self.topo, &self.net, 0, 0, 64e6, &PlanConfig::grouter());
         let flows = plan.flows.len();
         self.engine
-            .begin(&mut self.net, self.now, plan, 0)
+            .begin(&mut self.net, self.now, plan, 0, &mut self.started)
             .expect("planned transfer starts");
-        let mut finished = 0;
+        assert_eq!(self.started.len(), flows);
+        self.finished.clear();
         while self.engine.in_flight() > 0 {
             self.now = self.net.next_completion().expect("transfer in flight");
             self.net.advance_to_into(self.now, &mut self.done);
-            finished += self.engine.on_flows_complete(&self.done).len();
+            self.engine
+                .on_flows_complete(&self.done, &mut self.finished);
         }
-        assert_eq!(finished, 1);
+        assert_eq!(self.finished.len(), 1);
         flows
     }
-}
-
-/// Run `f` and count its allocations with the sampled invariant checkers
-/// of audited builds (every workspace-wide `cargo test`) parked: they
-/// allocate on their own schedule, and the window must measure the
-/// transfer path alone.
-fn counted_unaudited<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    grouter_audit::quiet_samplers();
-    counted(f)
 }
 
 // One test function: the checkers' samplers are process-wide, and a second
@@ -120,12 +68,13 @@ fn warm_transfer_path_allocations() {
     let mut bed = Bed::v100();
     assert_eq!(bed.h2d_leg(), 4, "direct path plus three staging peers");
 
-    // A whole leg: the plan's flow list, the engine's pending/started lists
-    // and active-transfer record, and the finished-transfer list. A handful,
-    // however many links the four paths cross.
-    let (flows, allocs) = counted_unaudited(|| bed.h2d_leg());
+    // A whole leg: the plan's flow list and the root node of the engine's
+    // active-transfer map (the map empties after every leg here), however
+    // many links the four paths cross. The transfer record, its pending
+    // list and the started and finished buffers are all recycled.
+    let (flows, allocs) = count_allocs(|| bed.h2d_leg());
     assert_eq!(flows, 4);
-    assert!(allocs <= 8, "one h2d leg made {allocs} allocations");
+    assert!(allocs <= 2, "one h2d leg made {allocs} allocations");
 
     // FlowNet alone: start the leg's paths one by one, twice. The first
     // round warms the slots, the per-link member lists, the recompute
@@ -133,7 +82,7 @@ fn warm_transfer_path_allocations() {
     let plan = plan_h2d(&bed.topo, &bed.net, 0, 0, 64e6, &PlanConfig::grouter());
     for round in 0..2 {
         for flow in &plan.flows {
-            let (started, allocs) = counted_unaudited(|| {
+            let (started, allocs) = count_allocs(|| {
                 bed.net
                     .start_flow(bed.now, flow.links, flow.bytes, flow.opts)
             });

@@ -38,6 +38,17 @@ impl ArrivalPattern {
     }
 }
 
+/// Arrival processes stop here, in seconds: the simulated clock ends at
+/// 2^64 ns (about 1.84e10 s, 584 years), and an arrival stamped at
+/// `SimTime::MAX` could never be reached by an event loop.
+const CLOCK_END_S: f64 = 1.8e10;
+
+/// `t` seconds on the simulated clock; `t` is below [`CLOCK_END_S`], so the
+/// conversion never saturates.
+fn clock_time(t: f64) -> SimTime {
+    SimTime((t * 1e9) as u64)
+}
+
 /// Generate arrival times over `[0, duration)` with mean rate `mean_rps`.
 ///
 /// All patterns use thinning over a fine time grid so the mean rate is met
@@ -54,7 +65,7 @@ pub fn generate_trace(
     rng: &mut DetRng,
 ) -> Vec<SimTime> {
     assert!(mean_rps > 0.0, "rate must be positive");
-    let horizon = duration.as_secs_f64();
+    let horizon = duration.as_secs_f64().min(CLOCK_END_S);
     let mut out = Vec::new();
     match pattern {
         ArrivalPattern::Sporadic => {
@@ -64,7 +75,7 @@ pub fn generate_trace(
                 if t >= horizon {
                     break;
                 }
-                out.push(SimTime((t * 1e9) as u64));
+                out.push(clock_time(t));
             }
         }
         ArrivalPattern::Periodic => {
@@ -80,7 +91,7 @@ pub fn generate_trace(
                 let lambda =
                     mean_rps * (1.0 + 0.9 * (2.0 * std::f64::consts::PI * t / period).sin());
                 if rng.next_f64() < lambda / peak {
-                    out.push(SimTime((t * 1e9) as u64));
+                    out.push(clock_time(t));
                 }
             }
         }
@@ -106,7 +117,7 @@ pub fn generate_trace(
                     if t >= horizon {
                         break;
                     }
-                    out.push(SimTime((t * 1e9) as u64));
+                    out.push(clock_time(t));
                 }
                 if t >= horizon {
                     break;
@@ -130,7 +141,8 @@ pub fn generate_trace(
 pub struct OpenLoopGen {
     pattern: ArrivalPattern,
     mean_rps: f64,
-    /// Horizon in seconds; `f64::INFINITY` for count-bounded callers.
+    /// Horizon in seconds, at most [`CLOCK_END_S`] (the horizon of
+    /// count-bounded callers).
     horizon: f64,
     rng: DetRng,
     /// Current process time, seconds.
@@ -158,7 +170,7 @@ impl OpenLoopGen {
         OpenLoopGen {
             pattern,
             mean_rps,
-            horizon: duration.as_secs_f64(),
+            horizon: duration.as_secs_f64().min(CLOCK_END_S),
             rng,
             t: 0.0,
             on: false,
@@ -166,8 +178,9 @@ impl OpenLoopGen {
         }
     }
 
-    /// An endless generator — the caller bounds the run by arrival count
-    /// (open-loop cluster sweeps) instead of by horizon.
+    /// A generator bounded only by the end of the simulated clock — the
+    /// caller bounds the run by arrival count (open-loop cluster sweeps)
+    /// instead of by horizon.
     pub fn unbounded(pattern: ArrivalPattern, mean_rps: f64, mut rng: DetRng) -> OpenLoopGen {
         assert!(mean_rps > 0.0, "rate must be positive");
         let phase_end = if pattern == ArrivalPattern::Bursty {
@@ -178,7 +191,7 @@ impl OpenLoopGen {
         OpenLoopGen {
             pattern,
             mean_rps,
-            horizon: f64::INFINITY,
+            horizon: CLOCK_END_S,
             rng,
             t: 0.0,
             on: false,
@@ -197,7 +210,7 @@ impl Iterator for OpenLoopGen {
                 if self.t >= self.horizon {
                     return None;
                 }
-                Some(SimTime((self.t * 1e9) as u64))
+                Some(clock_time(self.t))
             }
             ArrivalPattern::Periodic => {
                 let peak = self.mean_rps * 1.9;
@@ -210,7 +223,7 @@ impl Iterator for OpenLoopGen {
                     let lambda = self.mean_rps
                         * (1.0 + 0.9 * (2.0 * std::f64::consts::PI * self.t / period).sin());
                     if self.rng.next_f64() < lambda / peak {
-                        return Some(SimTime((self.t * 1e9) as u64));
+                        return Some(clock_time(self.t));
                     }
                 }
             }
@@ -237,7 +250,7 @@ impl Iterator for OpenLoopGen {
                         if self.t >= self.horizon {
                             return None;
                         }
-                        return Some(SimTime((self.t * 1e9) as u64));
+                        return Some(clock_time(self.t));
                     }
                 }
             }
@@ -364,6 +377,24 @@ mod tests {
             prev = t;
         }
         assert!(prev > SimTime::ZERO);
+    }
+
+    /// A rate so low that the next arrival lies past the end of the clock
+    /// ends the stream: no arrival is stamped `SimTime::MAX`, which no
+    /// event loop could ever reach.
+    #[test]
+    fn tiny_rates_end_the_stream_instead_of_saturating_the_clock() {
+        let end = clock_time(CLOCK_END_S);
+        assert!(end < SimTime::MAX);
+        for p in [ArrivalPattern::Sporadic, ArrivalPattern::Periodic] {
+            for seed in 0..16 {
+                let times: Vec<SimTime> = OpenLoopGen::unbounded(p, 1e-12, DetRng::new(seed))
+                    .take(64)
+                    .collect();
+                assert!(times.len() < 64, "{p:?} seed {seed}: stream never ended");
+                assert!(times.iter().all(|&t| t < end), "{p:?}: {times:?}");
+            }
+        }
     }
 
     #[test]
