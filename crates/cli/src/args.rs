@@ -81,7 +81,8 @@ pub struct WorkflowRun {
 pub struct ServeRun {
     /// `--preset`, truncated to `--groups` when given.
     pub preset: ClusterPreset,
-    /// Shard worker threads (outputs are identical for any value).
+    /// Shard threads, the calling thread included (outputs are identical
+    /// for any value).
     pub threads: usize,
     pub csv: Option<String>,
     pub config: ServiceConfig,
@@ -186,11 +187,13 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// `count` arrivals at `rps` must fit on the simulated clock, which ends at
-/// about 1.8e10 s: their mean span may be at most 1e9 s. An arrival stamped
-/// past the clock's end could never be reached.
+/// `count` arrivals at `rps` may span at most 1e7 s (about 116 days) on
+/// average. That keeps them well inside the simulated clock, which ends at
+/// about 1.8e10 s (an arrival stamped past its end could never be reached),
+/// and bounds generation time: the bursty process draws one on/off phase
+/// per ~2.25 simulated seconds, arrival or not.
 fn arrival_span(count_flag: &str, count: u64, rps: f64) -> Result<(), String> {
-    const MAX_SPAN_S: f64 = 1e9;
+    const MAX_SPAN_S: f64 = 1e7;
     let span = count as f64 / rps;
     if span > MAX_SPAN_S {
         return Err(format!(
@@ -577,17 +580,29 @@ mod tests {
             }
         }
         // A rate so low that the arrivals would run past the end of the
-        // simulated clock (their mean span is capped at 1e9 s).
+        // simulated clock, or take seconds just to generate (their mean
+        // span is capped at 1e7 s).
         for args in [
             &["serve", "--rps", "1e-10", "--total", "3", "--groups", "2"][..],
             &["serve", "--total", "3", "--rps", "1e-9"],
             &["llm", "--rps", "1e-12", "--requests", "3"],
+            &[
+                "serve",
+                "--pattern",
+                "bursty",
+                "--rps",
+                "1e-9",
+                "--total",
+                "1",
+                "--groups",
+                "2",
+            ],
         ] {
             let e = parse_command(&argv(args)).err().expect("span refused");
-            assert!(e.contains("--rps") && e.contains("1e9 s"), "{args:?}: {e}");
+            assert!(e.contains("--rps") && e.contains("1e7 s"), "{args:?}: {e}");
         }
-        assert!(serve(&["--rps", "1e-6", "--total", "1000"]).is_ok());
-        assert!(llm(&["--rps", "1e-6", "--requests", "1000"]).is_ok());
+        assert!(serve(&["--rps", "1e-4", "--total", "1000"]).is_ok());
+        assert!(llm(&["--rps", "1e-4", "--requests", "1000"]).is_ok());
     }
 
     #[test]

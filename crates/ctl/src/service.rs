@@ -82,8 +82,8 @@ impl ServiceSim {
         }
     }
 
-    /// Run to global quiescence on `threads` workers; byte-identical
-    /// outputs for any thread count.
+    /// Run to global quiescence on `threads` threads, the calling thread
+    /// included; byte-identical outputs for any thread count.
     pub fn run(&mut self, threads: usize) -> RunStats {
         self.sim.run(threads)
     }

@@ -44,7 +44,7 @@ pub struct LlmServeConfig {
     pub mix: LlmMix,
     /// Chaos: fail decode GPU `(group, flat gpu index)` at the given time.
     pub fail: Option<(usize, usize, SimTime)>,
-    /// Worker threads for the sharded engine.
+    /// Threads for the sharded engine, the calling thread included.
     pub threads: usize,
 }
 
@@ -102,7 +102,7 @@ fn us(x: f64) -> f64 {
 /// Run one disaggregated serving experiment to completion.
 pub fn run_llm_serve(cfg: &LlmServeConfig) -> LlmReport {
     assert!(cfg.groups >= 1, "need at least one serving group");
-    assert!(cfg.threads >= 1, "need at least one worker thread");
+    assert!(cfg.threads >= 1, "need at least one thread");
     let lookahead = params::CROSS_GROUP_LATENCY;
     let mut rng = DetRng::new(cfg.seed);
     let gen = OpenLoopGen::unbounded(cfg.pattern, cfg.rps, rng.fork(1));

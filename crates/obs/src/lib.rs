@@ -108,9 +108,6 @@ impl Comp {
 
 /// Enable mask covering every component.
 pub const MASK_ALL: u32 = (1 << COMPONENTS.len()) - 1;
-/// Default mask: only recovery/fault events, which back the runtime's
-/// `recovery_log` view and must survive with tracing "off".
-pub const MASK_FAULT_ONLY: u32 = Comp::Fault.bit();
 
 /// A typed event argument value.
 #[derive(Clone, Debug, PartialEq)]
@@ -472,7 +469,7 @@ impl Recorder {
     }
 
     /// A recorder with a ring of `cap` events and the given component mask
-    /// (see [`MASK_ALL`], [`MASK_FAULT_ONLY`]).
+    /// (see [`MASK_ALL`]).
     pub fn with_mask(cap: usize, mask: u32) -> Recorder {
         Recorder(Some(Arc::new(Inner {
             mask: AtomicU32::new(mask),

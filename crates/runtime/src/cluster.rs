@@ -578,8 +578,9 @@ impl ClusterSim {
         }
     }
 
-    /// Run every group to global quiescence on `threads` workers. The
-    /// result is byte-identical for any thread count.
+    /// Run every group to global quiescence on `threads` threads, the
+    /// calling thread included. The result is byte-identical for any
+    /// thread count.
     pub fn run(&mut self, threads: usize) -> RunStats {
         self.engine.run(threads)
     }
@@ -656,8 +657,8 @@ impl ClusterSim {
     pub fn merged_recovery_log(&self) -> String {
         let mut rows: Vec<(SimTime, usize, usize, String)> = Vec::new();
         for (g, w) in self.each().enumerate() {
-            for (i, (t, ev)) in w.recovery_log().into_iter().enumerate() {
-                rows.push((t, g, i, format!("{ev:?}")));
+            for (i, (t, ev)) in w.recovery_log().iter().enumerate() {
+                rows.push((*t, g, i, format!("{ev:?}")));
             }
         }
         rows.sort_by_key(|r| (r.0, r.1, r.2));

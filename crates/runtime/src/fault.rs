@@ -21,10 +21,10 @@
 //!   budget is exhausted, the instance terminates with a *typed* failure
 //!   (`Metrics::failed`) — never a silent stall.
 //!
-//! Every action is recorded as a `Comp::Fault` instant in the observability
-//! trace; `World::recovery_log()` decodes that stream back into typed events,
-//! which chaos tests replay byte-for-byte: the whole module is deterministic
-//! (BTree iteration, sorted id collection, no wall-clock).
+//! Every action is appended to the world's typed recovery log
+//! (`World::recovery_log()`, and a `Comp::Fault` trace instant when tracing
+//! is on), which chaos tests replay byte-for-byte: the whole module is
+//! deterministic (BTree iteration, sorted id collection, no wall-clock).
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -59,6 +59,8 @@ pub struct FaultState {
     /// Retry counters per `(instance, stage)` — bounded by
     /// [`MAX_OP_RETRIES`].
     pub retries: BTreeMap<(u64, usize), u32>,
+    /// The recovery log ([`World::recovery_log`]), in emit order.
+    pub log: Vec<(SimTime, RecoveryEvent)>,
 }
 
 /// One entry of `World::recovery_log`: a fault the world absorbed or a
@@ -133,15 +135,6 @@ pub enum RecoveryEvent {
     },
 }
 
-// ---------------------------------------------------------------------------
-// Trace-stream codec
-// ---------------------------------------------------------------------------
-//
-// `World::recovery_log` is a *view* over the observability trace: every
-// recovery action is encoded as a `Comp::Fault` instant (always recorded,
-// even with tracing off — see `MASK_FAULT_ONLY`), and decoded back on
-// demand. Chaos tests keep comparing the decoded log byte-for-byte.
-
 /// Encode one recovery action as a fault instant stamped at `now`.
 pub(crate) fn record_recovery(rec: &grouter_obs::Recorder, now: SimTime, ev: &RecoveryEvent) {
     use grouter_obs::{Comp, Ids, Val};
@@ -208,82 +201,6 @@ pub(crate) fn record_recovery(rec: &grouter_obs::Recorder, now: SimTime, ev: &Re
         RecoveryEvent::HbDropped { group } => ("hb_dropped", vec![("group", group.into())]),
     };
     rec.instant_at(now.as_nanos(), Comp::Fault, name, ids, args);
-}
-
-/// Decode a fault instant back into its typed form. Non-fault events (and
-/// fault events that are not recovery actions) decode to `None`.
-pub(crate) fn decode_recovery(e: &grouter_obs::Event) -> Option<(SimTime, RecoveryEvent)> {
-    use grouter_obs::{Comp, Val};
-    if e.comp != Comp::Fault {
-        return None;
-    }
-    let arg_u64 = |k: &str| -> Option<u64> {
-        e.args
-            .iter()
-            .find(|(n, _)| *n == k)
-            .and_then(|(_, v)| match *v {
-                Val::U64(x) => Some(x),
-                _ => None,
-            })
-    };
-    let arg_f64 = |k: &str| -> Option<f64> {
-        e.args
-            .iter()
-            .find(|(n, _)| *n == k)
-            .and_then(|(_, v)| match *v {
-                Val::F64(x) => Some(x),
-                _ => None,
-            })
-    };
-    let link = || -> Option<LinkId> { Some(LinkId(u32::try_from(arg_u64("link")?).ok()?)) };
-    let ev = match e.name {
-        "link_degraded" => RecoveryEvent::LinkDegraded { link: link()? },
-        "link_restored" => RecoveryEvent::LinkRestored { link: link()? },
-        "nic_degraded" => RecoveryEvent::NicDegraded {
-            node: arg_u64("node")? as usize,
-            nic: arg_u64("nic")? as usize,
-        },
-        "nic_restored" => RecoveryEvent::NicRestored {
-            node: arg_u64("node")? as usize,
-            nic: arg_u64("nic")? as usize,
-        },
-        "route_lost" => RecoveryEvent::RouteLost {
-            gpu: arg_u64("gpu")? as usize,
-        },
-        "route_restored" => RecoveryEvent::RouteRestored {
-            gpu: arg_u64("gpu")? as usize,
-        },
-        "gpu_failed" => RecoveryEvent::GpuFailed {
-            gpu: arg_u64("gpu")? as usize,
-            lost_objects: arg_u64("lost_objects")? as usize,
-            lost_bytes: arg_f64("lost_bytes")?,
-        },
-        "gpu_restored" => RecoveryEvent::GpuRestored {
-            gpu: arg_u64("gpu")? as usize,
-        },
-        "op_retried" => RecoveryEvent::OpRetried {
-            inst: e.ids.inst?,
-            stage: arg_u64("stage")? as usize,
-            attempt: arg_u64("attempt")? as u32,
-        },
-        "stage_restarted" => RecoveryEvent::StageRestarted {
-            inst: e.ids.inst?,
-            stage: arg_u64("stage")? as usize,
-        },
-        "instance_failed" => RecoveryEvent::InstanceFailed { inst: e.ids.inst? },
-        "degraded_leg" => RecoveryEvent::DegradedLeg { op: e.ids.op? },
-        "worker_died" => RecoveryEvent::WorkerDied,
-        "worker_restarted" => RecoveryEvent::WorkerRestarted,
-        "hb_loss_armed" => RecoveryEvent::HbLossArmed {
-            group: arg_u64("group")? as usize,
-            drops: arg_u64("drops")? as u32,
-        },
-        "hb_dropped" => RecoveryEvent::HbDropped {
-            group: arg_u64("group")? as usize,
-        },
-        _ => return None,
-    };
-    Some((SimTime(e.t_ns), ev))
 }
 
 /// The `(inst, stage, data)` of a request-owned op (`None` for background

@@ -44,9 +44,9 @@ pub struct RuntimeConfig {
     /// memory-overhead baselines of Fig. 20c).
     pub pool_discipline: PoolDiscipline,
     /// Enable full tracing: every component records into the flight
-    /// recorder. When `false` (default) only fault/recovery events are
-    /// recorded — they back [`World::recovery_log`] — and every other
-    /// emit site costs one atomic load.
+    /// recorder. When `false` (default) the world's recorder is disabled
+    /// and every emit site costs one `None` check; the recovery log
+    /// ([`World::recovery_log`]) is kept either way.
     pub trace: bool,
     /// Flight-recorder ring capacity in events (oldest evicted first).
     pub trace_buffer: usize,
@@ -321,10 +321,8 @@ pub struct World {
     /// Cross-group port installed when this world is one shard of a
     /// [`crate::cluster::ClusterSim`]; `None` for standalone worlds.
     pub cluster: Option<Box<crate::cluster::ClusterPort>>,
-    /// The flight recorder every component in this world reports into.
-    /// `Comp::Fault` events are recorded even with tracing off, so the
-    /// recovery log ([`World::recovery_log`]) is a decoded *view* over this
-    /// stream rather than a bespoke `Vec`.
+    /// The flight recorder every component in this world reports into
+    /// (disabled unless [`RuntimeConfig::trace`] is set).
     pub rec: grouter_obs::Recorder,
 }
 
@@ -342,15 +340,13 @@ impl World {
         if config.placement_nodes.is_empty() {
             config.placement_nodes = (0..num_nodes).collect();
         }
-        // The world's flight recorder: fault events always recorded (they
-        // back the recovery-log view); everything else only under full
-        // tracing. Every component below gets a clone of the handle.
-        let mask = if config.trace {
-            grouter_obs::MASK_ALL
+        // The world's flight recorder, on only under full tracing. Every
+        // component below gets a clone of the handle.
+        let rec = if config.trace {
+            grouter_obs::Recorder::enabled(config.trace_buffer)
         } else {
-            grouter_obs::MASK_FAULT_ONLY
+            grouter_obs::Recorder::disabled()
         };
-        let rec = grouter_obs::Recorder::with_mask(config.trace_buffer, mask);
         net.set_recorder(rec.clone());
         let n_gpus = topo.num_gpus();
         let pools: Vec<ElasticPool> = (0..n_gpus)
@@ -427,23 +423,19 @@ impl World {
         }
     }
 
-    /// Decode the fault-component events of the flight recorder back into
-    /// the typed recovery log (PR 4's `Vec` is now a view over the trace
-    /// stream). Order is emit order; entries evicted by ring wrap are gone
-    /// — size [`RuntimeConfig::trace_buffer`] accordingly.
-    pub fn recovery_log(&self) -> Vec<(SimTime, crate::fault::RecoveryEvent)> {
-        self.rec
-            .snapshot()
-            .events
-            .iter()
-            .filter_map(crate::fault::decode_recovery)
-            .collect()
+    /// Every fault this world absorbed and every recovery action it took,
+    /// in the order they happened.
+    pub fn recovery_log(&self) -> &[(SimTime, crate::fault::RecoveryEvent)] {
+        &self.fault.log
     }
 
-    /// Append a typed recovery event to the trace stream (always recorded:
-    /// `Comp::Fault` is in the default mask).
-    pub(crate) fn log_recovery(&self, now: SimTime, ev: crate::fault::RecoveryEvent) {
-        crate::fault::record_recovery(&self.rec, now, &ev);
+    /// Append a typed recovery event to the recovery log, and to the trace
+    /// as a `Comp::Fault` instant when tracing is on.
+    pub(crate) fn log_recovery(&mut self, now: SimTime, ev: crate::fault::RecoveryEvent) {
+        if self.rec.on(grouter_obs::Comp::Fault) {
+            crate::fault::record_recovery(&self.rec, now, &ev);
+        }
+        self.fault.log.push((now, ev));
     }
 
     /// Flat GPU index (canonical ordering from [`Topology::flat_index`]).

@@ -15,7 +15,7 @@
 //!    guaranteed minimum latency of any cross-shard interaction (derived
 //!    from topology — a cross-group message rides at least one NIC hop, so
 //!    `L ≥` NIC setup + propagation; see DESIGN.md §5.7).
-//! 2. **Barrier.** At the window edge every shard drains its outbox of
+//! 2. **Window edge.** At the window edge every shard drains its outbox of
 //!    timestamped [`Envelope`]s. Because an envelope sent at `t_send ≥ T`
 //!    is stamped `at ≥ t_send + L ≥ T + L`, it can never land inside the
 //!    window just executed — no shard ever receives a message in its past.
@@ -26,18 +26,16 @@
 //!    seed ⇒ byte-identical results whether the shards run inline on one
 //!    thread or spread over eight.
 //!
-//! `run(threads)` with `threads ≤ 1` executes the identical window
-//! algorithm inline; with more threads, shards are partitioned over
-//! persistent workers (`shard i → worker i mod threads`) coordinated with
-//! two barriers per window. The window sequence itself depends only on
-//! event timestamps, so the epoch structure — and therefore every
-//! tie-breaking decision — is the same for every thread count.
+//! `run(threads)` splits the shards into `threads` contiguous chunks. The
+//! calling thread runs the first chunk itself and one scoped worker runs
+//! each other chunk; per window a worker receives `(horizon, inbox)` over a
+//! channel and replies with `(outbox, next event time)`. With one thread
+//! nothing is spawned and the loop runs every shard in place. The window
+//! sequence itself depends only on event timestamps, so the epoch
+//! structure — and therefore every tie-breaking decision — is the same for
+//! every thread count.
 
-use std::panic::{self, AssertUnwindSafe};
-// grouter-lint: allow(no-shared-mut-across-shards): epoch-barrier plumbing for the threaded driver; simulation state never crosses shards outside envelopes
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-// grouter-lint: allow(no-shared-mut-across-shards): worker handoff slots, touched only at window edges under the barriers
-use std::sync::{Barrier, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::engine::{EventWorld, Scheduler, Simulation};
 use crate::time::{SimDuration, SimTime};
@@ -104,6 +102,18 @@ where
     pending: Vec<Envelope<W::Msg>>,
 }
 
+/// The calling thread's end of one worker's channels, plus the worker's
+/// state between windows.
+struct Worker<M> {
+    to: Sender<(SimTime, Vec<Envelope<M>>)>,
+    from: Receiver<(Vec<Envelope<M>>, Option<SimTime>)>,
+    /// Envelopes for the worker's shards in the next window: the buffer its
+    /// last outbox came back in, so it keeps its capacity.
+    inbox: Vec<Envelope<M>>,
+    /// Earliest pending event over the worker's shards.
+    next: Option<SimTime>,
+}
+
 impl<W: ShardWorld> ShardedEngine<W>
 where
     W::Event: Send,
@@ -112,15 +122,7 @@ where
     /// positive: a zero lookahead would admit zero-latency cross-shard
     /// interaction, and the safe window would never contain any event.
     pub fn new(worlds: Vec<W>, lookahead: SimDuration) -> Self {
-        assert!(
-            lookahead > SimDuration::ZERO,
-            "conservative sync needs a positive lookahead"
-        );
-        ShardedEngine {
-            sims: worlds.into_iter().map(Simulation::new).collect(),
-            lookahead,
-            pending: Vec::new(),
-        }
+        Self::from_sims(worlds.into_iter().map(Simulation::new).collect(), lookahead)
     }
 
     /// Build an engine over already-running simulations (worlds that were
@@ -159,30 +161,104 @@ where
     }
 
     /// Run to global quiescence (no pending events, no undelivered
-    /// envelopes) on `threads` worker threads. `threads ≤ 1` runs the same
-    /// window algorithm inline. Returns window/message counters.
+    /// envelopes) on `threads` threads, the calling thread included; the
+    /// window sequence is the same for every thread count. Returns
+    /// window/message counters.
+    ///
+    /// A panicking shard on a worker closes that worker's channels; the
+    /// loop then returns and the scope re-raises the panic.
     pub fn run(&mut self, threads: usize) -> RunStats {
-        if threads <= 1 || self.sims.len() <= 1 {
-            self.run_inline()
-        } else {
-            self.run_threaded(threads.min(self.sims.len()))
+        let size = self.sims.len().div_ceil(threads.max(1)).max(1);
+        let mut chunks = self.sims.chunks_mut(size);
+        let own = chunks.next().unwrap_or_default();
+        let (lookahead, pending) = (self.lookahead, &mut self.pending);
+        // Nothing to spawn: run the loop outside a thread scope, which
+        // measured a few percent faster on one-thread runs.
+        if chunks.len() == 0 {
+            return Self::run_windows(own, size, lookahead, pending, &mut []);
         }
+        std::thread::scope(|scope| {
+            let mut workers: Vec<Worker<W::Msg>> = chunks
+                .enumerate()
+                .map(|(k, chunk)| {
+                    let base = (k + 1) * size;
+                    let next = Self::next_event(chunk);
+                    let (to, rx) = channel::<(SimTime, Vec<Envelope<W::Msg>>)>();
+                    let (tx, from) = channel();
+                    scope.spawn(move || {
+                        // The inbox, once delivered, carries the outbox back.
+                        while let Ok((horizon, mut mail)) = rx.recv() {
+                            for env in mail.drain(..) {
+                                Self::deliver(&mut chunk[env.dst as usize - base], env);
+                            }
+                            let next = Self::window(chunk, horizon, &mut mail);
+                            if tx.send((mail, next)).is_err() {
+                                return;
+                            }
+                        }
+                    });
+                    Worker {
+                        to,
+                        from,
+                        inbox: Vec::new(),
+                        next,
+                    }
+                })
+                .collect();
+            Self::run_windows(own, size, lookahead, pending, &mut workers)
+        })
     }
 
-    /// Sort pending envelopes into their fixed delivery order and compute
-    /// the next window horizon, or `None` at global quiescence.
-    fn next_horizon(&mut self, stats: &mut RunStats) -> Option<SimTime> {
-        self.pending.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
-        let mut t = self.pending.first().map(|e| e.at);
-        for sim in &self.sims {
-            if let Some(n) = sim.sched.next_event_at() {
-                t = Some(t.map_or(n, |t0| t0.min(n)));
+    /// The window loop. The calling thread runs `own` (shards `0..size`);
+    /// `workers[k]` runs shards `(k + 1) * size..`.
+    fn run_windows(
+        own: &mut [Simulation<W>],
+        size: usize,
+        lookahead: SimDuration,
+        pending: &mut Vec<Envelope<W::Msg>>,
+        workers: &mut [Worker<W::Msg>],
+    ) -> RunStats {
+        let mut next = Self::next_event(own);
+        let mut stats = RunStats::default();
+        loop {
+            pending.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
+            let first = pending.first().map(|e| e.at);
+            let Some(t) = workers
+                .iter()
+                .map(|w| w.next)
+                .chain([first, next])
+                .fold(None, earliest)
+            else {
+                return stats;
+            };
+            stats.epochs += 1;
+            stats.messages += pending.len() as u64;
+            let horizon = t.saturating_add(lookahead);
+            // Drained in place: the buffer keeps its capacity for the
+            // envelopes this window sends.
+            for env in pending.drain(..) {
+                let dst = env.dst as usize;
+                if dst < size {
+                    Self::deliver(&mut own[dst], env);
+                } else {
+                    workers[dst / size - 1].inbox.push(env);
+                }
+            }
+            for w in workers.iter_mut() {
+                if w.to.send((horizon, std::mem::take(&mut w.inbox))).is_err() {
+                    return stats;
+                }
+            }
+            next = Self::window(own, horizon, pending);
+            for w in workers.iter_mut() {
+                let Ok((mut outbox, n)) = w.from.recv() else {
+                    return stats;
+                };
+                pending.append(&mut outbox);
+                w.inbox = outbox;
+                w.next = n;
             }
         }
-        let t = t?;
-        stats.epochs += 1;
-        stats.messages += self.pending.len() as u64;
-        Some(t.saturating_add(self.lookahead))
     }
 
     fn deliver(sim: &mut Simulation<W>, env: Envelope<W::Msg>) {
@@ -190,196 +266,41 @@ where
         world.apply_message(sched, env);
     }
 
-    fn run_inline(&mut self) -> RunStats {
-        let mut stats = RunStats::default();
-        while let Some(horizon) = self.next_horizon(&mut stats) {
-            // Drained in place: the buffer keeps its capacity for the
-            // envelopes this window sends.
-            for env in self.pending.drain(..) {
-                Self::deliver(&mut self.sims[env.dst as usize], env);
-            }
-            for sim in &mut self.sims {
-                sim.run_before(horizon);
-                let before = self.pending.len();
-                sim.world.drain_outbox(&mut self.pending);
-                debug_assert!(
-                    self.pending[before..].iter().all(|e| e.at >= horizon),
-                    "cross-shard envelope stamped inside the safe window"
-                );
-            }
+    /// Execute `chunk`'s events before `horizon`, drain the envelopes they
+    /// sent into `out`, and return the chunk's earliest pending event.
+    fn window(
+        chunk: &mut [Simulation<W>],
+        horizon: SimTime,
+        out: &mut Vec<Envelope<W::Msg>>,
+    ) -> Option<SimTime> {
+        let mut next = None;
+        for sim in chunk.iter_mut() {
+            sim.run_before(horizon);
+            let before = out.len();
+            sim.world.drain_outbox(out);
+            debug_assert!(
+                out.iter().skip(before).all(|e| e.at >= horizon),
+                "cross-shard envelope stamped inside the safe window"
+            );
+            next = earliest(next, sim.sched.next_event_at());
         }
-        stats
+        next
     }
 
-    fn run_threaded(&mut self, threads: usize) -> RunStats {
-        const STOP: u64 = u64::MAX;
-        let mut stats = RunStats::default();
+    fn next_event(chunk: &[Simulation<W>]) -> Option<SimTime> {
+        chunk
+            .iter()
+            .map(|s| s.sched.next_event_at())
+            .fold(None, earliest)
+    }
+}
 
-        // Worker mailboxes. Main touches a slot only between the `done` and
-        // `start` barriers; its worker only between `start` and `done` — the
-        // mutexes are never contended, they just carry the data across the
-        // barrier synchronisation.
-        struct Io<W: ShardWorld>
-        where
-            W::Event: Send,
-        {
-            inbox: Vec<Envelope<W::Msg>>,
-            outbox: Vec<Envelope<W::Msg>>,
-            next: Option<SimTime>,
-            sims: Vec<(usize, Simulation<W>)>,
-        }
-
-        let lookahead = self.lookahead;
-        let mut per: Vec<Vec<(usize, Simulation<W>)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, sim) in std::mem::take(&mut self.sims).into_iter().enumerate() {
-            per[i % threads].push((i, sim));
-        }
-        // grouter-lint: allow(no-shared-mut-across-shards): one slot per worker, locked only at window edges; envelope order carries determinism
-        let ios: Vec<Mutex<Io<W>>> = per
-            .into_iter()
-            .map(|sims| {
-                // grouter-lint: allow(no-shared-mut-across-shards): see slot vector above
-                Mutex::new(Io {
-                    inbox: Vec::new(),
-                    outbox: Vec::new(),
-                    next: None,
-                    sims,
-                })
-            })
-            .collect();
-        let start = Barrier::new(threads + 1);
-        let done = Barrier::new(threads + 1);
-        // Current window horizon in nanoseconds; `STOP` ends the run.
-        // grouter-lint: allow(no-shared-mut-across-shards): window broadcast written by main between barriers, read by workers after
-        let horizon = AtomicU64::new(0);
-        // grouter-lint: allow(no-shared-mut-across-shards): sticky poison flag so one panicking shard aborts the scope cleanly
-        let panicked = AtomicBool::new(false);
-
-        std::thread::scope(|scope| {
-            for k in 0..threads {
-                let (ios, start, done) = (&ios, &start, &done);
-                let (horizon, panicked) = (&horizon, &panicked);
-                scope.spawn(move || {
-                    let mut mine = {
-                        // grouter-lint: allow(no-panic-in-dataplane): lock poisoning is already a shard panic; propagating it is the orderly shutdown path
-                        let mut io = ios[k].lock().unwrap();
-                        std::mem::take(&mut io.sims)
-                    };
-                    // Initial handshake: report first next-event times so
-                    // main can open the first window.
-                    {
-                        // grouter-lint: allow(no-panic-in-dataplane): lock poisoning is already a shard panic; propagating it is the orderly shutdown path
-                        let mut io = ios[k].lock().unwrap();
-                        io.next = mine
-                            .iter()
-                            .filter_map(|(_, s)| s.sched.next_event_at())
-                            .min();
-                    }
-                    done.wait();
-                    loop {
-                        start.wait();
-                        let h = horizon.load(Ordering::SeqCst);
-                        if h == STOP {
-                            // grouter-lint: allow(no-panic-in-dataplane): lock poisoning is already a shard panic; propagating it is the orderly shutdown path
-                            ios[k].lock().unwrap().sims = mine;
-                            return;
-                        }
-                        // A panicking shard must still reach the `done`
-                        // barrier or main would hang; the flag re-raises the
-                        // panic on the main thread.
-                        let res = panic::catch_unwind(AssertUnwindSafe(|| {
-                            let inbox = {
-                                // grouter-lint: allow(no-panic-in-dataplane): lock poisoning is already a shard panic; propagating it is the orderly shutdown path
-                                let mut io = ios[k].lock().unwrap();
-                                std::mem::take(&mut io.inbox)
-                            };
-                            for env in inbox {
-                                let (_, sim) = mine
-                                    .iter_mut()
-                                    .find(|(i, _)| *i == env.dst as usize)
-                                    // grouter-lint: allow(no-panic-in-dataplane): routing is dst % threads by construction; a miss is engine corruption
-                                    .expect("envelope routed to wrong worker");
-                                Self::deliver(sim, env);
-                            }
-                            let mut outbox = Vec::new();
-                            let mut next: Option<SimTime> = None;
-                            for (_, sim) in mine.iter_mut() {
-                                sim.run_before(SimTime(h));
-                                let before = outbox.len();
-                                sim.world.drain_outbox(&mut outbox);
-                                debug_assert!(
-                                    outbox[before..].iter().all(|e| e.at.as_nanos() >= h),
-                                    "cross-shard envelope stamped inside the safe window"
-                                );
-                                if let Some(n) = sim.sched.next_event_at() {
-                                    next = Some(next.map_or(n, |n0| n0.min(n)));
-                                }
-                            }
-                            // grouter-lint: allow(no-panic-in-dataplane): lock poisoning is already a shard panic; propagating it is the orderly shutdown path
-                            let mut io = ios[k].lock().unwrap();
-                            io.outbox = outbox;
-                            io.next = next;
-                        }));
-                        if res.is_err() {
-                            panicked.store(true, Ordering::SeqCst);
-                        }
-                        done.wait();
-                    }
-                });
-            }
-
-            done.wait(); // initial handshake
-            loop {
-                // Same horizon computation as the inline path, over the
-                // workers' reported minima plus undelivered envelopes.
-                self.pending.sort_unstable_by_key(|e| (e.at, e.src, e.seq));
-                let mut t = self.pending.first().map(|e| e.at);
-                for io in &ios {
-                    // grouter-lint: allow(no-panic-in-dataplane): lock poisoning is already a shard panic; propagating it is the orderly shutdown path
-                    if let Some(n) = io.lock().unwrap().next {
-                        t = Some(t.map_or(n, |t0| t0.min(n)));
-                    }
-                }
-                let Some(t) = t else {
-                    horizon.store(STOP, Ordering::SeqCst);
-                    start.wait();
-                    break;
-                };
-                stats.epochs += 1;
-                stats.messages += self.pending.len() as u64;
-                let h = t.saturating_add(lookahead);
-                // Route envelopes in their sorted order; each worker's inbox
-                // receives its shards' sub-sequence in delivery order.
-                for env in self.pending.drain(..) {
-                    let w = env.dst as usize % threads;
-                    // grouter-lint: allow(no-panic-in-dataplane): lock poisoning is already a shard panic; propagating it is the orderly shutdown path
-                    ios[w].lock().unwrap().inbox.push(env);
-                }
-                horizon.store(h.as_nanos(), Ordering::SeqCst);
-                start.wait();
-                done.wait();
-                if panicked.load(Ordering::SeqCst) {
-                    horizon.store(STOP, Ordering::SeqCst);
-                    start.wait();
-                    // grouter-lint: allow(no-panic-in-dataplane): re-raise a shard worker's panic after an orderly shutdown
-                    panic!("sharded engine: shard worker panicked");
-                }
-                for io in &ios {
-                    // grouter-lint: allow(no-panic-in-dataplane): lock poisoning is already a shard panic; propagating it is the orderly shutdown path
-                    let mut io = io.lock().unwrap();
-                    self.pending.append(&mut io.outbox);
-                }
-            }
-        });
-
-        let mut collected: Vec<(usize, Simulation<W>)> = ios
-            .into_iter()
-            // grouter-lint: allow(no-panic-in-dataplane): scope has joined every worker; the mutex cannot be poisoned or held
-            .flat_map(|m| m.into_inner().unwrap().sims)
-            .collect();
-        collected.sort_unstable_by_key(|(i, _)| *i);
-        self.sims = collected.into_iter().map(|(_, s)| s).collect();
-        stats
+/// The earlier of two optional instants; `None` means "nothing pending".
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
     }
 }
 
@@ -396,6 +317,8 @@ mod tests {
         log: Vec<(u64, u64, u32)>, // (time, token, hops_left)
         outbox: Vec<Envelope<Token>>,
         seq: u64,
+        /// Panic on the third dispatch (a shard whose event handler fails).
+        faulty: bool,
     }
 
     #[derive(Clone, Debug)]
@@ -407,6 +330,11 @@ mod tests {
     impl EventWorld for Ring {
         type Event = Token;
         fn dispatch(&mut self, s: &mut Scheduler<Self>, ev: Token) {
+            assert!(
+                !(self.faulty && self.log.len() == 2),
+                "shard {} failed",
+                self.id
+            );
             self.log.push((s.now().as_nanos(), ev.id, ev.hops));
             if ev.hops > 0 {
                 let dst = (self.id + 1) % self.n;
@@ -435,12 +363,10 @@ mod tests {
         }
     }
 
-    fn ring(
-        n: u32,
-        tokens: u64,
-        hops: u32,
-        threads: usize,
-    ) -> (Vec<Vec<(u64, u64, u32)>>, RunStats) {
+    /// A ring of `n` shards with `tokens` tokens of `hops` hops each; shard
+    /// `faulty` (if any) panics on its third dispatch, with a far-future
+    /// event still pending.
+    fn ring_engine(n: u32, tokens: u64, hops: u32, faulty: Option<u32>) -> ShardedEngine<Ring> {
         let worlds: Vec<Ring> = (0..n)
             .map(|id| Ring {
                 id,
@@ -448,6 +374,7 @@ mod tests {
                 log: Vec::new(),
                 outbox: Vec::new(),
                 seq: 0,
+                faulty: faulty == Some(id),
             })
             .collect();
         let mut eng = ShardedEngine::new(worlds, SimDuration(L));
@@ -458,6 +385,25 @@ mod tests {
                 .sched
                 .schedule_at(SimTime(tok * 37), Token { id: tok, hops });
         }
+        if let Some(f) = faulty {
+            let late = Token {
+                id: tokens,
+                hops: 0,
+            };
+            eng.shard_mut(f as usize)
+                .sched
+                .schedule_at(SimTime(1 << 40), late);
+        }
+        eng
+    }
+
+    fn ring(
+        n: u32,
+        tokens: u64,
+        hops: u32,
+        threads: usize,
+    ) -> (Vec<Vec<(u64, u64, u32)>>, RunStats) {
+        let mut eng = ring_engine(n, tokens, hops, None);
         let stats = eng.run(threads);
         (
             eng.sims().iter().map(|s| s.world.log.clone()).collect(),
@@ -480,6 +426,31 @@ mod tests {
         let base = ring(5, 16, 23, 1);
         for threads in [2, 3, 5, 8] {
             assert_eq!(ring(5, 16, 23, threads), base, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_fails_the_run_instead_of_hanging() {
+        use std::time::{Duration, Instant};
+        // Shard 0 runs on the calling thread at every thread count; shard
+        // 3 runs on a worker at 2 and 4 threads.
+        for threads in [1, 2, 4] {
+            for faulty in [0, 3] {
+                let run =
+                    std::thread::spawn(move || ring_engine(4, 8, 10, Some(faulty)).run(threads));
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while !run.is_finished() {
+                    assert!(
+                        Instant::now() < deadline,
+                        "threads={threads} faulty={faulty}: run hung"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                assert!(
+                    run.join().is_err(),
+                    "threads={threads} faulty={faulty}: run completed"
+                );
+            }
         }
     }
 

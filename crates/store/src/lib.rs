@@ -17,5 +17,4 @@ pub mod table;
 
 pub use api::{DataStore, StoreError};
 pub use id::{AccessToken, DataEntry, DataId, FunctionId, Location, WorkflowId};
-pub use patterns::{classify, DataPassPattern};
 pub use table::MappingTables;

@@ -1,13 +1,7 @@
-//! Data-passing pattern classification (paper §4.2.2).
-//!
-//! Given where the bytes live and where the consumer runs, [`classify`]
-//! names the pattern; the data plane maps each pattern to a transfer
-//! planner. This is the dispatch at the heart of the "unified" API: the
-//! caller just says `Get(id)`.
+//! Where a `Get` delivers its bytes (paper §4.2.2): the consumer side of
+//! the unified API, from which the data plane picks a transfer planner.
 
 use grouter_topology::GpuRef;
-
-use crate::id::Location;
 
 /// Consumer-side destination of a `Get`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -25,124 +19,5 @@ impl Destination {
             Destination::Gpu(g) => g.node,
             Destination::Host(n) => *n,
         }
-    }
-}
-
-/// The heterogeneous data-passing patterns of §4.2.2.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DataPassPattern {
-    /// Producer and consumer share a GPU: address sharing, no copy.
-    ZeroCopy,
-    /// gFn–gFn on one node: NVLink (or PCIe P2P without NVLink).
-    IntraNodeGpu { node: usize, src: usize, dst: usize },
-    /// gFn–gFn across nodes: GPUDirect RDMA.
-    CrossNodeGpu { src: GpuRef, dst: GpuRef },
-    /// Host data consumed by a GPU function: PCIe host-to-device.
-    HostToGpu { dst: GpuRef, src_node: usize },
-    /// GPU data consumed on the host: PCIe device-to-host.
-    GpuToHost { src: GpuRef, dst_node: usize },
-    /// cFn–cFn on one node: shared memory.
-    HostLocal { node: usize },
-    /// Host-to-host across nodes: the network.
-    HostCross { src_node: usize, dst_node: usize },
-}
-
-/// Classify the movement needed to satisfy a `Get`.
-pub fn classify(data: Location, dest: Destination) -> DataPassPattern {
-    match (data, dest) {
-        (Location::Gpu(s), Destination::Gpu(d)) => {
-            if s == d {
-                DataPassPattern::ZeroCopy
-            } else if s.node == d.node {
-                DataPassPattern::IntraNodeGpu {
-                    node: s.node,
-                    src: s.gpu,
-                    dst: d.gpu,
-                }
-            } else {
-                DataPassPattern::CrossNodeGpu { src: s, dst: d }
-            }
-        }
-        (Location::Host(n), Destination::Gpu(d)) => DataPassPattern::HostToGpu {
-            dst: d,
-            src_node: n,
-        },
-        (Location::Gpu(s), Destination::Host(n)) => DataPassPattern::GpuToHost {
-            src: s,
-            dst_node: n,
-        },
-        (Location::Host(s), Destination::Host(d)) => {
-            if s == d {
-                DataPassPattern::HostLocal { node: s }
-            } else {
-                DataPassPattern::HostCross {
-                    src_node: s,
-                    dst_node: d,
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classify_covers_every_pattern() {
-        let g00 = GpuRef::new(0, 0);
-        let g03 = GpuRef::new(0, 3);
-        let g12 = GpuRef::new(1, 2);
-        assert_eq!(
-            classify(Location::Gpu(g00), Destination::Gpu(g00)),
-            DataPassPattern::ZeroCopy
-        );
-        assert_eq!(
-            classify(Location::Gpu(g00), Destination::Gpu(g03)),
-            DataPassPattern::IntraNodeGpu {
-                node: 0,
-                src: 0,
-                dst: 3
-            }
-        );
-        assert_eq!(
-            classify(Location::Gpu(g00), Destination::Gpu(g12)),
-            DataPassPattern::CrossNodeGpu { src: g00, dst: g12 }
-        );
-        assert_eq!(
-            classify(Location::Host(1), Destination::Gpu(g12)),
-            DataPassPattern::HostToGpu {
-                dst: g12,
-                src_node: 1
-            }
-        );
-        assert_eq!(
-            classify(Location::Gpu(g03), Destination::Host(0)),
-            DataPassPattern::GpuToHost {
-                src: g03,
-                dst_node: 0
-            }
-        );
-        assert_eq!(
-            classify(Location::Host(0), Destination::Host(0)),
-            DataPassPattern::HostLocal { node: 0 }
-        );
-        assert_eq!(
-            classify(Location::Host(0), Destination::Host(1)),
-            DataPassPattern::HostCross {
-                src_node: 0,
-                dst_node: 1
-            }
-        );
-    }
-
-    #[test]
-    fn same_gpu_index_on_different_nodes_is_cross_node() {
-        let a = GpuRef::new(0, 5);
-        let b = GpuRef::new(1, 5);
-        assert!(matches!(
-            classify(Location::Gpu(a), Destination::Gpu(b)),
-            DataPassPattern::CrossNodeGpu { .. }
-        ));
     }
 }

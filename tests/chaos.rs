@@ -62,12 +62,21 @@ fn domain_of(rt: &Runtime) -> FaultDomain {
 
 /// One chaos run; returns the runtime (drained) and the plan it absorbed.
 fn chaos_run(seed: u64, topo: TopologySpec, gpu: GpuClass) -> (Runtime, FaultPlan) {
+    chaos_run_with(seed, topo, gpu, RuntimeConfig::default())
+}
+
+fn chaos_run_with(
+    seed: u64,
+    topo: TopologySpec,
+    gpu: GpuClass,
+    config: RuntimeConfig,
+) -> (Runtime, FaultPlan) {
     let spec = traffic(WorkloadParams { batch: 4, gpu });
     let mut rt = Runtime::new(
         topo,
         1,
         Box::new(GrouterPlane::new(GrouterConfig::full())),
-        RuntimeConfig::default(),
+        config,
     );
     let mut rng = DetRng::new(seed);
     for t in generate_trace(
@@ -241,6 +250,35 @@ fn chaos_recovery_log_records_absorbed_faults() {
             "fixed seed batch never produced a GpuFailed event; rebalance seeds"
         );
     }
+}
+
+/// The recovery log does not live in the flight recorder: a traced run
+/// whose 64-event ring wraps many times over keeps every entry of the
+/// untraced run's log.
+#[test]
+fn chaos_recovery_log_survives_a_wrapped_trace_ring() {
+    let seed = 3;
+    let (untraced, _) = chaos_run(seed, presets::dgx_v100(), GpuClass::V100);
+    let (traced, _) = chaos_run_with(
+        seed,
+        presets::dgx_v100(),
+        GpuClass::V100,
+        RuntimeConfig {
+            trace: true,
+            trace_buffer: 64,
+            ..RuntimeConfig::default()
+        },
+    );
+    assert!(
+        traced.recorder().snapshot().dropped > 0,
+        "seed {seed}: the trace ring never wrapped"
+    );
+    assert!(!untraced.world().recovery_log().is_empty());
+    assert_eq!(
+        traced.world().recovery_log(),
+        untraced.world().recovery_log(),
+        "seed {seed}: tracing changed the recovery log"
+    );
 }
 
 /// `SimTime` sanity for the suite's window: every injected fault lies inside

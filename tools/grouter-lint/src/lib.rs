@@ -37,8 +37,7 @@
 //!   may exchange state only through timestamped envelopes drained at
 //!   epoch barriers, because any other cross-shard channel is invisible to
 //!   the (timestamp, shard, sequence) ordering that makes runs
-//!   thread-count independent. The threaded driver's own epoch plumbing
-//!   carries justified allow pragmas.
+//!   thread-count independent.
 //!
 //! Suppression pragma syntax (same line or the line directly above):
 //!
