@@ -258,9 +258,9 @@ impl GrouterPlane {
 
     /// Migrate at least `need` bytes off `gpu` to host memory.
     fn migrate(&mut self, ctx: &mut PlaneCtx<'_>, gpu: GpuRef, need: f64) -> Vec<OpLeg> {
-        let entries = ctx.store.entries_at(Location::Gpu(gpu));
-        let metas: Vec<ObjectMeta> = entries
-            .iter()
+        let metas: Vec<ObjectMeta> = ctx
+            .store
+            .resident_at(Location::Gpu(gpu))
             .map(|e| ObjectMeta {
                 key: e.id.0,
                 bytes: e.bytes,
@@ -277,20 +277,20 @@ impl GrouterPlane {
         let mut legs = Vec::new();
         for v in victims {
             let id = DataId(v);
-            // Victims were selected from a store snapshot taken above, so
+            // Victims were selected from the store's entries above, so
             // both lookups hold; a vanished victim is skipped, not fatal.
-            let Some(entry) = ctx.store.peek(id).cloned() else {
+            let Some(bytes) = ctx.store.peek(id).map(|e| e.bytes) else {
                 continue;
             };
             if ctx.store.relocate(id, Location::Host(gpu.node)).is_err() {
                 continue;
             }
             legs.push(OpLeg::new(
-                plan_d2h(ctx.topo, ctx.net, gpu.node, gpu.gpu, entry.bytes, &host_cfg),
+                plan_d2h(ctx.topo, ctx.net, gpu.node, gpu.gpu, bytes, &host_cfg),
                 gpu.node,
             ));
             let idx = ctx.pool_index(gpu);
-            ctx.pools[idx].free(entry.bytes);
+            ctx.pools[idx].free(bytes);
             self.stats.migrations += 1;
             if self.cfg.elastic_storage {
                 self.track_migrated(v, gpu);

@@ -54,11 +54,17 @@ impl GroupView {
     }
 }
 
+/// One routed request, as [`RouterAgent::admission_log`] prints it: when,
+/// which spec, the chosen group, its effective depth and whether it was
+/// suspect.
+type Admission = (SimTime, u32, u32, u64, bool);
+
 /// Heartbeat-view admission/placement policy (the service-mode router).
 pub struct HeartbeatRouter {
     interval: SimDuration,
     view: Vec<GroupView>,
-    log: String,
+    /// Every route in admission order, formatted only when asked for.
+    log: Vec<Admission>,
     /// Total requests routed.
     pub routed: u64,
 }
@@ -69,7 +75,7 @@ impl HeartbeatRouter {
         HeartbeatRouter {
             interval,
             view: (0..groups).map(|_| GroupView::new()).collect(),
-            log: String::new(),
+            log: Vec::new(),
             routed: 0,
         }
     }
@@ -148,22 +154,24 @@ impl RouterAgent for HeartbeatRouter {
                 vec![("spec", spec.into()), ("group", g.into())],
             );
         }
-        // grouter-lint: allow(no-panic-in-dataplane): fmt::Write to String cannot fail
-        writeln!(
-            self.log,
-            "{} spec={} -> g{} eff={} suspect={}",
-            now.as_nanos(),
-            spec,
-            g,
-            eff,
-            u8::from(suspect)
-        )
-        .unwrap_or_default();
+        self.log.push((now, spec, g as u32, eff, suspect));
         g as u32
     }
 
     fn admission_log(&self) -> String {
-        self.log.clone()
+        let mut out = String::new();
+        for &(at, spec, g, eff, suspect) in &self.log {
+            let _ = writeln!(
+                out,
+                "{} spec={} -> g{} eff={} suspect={}",
+                at.as_nanos(),
+                spec,
+                g,
+                eff,
+                u8::from(suspect)
+            );
+        }
+        out
     }
 }
 

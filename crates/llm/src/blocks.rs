@@ -10,10 +10,9 @@
 //! machinery. Each block remembers its *home* location (where the plane
 //! stored it); residency elsewhere means the pressure path migrated it.
 
+use grouter_sim::table::RidTable;
 use grouter_store::{DataId, DataStore, Location};
 use grouter_topology::GpuRef;
-
-use crate::table::RidTable;
 
 /// Tokens per KV block.
 pub const KV_BLOCK_TOKENS: u32 = 256;

@@ -18,6 +18,7 @@ use grouter_ctl::DecodeView;
 use grouter_mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
 use grouter_runtime::dataplane::{DataPlane, Destination, PlaneCtx};
 use grouter_runtime::pin_decode;
+use grouter_sim::table::RidTable;
 use grouter_sim::time::{SimDuration, SimTime};
 use grouter_sim::{params, FlowNet};
 use grouter_store::{AccessToken, DataStore, FunctionId, Location, WorkflowId};
@@ -29,7 +30,6 @@ use crate::blocks::{KvBlock, KvBlockMap, RequestKv, KV_BLOCK_TOKENS};
 use crate::exec::{run_op, run_ops};
 use crate::metrics::LlmMetrics;
 use crate::request::ActiveRequest;
-use crate::table::RidTable;
 
 /// Which data plane a group serves over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -20,8 +20,6 @@
 //! * [`request`] — request identity and per-request serving state.
 //! * [`blocks`] — the KV block map: block-granular store objects per
 //!   request, home-GPU pinning, residency tracking.
-//! * [`table`] — the rid-indexed table behind a group's request and KV
-//!   maps: O(1) lookup, iteration in request-id order.
 //! * [`exec`] — the analytic operation executor (durations from hardware
 //!   link capacities; per-leg resource release mirroring the full
 //!   executor's contract).
@@ -38,7 +36,6 @@ pub mod group;
 pub mod metrics;
 pub mod request;
 pub mod serve;
-pub mod table;
 pub mod world;
 
 pub use blocks::{KvBlock, KvBlockMap, RequestKv, KV_BLOCK_TOKENS};

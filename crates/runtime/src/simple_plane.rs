@@ -40,8 +40,7 @@ impl LocalityPlane {
 pub fn evict_lru(ctx: &mut PlaneCtx<'_>, gpu: GpuRef, need: f64, cfg: &PlanConfig) -> Vec<OpLeg> {
     let metas: Vec<ObjectMeta> = ctx
         .store
-        .entries_at(Location::Gpu(gpu))
-        .iter()
+        .resident_at(Location::Gpu(gpu))
         .map(|e| ObjectMeta {
             key: e.id.0,
             bytes: e.bytes,

@@ -52,8 +52,9 @@
 //! for randomized topologies, constraints and event sequences.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
+use crate::fxhash::FxHashMap;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a link inside one [`FlowNet`].
@@ -366,7 +367,7 @@ pub struct FlowNet {
     free_slots: Vec<u32>,
     /// External id → slot index. Touched only at the API boundary; all hot
     /// loops run on slot indices.
-    id_index: HashMap<u64, u32>,
+    id_index: FxHashMap<u64, u32>,
     live_flows: usize,
     now: SimTime,
     next_id: u64,
@@ -393,7 +394,7 @@ impl FlowNet {
             links: Vec::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
-            id_index: HashMap::new(),
+            id_index: FxHashMap::default(),
             live_flows: 0,
             now: SimTime::ZERO,
             next_id: 0,

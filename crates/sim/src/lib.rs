@@ -19,6 +19,8 @@
 //!   event queue (link flaps, NIC failures, GPU losses).
 //! * [`stats`] — streaming percentiles, histograms and time series used by the
 //!   elastic-storage policies and the experiment harness.
+//! * [`table`] — a windowed table over ids from a monotone counter: O(1)
+//!   lookup, id-ordered iteration, sized by the live ids' span.
 //! * [`rng`] — seeded deterministic random number helpers.
 //! * [`shard`] — a conservative parallel engine: many [`engine`] timelines
 //!   advanced in safe windows bounded by a cross-shard lookahead, with
@@ -38,6 +40,7 @@ pub mod params;
 pub mod rng;
 pub mod shard;
 pub mod stats;
+pub mod table;
 pub mod time;
 
 pub use engine::{EventWorld, Scheduler, Simulation};

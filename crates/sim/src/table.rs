@@ -1,17 +1,21 @@
-//! The rid-indexed table that holds a group's in-flight requests and KV.
+//! A windowed, id-ordered table for ids handed out by a monotone counter.
 //!
-//! The router numbers requests from one counter, so the ids alive in a
-//! group at any instant sit in a short window: a request completes within
-//! seconds of arriving while the counter moves on. [`RidTable`] keeps one
-//! slot per id of that window in a deque that starts at the smallest live
-//! id. A lookup is an index, iteration walks the slots in id order, and the
-//! front is trimmed as the oldest requests complete. An id below the window
-//! start is accepted too: the router may admit a deferred request after
-//! later ids have already arrived, and the window then grows at the front.
+//! The llm router numbers requests from one counter, and the store numbers
+//! data objects from another, so the ids alive at any instant sit in a
+//! window that slides up as the counter moves on: a request completes
+//! within seconds of arriving, and an intermediate object dies once its
+//! last consumer has read it. [`RidTable`] keeps one slot per id of that
+//! window in a deque that starts at the smallest live id. A lookup is an
+//! index, iteration walks the slots in id order, and both ends are trimmed
+//! as their ids leave, so the table holds what lives between the oldest
+//! and the newest live id, not every id ever issued. An id below the
+//! window start is accepted too: the llm router may admit a deferred
+//! request after later ids have already arrived, and the window then grows
+//! at the front.
 
 use std::collections::VecDeque;
 
-/// A map from request id to `T` with O(1) lookup and id-ordered iteration.
+/// A map from id to `T` with O(1) lookup and id-ordered iteration.
 #[derive(Debug)]
 pub struct RidTable<T> {
     /// The id of `slots`' first element.
@@ -44,6 +48,11 @@ impl<T> RidTable<T> {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Slots the window holds: the live ids and the holes between them.
+    pub fn span(&self) -> usize {
+        self.slots.len()
     }
 
     /// Slot position of `rid`, if it falls inside the window.

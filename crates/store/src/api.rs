@@ -242,22 +242,24 @@ impl DataStore {
         doomed
     }
 
-    /// Objects currently resident on `location` (deterministic order).
-    pub fn entries_at(&self, location: Location) -> Vec<DataEntry> {
+    /// Objects currently resident on `location`, borrowed, in ascending id
+    /// order: what a caller that only reads them (a victim scan) walks
+    /// instead of cloning [`DataStore::entries_at`].
+    pub fn resident_at(&self, location: Location) -> impl Iterator<Item = &DataEntry> {
         self.tables
             .entries()
-            .filter(|e| e.location == location)
-            .cloned()
-            .collect()
+            .filter(move |e| e.location == location)
+    }
+
+    /// Copies of the objects currently resident on `location`, in ascending
+    /// id order.
+    pub fn entries_at(&self, location: Location) -> Vec<DataEntry> {
+        self.resident_at(location).cloned().collect()
     }
 
     /// Total bytes resident at `location`.
     pub fn bytes_at(&self, location: Location) -> f64 {
-        self.tables
-            .entries()
-            .filter(|e| e.location == location)
-            .map(|e| e.bytes)
-            .sum()
+        self.resident_at(location).map(|e| e.bytes).sum()
     }
 
     /// Read an entry without authentication or latency (policies, tests).

@@ -6,8 +6,15 @@
 //! misses." A local hit costs [`grouter_sim::params::LOCAL_TABLE_LOOKUP`];
 //! a miss adds a [`grouter_sim::params::GLOBAL_TABLE_LOOKUP`] RPC, after
 //! which the entry is cached locally (the §7 invocation-time metadata sync).
+//!
+//! The global table is a [`RidTable`]: [`DataId`]s come from the store's
+//! monotone counter and objects die as their last consumer reads them
+//! (§4.4.2), so the table holds one slot per id from the oldest live object
+//! to the newest and trims both ends as objects die. Its size follows the
+//! live objects, not every object a run has ever put.
 
 use grouter_sim::params;
+use grouter_sim::table::RidTable;
 use grouter_sim::time::SimDuration;
 
 use crate::id::{DataEntry, DataId};
@@ -55,19 +62,16 @@ impl IdBits {
 
 /// Local per-node caches over one global table.
 ///
-/// The global table is a slab indexed by data id with a sorted live-id list
-/// for ordered iteration: ids are handed out monotonically, so inserts
-/// append and the common lookup/update path is a direct slot access — this
-/// sits under every `Get`/`Put` the runtime issues and was the last tree
-/// walk on the macro-benchmark's hot path.
+/// The common lookup/update path is a direct slot access in the global
+/// window — this sits under every `Get`/`Put` the runtime issues — and the
+/// window iterates in ascending id order, the order every location scan
+/// (`entries_at`, `bytes_at`, `purge_at`, migration victim lists) relies on.
 #[derive(Debug)]
 pub struct MappingTables {
     /// `local[node]` = set of data ids whose entry is cached on that node.
     local: Vec<IdBits>,
-    /// Slot per id ever issued; `None` after removal.
-    global: Vec<Option<DataEntry>>,
-    /// Live ids, ascending (iteration order of [`MappingTables::entries`]).
-    live: Vec<DataId>,
+    /// Every live entry, by id.
+    global: RidTable<DataEntry>,
     local_hits: u64,
     global_lookups: u64,
 }
@@ -77,8 +81,7 @@ impl MappingTables {
         assert!(num_nodes > 0, "need at least one node");
         MappingTables {
             local: vec![IdBits::default(); num_nodes],
-            global: Vec::new(),
-            live: Vec::new(),
+            global: RidTable::new(),
             local_hits: 0,
             global_lookups: 0,
         }
@@ -86,25 +89,15 @@ impl MappingTables {
 
     #[inline]
     fn slot(&self, id: DataId) -> Option<&DataEntry> {
-        self.global.get(id.0 as usize).and_then(|s| s.as_ref())
+        self.global.get(id.0)
     }
 
     /// Register a new entry; its metadata is immediately visible on the
     /// producing node and in the global table.
     pub fn insert(&mut self, entry: DataEntry) {
         let node = entry.location.node();
-        let id = entry.id;
-        self.local[node].insert(id.0);
-        let idx = id.0 as usize;
-        if idx >= self.global.len() {
-            self.global.resize_with(idx + 1, || None);
-        }
-        if self.global[idx].replace(entry).is_none() {
-            // Ids are monotone in practice, so this is a push.
-            if let Err(pos) = self.live.binary_search(&id) {
-                self.live.insert(pos, id);
-            }
-        }
+        self.local[node].insert(entry.id.0);
+        self.global.insert(entry.id.0, entry);
         #[cfg(feature = "audit")]
         self.audit_tables();
     }
@@ -168,7 +161,7 @@ impl MappingTables {
     /// Mutable access to an entry (location updates, access stamps). Does not
     /// model latency: callers pair it with a prior `lookup`.
     pub fn get_mut(&mut self, id: DataId) -> Option<&mut DataEntry> {
-        self.global.get_mut(id.0 as usize).and_then(|s| s.as_mut())
+        self.global.get_mut(id.0)
     }
 
     /// Read-only access without latency accounting (diagnostics, policies).
@@ -181,15 +174,7 @@ impl MappingTables {
         for cache in &mut self.local {
             cache.remove(id.0);
         }
-        let removed = self
-            .global
-            .get_mut(id.0 as usize)
-            .and_then(|slot| slot.take());
-        if removed.is_some() {
-            if let Ok(pos) = self.live.binary_search(&id) {
-                self.live.remove(pos);
-            }
-        }
+        let removed = self.global.remove(id.0);
         #[cfg(feature = "audit")]
         self.audit_tables();
         removed
@@ -197,16 +182,16 @@ impl MappingTables {
 
     /// All live entries (deterministic id order).
     pub fn entries(&self) -> impl Iterator<Item = &DataEntry> {
-        self.live.iter().filter_map(|id| self.slot(*id))
+        self.global.values()
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.global.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.global.is_empty()
     }
 
     /// (local hits, global lookups) — for the CPU-overhead report (Fig. 20b).
@@ -296,6 +281,29 @@ mod tests {
         assert_eq!(lat, params::LOCAL_TABLE_LOOKUP);
         // Stale pointer was scrubbed.
         assert!(!t.local[0].contains(1));
+    }
+
+    #[test]
+    fn the_global_table_is_sized_by_live_objects() {
+        // 100,000 objects put in batches of 16 and consumed out of order
+        // within each batch: at most 16 are ever alive at once.
+        let mut t = MappingTables::new(2);
+        for batch in 0..100_000u64 / 16 {
+            let base = batch * 16;
+            for id in base..base + 16 {
+                t.insert(entry(id, (id % 2) as usize));
+            }
+            for k in 0..16 {
+                t.remove(DataId(base + k * 5 % 16));
+                assert!(t.global.span() <= 16, "{} slots", t.global.span());
+            }
+        }
+        assert!(t.is_empty());
+        for id in 100_000..100_016 {
+            t.insert(entry(id, 0));
+        }
+        assert_eq!(t.len(), 16);
+        assert!(t.global.span() <= 16, "{} slots", t.global.span());
     }
 
     #[test]

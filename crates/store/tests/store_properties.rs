@@ -1,6 +1,6 @@
 //! Property tests over the metadata store: consistency of the hierarchical
-//! tables under arbitrary interleavings of puts, resolves, consumes and
-//! relocations.
+//! tables under arbitrary interleavings of puts, resolves, consumes,
+//! relocations and purges.
 
 use proptest::prelude::*;
 
@@ -16,6 +16,14 @@ enum Op {
     Consume,
     Relocate { to_host: bool },
     NextUse { rank: u64 },
+    Purge { gpu: Option<u8> },
+}
+
+/// Every location a test object can occupy.
+fn locations() -> impl Iterator<Item = Location> {
+    (0..2usize)
+        .map(Location::Host)
+        .chain((0..8usize).map(|g| Location::Gpu(GpuRef::new(0, g))))
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -29,6 +37,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(Op::Consume),
         any::<bool>().prop_map(|to_host| Op::Relocate { to_host }),
         (0u64..100).prop_map(|rank| Op::NextUse { rank }),
+        (any::<bool>(), 0u8..8).prop_map(|(one, g)| Op::Purge {
+            gpu: (!one).then_some(g)
+        }),
     ]
 }
 
@@ -36,14 +47,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The store never loses or duplicates objects, access control is
-    /// airtight, and byte accounting per location always sums to the live
-    /// total.
+    /// airtight, byte accounting per location always sums to the live
+    /// total, and every location lists exactly its live objects in
+    /// ascending id order.
     #[test]
     fn store_consistency(ops in proptest::collection::vec(arb_op(), 1..80), seed in 0u64..1000) {
         let mut rng = DetRng::new(seed);
         let mut store = DataStore::new(2);
-        // Shadow model: (id, wf, bytes, consumers_left)
-        let mut live: Vec<(DataId, u64, f64)> = Vec::new();
+        // Shadow model: (id, wf, bytes, location)
+        let mut live: Vec<(DataId, u64, f64, Location)> = Vec::new();
         let mut total_bytes = 0.0f64;
         let now = SimTime::ZERO;
         for op in ops {
@@ -59,12 +71,12 @@ proptest! {
                         Location::Host(rng.next_below(2) as usize)
                     };
                     let (id, _) = store.put(now, token, loc, bytes as f64, 1);
-                    live.push((id, wf, bytes as f64));
+                    live.push((id, wf, bytes as f64, loc));
                     total_bytes += bytes as f64;
                 }
                 Op::Resolve { node, wf } => {
                     if live.is_empty() { continue; }
-                    let (id, owner_wf, bytes) = live[rng.next_below(live.len() as u64) as usize];
+                    let (id, owner_wf, bytes, _) = live[rng.next_below(live.len() as u64) as usize];
                     let token = AccessToken {
                         function: FunctionId(2),
                         workflow: WorkflowId(wf),
@@ -80,39 +92,64 @@ proptest! {
                 Op::Consume => {
                     if live.is_empty() { continue; }
                     let idx = rng.next_below(live.len() as u64) as usize;
-                    let (id, _, bytes) = live.swap_remove(idx);
+                    let (id, _, bytes, _) = live.swap_remove(idx);
                     prop_assert!(store.consumed(id), "single-consumer object must free");
                     total_bytes -= bytes;
                     prop_assert!(store.peek(id).is_none());
                 }
                 Op::Relocate { to_host } => {
                     if live.is_empty() { continue; }
-                    let (id, _, _) = live[rng.next_below(live.len() as u64) as usize];
+                    let idx = rng.next_below(live.len() as u64) as usize;
+                    let id = live[idx].0;
                     let loc = if to_host {
                         Location::Host(0)
                     } else {
                         Location::Gpu(GpuRef::new(0, 3))
                     };
                     store.relocate(id, loc).expect("live object relocates");
+                    live[idx].3 = loc;
                     prop_assert_eq!(store.peek(id).expect("live").location, loc);
                 }
                 Op::NextUse { rank } => {
                     if live.is_empty() { continue; }
-                    let (id, _, _) = live[rng.next_below(live.len() as u64) as usize];
+                    let (id, _, _, _) = live[rng.next_below(live.len() as u64) as usize];
                     store.set_next_use(id, Some(rank));
                     prop_assert_eq!(store.peek(id).expect("live").next_use, Some(rank));
+                }
+                // A whole-GPU purge (the data loss of a GPU failure).
+                Op::Purge { gpu: Some(g) } => {
+                    let loc = Location::Gpu(GpuRef::new(0, g as usize));
+                    let mut doomed: Vec<DataId> =
+                        live.iter().filter(|o| o.3 == loc).map(|o| o.0).collect();
+                    doomed.sort();
+                    let purged: Vec<DataId> = store.purge_at(loc).iter().map(|e| e.id).collect();
+                    prop_assert_eq!(purged, doomed);
+                    for o in live.iter().filter(|o| o.3 == loc) {
+                        total_bytes -= o.2;
+                    }
+                    live.retain(|o| o.3 != loc);
+                }
+                Op::Purge { gpu: None } => {
+                    if live.is_empty() { continue; }
+                    let idx = rng.next_below(live.len() as u64) as usize;
+                    let (id, _, bytes, _) = live.swap_remove(idx);
+                    let entry = store.purge(id).expect("live object purges");
+                    prop_assert_eq!(entry.id, id);
+                    total_bytes -= bytes;
+                    prop_assert!(store.purge(id).is_none(), "purge is idempotent");
                 }
             }
             // Global invariants after every step.
             prop_assert_eq!(store.len(), live.len(), "object count drift");
-            let mut sum = 0.0;
-            for n in 0..2usize {
-                sum += store.bytes_at(Location::Host(n));
-            }
-            for g in 0..8usize {
-                sum += store.bytes_at(Location::Gpu(GpuRef::new(0, g)));
-            }
+            let sum: f64 = locations().map(|loc| store.bytes_at(loc)).sum();
             prop_assert!((sum - total_bytes).abs() < 1e-6, "byte accounting drift");
+            for loc in locations() {
+                let mut want: Vec<DataId> =
+                    live.iter().filter(|o| o.3 == loc).map(|o| o.0).collect();
+                want.sort();
+                let got: Vec<DataId> = store.entries_at(loc).iter().map(|e| e.id).collect();
+                prop_assert_eq!(got, want, "objects at {:?}", loc);
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Offline CI gate: formatting, lints, the workspace linter, the tier-1 test
 # suite (with the data-plane invariant auditors unified on), the perfbench
-# package's build and tests, its allocation gates, the benchmark smoke run
+# package's build and tests, its allocation and peak-RSS gates, the benchmark smoke run
 # with its speedup gates, the trace-export determinism smoke, and
 # the experiment-suite byte-identity check. Everything runs locally with no network access.
 #
@@ -25,14 +25,14 @@ cargo clippy --workspace --examples -- -D warnings
 echo "==> grouter-lint (workspace rules over crates/)"
 cargo run -q --release -p grouter-lint -- crates
 
-echo "==> allow-pragma budget (grouter-lint/grouter-analyze pragmas under crates/ <= 31)"
+echo "==> allow-pragma budget (grouter-lint/grouter-analyze pragmas under crates/ <= 30)"
 # Every pragma is a justified exception to a rule; the count may only fall.
 # Lower the budget when a change removes pragmas.
 pragmas=$(grep -rEo --include='*.rs' 'grouter-(lint|analyze): allow' crates | wc -l)
-[ "$pragmas" -le 31 ] || {
-    echo "$pragmas allow pragmas under crates/, budget 31" >&2; exit 1;
+[ "$pragmas" -le 30 ] || {
+    echo "$pragmas allow pragmas under crates/, budget 30" >&2; exit 1;
 }
-echo "$pragmas allow pragmas (budget 31)"
+echo "$pragmas allow pragmas (budget 30)"
 
 echo "==> grouter-analyze (call-graph passes; zero unbaselined findings)"
 # Interprocedural panic-/wallclock-reachability and determinism taint over
@@ -76,6 +76,26 @@ for gate in wf_v100_contended:18.2 serve_uniform64:9.6 llm_grouter:200; do
         echo "$workload: $allocs allocations per request, gate $limit" >&2; exit 1;
     }
     echo "$workload: $allocs allocations per request (gate $limit)"
+done
+
+echo "==> peak-RSS gates (perfbench --trace 0, seed 11: wf <= 12.6, serve <= 91.1, llm <= 22.1 MB)"
+# peak_rss_mb is the VmHWM after one set-up and run. The store's global
+# mapping table spans only the live objects' ids and the router keeps its
+# admission log typed (DESIGN §5.6), so memory follows live data, not run
+# length; a structure that grows with every object or request ever seen
+# fails here. The gates sit 15% above the values measured when they were
+# set (10.9, 79.2 and 19.2 MB).
+for gate in wf_v100_contended:12.6 serve_uniform64:91.1 llm_grouter:22.1; do
+    workload=${gate%%:*}
+    limit=${gate#*:}
+    rss=$(target/perfbench/release/perfbench --workload "$workload" --trace 0 \
+        --seconds 1 --seed 11 | grep -o '"peak_rss_mb": {"value": [0-9.e+-]*' \
+        | grep -o '[0-9.e+-]*$' || true)
+    [ -n "$rss" ] || { echo "$workload: no peak_rss_mb" >&2; exit 1; }
+    awk -v r="$rss" -v l="$limit" 'BEGIN { exit !(r <= l) }' || {
+        echo "$workload: peak RSS $rss MB, gate $limit" >&2; exit 1;
+    }
+    echo "$workload: peak RSS $rss MB (gate $limit)"
 done
 
 echo "==> chaos smoke (fixed-seed fault injection over the GROUTER plane)"
