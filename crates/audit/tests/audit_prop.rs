@@ -120,10 +120,7 @@ fn drive_pool(ops: &[Op]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn audited_flownet_survives_random_churn(

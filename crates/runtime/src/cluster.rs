@@ -462,7 +462,7 @@ fn admit(w: &mut World, s: &mut Scheduler<World>, spec_idx: u32, origin: Option<
     w.metrics.arrivals += 1;
     crate::exec::arrival(w, s, spec, wf_name, fn_ids);
     if let Some(origin) = origin {
-        if w.instances.contains_key(&inst_id) {
+        if w.instances.contains_key(inst_id) {
             if let Some(port) = w.cluster.as_mut() {
                 port.origin.insert(inst_id, origin);
             }

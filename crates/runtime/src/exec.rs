@@ -320,7 +320,7 @@ impl grouter_sim::EventWorld for World {
                 stage,
                 attempt,
             } => {
-                let ok = self.instances.get(&inst).is_some_and(|i| {
+                let ok = self.instances.get(inst).is_some_and(|i| {
                     i.stages[stage].attempt == attempt
                         && matches!(i.stages[stage].state, StageState::Waiting { deps_left: 0 })
                 });
@@ -595,8 +595,7 @@ pub(crate) fn stage_ready(w: &mut World, s: &mut Scheduler<World>, inst_id: u64,
     w.enqueue_counter += 1;
     let mut inputs = std::mem::take(&mut w.input_scratch);
     let dest = {
-        // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
-        let inst = w.instances.get_mut(&inst_id).expect("live");
+        let inst = &mut w.instances[inst_id];
         inst.stages[stage].rank = Some(rank);
         inst.stages[stage].state = StageState::Queued;
         stage_inputs(inst, stage, &mut inputs);
@@ -614,8 +613,7 @@ pub(crate) fn stage_ready(w: &mut World, s: &mut Scheduler<World>, inst_id: u64,
         Destination::Gpu(g) => {
             let idx = w.gpu_index(g.node, g.gpu);
             if w.rec.on(grouter_obs::Comp::Runtime) {
-                // grouter-lint: allow(no-panic-in-dataplane): stage_ready just wrote this instance above
-                let inst = w.instances.get_mut(&inst_id).expect("live");
+                let inst = &mut w.instances[inst_id];
                 inst.stages[stage].enqueued = Some(s.now());
                 w.rec.instant(
                     grouter_obs::Comp::Runtime,
@@ -668,7 +666,7 @@ pub(crate) fn try_dispatch_gpu(w: &mut World, s: &mut Scheduler<World>, gpu_idx:
         // scrubbed from every queue.
         let valid = w
             .instances
-            .get(&inst_id)
+            .get(inst_id)
             .map(|i| i.stages[stage].state == StageState::Queued)
             .unwrap_or(false);
         if valid {
@@ -676,7 +674,7 @@ pub(crate) fn try_dispatch_gpu(w: &mut World, s: &mut Scheduler<World>, gpu_idx:
             if w.rec.on(grouter_obs::Comp::Runtime) {
                 let enqueued = w
                     .instances
-                    .get(&inst_id)
+                    .get(inst_id)
                     .and_then(|i| i.stages[stage].enqueued);
                 let wait_ns = enqueued.map_or(0, |t| s.now().as_nanos() - t.as_nanos());
                 w.rec.instant(
@@ -706,8 +704,7 @@ fn start_fetch(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usi
     let now = s.now();
     let mut inputs = std::mem::take(&mut w.input_scratch);
     let (token, dest) = {
-        // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
-        let inst = w.instances.get_mut(&inst_id).expect("live instance");
+        let inst = &mut w.instances[inst_id];
         let token = AccessToken {
             function: FunctionId(inst.fn_ids[stage]),
             workflow: inst.workflow_id,
@@ -725,8 +722,7 @@ fn start_fetch(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usi
     }
     for &d in &inputs {
         let cat = {
-            // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
-            let inst = w.instances.get(&inst_id).expect("live");
+            let inst = &w.instances[inst_id];
             let producer_gfn = if d == inst.input_data {
                 false // workflow input arrives via host memory
             } else {
@@ -740,8 +736,7 @@ fn start_fetch(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usi
             };
             edge_category(producer_gfn, inst.spec.stages[stage].is_gpu())
         };
-        // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
-        let slo = instance_slo(w.instances.get(&inst_id).expect("live"));
+        let slo = instance_slo(&w.instances[inst_id]);
         let op = with_plane(w, now, slo, |p, ctx| p.get(ctx, token, d, dest))
             // grouter-lint: allow(no-panic-in-dataplane): a failed plane Get/Put is a DataPlane contract violation; the driver aborts the run
             .unwrap_or_else(|e| panic!("Get({d:?}) failed: {e}"));
@@ -764,8 +759,7 @@ fn start_fetch(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usi
 fn start_running(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usize) {
     let now = s.now();
     let (dest, compute, mem_bytes, fid, attempt) = {
-        // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
-        let inst = w.instances.get_mut(&inst_id).expect("live");
+        let inst = &mut w.instances[inst_id];
         inst.stages[stage].state = StageState::Running;
         let spec = &inst.spec.stages[stage];
         let mem = match spec.kind {
@@ -821,7 +815,7 @@ fn compute_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: us
         // a newer attempt, while this completion was in flight. Recovery
         // already unwound the GPU/pool state; a stale completion must not
         // touch it again.
-        let Some(inst) = w.instances.get_mut(&inst_id) else {
+        let Some(inst) = w.instances.get_mut(inst_id) else {
             return;
         };
         if inst.stages[stage].attempt != attempt || inst.stages[stage].state != StageState::Running
@@ -861,7 +855,7 @@ fn compute_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: us
     // dependents may already hold their copy from the first attempt, so the
     // consumer count is restricted to the ones that will actually fetch.
     let consumers = {
-        let inst = &w.instances[&inst_id];
+        let inst = &w.instances[inst_id];
         if inst.stages[stage].attempt == 0 {
             inst.consumers_of(stage)
         } else {
@@ -870,18 +864,17 @@ fn compute_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: us
     };
     let token = AccessToken {
         function: FunctionId(fid),
-        workflow: w.instances[&inst_id].workflow_id,
+        workflow: w.instances[inst_id].workflow_id,
     };
-    // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
-    w.instances.get_mut(&inst_id).expect("live").stages[stage].state = StageState::Storing;
-    let slo = instance_slo(&w.instances[&inst_id]);
+    w.instances[inst_id].stages[stage].state = StageState::Storing;
+    let slo = instance_slo(&w.instances[inst_id]);
     let put = with_plane(w, now, slo, |p, ctx| {
         p.put(ctx, token, dest, output_bytes, consumers)
     })
     // grouter-lint: allow(no-panic-in-dataplane): a failed plane Get/Put is a DataPlane contract violation; the driver aborts the run
     .unwrap_or_else(|e| panic!("Put for stage {stage} failed: {e}"));
     let cat = {
-        let inst = &w.instances[&inst_id];
+        let inst = &w.instances[inst_id];
         let producer_gfn = inst.spec.stages[stage].is_gpu();
         // Attribute the put to the dominant downstream edge: gFn–gFn when
         // any live dependent is a GPU function, otherwise host-side
@@ -908,8 +901,7 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
     let now = s.now();
     let mut dependents = std::mem::take(&mut w.stage_scratch);
     let (is_terminal, dest) = {
-        // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
-        let inst = w.instances.get_mut(&inst_id).expect("live");
+        let inst = &mut w.instances[inst_id];
         inst.stages[stage].state = StageState::Done;
         inst.stages[stage].output = Some(data);
         // A re-run of a terminal whose egress already completed must not
@@ -929,8 +921,7 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
 
     for &j in &dependents {
         let ready = {
-            // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
-            let inst = w.instances.get_mut(&inst_id).expect("live");
+            let inst = &mut w.instances[inst_id];
             if let StageState::Waiting { deps_left } = inst.stages[j].state {
                 let left = deps_left - 1;
                 inst.stages[j].state = StageState::Waiting { deps_left: left };
@@ -949,7 +940,7 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
     if is_terminal {
         // Response egress: pull the output into host memory.
         let (token, node) = {
-            let inst = &w.instances[&inst_id];
+            let inst = &w.instances[inst_id];
             let node = match inst.placements[stage] {
                 Destination::Gpu(g) => g.node,
                 Destination::Host(n) => n,
@@ -962,8 +953,8 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
                 node,
             )
         };
-        let cat = edge_category(w.instances[&inst_id].spec.stages[stage].is_gpu(), false);
-        let slo = instance_slo(&w.instances[&inst_id]);
+        let cat = edge_category(w.instances[inst_id].spec.stages[stage].is_gpu(), false);
+        let slo = instance_slo(&w.instances[inst_id]);
         let op = with_plane(w, now, slo, |p, ctx| {
             p.get(ctx, token, data, Destination::Host(node))
         })
@@ -986,7 +977,7 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
 fn finish_instance(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
     let now = s.now();
     // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
-    let inst = w.instances.remove(&inst_id).expect("live");
+    let inst = w.instances.remove(inst_id).expect("live");
     // Response payload back to the admitting gateway: the terminal stages'
     // outputs (what egress returned to the caller).
     let resp_bytes: f64 = (0..inst.spec.stages.len())
@@ -1038,7 +1029,7 @@ pub(crate) fn start_op(
         op_id,
         PendingOp {
             legs: op.legs.into(),
-            staged: None,
+            staged: false,
             started: s.now(),
             kind,
             category,
@@ -1052,14 +1043,14 @@ pub(crate) fn start_op(
 }
 
 fn advance_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
-    let Some(pending) = w.ops.get_mut(&op_id) else {
+    let Some(pending) = w.ops.get_mut(op_id) else {
         return;
     };
-    match pending.legs.pop_front() {
+    match pending.legs.front() {
         None => complete_op(w, s, op_id),
         Some(leg) => {
             let setup = leg.plan.setup;
-            pending.staged = Some(leg);
+            pending.staged = true;
             s.schedule_in(setup, Event::BeginLeg { op: op_id });
         }
     }
@@ -1067,10 +1058,11 @@ fn advance_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
 
 fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
     let now = s.now();
-    let leg = match w.ops.get_mut(&op_id) {
+    let leg = match w.ops.get_mut(op_id) {
         Some(pending) => {
+            pending.staged = false;
             // grouter-lint: allow(no-panic-in-dataplane): advance_op stages exactly one leg per BeginLeg event
-            let leg = pending.staged.take().expect("staged leg");
+            let leg = pending.legs.pop_front().expect("staged leg");
             pending.rate_token = leg.rate_token;
             pending.ledger_release = leg.ledger_release;
             pending.pinned_release = leg.pinned_release;
@@ -1153,7 +1145,7 @@ pub(crate) fn release_leg_resources(w: &mut World, leg: &crate::dataplane::OpLeg
 }
 
 fn release_rate_token(w: &mut World, op_id: u64) {
-    if let Some(pending) = w.ops.get_mut(&op_id) {
+    if let Some(pending) = w.ops.get_mut(op_id) {
         if let Some((node, token)) = pending.rate_token.take() {
             w.rates[node].finish(token);
         }
@@ -1161,7 +1153,7 @@ fn release_rate_token(w: &mut World, op_id: u64) {
 }
 
 fn release_ledger(w: &mut World, op_id: u64) {
-    if let Some(pending) = w.ops.get_mut(&op_id) {
+    if let Some(pending) = w.ops.get_mut(op_id) {
         if let Some((node, res)) = pending.ledger_release.take() {
             w.ledgers[node].release(res);
         }
@@ -1173,18 +1165,21 @@ fn release_ledger(w: &mut World, op_id: u64) {
 
 fn complete_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
     let now = s.now();
-    // grouter-lint: allow(no-panic-in-dataplane): op completion events fire exactly once per op the driver created
-    let op = w.ops.remove(&op_id).expect("pending op");
-    w.rec.end(op.span, vec![]);
-    let duration = now - op.started;
-    match op.kind {
+    // Read the record's `Copy` fields in place and drop the rest (its
+    // emptied leg queue) where it lies, rather than moving the record out.
+    let op = &w.ops[op_id];
+    let (span, started, kind, category) = (op.span, op.started, op.kind, op.category);
+    w.ops.discard(op_id);
+    w.rec.end(span, vec![]);
+    let duration = now - started;
+    match kind {
         OpKind::Get { inst, stage, data } => {
-            record_pass(w, inst, op.category, duration);
+            record_pass(w, inst, category, duration);
             // The consumer has its copy; release the stored object.
             let background = with_plane(w, now, None, |p, ctx| p.on_consumed(ctx, data));
             run_background(w, s, background);
             let ready = {
-                let Some(instance) = w.instances.get_mut(&inst) else {
+                let Some(instance) = w.instances.get_mut(inst) else {
                     return;
                 };
                 if let StageState::Fetching { gets_left } = instance.stages[stage].state {
@@ -1201,15 +1196,15 @@ fn complete_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
             }
         }
         OpKind::Put { inst, stage, data } => {
-            record_pass(w, inst, op.category, duration);
+            record_pass(w, inst, category, duration);
             stage_done(w, s, inst, stage, data);
         }
         OpKind::Egress { inst, stage, data } => {
-            record_pass(w, inst, op.category, duration);
+            record_pass(w, inst, category, duration);
             let background = with_plane(w, now, None, |p, ctx| p.on_consumed(ctx, data));
             run_background(w, s, background);
             let done = {
-                let Some(instance) = w.instances.get_mut(&inst) else {
+                let Some(instance) = w.instances.get_mut(inst) else {
                     return;
                 };
                 instance.stages[stage].egressed = true;
@@ -1225,7 +1220,7 @@ fn complete_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
 }
 
 fn record_pass(w: &mut World, inst_id: u64, cat: PassCategory, dur: SimDuration) {
-    if let Some(inst) = w.instances.get_mut(&inst_id) {
+    if let Some(inst) = w.instances.get_mut(inst_id) {
         if let Some(slot) = inst.passing.get_mut(cat.index()) {
             *slot = *slot + dur;
         }

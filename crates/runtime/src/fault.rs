@@ -383,7 +383,7 @@ fn apply_gpu_fail(w: &mut World, s: &mut Scheduler<World>, gpu: usize) {
     let mut affected: BTreeSet<(u64, usize)> = w.gpus[gpu].queue.iter().copied().collect();
     w.gpus[gpu].queue.clear();
     w.gpus[gpu].busy = false;
-    for (&inst_id, inst) in w.instances.iter() {
+    for (inst_id, inst) in w.instances.iter() {
         for (stage, run) in inst.stages.iter().enumerate() {
             if inst.placements[stage] == Destination::Gpu(gref)
                 && !matches!(run.state, StageState::Done | StageState::Skipped)
@@ -417,7 +417,7 @@ fn apply_gpu_fail(w: &mut World, s: &mut Scheduler<World>, gpu: usize) {
         if e.pending_consumers == 0 {
             continue;
         }
-        if let Some(inst) = w.instances.get(&e.workflow.0) {
+        if let Some(inst) = w.instances.get(e.workflow.0) {
             if let Some(p) = inst.stages.iter().position(|run| run.output == Some(e.id)) {
                 producers.push((e.workflow.0, p));
             }
@@ -459,7 +459,7 @@ fn apply_gpu_fail(w: &mut World, s: &mut Scheduler<World>, gpu: usize) {
 /// NVLink path reservations) it was waiting on. Returns what it was doing.
 pub(crate) fn cancel_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) -> Option<OpKind> {
     let now = s.now();
-    let mut op = w.ops.remove(&op_id)?;
+    let mut op = w.ops.remove(op_id)?;
     w.rec.end(op.span, vec![("cancelled", true.into())]);
     if let Some((node, token)) = op.rate_token.take() {
         w.rates[node].finish(token);
@@ -470,10 +470,13 @@ pub(crate) fn cancel_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) -> 
     if let Some((node, bytes)) = op.pinned_release.take() {
         w.pinned[node].release(bytes);
     }
-    if let Some(leg) = op.staged.take() {
-        // A BeginLeg event for this leg is still in flight; park the leg so
-        // that event releases its reservations at the instant it fires.
-        w.orphan_legs.insert(op_id, leg);
+    if op.staged {
+        if let Some(leg) = op.legs.pop_front() {
+            // A BeginLeg event for this leg is still in flight; park the
+            // leg so that event releases its reservations at the instant
+            // it fires.
+            w.orphan_legs.insert(op_id, leg);
+        }
     }
     for leg in op.legs.drain(..) {
         exec::release_leg_resources(w, &leg);
@@ -511,7 +514,7 @@ fn recover_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
     let Some((inst_id, stage, _)) = op_owner(&kind) else {
         return; // background migration/restore traffic: dropped
     };
-    let Some(inst) = w.instances.get(&inst_id) else {
+    let Some(inst) = w.instances.get(inst_id) else {
         return;
     };
     let attempt = inst.stages[stage].attempt;
@@ -556,7 +559,7 @@ pub(crate) fn re_issue(
     attempt: u32,
 ) {
     let now = s.now();
-    let Some(inst) = w.instances.get(&inst_id) else {
+    let Some(inst) = w.instances.get(inst_id) else {
         return;
     };
     if inst.stages[stage].attempt != attempt {
@@ -570,7 +573,7 @@ pub(crate) fn re_issue(
         // in backoff: fall back to lineage re-execution.
         let producer = w
             .instances
-            .get(&inst_id)
+            .get(inst_id)
             .and_then(|i| i.stages.iter().position(|run| run.output == Some(data)));
         let mut visited = BTreeSet::new();
         match (&kind, producer) {
@@ -582,7 +585,7 @@ pub(crate) fn re_issue(
         fixup_claims(w, s, inst_id);
         return;
     }
-    let inst = &w.instances[&inst_id];
+    let inst = &w.instances[inst_id];
     let token = AccessToken {
         function: FunctionId(inst.fn_ids[stage]),
         workflow: inst.workflow_id,
@@ -626,7 +629,7 @@ fn recover_route_ops(
             op_ids.insert(op_id);
         }
     }
-    for (&op_id, op) in w.ops.iter() {
+    for (op_id, op) in w.ops.iter() {
         let routed_through = op.legs.iter().any(|leg| {
             leg.nv_node == node
                 && leg
@@ -640,7 +643,7 @@ fn recover_route_ops(
         }
     }
     for op_id in op_ids {
-        let Some(op) = w.ops.get(&op_id) else {
+        let Some(op) = w.ops.get(op_id) else {
             continue;
         };
         if let Some((inst_id, stage, _)) = op_owner(&op.kind) {
@@ -670,7 +673,7 @@ fn reset_stage(
     if !visited.insert((inst_id, stage)) {
         return;
     }
-    let Some(inst) = w.instances.get(&inst_id) else {
+    let Some(inst) = w.instances.get(inst_id) else {
         return;
     };
     if matches!(inst.stages[stage].state, StageState::Skipped) {
@@ -683,17 +686,15 @@ fn reset_stage(
         StageKind::Cpu => 0.0,
     };
 
-    // Cancel the stage's in-flight data operations. A cancelled Put's
-    // half-stored output is garbage: drain its claims so the plane GCs it.
-    let mut op_ids: Vec<u64> = w
+    // Cancel the stage's in-flight data operations, in ascending id order
+    // (the table's). A cancelled Put's half-stored output is garbage: drain
+    // its claims so the plane GCs it.
+    let op_ids: Vec<u64> = w
         .ops
         .iter()
         .filter(|(_, op)| op_owner(&op.kind).is_some_and(|(i, j, _)| i == inst_id && j == stage))
-        .map(|(&id, _)| id)
+        .map(|(id, _)| id)
         .collect();
-    // Slab iteration is slot-ordered; cancel in ascending id order (the
-    // BTreeMap order the recovery goldens were captured under).
-    op_ids.sort_unstable();
     for id in op_ids {
         if let Some(OpKind::Put { data, .. }) = cancel_op(w, s, id) {
             drain_object(w, s, data);
@@ -759,7 +760,7 @@ fn reset_stage(
     // Dependencies: a `Done` upstream whose output vanished must itself
     // re-run (lineage); everything else still counts as satisfied.
     let (deps_left, dead_deps) = {
-        let inst = &w.instances[&inst_id];
+        let inst = &w.instances[inst_id];
         let mut left = 0u32;
         let mut dead = Vec::new();
         for &d in &inst.spec.stages[stage].deps {
@@ -782,7 +783,7 @@ fn reset_stage(
 
     let attempt_now = {
         // Still live: fail_instance above is the only removal and it returns.
-        let Some(inst) = w.instances.get_mut(&inst_id) else {
+        let Some(inst) = w.instances.get_mut(inst_id) else {
             return;
         };
         inst.placements[stage] = dest;
@@ -828,7 +829,7 @@ fn restart_stage(
     p: usize,
     visited: &mut BTreeSet<(u64, usize)>,
 ) {
-    let Some(inst) = w.instances.get(&inst_id) else {
+    let Some(inst) = w.instances.get(inst_id) else {
         return;
     };
     // Computed before the reset clears `output`: a dependent that already
@@ -909,7 +910,7 @@ fn drain_object(w: &mut World, s: &mut Scheduler<World>, data: DataId) {
 /// in host memory when roots must re-fetch a fully-consumed one.
 fn fixup_claims(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
     let now = s.now();
-    let Some(inst) = w.instances.get(&inst_id) else {
+    let Some(inst) = w.instances.get(inst_id) else {
         return;
     };
 
@@ -984,7 +985,7 @@ fn fixup_claims(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
                 input_bytes,
                 input_needed,
             );
-            if let Some(inst) = w.instances.get_mut(&inst_id) {
+            if let Some(inst) = w.instances.get_mut(inst_id) {
                 inst.input_data = new_id;
                 inst.forget_fetches_of(None);
             }
@@ -1022,16 +1023,15 @@ fn adjust_claims(w: &mut World, s: &mut Scheduler<World>, data: DataId, cur: u32
 /// is the chaos suite's termination check.
 pub(crate) fn fail_instance(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
     let now = s.now();
-    if !w.instances.contains_key(&inst_id) {
+    if !w.instances.contains_key(inst_id) {
         return;
     }
-    let mut op_ids: Vec<u64> = w
+    let op_ids: Vec<u64> = w
         .ops
         .iter()
         .filter(|(_, op)| op_owner(&op.kind).is_some_and(|(i, _, _)| i == inst_id))
-        .map(|(&id, _)| id)
+        .map(|(id, _)| id)
         .collect();
-    op_ids.sort_unstable();
     let mut orphan_puts: Vec<DataId> = Vec::new();
     for id in op_ids {
         if let Some(OpKind::Put { data, .. }) = cancel_op(w, s, id) {
@@ -1042,7 +1042,7 @@ pub(crate) fn fail_instance(w: &mut World, s: &mut Scheduler<World>, inst_id: u6
         exec_gpu.queue.retain(|&(i, _)| i != inst_id);
     }
     let stage_info: Vec<(StageState, Destination, f64)> = {
-        let inst = &w.instances[&inst_id];
+        let inst = &w.instances[inst_id];
         (0..inst.spec.stages.len())
             .map(|j| {
                 let mem = match inst.spec.stages[j].kind {
@@ -1075,9 +1075,9 @@ pub(crate) fn fail_instance(w: &mut World, s: &mut Scheduler<World>, inst_id: u6
             w.placer.release(&w.topo, dest);
         }
     }
-    let mut doomed: Vec<DataId> = vec![w.instances[&inst_id].input_data];
+    let mut doomed: Vec<DataId> = vec![w.instances[inst_id].input_data];
     doomed.extend(
-        w.instances[&inst_id]
+        w.instances[inst_id]
             .stages
             .iter()
             .filter_map(|run| run.output),
@@ -1086,7 +1086,7 @@ pub(crate) fn fail_instance(w: &mut World, s: &mut Scheduler<World>, inst_id: u6
     for data in doomed {
         drain_object(w, s, data);
     }
-    w.instances.remove(&inst_id);
+    w.instances.remove(inst_id);
     crate::cluster::on_instance_failed(w, inst_id);
     w.fault.retries.retain(|&(i, _), _| i != inst_id);
     w.metrics.failed += 1;
@@ -1111,12 +1111,12 @@ fn audit_recovery(w: &World) {
     let dead_waited_ops = w
         .transfer_waiters
         .values()
-        .filter(|op_id| !w.ops.contains_key(op_id))
+        .filter(|&&op_id| !w.ops.contains_key(op_id))
         .count();
     let orphan_ops = w
         .ops
         .values()
-        .filter(|op| op_owner(&op.kind).is_some_and(|(i, _, _)| !w.instances.contains_key(&i)))
+        .filter(|op| op_owner(&op.kind).is_some_and(|(i, _, _)| !w.instances.contains_key(i)))
         .count();
     grouter_audit::check(
         "recovery.no_orphans",

@@ -39,7 +39,7 @@ pub use exec::{Event, Runtime};
 pub use fault::{FaultState, RecoveryEvent};
 pub use metrics::{InstanceRecord, Metrics, PassCategory};
 pub use placement::{mapa_scan, pin_decode, PlacementPolicy, Placer};
-pub use slab::{IdSlab, NvFlowIndex};
+pub use slab::NvFlowIndex;
 pub use spec::{StageKind, StageSpec, WorkflowSpec};
 pub use stream::TokenStream;
 pub use world::World;

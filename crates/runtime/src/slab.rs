@@ -1,120 +1,14 @@
-//! Dense storage for the executor's hot collections.
+//! The executor's route index for in-flight NVLink flows.
 //!
-//! The runtime's public identities (instance ids, op ids) are monotonically
-//! increasing `u64`s that appear in traces, recovery logs and tests — they
-//! must not change. What *can* change is where the records live: a
-//! `BTreeMap<u64, T>` costs an allocation per insert and a pointer-chasing
-//! tree walk per lookup, on paths hit several times per data operation.
-//!
-//! [`IdSlab`] keeps the `u64` keys but stores records in a recycled slot
-//! vector with an Fx-hashed id→slot index: steady-state insert/remove is
-//! allocation-free and lookups are one hash away. The BTreeMap API subset
-//! the executor uses is mirrored (`get(&id)`, `Index<&u64>`, `iter()`, …).
-//!
-//! **Iteration order is slot order, not id order.** Callers that need
-//! id-ordered effects (the recovery engine's cancel waves) must collect and
-//! sort — exactly as documented on [`IdSlab::iter`].
+//! A ledger rebalance (§4.3.3) names a GPU route, and the executor must
+//! find the live flow on it to re-path. [`NvFlowIndex`] keeps each live
+//! NVLink flow's `(node, route)` beside a reverse index keyed by a route
+//! fingerprint, so that lookup is one hash away instead of a scan over
+//! every live flow. (Instances and data operations live in
+//! [`grouter_sim::table::RidTable`]s on the `World`.)
 
 use grouter_sim::fxhash::fx_hash_one;
 use grouter_sim::{FlowId, FxHashMap};
-
-/// Slab keyed by externally-assigned `u64` ids.
-#[derive(Debug)]
-pub struct IdSlab<T> {
-    /// `Some((id, value))` for live slots; freed slots are `None` and listed
-    /// in `free`.
-    slots: Vec<Option<(u64, T)>>,
-    index: FxHashMap<u64, u32>,
-    free: Vec<u32>,
-}
-
-impl<T> Default for IdSlab<T> {
-    fn default() -> Self {
-        IdSlab {
-            slots: Vec::new(),
-            index: FxHashMap::default(),
-            free: Vec::new(),
-        }
-    }
-}
-
-impl<T> IdSlab<T> {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Insert under a caller-assigned id, returning any displaced value
-    /// (ids are monotonic in practice, so collisions mean a caller bug).
-    pub fn insert(&mut self, id: u64, value: T) -> Option<T> {
-        if let Some(&slot) = self.index.get(&id) {
-            let old = self.slots[slot as usize].replace((id, value));
-            return old.map(|(_, v)| v);
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some((id, value));
-                s
-            }
-            None => {
-                self.slots.push(Some((id, value)));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.index.insert(id, slot);
-        None
-    }
-
-    pub fn get(&self, id: &u64) -> Option<&T> {
-        let &slot = self.index.get(id)?;
-        self.slots[slot as usize].as_ref().map(|(_, v)| v)
-    }
-
-    pub fn get_mut(&mut self, id: &u64) -> Option<&mut T> {
-        let &slot = self.index.get(id)?;
-        self.slots[slot as usize].as_mut().map(|(_, v)| v)
-    }
-
-    pub fn contains_key(&self, id: &u64) -> bool {
-        self.index.contains_key(id)
-    }
-
-    pub fn remove(&mut self, id: &u64) -> Option<T> {
-        let slot = self.index.remove(id)?;
-        let (_, v) = self.slots[slot as usize].take()?;
-        self.free.push(slot);
-        Some(v)
-    }
-
-    /// Live entries in **slot order** (not id order): deterministic for a
-    /// deterministic insert/remove history, but arbitrary with respect to
-    /// ids. Sort collected ids before any order-sensitive effect.
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &T)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|(id, v)| (id, v)))
-    }
-
-    /// Live values in slot order (see [`IdSlab::iter`] for ordering).
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.iter().map(|(_, v)| v)
-    }
-}
-
-impl<T> std::ops::Index<&u64> for IdSlab<T> {
-    type Output = T;
-    fn index(&self, id: &u64) -> &T {
-        // grouter-lint: allow(no-panic-in-dataplane): Index mirrors BTreeMap semantics; a missing id is a caller bug
-        self.get(id).expect("no entry found for id")
-    }
-}
 
 /// Live NVLink flows and their current `(node, GPU route)`, with a reverse
 /// index so a ledger rebalance finds the in-flight flow for a route in O(1)
@@ -188,35 +82,6 @@ impl NvFlowIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn idslab_mirrors_map_semantics() {
-        let mut s: IdSlab<&'static str> = IdSlab::new();
-        assert!(s.is_empty());
-        assert_eq!(s.insert(10, "a"), None);
-        assert_eq!(s.insert(20, "b"), None);
-        assert_eq!(s.get(&10), Some(&"a"));
-        assert_eq!(s[&20], "b");
-        assert_eq!(s.insert(10, "a2"), Some("a"));
-        assert_eq!(s.remove(&10), Some("a2"));
-        assert_eq!(s.get(&10), None);
-        assert!(!s.contains_key(&10));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn idslab_recycles_slots() {
-        let mut s: IdSlab<u64> = IdSlab::new();
-        for round in 0..100u64 {
-            for i in 0..8 {
-                s.insert(round * 8 + i, i);
-            }
-            for i in 0..8 {
-                assert_eq!(s.remove(&(round * 8 + i)), Some(i));
-            }
-        }
-        assert!(s.slots.len() <= 8, "slab grew: {} slots", s.slots.len());
-    }
 
     #[test]
     fn nv_flow_index_finds_by_route() {

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use grouter_mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
 use grouter_sim::rng::DetRng;
 use grouter_sim::stats::TimeSeries;
+use grouter_sim::table::RidTable;
 use grouter_sim::time::{SimDuration, SimTime};
 use grouter_sim::{FlowNet, FxHashMap, FxHashSet};
 use grouter_store::DataStore;
@@ -24,7 +25,7 @@ use grouter_transfer::rate::RateController;
 use crate::dataplane::{DataPlane, Destination, OpLeg};
 use crate::metrics::{Metrics, PassCategory};
 use crate::placement::{PlacementPolicy, Placer};
-use crate::slab::{IdSlab, NvFlowIndex};
+use crate::slab::NvFlowIndex;
 use crate::spec::WorkflowSpec;
 
 /// Executor configuration.
@@ -236,10 +237,11 @@ pub enum OpKind {
 /// An in-flight data operation.
 #[derive(Debug)]
 pub struct PendingOp {
+    /// Legs not yet begun, in order.
     pub legs: VecDeque<OpLeg>,
-    /// Leg popped by `advance_op`, waiting out its setup latency until the
-    /// `BeginLeg` event fires.
-    pub staged: Option<OpLeg>,
+    /// The front of `legs` is staged: `advance_op` found it and it waits
+    /// out its setup latency until the `BeginLeg` event pops it.
+    pub staged: bool,
     pub started: SimTime,
     pub kind: OpKind,
     pub category: PassCategory,
@@ -279,8 +281,10 @@ pub struct World {
     pub gpus: Vec<GpuExec>,
     pub placer: Placer,
     pub rng: DetRng,
-    pub instances: IdSlab<Instance>,
-    pub ops: IdSlab<PendingOp>,
+    /// Live workflow instances by id (`next_instance` hands them out).
+    pub instances: RidTable<Instance>,
+    /// In-flight data operations by id (`next_op` hands them out).
+    pub ops: RidTable<PendingOp>,
     pub transfer_waiters: FxHashMap<TransferId, u64>,
     /// Live NVLink flows and their current `(node, GPU route)`, reverse-
     /// indexed so a ledger rebalance finds the in-flight flow for a route
@@ -396,8 +400,8 @@ impl World {
             pinned,
             rates,
             plane: Some(plane),
-            instances: IdSlab::new(),
-            ops: IdSlab::new(),
+            instances: RidTable::new(),
+            ops: RidTable::new(),
             transfer_waiters: FxHashMap::default(),
             nv_flow_index: NvFlowIndex::default(),
             orphan_legs: FxHashMap::default(),

@@ -328,6 +328,9 @@ struct Scratch {
     /// Harvest/removal buffers recycled across completion waves.
     harvest: Vec<u32>,
     freed_links: Vec<u32>,
+    /// The collected component is one flow alone on every link of its
+    /// path: `refill_component` takes its scalar pass.
+    lone: bool,
 }
 
 /// Deferred-recompute state for a batch of same-instant updates.
@@ -1082,12 +1085,29 @@ impl FlowNet {
 
     /// Flood-fill the contention component: flows pull in every link on
     /// their path, links pull in every member flow.
+    ///
+    /// A recompute seeded by one flow that every link of its path lists as
+    /// its only member is that flow and its path: the flood would find
+    /// nothing else, so the component is set directly. (A path that crosses
+    /// a link twice lists the flow twice there and takes the flood.)
     fn collect_component(&mut self, seed_flows: &[u32], seed_links: &[u32]) {
         let scratch = &mut self.scratch;
-        scratch.epoch += 1;
-        let epoch = scratch.epoch;
         scratch.comp_flows.clear();
         scratch.comp_links.clear();
+        if let (&[s], []) = (seed_flows, seed_links) {
+            let path = &self.slots[s as usize].path;
+            scratch.lone = path
+                .iter()
+                .all(|&LinkId(l)| self.links[l as usize].members.len() == 1);
+            if scratch.lone {
+                scratch.comp_flows.push(s);
+                scratch.comp_links.extend(path.iter().map(|l| l.0));
+                return;
+            }
+        }
+        scratch.lone = false;
+        scratch.epoch += 1;
+        let epoch = scratch.epoch;
         for &s in seed_flows {
             if scratch.flow_seen[s as usize] != epoch {
                 scratch.flow_seen[s as usize] = epoch;
@@ -1168,6 +1188,58 @@ impl FlowNet {
             for &l in &scratch.comp_links {
                 debug_assert!(self.links[l as usize].members.is_empty());
                 self.links[l as usize].rate_sum = 0.0;
+            }
+            return;
+        }
+
+        if scratch.lone {
+            // The general fill below, for one flow alone on its links, on
+            // scalars.
+            // Every per-link sum has one term and every per-flow loop one
+            // flow, so each floating-point operation, and its order, is the
+            // general fill's: the floors and their scaling, the two freeze
+            // tests, one residual-over-weight step (after it the flow is
+            // frozen or nothing binds, and the general loop stops either
+            // way), and the write-back.
+            let slot = &mut self.slots[scratch.comp_flows[0] as usize];
+            let (floor, eff_cap, weight) = (slot.floor, slot.effective_cap(), slot.weight);
+            let mut scale: f64 = 1.0;
+            for &l in &scratch.comp_links {
+                let capacity = self.links[l as usize].capacity;
+                let total_floor: f64 = std::iter::once(floor).sum();
+                if total_floor > capacity {
+                    scale = scale.min(capacity / total_floor);
+                }
+            }
+            let mut rate = (floor * scale).min(eff_cap);
+            let frozen = eff_cap - rate <= EPS_RATE || slot.remaining <= EPS_BYTES;
+            if !frozen {
+                let mut limiting_inc = f64::INFINITY;
+                for &l in &scratch.comp_links {
+                    let capacity = self.links[l as usize].capacity;
+                    let (mut used, mut active_weight) = (0.0, 0.0);
+                    used += rate;
+                    active_weight += weight;
+                    if active_weight > 0.0 {
+                        let residual = (capacity - used).max(0.0);
+                        limiting_inc = limiting_inc.min(residual / active_weight);
+                    }
+                }
+                limiting_inc = limiting_inc.min((eff_cap - rate) / weight);
+                if limiting_inc.is_finite() && limiting_inc > 0.0 {
+                    rate += limiting_inc * weight;
+                }
+            }
+            slot.rate = rate;
+            slot.stamp = version;
+            if slot.remaining <= EPS_BYTES {
+                self.completions.push(Reverse((now.0, slot.id, version)));
+            } else if rate > EPS_RATE {
+                let done = now + SimDuration::from_secs_f64(slot.remaining / rate);
+                self.completions.push(Reverse((done.0, slot.id, version)));
+            }
+            for &l in &scratch.comp_links {
+                self.links[l as usize].rate_sum = std::iter::once(rate).sum();
             }
             return;
         }
@@ -2002,8 +2074,11 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn arb_net_and_flows() -> impl Strategy<Value = (Vec<f64>, Vec<(Vec<usize>, f64, f64, f64)>)> {
-        // (link capacities, flows as (path link indices, bytes, floor, cap))
+    /// A flow as (path link indices, bytes, floor, cap).
+    type FlowSpec = (Vec<usize>, f64, f64, f64);
+
+    fn arb_net_and_flows() -> impl Strategy<Value = (Vec<f64>, Vec<FlowSpec>)> {
+        // (link capacities, flows)
         (2usize..6).prop_flat_map(|n_links| {
             let caps = proptest::collection::vec(1e9..50e9, n_links);
             let flows = proptest::collection::vec(
@@ -2019,7 +2094,94 @@ mod proptests {
         })
     }
 
+    /// What a fill left behind, as bits: the flow's rate, the utilisation
+    /// of each link of its path and the next completion.
+    type FillBits = (u64, Vec<u64>, Option<SimTime>);
+
+    fn fill_bits(net: &mut FlowNet, f: FlowId, path: &[LinkId]) -> FillBits {
+        let rate = net.flow_rate(f).expect("live").to_bits();
+        let util = path
+            .iter()
+            .map(|&l| net.link_utilization(l).to_bits())
+            .collect();
+        (rate, util, net.next_completion())
+    }
+
+    /// Start one flow over `path` at time zero, then at `t1` re-floor it,
+    /// snapshotting both fills. With `general` each recompute is also
+    /// seeded with the path's first link: the flood then finds the same
+    /// flow and the same links in the same order, but the lone-flow fast
+    /// path is off, so the general fill runs.
+    fn lone_flow_fills(
+        caps: &[f64],
+        path: &[usize],
+        bytes: f64,
+        opts: FlowOptions,
+        (t1, floor1): (u64, f64),
+        general: bool,
+    ) -> (FillBits, FillBits) {
+        let mut net = FlowNet::new();
+        let links: Vec<LinkId> = caps
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| net.add_link(format!("l{i}"), c))
+            .collect();
+        let path: Vec<LinkId> = path.iter().map(|&i| links[i]).collect();
+        let seed_general = |net: &mut FlowNet| {
+            if general {
+                net.batch.seed_links.push(path[0].0);
+            }
+        };
+        net.begin_batch();
+        let f = net
+            .start_flow(SimTime::ZERO, &path, bytes, opts)
+            .expect("valid flow");
+        seed_general(&mut net);
+        net.commit_batch();
+        let started = fill_bits(&mut net, f, &path);
+        net.begin_batch();
+        net.set_floor(SimTime(t1), f, floor1).expect("live");
+        seed_general(&mut net);
+        net.commit_batch();
+        (started, fill_bits(&mut net, f, &path))
+    }
+
     proptest! {
+        /// The lone-flow fast path and the general fill agree bit for bit
+        /// on rate, link utilisation and next completion, across floors
+        /// above capacity, caps of 0, below the floor and above capacity,
+        /// uneven weights and zero-byte flows; a re-floor after some
+        /// progress also covers the settle step. A path that crosses a link
+        /// twice is no lone flow and keeps the general fill's rate.
+        #[test]
+        fn lone_flow_fast_path_matches_the_general_fill(
+            caps in proptest::collection::vec(1e9..50e9, 8),
+            (len, start, stride) in (1usize..9, 0usize..8, 0usize..4),
+            (zero_bytes, bytes) in (0u8..4, 1e3..1e9),
+            (floor, cap_kind, cap, weight) in (0.0..1e11, 0u8..4, 1e8..1e11, 0.1..4.0),
+            refloor in (1u64..1_000_000_000, 0.0..1e11),
+        ) {
+            // An odd stride walks 8 links without repeating one.
+            let path: Vec<usize> = (0..len).map(|k| (start + k * (2 * stride + 1)) % 8).collect();
+            let bytes = if zero_bytes == 0 { 0.0 } else { bytes };
+            let cap = match cap_kind {
+                0 => 0.0,
+                1 => floor * 0.5,
+                2 => 1e12,
+                _ => cap,
+            };
+            let opts = FlowOptions { floor, cap, weight };
+            let fast = lone_flow_fills(&caps, &path, bytes, opts, refloor, false);
+            let general = lone_flow_fills(&caps, &path, bytes, opts, refloor, true);
+            prop_assert_eq!(fast, general);
+
+            let mut twice = path.clone();
+            twice.push(path[0]);
+            let (fast, _) = lone_flow_fills(&caps, &twice, bytes, opts, refloor, false);
+            let (general, _) = lone_flow_fills(&caps, &twice, bytes, opts, refloor, true);
+            prop_assert_eq!(fast, general);
+        }
+
         /// Invariants under arbitrary floors and caps: per-link usage never
         /// exceeds capacity, every flow respects its *effective* cap (the
         /// floor dominates a contradictory lower cap), and the system

@@ -397,12 +397,10 @@ mod tests {
         eng
     }
 
-    fn ring(
-        n: u32,
-        tokens: u64,
-        hops: u32,
-        threads: usize,
-    ) -> (Vec<Vec<(u64, u64, u32)>>, RunStats) {
+    /// Each shard's delivery log: `(time, token, hops_left)` per delivery.
+    type RingLogs = Vec<Vec<(u64, u64, u32)>>;
+
+    fn ring(n: u32, tokens: u64, hops: u32, threads: usize) -> (RingLogs, RunStats) {
         let mut eng = ring_engine(n, tokens, hops, None);
         let stats = eng.run(threads);
         (

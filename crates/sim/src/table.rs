@@ -1,10 +1,12 @@
 //! A windowed, id-ordered table for ids handed out by a monotone counter.
 //!
-//! The llm router numbers requests from one counter, and the store numbers
-//! data objects from another, so the ids alive at any instant sit in a
-//! window that slides up as the counter moves on: a request completes
-//! within seconds of arriving, and an intermediate object dies once its
-//! last consumer has read it. [`RidTable`] keeps one slot per id of that
+//! The llm router numbers requests from one counter, the store numbers
+//! data objects from another, and the runtime executor numbers workflow
+//! instances and data operations from two more, so the ids alive at any
+//! instant sit in a window that slides up as the counter moves on: a
+//! request completes within seconds of arriving, an intermediate object
+//! dies once its last consumer has read it, and a data operation lives for
+//! a few transfer legs. [`RidTable`] keeps one slot per id of that
 //! window in a deque that starts at the smallest live id. A lookup is an
 //! index, iteration walks the slots in id order, and both ends are trimmed
 //! as their ids leave, so the table holds what lives between the oldest
@@ -12,6 +14,9 @@
 //! window start is accepted too: the llm router may admit a deferred
 //! request after later ids have already arrived, and the window then grows
 //! at the front.
+//!
+//! Indexing (`table[rid]`) is for ids the caller knows are live, as with a
+//! map, and panics on a miss; `get` is the fallible lookup.
 
 use std::collections::VecDeque;
 
@@ -70,6 +75,10 @@ impl<T> RidTable<T> {
         self.slots.get_mut(pos)?.as_mut()
     }
 
+    pub fn contains_key(&self, rid: u64) -> bool {
+        self.get(rid).is_some()
+    }
+
     /// Insert `value` under `rid`, returning the value it replaces.
     pub fn insert(&mut self, rid: u64, value: T) -> Option<T> {
         if self.slots.is_empty() {
@@ -83,7 +92,12 @@ impl<T> RidTable<T> {
         // ids in flight, so the offset fits in memory.
         let offset = (rid - self.start) as usize;
         if offset >= self.slots.len() {
-            self.slots.resize_with(offset + 1, || None);
+            // Past the newest id, the common case: append the value itself
+            // rather than an empty slot to fill.
+            self.slots.resize_with(offset, || None);
+            self.slots.push_back(Some(value));
+            self.len += 1;
+            return None;
         }
         let old = self.slots.get_mut(offset)?.replace(value);
         if old.is_none() {
@@ -97,6 +111,28 @@ impl<T> RidTable<T> {
         let pos = self.position(rid)?;
         let old = self.slots.get_mut(pos)?.take()?;
         self.len -= 1;
+        self.trim();
+        Some(old)
+    }
+
+    /// Remove `rid` and drop its value where it lies, for a caller that no
+    /// longer needs it: unlike [`RidTable::remove`], a large value is not
+    /// moved out first. Returns whether `rid` was live.
+    pub fn discard(&mut self, rid: u64) -> bool {
+        let Some(slot) = self.position(rid).and_then(|pos| self.slots.get_mut(pos)) else {
+            return false;
+        };
+        if slot.is_none() {
+            return false;
+        }
+        *slot = None;
+        self.len -= 1;
+        self.trim();
+        true
+    }
+
+    /// Drop the empty slots off both ends of the window.
+    fn trim(&mut self) {
         while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.start += 1;
@@ -104,7 +140,6 @@ impl<T> RidTable<T> {
         while let Some(None) = self.slots.back() {
             self.slots.pop_back();
         }
-        Some(old)
     }
 
     /// Live entries in ascending id order.
@@ -117,6 +152,22 @@ impl<T> RidTable<T> {
     /// Live values in ascending id order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().flatten()
+    }
+}
+
+impl<T> std::ops::Index<u64> for RidTable<T> {
+    type Output = T;
+
+    fn index(&self, rid: u64) -> &T {
+        // grouter-lint: allow(no-panic-in-dataplane): indexing is for ids the caller knows are live, as with a map; a miss is a caller bug
+        self.get(rid).expect("no entry for id")
+    }
+}
+
+impl<T> std::ops::IndexMut<u64> for RidTable<T> {
+    fn index_mut(&mut self, rid: u64) -> &mut T {
+        // grouter-lint: allow(no-panic-in-dataplane): indexing is for ids the caller knows are live, as with a map; a miss is a caller bug
+        self.get_mut(rid).expect("no entry for id")
     }
 }
 
@@ -159,10 +210,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Any sequence of inserts, removes, lookups and in-place updates
-        /// leaves the table agreeing with a `BTreeMap` on every answer, on
-        /// ordered iteration and on length, including inserts below the
-        /// window start and re-insertion after removal.
+        /// Any sequence of inserts, removes (moving the value out or
+        /// discarding it in place), lookups and in-place updates leaves the
+        /// table agreeing with a `BTreeMap` on every answer, on ordered
+        /// iteration and on length, including inserts below the window
+        /// start and re-insertion after removal, and the window spans
+        /// exactly the oldest to the newest live id.
         #[test]
         fn matches_a_btreemap(
             ops in proptest::collection::vec((0u8..5, 0u64..48), 0..400),
@@ -179,8 +232,17 @@ mod tests {
                         table.insert(rid, value),
                         model.insert(rid, value)
                     ),
-                    2 => proptest::prop_assert_eq!(table.remove(rid), model.remove(&rid)),
-                    3 => proptest::prop_assert_eq!(table.get(rid), model.get(&rid)),
+                    2 if step % 2 == 0 => {
+                        proptest::prop_assert_eq!(table.remove(rid), model.remove(&rid))
+                    }
+                    2 => proptest::prop_assert_eq!(table.discard(rid), model.remove(&rid).is_some()),
+                    3 => {
+                        proptest::prop_assert_eq!(table.get(rid), model.get(&rid));
+                        proptest::prop_assert_eq!(table.contains_key(rid), model.contains_key(&rid));
+                        if let Some(v) = model.get(&rid) {
+                            proptest::prop_assert_eq!(&table[rid], v);
+                        }
+                    }
                     _ => {
                         if let Some(v) = table.get_mut(rid) {
                             *v += 1_000;
@@ -191,6 +253,11 @@ mod tests {
                     }
                 }
                 proptest::prop_assert_eq!(table.len(), model.len());
+                let span = match (model.keys().next(), model.keys().next_back()) {
+                    (Some(lo), Some(hi)) => (hi - lo + 1) as usize,
+                    _ => 0,
+                };
+                proptest::prop_assert_eq!(table.span(), span);
                 proptest::prop_assert_eq!(table.is_empty(), model.is_empty());
                 let got: Vec<(u64, u64)> = table.iter().map(|(k, v)| (k, *v)).collect();
                 let want: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();

@@ -14,25 +14,23 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
-
-echo "==> cargo clippy --workspace --examples -- -D warnings"
-# The demos under examples/ are Cargo examples, which clippy's default
-# targets skip.
-cargo clippy --workspace --examples -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# Every target: libraries and binaries, their unit tests, the integration
+# tests, benches, and the demos under examples/ (Cargo examples, which
+# clippy's default targets skip).
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> grouter-lint (workspace rules over crates/)"
 cargo run -q --release -p grouter-lint -- crates
 
-echo "==> allow-pragma budget (grouter-lint/grouter-analyze pragmas under crates/ <= 30)"
+echo "==> allow-pragma budget (grouter-lint/grouter-analyze pragmas under crates/ <= 21)"
 # Every pragma is a justified exception to a rule; the count may only fall.
 # Lower the budget when a change removes pragmas.
 pragmas=$(grep -rEo --include='*.rs' 'grouter-(lint|analyze): allow' crates | wc -l)
-[ "$pragmas" -le 30 ] || {
-    echo "$pragmas allow pragmas under crates/, budget 30" >&2; exit 1;
+[ "$pragmas" -le 21 ] || {
+    echo "$pragmas allow pragmas under crates/, budget 21" >&2; exit 1;
 }
-echo "$pragmas allow pragmas (budget 30)"
+echo "$pragmas allow pragmas (budget 21)"
 
 echo "==> grouter-analyze (call-graph passes; zero unbaselined findings)"
 # Interprocedural panic-/wallclock-reachability and determinism taint over

@@ -27,7 +27,7 @@ use grouter::topology::graph::TopologySpec;
 use grouter::topology::presets;
 use grouter::{GrouterConfig, GrouterPlane};
 use grouter_ctl::{ServiceConfig, ServiceSim};
-use grouter_workloads::apps::{traffic, WorkloadParams};
+use grouter_workloads::apps::{suite, traffic, WorkloadParams};
 use grouter_workloads::azure::{generate_trace, ArrivalPattern};
 use grouter_workloads::cluster::ClusterPreset;
 use grouter_workloads::models::GpuClass;
@@ -156,6 +156,70 @@ fn sweep(topo: fn() -> TopologySpec, gpu: GpuClass) {
 #[test]
 fn chaos_traffic_v100_terminates_without_leaks() {
     sweep(presets::dgx_v100, GpuClass::V100);
+}
+
+#[test]
+fn chaos_executor_tables_stay_the_size_of_the_live_set() {
+    // The executor keeps instances and ops in windows over their monotone
+    // ids, so a window spans the live ids and the holes between them, not
+    // every id ever issued. Step a faulted run of the six-workflow suite
+    // (retries and lineage replays included) by hand and bound both
+    // windows after every event by twice the most slots they were measured
+    // to hold: 15 op slots for at most 11 live ops, and 18 instance slots
+    // for at most 12 live instances.
+    const OPS_MAX_SPAN: usize = 2 * 15;
+    const INSTANCES_MAX_SPAN: usize = 2 * 18;
+    let seed = 0xC4A0_5001;
+    let mut rt = Runtime::new(
+        presets::dgx_v100(),
+        1,
+        Box::new(GrouterPlane::new(GrouterConfig::full())),
+        RuntimeConfig::default(),
+    );
+    let mut rng = DetRng::new(seed);
+    let horizon = SimDuration::from_secs(TRACE_SECS);
+    for spec in suite(WorkloadParams {
+        batch: 4,
+        gpu: GpuClass::V100,
+    }) {
+        for t in generate_trace(ArrivalPattern::Sporadic, RPS, horizon, &mut rng) {
+            rt.submit(spec.clone(), t);
+        }
+    }
+    let plan = FaultPlan::randomized(
+        seed,
+        &domain_of(&rt),
+        &FaultPlanConfig {
+            horizon,
+            faults: 5,
+            ..FaultPlanConfig::default()
+        },
+    );
+    rt.install_fault_plan(&plan);
+    let mut sim = rt.into_sim();
+    while sim.step() {
+        let w = &sim.world;
+        assert!(
+            w.ops.span() <= OPS_MAX_SPAN && w.instances.span() <= INSTANCES_MAX_SPAN,
+            "seed {seed}: {} op slots for {} live ops, {} instance slots for {} live \
+             instances (plan: {:?})",
+            w.ops.span(),
+            w.ops.len(),
+            w.instances.span(),
+            w.instances.len(),
+            plan.events()
+        );
+    }
+    let w = &sim.world;
+    assert!(
+        w.ops.is_empty() && w.instances.is_empty(),
+        "seed {seed}: work left behind"
+    );
+    assert_eq!(
+        (w.ops.span(), w.instances.span()),
+        (0, 0),
+        "seed {seed}: slots left behind"
+    );
 }
 
 #[test]

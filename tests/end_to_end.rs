@@ -246,6 +246,13 @@ fn workloads_survive_mid_run_link_degradation() {
 /// so the producer's output must cross NVLink to both consumers, with a
 /// scripted fault plan installed before the run.
 fn diamond_with_faults(plan: grouter::sim::fault::FaultPlan) -> grouter::runtime::Runtime {
+    let mut rt = diamond_runtime(plan);
+    rt.run();
+    rt
+}
+
+/// The diamond DAG's runtime with `plan` installed, not yet run.
+fn diamond_runtime(plan: grouter::sim::fault::FaultPlan) -> grouter::runtime::Runtime {
     use std::sync::Arc;
 
     use grouter::runtime::dataplane::Destination;
@@ -301,7 +308,6 @@ fn diamond_with_faults(plan: grouter::sim::fault::FaultPlan) -> grouter::runtime
     );
     rt.submit(Arc::new(wf), SimTime::ZERO);
     rt.install_fault_plan(&plan);
-    rt.run();
     rt
 }
 
@@ -382,6 +388,58 @@ fn diamond_dag_route_loss_reissues_transfers_under_recovery_category() {
             .any(|(c, _)| *c == PassCategory::Recovery),
         "re-issued ops must be accounted under Recovery; ops: {:?}, log: {log:?}",
         rec.op_durations
+    );
+    assert!(rt.world().quiescent(), "residue after route-loss recovery");
+    assert!(rt.world().ledgers_idle(), "reservation leak after recovery");
+}
+
+#[test]
+fn route_loss_retries_an_op_whose_leg_waits_out_its_setup() {
+    // A leg staged by AdvanceOp waits out its setup latency before
+    // BeginLeg starts its flows. A route GPU lost inside that window must
+    // retry the op like one whose flows already run: find the first op
+    // staged with an NVLink route, then lose the route's far GPU halfway
+    // through the setup.
+    use grouter::runtime::world::OpKind;
+    use grouter::runtime::RecoveryEvent;
+    use grouter::sim::fault::{FaultEvent, FaultKind, FaultPlan};
+    use grouter::sim::time::SimDuration;
+
+    let mut sim = diamond_runtime(FaultPlan::scripted(vec![])).into_sim();
+    let (at, gpu, owner) = loop {
+        assert!(sim.step(), "the run never staged an NVLink leg");
+        let w = &sim.world;
+        let staged = w.ops.iter().find_map(|(_, op)| {
+            let leg = op.legs.front().filter(|_| op.staged)?;
+            let route = leg.plan.flows.iter().find_map(|f| f.route.as_ref())?;
+            let (OpKind::Get { inst, stage, .. } | OpKind::Put { inst, stage, .. }) = op.kind
+            else {
+                return None;
+            };
+            let gpu = w.topo.flat_index(leg.nv_node, *route.last()?);
+            Some((leg.plan.setup, gpu, (inst, stage)))
+        });
+        if let Some((setup, gpu, owner)) = staged {
+            let half = SimDuration::from_nanos(setup.as_nanos() / 2);
+            assert!(half > SimDuration::ZERO, "a staged leg has a setup latency");
+            break (sim.sched.now() + half, gpu, owner);
+        }
+    };
+
+    let rt = diamond_with_faults(FaultPlan::scripted(vec![FaultEvent {
+        at,
+        kind: FaultKind::RouteGpuLoss { gpu },
+    }]));
+    let log = rt.world().recovery_log();
+    assert!(
+        log.iter().any(|(t, e)| *t == at
+            && matches!(*e, RecoveryEvent::OpRetried { inst, stage, .. } if (inst, stage) == owner)),
+        "the staged op of {owner:?} must be retried when GPU {gpu} is lost at {at}: {log:?}"
+    );
+    assert_eq!(
+        rt.metrics().completed(),
+        1,
+        "route loss alone must not fail the DAG"
     );
     assert!(rt.world().quiescent(), "residue after route-loss recovery");
     assert!(rt.world().ledgers_idle(), "reservation leak after recovery");
