@@ -25,8 +25,8 @@ use grouter_transfer::TransferEngine;
 
 /// Every checker the data plane registers, by crate:
 /// sim (5), topology (2), transfer (1), store (1), mem (3), runtime (1),
-/// obs (1), llm (2).
-const CHECKERS: [&str; 16] = [
+/// obs (1), llm (3).
+const CHECKERS: [&str; 17] = [
     "flownet.link_caps",
     "flownet.slab",
     "flownet.heap",
@@ -43,6 +43,7 @@ const CHECKERS: [&str; 16] = [
     "obs.spans_balanced",
     "llm.kv_blocks",
     "llm.stream_order",
+    "llm.view",
 ];
 
 #[test]
@@ -156,8 +157,9 @@ fn every_checker_fires_at_least_once() {
 
     // --- LLM serving: a reduced-scale disaggregated run pushes KV blocks
     // through prefill handoff, decode append/seal and completion, firing the
-    // block-map checker (sampled every 8 audits) and the per-token stream
-    // monotonicity checker.
+    // block-map checker (sampled every 8 audits), the per-token stream
+    // monotonicity checker and the heartbeat-view recount (sampled every 16
+    // views).
     let llm_cfg = grouter_llm::LlmServeConfig {
         groups: 1,
         requests: 60,

@@ -19,7 +19,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use grouter_mem::{AllocError, EvictionPolicy, GrouterPolicy, LruPolicy, ObjectMeta};
+use grouter_mem::{
+    AllocError, EvictionPolicy, GrouterPolicy, LruPolicy, ObjectMeta, RestoreQueue, VictimHeap,
+};
 use grouter_runtime::dataplane::{
     DataOp, DataPlane, Destination, LegHealth, OpLeg, PlaneCtx, PlaneStats, PutOp,
 };
@@ -53,6 +55,13 @@ pub struct GrouterPlane {
     /// The same objects grouped by home GPU, so that restoring to one GPU
     /// walks only the objects that belong there.
     migrated_by_home: BTreeMap<GpuRef, BTreeSet<u64>>,
+    /// `migrate`'s buffers, kept between calls: the GPU's residents as the
+    /// policy sees them, the selection heap and the chosen victims.
+    victim_metas: Vec<ObjectMeta>,
+    victim_heap: VictimHeap,
+    victims: Vec<u64>,
+    /// `restores`' candidates, taken soonest-needed first.
+    restore_queue: RestoreQueue,
     stats: PlaneStats,
 }
 
@@ -63,6 +72,10 @@ impl GrouterPlane {
             rng: DetRng::new(0x6706_7265),
             migrated_home: BTreeMap::new(),
             migrated_by_home: BTreeMap::new(),
+            victim_metas: Vec::new(),
+            victim_heap: VictimHeap::default(),
+            victims: Vec::new(),
+            restore_queue: RestoreQueue::default(),
             stats: PlaneStats::default(),
         }
     }
@@ -258,24 +271,32 @@ impl GrouterPlane {
 
     /// Migrate at least `need` bytes off `gpu` to host memory.
     fn migrate(&mut self, ctx: &mut PlaneCtx<'_>, gpu: GpuRef, need: f64) -> Vec<OpLeg> {
-        let metas: Vec<ObjectMeta> = ctx
-            .store
-            .resident_at(Location::Gpu(gpu))
-            .map(|e| ObjectMeta {
-                key: e.id.0,
-                bytes: e.bytes,
-                last_access: e.last_access,
-                next_use: e.next_use,
-            })
-            .collect();
-        let victims = if self.cfg.elastic_storage {
-            GrouterPolicy.select_victims(&metas, need)
+        self.victim_metas.clear();
+        self.victim_metas.extend(
+            ctx.store
+                .resident_at(Location::Gpu(gpu))
+                .map(|e| ObjectMeta {
+                    key: e.id.0,
+                    bytes: e.bytes,
+                    last_access: e.last_access,
+                    next_use: e.next_use,
+                }),
+        );
+        let policy: &dyn EvictionPolicy = if self.cfg.elastic_storage {
+            &GrouterPolicy
         } else {
-            LruPolicy.select_victims(&metas, need)
+            &LruPolicy
         };
+        let mut victims = std::mem::take(&mut self.victims);
+        policy.take_victims(
+            &self.victim_metas,
+            need,
+            &mut self.victim_heap,
+            &mut victims,
+        );
         let host_cfg = self.cfg.host_cfg();
         let mut legs = Vec::new();
-        for v in victims {
+        for &v in &victims {
             let id = DataId(v);
             // Victims were selected from the store's entries above, so
             // both lookups hold; a vanished victim is skipped, not fatal.
@@ -296,6 +317,7 @@ impl GrouterPlane {
                 self.track_migrated(v, gpu);
             }
         }
+        self.victims = victims;
         legs
     }
 
@@ -315,10 +337,10 @@ impl GrouterPlane {
         let Some(homed_here) = self.migrated_by_home.get(&gpu) else {
             return Vec::new();
         };
-        let candidates: Vec<ObjectMeta> = homed_here
-            .iter()
-            .filter_map(|&id| {
-                let entry = ctx.store.peek(DataId(id))?;
+        let store = &*ctx.store;
+        self.restore_queue
+            .refill(homed_here.iter().filter_map(|&id| {
+                let entry = store.peek(DataId(id))?;
                 if !matches!(entry.location, Location::Host(_)) {
                     return None;
                 }
@@ -328,12 +350,13 @@ impl GrouterPlane {
                     last_access: entry.last_access,
                     next_use: entry.next_use,
                 })
-            })
-            .collect();
-        let order = GrouterPolicy.restore_order(&candidates);
+            }));
         let host_cfg = self.cfg.host_cfg();
         let mut ops = Vec::new();
-        for key in order {
+        // Soonest-needed first, taken one at a time: the loop stops at the
+        // first candidate that does not fit, so only what it restores is
+        // ordered, the same sequence a full sort would start with.
+        while let Some(key) = self.restore_queue.pop_soonest() {
             let id = DataId(key);
             // Candidates come from the store scan above; a candidate that
             // vanished in between is skipped, not fatal.

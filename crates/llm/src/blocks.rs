@@ -46,14 +46,22 @@ impl RequestKv {
     }
 }
 
-/// Request id → KV blocks, plus per-GPU live-KV totals for pinned-consumer
-/// placement.
+/// Request id → KV blocks, plus per-GPU and overall live-KV totals for
+/// pinned-consumer placement and the heartbeat view.
+///
+/// Both totals are kept as blocks join, grow and leave, and they equal the
+/// sums over the map bit for bit: every block's byte count is an integer
+/// (a whole number of tokens times an integer `kv_bytes_per_token`), and
+/// sums and differences of integers below 2^53 are exact in `f64`, so the
+/// order they are added in cannot change the result.
 #[derive(Debug, Default)]
 pub struct KvBlockMap {
     map: RidTable<RequestKv>,
     /// Live KV bytes *homed* on each flat GPU (residency may differ while
     /// a block is migrated; placement balances by ownership).
     home_bytes: Vec<f64>,
+    /// Live KV bytes over every request and block.
+    total_bytes: f64,
 }
 
 impl KvBlockMap {
@@ -61,6 +69,7 @@ impl KvBlockMap {
         KvBlockMap {
             map: RidTable::new(),
             home_bytes: vec![0.0; num_gpus],
+            total_bytes: 0.0,
         }
     }
 
@@ -75,10 +84,6 @@ impl KvBlockMap {
         self.map.get(rid)
     }
 
-    pub fn get_mut(&mut self, rid: u64) -> Option<&mut RequestKv> {
-        self.map.get_mut(rid)
-    }
-
     pub fn remove(&mut self, rid: u64, gpus_per_node: usize) -> Option<RequestKv> {
         let kv = self.map.remove(rid)?;
         for b in &kv.blocks {
@@ -87,9 +92,40 @@ impl KvBlockMap {
         Some(kv)
     }
 
-    /// Record `delta` home bytes for a block (append growth or a fresh
-    /// block joining the map).
-    pub fn credit(&mut self, home: Location, delta: f64, gpus_per_node: usize) {
+    /// Append one token of `delta` bytes to `rid`'s tail block in place,
+    /// sealing it once full.
+    pub fn extend_tail(&mut self, rid: u64, delta: f64, gpus_per_node: usize) {
+        let Some(b) = self.map.get_mut(rid).and_then(|kv| kv.blocks.last_mut()) else {
+            return;
+        };
+        b.tokens += 1;
+        b.bytes += delta;
+        if b.tokens >= KV_BLOCK_TOKENS {
+            b.sealed = true;
+        }
+        let home = b.home;
+        self.credit(home, delta, gpus_per_node);
+    }
+
+    /// Seal `rid`'s tail block: the next append opens a new block.
+    pub fn seal_tail(&mut self, rid: u64) {
+        if let Some(b) = self.map.get_mut(rid).and_then(|kv| kv.blocks.last_mut()) {
+            b.sealed = true;
+        }
+    }
+
+    /// Open a new tail block for `rid`.
+    pub fn push_block(&mut self, rid: u64, block: KvBlock, gpus_per_node: usize) {
+        if let Some(kv) = self.map.get_mut(rid) {
+            kv.blocks.push(block);
+            self.credit(block.home, block.bytes, gpus_per_node);
+        }
+    }
+
+    /// Record `delta` bytes joining (or, negative, leaving) the map in a
+    /// block homed at `home`.
+    fn credit(&mut self, home: Location, delta: f64, gpus_per_node: usize) {
+        self.total_bytes += delta;
         if let Location::Gpu(g) = home {
             let idx = g.node * gpus_per_node + g.gpu;
             if idx < self.home_bytes.len() {
@@ -104,8 +140,15 @@ impl KvBlockMap {
         &self.home_bytes
     }
 
-    /// Live KV bytes over every request, summed in request-id order.
+    /// Live KV bytes over every request.
     pub fn total_bytes(&self) -> f64 {
+        self.total_bytes
+    }
+
+    /// Live KV bytes recounted from the blocks, summed in request-id order:
+    /// what [`KvBlockMap::total_bytes`] keeps (the `llm.view` checker).
+    #[cfg(feature = "audit")]
+    pub fn summed_bytes(&self) -> f64 {
         self.map.values().map(|kv| kv.total_bytes()).sum()
     }
 

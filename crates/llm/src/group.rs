@@ -21,7 +21,7 @@ use grouter_runtime::pin_decode;
 use grouter_sim::table::RidTable;
 use grouter_sim::time::{SimDuration, SimTime};
 use grouter_sim::{params, FlowNet};
-use grouter_store::{AccessToken, DataStore, FunctionId, Location, WorkflowId};
+use grouter_store::{AccessToken, DataId, DataStore, FunctionId, Location, WorkflowId};
 use grouter_topology::{presets, GpuRef, PathLedger, Topology};
 use grouter_transfer::rate::RateController;
 use grouter_workloads::llm::{LlmModel, LlmRequestSpec};
@@ -126,7 +126,19 @@ pub struct GroupState {
     /// The batch a decode tick walks, copied out so the walk can mutate
     /// the group; kept between ticks to reuse its allocation.
     tick_rids: Vec<u64>,
+    /// The requests a decode tick finished, completed after its walk.
+    tick_finished: Vec<u64>,
+    /// `prefill_done`'s staged blocks (id, tokens, bytes) and healthy
+    /// decode GPUs, and `touch_kv`'s block ids: per-event lists kept
+    /// between events to reuse their allocations.
+    staged: Vec<(DataId, u32, f64)>,
+    eligible: Vec<usize>,
+    touch_ids: Vec<DataId>,
     requests: RidTable<ActiveRequest>,
+    /// Requests pinned to a decode GPU (`decode_gpu` set): kept by
+    /// [`GroupState::set_decode_pin`] and [`GroupState::retire`], the only
+    /// writers of a pin, so [`GroupState::view`] need not count them.
+    decoding: u32,
     kv: KvBlockMap,
     failed: Vec<bool>,
     beat_on: bool,
@@ -179,7 +191,12 @@ impl GroupState {
             batches,
             tick_scheduled,
             tick_rids: Vec::new(),
+            tick_finished: Vec::new(),
+            staged: Vec::new(),
+            eligible: Vec::new(),
+            touch_ids: Vec::new(),
             requests: RidTable::new(),
+            decoding: 0,
             beat_on: false,
             metrics: LlmMetrics::default(),
             next_use_clock: 0,
@@ -247,18 +264,67 @@ impl GroupState {
         )
     }
 
-    /// The heartbeat view the router sees.
+    /// The heartbeat view the router sees: O(1), from the kept count of
+    /// decoding requests and the block map's kept KV total.
     pub fn view(&self) -> DecodeView {
-        let active = self
+        let view = DecodeView {
+            active: self.decoding,
+            kv_bytes: self.kv.total_bytes(),
+            queued: self.requests.len() as u32 - self.decoding,
+        };
+        #[cfg(feature = "audit")]
+        if grouter_audit::every("llm.view", 16) {
+            self.audit_view(&view);
+        }
+        view
+    }
+
+    /// `--features audit`: the `llm.view` checker. Recounts the view the
+    /// long way (decoding requests by filter, KV bytes summed over every
+    /// block in request-id order) and requires the kept values to match
+    /// exactly (`==`, under which the two float zeros agree).
+    #[cfg(feature = "audit")]
+    fn audit_view(&self, view: &DecodeView) {
+        let decoding = self
             .requests
             .values()
             .filter(|r| r.decode_gpu.is_some())
             .count() as u32;
-        DecodeView {
-            active,
-            kv_bytes: self.kv.total_bytes(),
-            queued: self.requests.len() as u32 - active,
+        let summed = self.kv.summed_bytes();
+        grouter_audit::check(
+            "llm.view",
+            view.active == decoding && view.kv_bytes == summed,
+            || {
+                format!(
+                    "view says {} decoding and {} KV bytes, the tables hold {decoding} and {summed}",
+                    view.active, view.kv_bytes
+                )
+            },
+        );
+    }
+
+    /// Pin `rid` to a decode GPU, or unpin it with `None`: the one writer
+    /// of `decode_gpu`, keeping the decoding count [`GroupState::view`]
+    /// reports.
+    fn set_decode_pin(&mut self, rid: u64, pin: Option<GpuRef>) {
+        let Some(r) = self.requests.get_mut(rid) else {
+            return;
+        };
+        let was = std::mem::replace(&mut r.decode_gpu, pin).is_some();
+        match (was, pin.is_some()) {
+            (false, true) => self.decoding += 1,
+            (true, false) => self.decoding -= 1,
+            _ => {}
         }
+    }
+
+    /// Remove `rid` from the group's requests, unpinning it first.
+    fn retire(&mut self, rid: u64) -> Option<ActiveRequest> {
+        let req = self.requests.remove(rid)?;
+        if req.decode_gpu.is_some() {
+            self.decoding -= 1;
+        }
+        Some(req)
     }
 
     pub fn quiescent(&self) -> bool {
@@ -326,9 +392,7 @@ impl GroupState {
                 .model
                 .prefill_latency(req.kv_tokens, self.params.tp);
         self.prefill_free_at[g] = done;
-        if let Some(r) = self.requests.get_mut(rid) {
-            r.decode_gpu = None;
-        }
+        self.set_decode_pin(rid, None);
         out.at(done, GroupEv::PrefillDone { rid });
     }
 
@@ -351,7 +415,8 @@ impl GroupState {
 
         // Chunked puts: one store object per KV block.
         let mut t = now;
-        let mut staged: Vec<(grouter_store::DataId, u32, f64)> = Vec::new();
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.clear();
         let mut remaining = kv_tokens;
         while remaining > 0 {
             let tok = remaining.min(KV_BLOCK_TOKENS);
@@ -370,19 +435,24 @@ impl GroupState {
         }
 
         // Pinned-consumer placement over healthy decode GPUs.
-        let eligible: Vec<usize> = (self.params.prefill_gpus
-            ..self.params.prefill_gpus + self.params.decode_gpus)
-            .filter(|&g| !self.failed[g])
-            .collect();
+        let mut eligible = std::mem::take(&mut self.eligible);
+        eligible.clear();
+        eligible.extend(
+            (self.params.prefill_gpus..self.params.prefill_gpus + self.params.decode_gpus)
+                .filter(|&g| !self.failed[g]),
+        );
         if eligible.is_empty() {
             for (id, _, _) in &staged {
                 let ops = self.with_plane(t, |p, ctx| p.on_consumed(ctx, *id));
                 self.run_background(&ops);
             }
+            self.staged = staged;
+            self.eligible = eligible;
             self.fail_request(now, rid, out);
             return;
         }
         let dg_flat = pin_decode(self.kv.home_bytes(), &eligible);
+        self.eligible = eligible;
         let dg = GpuRef::new(0, dg_flat);
 
         // Handoff: fetch every block to the decode GPU in parallel.
@@ -422,6 +492,7 @@ impl GroupState {
                 });
             }
         }
+        self.staged = staged;
         if let Some(tail) = blocks.last_mut() {
             tail.sealed = tail.tokens >= KV_BLOCK_TOKENS;
         }
@@ -434,8 +505,8 @@ impl GroupState {
             self.topo.gpus_per_node(),
         );
         self.refresh_next_use(rid);
+        self.set_decode_pin(rid, Some(dg));
         if let Some(r) = self.requests.get_mut(rid) {
-            r.decode_gpu = Some(dg);
             r.ready_at = t + spec.model.first_token_latency(self.params.tp);
         }
         out.at(t, GroupEv::HandoffDone { rid });
@@ -517,7 +588,8 @@ impl GroupState {
             return;
         }
         let step = self.step_latency(gpu);
-        let mut finished: Vec<u64> = Vec::new();
+        let mut finished = std::mem::take(&mut self.tick_finished);
+        finished.clear();
         for &rid in &rids {
             let ready = match self.requests.get(rid) {
                 Some(r) => r.ready_at,
@@ -551,9 +623,10 @@ impl GroupState {
             }
         }
         self.tick_rids = rids;
-        for rid in finished {
+        for &rid in &finished {
             self.complete_request(now, rid, out);
         }
+        self.tick_finished = finished;
         let live = self
             .batches
             .get(&gpu)
@@ -601,9 +674,9 @@ impl GroupState {
             .kv
             .get(rid)
             .and_then(|kv| kv.blocks.last())
-            .map(|b| (b.id, b.tokens, b.sealed, b.home));
+            .map(|b| (b.id, b.tokens, b.sealed));
         let mut grown = false;
-        if let Some((tid, tokens, sealed, home)) = tail {
+        if let Some((tid, tokens, sealed)) = tail {
             if !sealed && tokens < KV_BLOCK_TOKENS {
                 let loc = self.store.peek(tid).map(|e| e.location);
                 let reserve = match loc {
@@ -617,17 +690,7 @@ impl GroupState {
                     None => false,
                 };
                 if reserve && self.store.grow(now, tid, delta).is_ok() {
-                    let gpn = self.topo.gpus_per_node();
-                    if let Some(kv) = self.kv.get_mut(rid) {
-                        if let Some(b) = kv.blocks.last_mut() {
-                            b.tokens += 1;
-                            b.bytes += delta;
-                            if b.tokens >= KV_BLOCK_TOKENS {
-                                b.sealed = true;
-                            }
-                        }
-                    }
-                    self.kv.credit(home, delta, gpn);
+                    self.kv.extend_tail(rid, delta, self.topo.gpus_per_node());
                     grown = true;
                 }
             }
@@ -635,11 +698,7 @@ impl GroupState {
         if !grown {
             // Seal the tail (it is full, or its pool is out of headroom)
             // and open a new block through the plane.
-            if let Some(kv) = self.kv.get_mut(rid) {
-                if let Some(b) = kv.blocks.last_mut() {
-                    b.sealed = true;
-                }
-            }
+            self.kv.seal_tail(rid);
             let put = self.with_plane(now, |p, ctx| {
                 p.put(ctx, Self::token(rid), Destination::Gpu(dg), delta, 1)
             });
@@ -650,17 +709,14 @@ impl GroupState {
                     .peek(po.id)
                     .map(|e| e.location)
                     .unwrap_or(Location::Gpu(dg));
-                let gpn = self.topo.gpus_per_node();
-                if let Some(kv) = self.kv.get_mut(rid) {
-                    kv.blocks.push(KvBlock {
-                        id: po.id,
-                        tokens: 1,
-                        bytes: delta,
-                        home,
-                        sealed: false,
-                    });
-                }
-                self.kv.credit(home, delta, gpn);
+                let block = KvBlock {
+                    id: po.id,
+                    tokens: 1,
+                    bytes: delta,
+                    home,
+                    sealed: false,
+                };
+                self.kv.push_block(rid, block, self.topo.gpus_per_node());
             }
             self.refresh_next_use(rid);
         }
@@ -674,9 +730,11 @@ impl GroupState {
             return SimDuration::ZERO;
         };
         let dg = kvreq.decode_gpu;
-        let ids: Vec<grouter_store::DataId> = kvreq.blocks.iter().map(|b| b.id).collect();
+        let mut ids = std::mem::take(&mut self.touch_ids);
+        ids.clear();
+        ids.extend(kvreq.blocks.iter().map(|b| b.id));
         let mut stall = SimDuration::ZERO;
-        for id in ids {
+        for &id in &ids {
             let resident = self
                 .store
                 .peek(id)
@@ -692,6 +750,7 @@ impl GroupState {
                 stall = stall + self.run(&op);
             }
         }
+        self.touch_ids = ids;
         stall
     }
 
@@ -705,21 +764,13 @@ impl GroupState {
             return;
         };
         let n = kvreq.blocks.len();
-        let hints: Vec<(grouter_store::DataId, u64)> = kvreq
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let rank = if i + 1 == n {
-                    clock
-                } else {
-                    clock + 1_000 + (n - i) as u64
-                };
-                (b.id, rank)
-            })
-            .collect();
-        for (id, rank) in hints {
-            self.store.set_next_use(id, Some(rank));
+        for (i, b) in kvreq.blocks.iter().enumerate() {
+            let rank = if i + 1 == n {
+                clock
+            } else {
+                clock + 1_000 + (n - i) as u64
+            };
+            self.store.set_next_use(b.id, Some(rank));
         }
     }
 
@@ -742,7 +793,7 @@ impl GroupState {
 
     fn complete_request(&mut self, now: SimTime, rid: u64, out: &mut Actions) {
         self.drop_kv(now, rid);
-        let Some(req) = self.requests.remove(rid) else {
+        let Some(req) = self.retire(rid) else {
             return;
         };
         self.metrics.completed += 1;
@@ -761,7 +812,7 @@ impl GroupState {
     /// and the router told.
     fn fail_request(&mut self, now: SimTime, rid: u64, out: &mut Actions) {
         self.drop_kv(now, rid);
-        let Some(req) = self.requests.remove(rid) else {
+        let Some(req) = self.retire(rid) else {
             return;
         };
         self.metrics.failed += 1;
@@ -809,22 +860,27 @@ impl GroupState {
             self.drop_kv(now, rid);
             let retried = self.requests.get(rid).map(|r| r.retried).unwrap_or(true);
             if retried {
-                let Some(_req) = self.requests.remove(rid) else {
+                if self.retire(rid).is_none() {
                     continue;
-                };
+                }
                 self.metrics.failed += 1;
                 out.send(GroupOut::Done { rid, ok: false });
             } else if let Some(r) = self.requests.get_mut(rid) {
                 r.retried = true;
-                r.decode_gpu = None;
                 r.kv_tokens = r.spec.prompt_tokens + r.stream.emitted;
+                self.set_decode_pin(rid, None);
                 self.metrics.rematerialized += 1;
                 self.start_prefill(now, rid, out);
             }
         }
         // The dead GPU's batch is gone: republish its runtime footprint.
         let _ = self.pools[gpu].set_runtime_used(self.params.weights_bytes);
-        out.send(GroupOut::View(self.view()));
+        let view = self.view();
+        // Rematerialized requests went back to prefill: check the kept
+        // count on this rare path every time, not only when sampled.
+        #[cfg(feature = "audit")]
+        self.audit_view(&view);
+        out.send(GroupOut::View(view));
     }
 
     /// Leak check for chaos/golden tests: after a drained run nothing may

@@ -11,8 +11,13 @@
 //!   in the request queue (needed latest); data for imminent invocations
 //!   stays resident.
 //! * [`GrouterPolicy`] — queue-aware selection plus *proactive restoration*:
-//!   [`GrouterPolicy::restore_order`] returns migrated objects in ascending
-//!   need order so the store can pull them back as soon as memory frees.
+//!   a [`RestoreQueue`] hands migrated objects back in ascending need order
+//!   so the store can pull them back as soon as memory frees.
+//!
+//! Both orders are taken lazily from a binary heap: a caller orders only
+//! the prefix it uses. A caller that selects often keeps the heaps (a
+//! [`VictimHeap`], a [`RestoreQueue`]) and its output buffer between calls,
+//! so a warm selection allocates nothing.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -33,46 +38,67 @@ pub struct ObjectMeta {
     pub next_use: Option<u64>,
 }
 
+/// The key victims leave in, ascending: each policy maps an object to a
+/// class, an order within the class and, last, the object's key.
+pub type VictimRank = (u8, u64, u64);
+
+/// The heap victim selection orders candidates in: `(rank, input
+/// position)`, smallest first. Kept by a caller that selects often, so the
+/// heap's buffer is reused from one selection to the next.
+#[derive(Debug, Default)]
+pub struct VictimHeap(BinaryHeap<Reverse<(VictimRank, usize)>>);
+
 /// A victim-selection strategy.
 pub trait EvictionPolicy {
-    /// Pick objects to migrate, in order, until at least `need` bytes are
-    /// covered. `objects` is the resident set; implementations must not
-    /// select the same key twice. Returns selected keys in eviction order.
-    fn select_victims(&self, objects: &[ObjectMeta], need: f64) -> Vec<u64>;
+    /// Where `o` falls in eviction order: victims leave in ascending rank.
+    fn victim_rank(&self, o: &ObjectMeta) -> VictimRank;
 
     /// Policy name for reports.
     fn name(&self) -> &'static str;
-}
 
-/// Take victims in ascending `rank` order until `need` bytes are covered.
-///
-/// Equal ranks keep input order, so the result is the prefix a stable sort
-/// by `rank` would give. Only that prefix is ordered: the heap is built in
-/// O(n) and each victim costs O(log n), where a sort orders every resident
-/// object to take a few.
-fn take_until<K: Ord>(
-    objects: &[ObjectMeta],
-    need: f64,
-    rank: impl Fn(&ObjectMeta) -> K,
-) -> Vec<u64> {
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = objects
-        .iter()
-        .enumerate()
-        .map(|(i, o)| Reverse((rank(o), i)))
-        .collect();
-    let mut out = Vec::new();
-    let mut freed = 0.0;
-    loop {
-        if freed >= need {
-            break;
+    /// Pick objects to migrate, in order, until at least `need` bytes are
+    /// covered, into `out` (cleared first). `objects` is the resident set.
+    ///
+    /// Equal ranks keep input order, so the result is the prefix a stable
+    /// sort by rank would give. Only that prefix is ordered: the heap is
+    /// built in O(n) and each victim costs O(log n), where a sort orders
+    /// every resident object to take a few. `heap` and `out` keep their
+    /// buffers for the caller's next selection.
+    fn take_victims(
+        &self,
+        objects: &[ObjectMeta],
+        need: f64,
+        heap: &mut VictimHeap,
+        out: &mut Vec<u64>,
+    ) {
+        out.clear();
+        heap.0.clear();
+        heap.0.extend(
+            objects
+                .iter()
+                .enumerate()
+                .map(|(i, o)| Reverse((self.victim_rank(o), i))),
+        );
+        let mut freed = 0.0;
+        loop {
+            if freed >= need {
+                break;
+            }
+            let Some(obj) = heap.0.pop().and_then(|Reverse((_, i))| objects.get(i)) else {
+                break;
+            };
+            freed += obj.bytes;
+            out.push(obj.key);
         }
-        let Some(obj) = heap.pop().and_then(|Reverse((_, i))| objects.get(i)) else {
-            break;
-        };
-        freed += obj.bytes;
-        out.push(obj.key);
     }
-    out
+
+    /// [`EvictionPolicy::take_victims`] into fresh buffers: the selected
+    /// keys in eviction order.
+    fn select_victims(&self, objects: &[ObjectMeta], need: f64) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.take_victims(objects, need, &mut VictimHeap::default(), &mut out);
+        out
+    }
 }
 
 /// Classic least-recently-used eviction (the NVSHMEM+ baseline).
@@ -80,9 +106,9 @@ fn take_until<K: Ord>(
 pub struct LruPolicy;
 
 impl EvictionPolicy for LruPolicy {
-    fn select_victims(&self, objects: &[ObjectMeta], need: f64) -> Vec<u64> {
+    fn victim_rank(&self, o: &ObjectMeta) -> VictimRank {
         // Oldest access first; key breaks ties deterministically.
-        take_until(objects, need, |o| (o.last_access, o.key))
+        (0, o.last_access.0, o.key)
     }
 
     fn name(&self) -> &'static str {
@@ -95,13 +121,13 @@ impl EvictionPolicy for LruPolicy {
 pub struct QueueAwarePolicy;
 
 impl EvictionPolicy for QueueAwarePolicy {
-    fn select_victims(&self, objects: &[ObjectMeta], need: f64) -> Vec<u64> {
+    fn victim_rank(&self, o: &ObjectMeta) -> VictimRank {
         // Best victims first: objects nobody is scheduled to read, then
         // objects whose consumer sits deepest in the queue.
-        take_until(objects, need, |o| match o.next_use {
-            None => (0u8, 0u64, o.key),
+        match o.next_use {
+            None => (0, 0, o.key),
             Some(rank) => (1, u64::MAX - rank, o.key),
-        })
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -110,29 +136,46 @@ impl EvictionPolicy for QueueAwarePolicy {
 }
 
 /// GROUTER's policy: queue-aware victim selection (identical to
-/// [`QueueAwarePolicy`]) + an ordering for proactive restoration of migrated
-/// data when memory frees up.
+/// [`QueueAwarePolicy`]) + a [`RestoreQueue`] for proactive restoration of
+/// migrated data when memory frees up.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GrouterPolicy;
 
-impl GrouterPolicy {
-    /// Order migrated objects for restoration: soonest-needed first; objects
-    /// without a known consumer are not restored proactively.
-    pub fn restore_order(&self, migrated: &[ObjectMeta]) -> Vec<u64> {
-        let mut with_use: Vec<&ObjectMeta> =
-            migrated.iter().filter(|o| o.next_use.is_some()).collect();
-        with_use.sort_by_key(|o| (o.next_use.unwrap_or(u64::MAX), o.key));
-        with_use.iter().map(|o| o.key).collect()
-    }
-}
-
 impl EvictionPolicy for GrouterPolicy {
-    fn select_victims(&self, objects: &[ObjectMeta], need: f64) -> Vec<u64> {
-        QueueAwarePolicy.select_victims(objects, need)
+    fn victim_rank(&self, o: &ObjectMeta) -> VictimRank {
+        QueueAwarePolicy.victim_rank(o)
     }
 
     fn name(&self) -> &'static str {
         "GROUTER"
+    }
+}
+
+/// Migrated objects in restoration order: soonest-needed first, ties by
+/// key; objects without a known consumer are not restored proactively.
+///
+/// Taken lazily, like victims: [`RestoreQueue::refill`] heapifies the
+/// candidates in O(n) and each [`RestoreQueue::pop_soonest`] costs
+/// O(log n), so a restore pass that stops at the first object that does
+/// not fit orders only what it restores. Kept by its caller, so the heap's
+/// buffer is reused from one pass to the next.
+#[derive(Debug, Default)]
+pub struct RestoreQueue(BinaryHeap<Reverse<(u64, u64)>>);
+
+impl RestoreQueue {
+    /// Replace the queue's contents with `migrated`.
+    pub fn refill(&mut self, migrated: impl IntoIterator<Item = ObjectMeta>) {
+        self.0.clear();
+        self.0.extend(
+            migrated
+                .into_iter()
+                .filter_map(|o| Some(Reverse((o.next_use?, o.key)))),
+        );
+    }
+
+    /// The key of the soonest-needed object left, removed from the queue.
+    pub fn pop_soonest(&mut self) -> Option<u64> {
+        self.0.pop().map(|Reverse((_, key))| key)
     }
 }
 
@@ -228,8 +271,17 @@ mod tests {
             obj(2, 100.0, 20, Some(2)),
             obj(3, 100.0, 30, None), // never proactively restored
             obj(4, 100.0, 40, Some(5)),
+            obj(0, 100.0, 50, Some(5)), // same need as 4: key breaks the tie
         ];
-        assert_eq!(GrouterPolicy.restore_order(&migrated), vec![2, 4, 1]);
+        let mut queue = RestoreQueue::default();
+        queue.refill(vec![obj(7, 100.0, 0, Some(0))]);
+        queue.refill(migrated);
+        let order: Vec<u64> = std::iter::from_fn(|| queue.pop_soonest()).collect();
+        assert_eq!(
+            order,
+            vec![2, 0, 4, 1],
+            "a refill forgets the previous pass"
+        );
     }
 
     /// The selection the heap replaced: stable-sort every object, then take
@@ -289,7 +341,12 @@ mod tests {
             };
             let want = sorted_prefix(&objects, need, queue_rank);
             proptest::prop_assert_eq!(QueueAwarePolicy.select_victims(&objects, need), want.clone());
-            proptest::prop_assert_eq!(GrouterPolicy.select_victims(&objects, need), want);
+            proptest::prop_assert_eq!(GrouterPolicy.select_victims(&objects, need), want.clone());
+            // Warm buffers left over from another selection change nothing.
+            let (mut heap, mut out) = (VictimHeap::default(), vec![99]);
+            LruPolicy.take_victims(&objects, total + 1.0, &mut heap, &mut out);
+            GrouterPolicy.take_victims(&objects, need, &mut heap, &mut out);
+            proptest::prop_assert_eq!(out, want);
         }
     }
 

@@ -23,7 +23,10 @@ pub mod pinned;
 pub mod pool;
 pub mod scaler;
 
-pub use eviction::{EvictionPolicy, GrouterPolicy, LruPolicy, ObjectMeta, QueueAwarePolicy};
+pub use eviction::{
+    EvictionPolicy, GrouterPolicy, LruPolicy, ObjectMeta, QueueAwarePolicy, RestoreQueue,
+    VictimHeap, VictimRank,
+};
 pub use pinned::PinnedRing;
 pub use pool::{AllocError, AllocGrant, ElasticPool, PoolDiscipline, PoolOccupancy};
 pub use scaler::PrewarmScaler;

@@ -5,6 +5,12 @@
 //! charge it on the critical path. The store is policy-free: callers decide
 //! *where* a `Put` lands — GROUTER picks the producer's GPU (locality),
 //! NVSHMEM+ picks a random GPU, INFless+ picks host memory.
+//!
+//! The tables list each location's live ids in ascending order
+//! ([`crate::table`]), so the per-location reads a memory-pressure or
+//! failure path makes ([`DataStore::resident_at`], `entries_at`,
+//! `bytes_at`, `purge_at`) cost the objects at that location, not the
+//! store's whole id window.
 
 use grouter_sim::time::{SimDuration, SimTime};
 
@@ -200,9 +206,8 @@ impl DataStore {
 
     /// Update an object's location after migration/restoration.
     pub fn relocate(&mut self, id: DataId, location: Location) -> Result<(), StoreError> {
-        match self.tables.get_mut(id) {
+        match self.tables.rehome(id, location) {
             Some(entry) => {
-                entry.location = location;
                 let bytes = entry.bytes;
                 if self.rec.on(grouter_obs::Comp::Store) {
                     self.emit_store_event("migrate", id, bytes, location);
@@ -235,20 +240,15 @@ impl DataStore {
     /// a whole-GPU failure). Returns the purged entries in deterministic
     /// order; lineage recovery re-executes their producers as needed.
     pub fn purge_at(&mut self, location: Location) -> Vec<DataEntry> {
-        let doomed = self.entries_at(location);
-        for e in &doomed {
-            self.tables.remove(e.id);
-        }
-        doomed
+        self.tables.remove_all_at(location)
     }
 
     /// Objects currently resident on `location`, borrowed, in ascending id
     /// order: what a caller that only reads them (a victim scan) walks
-    /// instead of cloning [`DataStore::entries_at`].
+    /// instead of cloning [`DataStore::entries_at`]. It walks that
+    /// location's list of live ids, not the whole store.
     pub fn resident_at(&self, location: Location) -> impl Iterator<Item = &DataEntry> {
-        self.tables
-            .entries()
-            .filter(move |e| e.location == location)
+        self.tables.residents(location)
     }
 
     /// Copies of the objects currently resident on `location`, in ascending

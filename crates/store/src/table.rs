@@ -12,12 +12,21 @@
 //! (§4.4.2), so the table holds one slot per id from the oldest live object
 //! to the newest and trims both ends as objects die. Its size follows the
 //! live objects, not every object a run has ever put.
+//!
+//! Beside the window, each location (a node's host memory, each of its
+//! GPUs) keeps its live ids in ascending order: an insert appends (ids come
+//! from a monotone counter), a relocation moves the id between two lists
+//! and a removal drops it by binary search. Location scans (`entries_at`,
+//! `bytes_at`, `purge_at`, migration victim lists) walk one location's
+//! list instead of filtering the whole window, whose holes and other
+//! locations' objects a long-lived object can make many times larger than
+//! the objects the scan wants.
 
 use grouter_sim::params;
 use grouter_sim::table::RidTable;
 use grouter_sim::time::SimDuration;
 
-use crate::id::{DataEntry, DataId};
+use crate::id::{DataEntry, DataId, Location};
 
 /// Dense bitset over data ids. [`DataId`]s are allocated by a monotone
 /// counter, so id-indexed storage stays compact and every membership test
@@ -60,18 +69,107 @@ impl IdBits {
     }
 }
 
-/// Local per-node caches over one global table.
+/// Live ids per location, each list in ascending id order.
+///
+/// The lists sit in one vector, row by row: row 0 holds each node's host
+/// memory and row `1 + g` each node's GPU `g`, so a location's list is one
+/// index computation away, not a search. A new row is added the first time
+/// an object lands on a GPU with a higher index than any seen before.
+#[derive(Debug)]
+struct Residency {
+    lists: Vec<Vec<u64>>,
+    nodes: usize,
+}
+
+impl Residency {
+    fn new(num_nodes: usize) -> Residency {
+        Residency {
+            lists: vec![Vec::new(); num_nodes],
+            nodes: num_nodes,
+        }
+    }
+
+    /// Position of `location`'s list in `lists`; `None` for a node outside
+    /// the tables.
+    fn list_index(&self, location: Location) -> Option<usize> {
+        let (node, row) = match location {
+            Location::Host(node) => (node, 0),
+            Location::Gpu(g) => (g.node, 1 + g.gpu),
+        };
+        (node < self.nodes).then_some(row * self.nodes + node)
+    }
+
+    /// The location of the list at `index` in `lists`.
+    #[cfg(feature = "audit")]
+    fn list_location(&self, index: usize) -> Location {
+        let node = index % self.nodes;
+        match (index / self.nodes).checked_sub(1) {
+            None => Location::Host(node),
+            Some(gpu) => Location::Gpu(grouter_topology::GpuRef::new(node, gpu)),
+        }
+    }
+
+    /// Ids live at `location`, ascending.
+    fn ids_at(&self, location: Location) -> &[u64] {
+        self.list_index(location)
+            .and_then(|i| self.lists.get(i))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// `location`'s list, its row made on first use.
+    fn list_mut(&mut self, location: Location) -> Option<&mut Vec<u64>> {
+        let i = self.list_index(location)?;
+        if self.lists.len() <= i {
+            self.lists.resize_with(i + 1, Vec::new);
+        }
+        self.lists.get_mut(i)
+    }
+
+    /// Record `id` as live at `location`. The newest id appends; an older
+    /// one (a relocation, a caller inserting out of order) is placed by
+    /// binary search.
+    fn enlist(&mut self, location: Location, id: u64) {
+        let Some(ids) = self.list_mut(location) else {
+            return;
+        };
+        match ids.last() {
+            Some(&last) if last >= id => {
+                if let Err(pos) = ids.binary_search(&id) {
+                    ids.insert(pos, id);
+                }
+            }
+            _ => ids.push(id),
+        }
+    }
+
+    /// Forget `id` at `location`.
+    fn delist(&mut self, location: Location, id: u64) {
+        let Some(ids) = self.list_mut(location) else {
+            return;
+        };
+        if let Ok(pos) = ids.binary_search(&id) {
+            ids.remove(pos);
+        }
+    }
+}
+
+/// Local per-node caches over one global table, and each location's live
+/// ids.
 ///
 /// The common lookup/update path is a direct slot access in the global
-/// window — this sits under every `Get`/`Put` the runtime issues — and the
-/// window iterates in ascending id order, the order every location scan
-/// (`entries_at`, `bytes_at`, `purge_at`, migration victim lists) relies on.
+/// window — this sits under every `Get`/`Put` the runtime issues. The
+/// window iterates in ascending id order, and so does each location's list,
+/// the order every location scan (`entries_at`, `bytes_at`, `purge_at`,
+/// migration victim lists) relies on. An entry's location changes only
+/// through [`MappingTables::rehome`], which keeps the lists current.
 #[derive(Debug)]
 pub struct MappingTables {
     /// `local[node]` = set of data ids whose entry is cached on that node.
     local: Vec<IdBits>,
     /// Every live entry, by id.
     global: RidTable<DataEntry>,
+    /// Every live id, listed at its entry's location.
+    residency: Residency,
     local_hits: u64,
     global_lookups: u64,
 }
@@ -82,6 +180,7 @@ impl MappingTables {
         MappingTables {
             local: vec![IdBits::default(); num_nodes],
             global: RidTable::new(),
+            residency: Residency::new(num_nodes),
             local_hits: 0,
             global_lookups: 0,
         }
@@ -95,9 +194,12 @@ impl MappingTables {
     /// Register a new entry; its metadata is immediately visible on the
     /// producing node and in the global table.
     pub fn insert(&mut self, entry: DataEntry) {
-        let node = entry.location.node();
-        self.local[node].insert(entry.id.0);
-        self.global.insert(entry.id.0, entry);
+        let (id, location) = (entry.id.0, entry.location);
+        self.local[location.node()].insert(id);
+        if let Some(old) = self.global.insert(id, entry) {
+            self.residency.delist(old.location, id);
+        }
+        self.residency.enlist(location, id);
         #[cfg(feature = "audit")]
         self.audit_tables();
     }
@@ -105,7 +207,9 @@ impl MappingTables {
     /// `--features audit`: the hierarchical tables stay coherent — every
     /// locally cached id resolves in the global table (stale pointers are
     /// scrubbed only through `lookup`, never created by `insert`/`remove`),
-    /// and every global entry's location names a known node.
+    /// every global entry's location names a known node, and each
+    /// location's list holds exactly the ids a filter of the window finds
+    /// there, in the window's order.
     #[cfg(feature = "audit")]
     fn audit_tables(&self) {
         if !grouter_audit::every("store.tables", 16) {
@@ -132,6 +236,25 @@ impl MappingTables {
                 },
             );
         }
+        let mut listed = 0;
+        for (i, ids) in self.residency.lists.iter().enumerate() {
+            let location = self.residency.list_location(i);
+            let want: Vec<u64> = self
+                .entries()
+                .filter(|e| e.location == location)
+                .map(|e| e.id.0)
+                .collect();
+            grouter_audit::check("store.tables", *ids == want, || {
+                format!("{location:?} lists {ids:?}, the window holds {want:?} there")
+            });
+            listed += ids.len();
+        }
+        grouter_audit::check("store.tables", listed == self.len(), || {
+            format!(
+                "{listed} ids listed by location for {} live entries",
+                self.len()
+            )
+        });
     }
 
     /// Look up `id` from `node`. Returns the entry (if any) and the control-
@@ -158,10 +281,23 @@ impl MappingTables {
         }
     }
 
-    /// Mutable access to an entry (location updates, access stamps). Does not
-    /// model latency: callers pair it with a prior `lookup`.
+    /// Mutable access to an entry (access stamps, sizes, consumer counts).
+    /// Does not model latency: callers pair it with a prior `lookup`. A
+    /// location change goes through [`MappingTables::rehome`] instead.
     pub fn get_mut(&mut self, id: DataId) -> Option<&mut DataEntry> {
         self.global.get_mut(id.0)
+    }
+
+    /// Move a live entry to `location`, listing it there; `None` when `id`
+    /// is not live.
+    pub fn rehome(&mut self, id: DataId, location: Location) -> Option<&DataEntry> {
+        let entry = self.global.get_mut(id.0)?;
+        let from = std::mem::replace(&mut entry.location, location);
+        if from != location {
+            self.residency.delist(from, id.0);
+            self.residency.enlist(location, id.0);
+        }
+        self.global.get(id.0)
     }
 
     /// Read-only access without latency accounting (diagnostics, policies).
@@ -175,6 +311,27 @@ impl MappingTables {
             cache.remove(id.0);
         }
         let removed = self.global.remove(id.0);
+        if let Some(entry) = &removed {
+            self.residency.delist(entry.location, id.0);
+        }
+        #[cfg(feature = "audit")]
+        self.audit_tables();
+        removed
+    }
+
+    /// Remove every entry at `location`, returning them in ascending id
+    /// order. The location's list keeps its buffer for later arrivals.
+    pub fn remove_all_at(&mut self, location: Location) -> Vec<DataEntry> {
+        let Some(ids) = self.residency.list_mut(location) else {
+            return Vec::new();
+        };
+        let mut removed = Vec::with_capacity(ids.len());
+        for id in ids.drain(..) {
+            for cache in &mut self.local {
+                cache.remove(id);
+            }
+            removed.extend(self.global.remove(id));
+        }
         #[cfg(feature = "audit")]
         self.audit_tables();
         removed
@@ -183,6 +340,14 @@ impl MappingTables {
     /// All live entries (deterministic id order).
     pub fn entries(&self) -> impl Iterator<Item = &DataEntry> {
         self.global.values()
+    }
+
+    /// Live entries at `location`, in ascending id order.
+    pub fn residents(&self, location: Location) -> impl Iterator<Item = &DataEntry> {
+        self.residency
+            .ids_at(location)
+            .iter()
+            .filter_map(|&id| self.global.get(id))
     }
 
     /// Number of live entries.

@@ -1,5 +1,6 @@
 //! Property tests over the metadata store: consistency of the hierarchical
-//! tables under arbitrary interleavings of puts, resolves, consumes,
+//! tables and the per-location id lists under arbitrary interleavings of
+//! puts (single- and multi-consumer), added consumers, resolves, consumes,
 //! relocations and purges.
 
 use proptest::prelude::*;
@@ -11,12 +12,29 @@ use grouter_topology::GpuRef;
 
 #[derive(Clone, Debug)]
 enum Op {
-    Put { wf: u64, gpu: bool, bytes: u16 },
-    Resolve { node: u8, wf: u64 },
+    Put {
+        wf: u64,
+        gpu: bool,
+        bytes: u16,
+        consumers: u32,
+    },
+    AddPending {
+        n: u32,
+    },
+    Resolve {
+        node: u8,
+        wf: u64,
+    },
     Consume,
-    Relocate { to_host: bool },
-    NextUse { rank: u64 },
-    Purge { gpu: Option<u8> },
+    Relocate {
+        to: usize,
+    },
+    NextUse {
+        rank: u64,
+    },
+    Purge {
+        gpu: Option<u8>,
+    },
 }
 
 /// Every location a test object can occupy.
@@ -28,14 +46,18 @@ fn locations() -> impl Iterator<Item = Location> {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u64..4, any::<bool>(), 1u16..1000).prop_map(|(wf, gpu, bytes)| Op::Put {
-            wf,
-            gpu,
-            bytes
+        (0u64..4, any::<bool>(), 1u16..1000, 1u32..4).prop_map(|(wf, gpu, bytes, consumers)| {
+            Op::Put {
+                wf,
+                gpu,
+                bytes,
+                consumers,
+            }
         }),
+        (1u32..3).prop_map(|n| Op::AddPending { n }),
         (0u8..2, 0u64..4).prop_map(|(node, wf)| Op::Resolve { node, wf }),
         Just(Op::Consume),
-        any::<bool>().prop_map(|to_host| Op::Relocate { to_host }),
+        (0usize..10).prop_map(|to| Op::Relocate { to }),
         (0u64..100).prop_map(|rank| Op::NextUse { rank }),
         (any::<bool>(), 0u8..8).prop_map(|(one, g)| Op::Purge {
             gpu: (!one).then_some(g)
@@ -47,20 +69,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The store never loses or duplicates objects, access control is
-    /// airtight, byte accounting per location always sums to the live
-    /// total, and every location lists exactly its live objects in
-    /// ascending id order.
+    /// airtight, an object outlives all but its last consumer, byte
+    /// accounting per location always sums to the live total, and every
+    /// location lists exactly its live objects in ascending id order, both
+    /// borrowed (`resident_at`) and cloned (`entries_at`).
     #[test]
     fn store_consistency(ops in proptest::collection::vec(arb_op(), 1..80), seed in 0u64..1000) {
         let mut rng = DetRng::new(seed);
         let mut store = DataStore::new(2);
-        // Shadow model: (id, wf, bytes, location)
-        let mut live: Vec<(DataId, u64, f64, Location)> = Vec::new();
+        // Shadow model: (id, wf, bytes, location, pending consumers)
+        let mut live: Vec<(DataId, u64, f64, Location, u32)> = Vec::new();
         let mut total_bytes = 0.0f64;
         let now = SimTime::ZERO;
         for op in ops {
             match op {
-                Op::Put { wf, gpu, bytes } => {
+                Op::Put { wf, gpu, bytes, consumers } => {
                     let token = AccessToken {
                         function: FunctionId(1),
                         workflow: WorkflowId(wf),
@@ -70,13 +93,19 @@ proptest! {
                     } else {
                         Location::Host(rng.next_below(2) as usize)
                     };
-                    let (id, _) = store.put(now, token, loc, bytes as f64, 1);
-                    live.push((id, wf, bytes as f64, loc));
+                    let (id, _) = store.put(now, token, loc, bytes as f64, consumers);
+                    live.push((id, wf, bytes as f64, loc, consumers));
                     total_bytes += bytes as f64;
+                }
+                Op::AddPending { n } => {
+                    if live.is_empty() { continue; }
+                    let idx = rng.next_below(live.len() as u64) as usize;
+                    store.add_pending(live[idx].0, n);
+                    live[idx].4 += n;
                 }
                 Op::Resolve { node, wf } => {
                     if live.is_empty() { continue; }
-                    let (id, owner_wf, bytes, _) = live[rng.next_below(live.len() as u64) as usize];
+                    let (id, owner_wf, bytes, _, _) = live[rng.next_below(live.len() as u64) as usize];
                     let token = AccessToken {
                         function: FunctionId(2),
                         workflow: WorkflowId(wf),
@@ -92,27 +121,31 @@ proptest! {
                 Op::Consume => {
                     if live.is_empty() { continue; }
                     let idx = rng.next_below(live.len() as u64) as usize;
-                    let (id, _, bytes, _) = live.swap_remove(idx);
-                    prop_assert!(store.consumed(id), "single-consumer object must free");
-                    total_bytes -= bytes;
-                    prop_assert!(store.peek(id).is_none());
+                    let id = live[idx].0;
+                    live[idx].4 -= 1;
+                    if live[idx].4 == 0 {
+                        let (_, _, bytes, _, _) = live.swap_remove(idx);
+                        prop_assert!(store.consumed(id), "the last consumer must free");
+                        total_bytes -= bytes;
+                        prop_assert!(store.peek(id).is_none());
+                    } else {
+                        prop_assert!(!store.consumed(id), "an object outlives its earlier consumers");
+                        prop_assert_eq!(store.peek(id).expect("live").pending_consumers, live[idx].4);
+                    }
                 }
-                Op::Relocate { to_host } => {
+                Op::Relocate { to } => {
                     if live.is_empty() { continue; }
                     let idx = rng.next_below(live.len() as u64) as usize;
                     let id = live[idx].0;
-                    let loc = if to_host {
-                        Location::Host(0)
-                    } else {
-                        Location::Gpu(GpuRef::new(0, 3))
-                    };
+                    // Any of the ten locations, the object's own included.
+                    let loc = locations().nth(to).expect("ten locations");
                     store.relocate(id, loc).expect("live object relocates");
                     live[idx].3 = loc;
                     prop_assert_eq!(store.peek(id).expect("live").location, loc);
                 }
                 Op::NextUse { rank } => {
                     if live.is_empty() { continue; }
-                    let (id, _, _, _) = live[rng.next_below(live.len() as u64) as usize];
+                    let (id, _, _, _, _) = live[rng.next_below(live.len() as u64) as usize];
                     store.set_next_use(id, Some(rank));
                     prop_assert_eq!(store.peek(id).expect("live").next_use, Some(rank));
                 }
@@ -132,7 +165,7 @@ proptest! {
                 Op::Purge { gpu: None } => {
                     if live.is_empty() { continue; }
                     let idx = rng.next_below(live.len() as u64) as usize;
-                    let (id, _, bytes, _) = live.swap_remove(idx);
+                    let (id, _, bytes, _, _) = live.swap_remove(idx);
                     let entry = store.purge(id).expect("live object purges");
                     prop_assert_eq!(entry.id, id);
                     total_bytes -= bytes;
@@ -148,6 +181,8 @@ proptest! {
                     live.iter().filter(|o| o.3 == loc).map(|o| o.0).collect();
                 want.sort();
                 let got: Vec<DataId> = store.entries_at(loc).iter().map(|e| e.id).collect();
+                let borrowed: Vec<DataId> = store.resident_at(loc).map(|e| e.id).collect();
+                prop_assert_eq!(&borrowed, &got, "resident_at and entries_at disagree at {:?}", loc);
                 prop_assert_eq!(got, want, "objects at {:?}", loc);
             }
         }

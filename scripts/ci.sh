@@ -54,16 +54,17 @@ echo "==> perfbench builds and passes its own tests"
 # instead of the benchmark run.
 CARGO_TARGET_DIR=target/perfbench cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> allocation gates (perfbench --trace 1, seed 11: wf <= 18.2, serve <= 9.6, llm <= 200 per request)"
+echo "==> allocation gates (perfbench --trace 1, seed 11: wf <= 18.2, serve <= 9.6, llm <= 109.4 per request)"
 # The counted run's host.allocs_per_request repeats exactly from run to run.
 # A steady-state transfer leg builds its link paths inline, FlowNet
 # recycles its slot buffers, and the executor and TransferEngine recycle
-# their per-stage, per-transfer and per-wake buffers (DESIGN §5.6); a change
-# that puts the allocator back on the transfer path or the op lifecycle
-# fails here. The wf and serve gates sit 15% above the counts measured
-# when they were set (15.82 and 8.36).
+# their per-stage, per-transfer and per-wake buffers (DESIGN §5.6); the llm
+# plane's migrate and restore paths and the serving group's per-event lists
+# reuse theirs (DESIGN §5.10). A change that puts the allocator back on
+# these paths fails here. The gates sit 15% above the counts measured when
+# they were set (15.82, 8.36 and 95.16).
 CARGO_TARGET_DIR=target/perfbench cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
-for gate in wf_v100_contended:18.2 serve_uniform64:9.6 llm_grouter:200; do
+for gate in wf_v100_contended:18.2 serve_uniform64:9.6 llm_grouter:109.4; do
     workload=${gate%%:*}
     limit=${gate#*:}
     allocs=$(target/perfbench/release/perfbench --workload "$workload" --trace 1 \
