@@ -45,6 +45,21 @@
 //! assert!(rec.passing_total() < rec.compute);
 //! ```
 
+// No panics or prints in data-plane code; exceptions are `#[expect]`s (DESIGN §5.3).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod config;
 pub mod plane;
 pub mod prelude;

@@ -30,6 +30,21 @@
 //! * [`serve`] — configuration and the end-to-end entry point.
 //! * [`metrics`] — TTFT/TBT accounting, the merged CSV and its digest.
 
+// No panics or prints in data-plane code; exceptions are `#[expect]`s (DESIGN §5.3).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod blocks;
 pub mod exec;
 pub mod group;

@@ -18,6 +18,21 @@
 //! * [`pinned`] — the circular pinned host-buffer ring reused across
 //!   batched PCIe transfers (§4.3.2).
 
+// No panics or prints in data-plane code; exceptions are `#[expect]`s (DESIGN §5.3).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod eviction;
 pub mod pinned;
 pub mod pool;

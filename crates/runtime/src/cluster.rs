@@ -452,7 +452,10 @@ pub(crate) fn heartbeat_tick(w: &mut World, s: &mut Scheduler<World>) {
 /// admitting group so the completion can be routed back.
 fn admit(w: &mut World, s: &mut Scheduler<World>, spec_idx: u32, origin: Option<u32>) {
     let (spec, wf_name, fn_ids) = {
-        // grouter-lint: allow(no-panic-in-dataplane): admit is only reachable from cluster events, which require the port
+        #[expect(
+            clippy::expect_used,
+            reason = "admit is only reachable from cluster events, which require the port"
+        )]
         let port = w.cluster.as_ref().expect("admit on non-cluster world");
         let r = &port.registry[spec_idx as usize];
         (r.spec.clone(), r.wf_name, r.fn_ids.clone())
@@ -599,11 +602,14 @@ impl ClusterSim {
         self.engine.shard(group).now()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "ClusterSim::new installs a port on every group world it builds"
+    )]
     pub fn port(&self, group: usize) -> &ClusterPort {
         self.world(group)
             .cluster
             .as_ref()
-            // grouter-lint: allow(no-panic-in-dataplane): ClusterSim::new installs a port on every group world it builds
             .expect("cluster worlds carry a port")
     }
 

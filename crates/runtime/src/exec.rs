@@ -85,20 +85,21 @@ impl Runtime {
         match self.spec_cache.get(&cache_key) {
             Some((_, wf, ids)) => (*wf, ids.clone()),
             None => {
-                // grouter-lint: allow(no-panic-in-dataplane): submit() is the public entry point; an invalid spec is caller error and must abort
+                #[expect(
+                    clippy::expect_used,
+                    reason = "submit() is the public entry point; an invalid spec is caller error and must abort"
+                )]
                 spec.validate().expect("workflow spec must be valid");
                 // Stable per-(workflow, stage) function identities for the
                 // pre-warm scalers: stage 0 of "traffic" is the same
                 // function on every request.
                 let base = self.function_ids.len() as u64;
                 for i in 0..spec.stages.len() {
-                    // grouter-lint: allow(no-hot-string-clone): spec-cache miss, once per distinct spec
                     let key = (spec.name.clone(), i);
                     let next = base + i as u64 + 1;
                     self.function_ids.entry(key).or_insert(next);
                 }
                 let ids: Arc<[u64]> = (0..spec.stages.len())
-                    // grouter-lint: allow(no-hot-string-clone): spec-cache miss, once per distinct spec
                     .map(|i| self.function_ids[&(spec.name.clone(), i)])
                     .collect();
                 let wf = self.sim.world.metrics.intern(&spec.name);
@@ -349,7 +350,10 @@ pub(crate) fn with_plane<R>(
     slo: Option<grouter_transfer::rate::SloSpec>,
     f: impl FnOnce(&mut dyn DataPlane, &mut PlaneCtx<'_>) -> R,
 ) -> R {
-    // grouter-lint: allow(no-panic-in-dataplane): with_plane restores the plane before returning, and the event loop is single-threaded
+    #[expect(
+        clippy::expect_used,
+        reason = "with_plane restores the plane before returning, and the event loop is single-threaded"
+    )]
     let mut plane = w.plane.take().expect("plane re-entrancy");
     let r = {
         let mut ctx = PlaneCtx {
@@ -464,15 +468,21 @@ pub(crate) fn arrival(
         }
     }
     for members in groups.values() {
+        #[expect(
+            clippy::expect_used,
+            reason = "members were collected from stages whose cond_group is Some"
+        )]
         let total: f64 = members
             .iter()
-            // grouter-lint: allow(no-panic-in-dataplane): members were collected from stages whose cond_group is Some
             .map(|&i| spec.stages[i].cond_group.expect("grouped").1)
             .sum();
         let mut pick = w.rng.next_f64() * total;
         let mut chosen = members[members.len() - 1];
         for &i in members {
-            // grouter-lint: allow(no-panic-in-dataplane): members were collected from stages whose cond_group is Some
+            #[expect(
+                clippy::expect_used,
+                reason = "members were collected from stages whose cond_group is Some"
+            )]
             let wgt = spec.stages[i].cond_group.expect("grouped").1;
             if pick < wgt {
                 chosen = i;
@@ -644,10 +654,13 @@ fn stage_inputs(inst: &Instance, stage: usize, out: &mut Vec<DataId>) {
     if deps.is_empty() {
         out.push(inst.input_data);
     } else {
+        #[expect(
+            clippy::expect_used,
+            reason = "stage_done records the output before dependents are enqueued"
+        )]
         out.extend(
             deps.iter()
                 .filter(|&&d| inst.stages[d].state == StageState::Done)
-                // grouter-lint: allow(no-panic-in-dataplane): stage_done records the output before dependents are enqueued
                 .map(|&d| inst.stages[d].output.expect("done stage has output")),
         );
     }
@@ -737,8 +750,11 @@ fn start_fetch(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usi
             edge_category(producer_gfn, inst.spec.stages[stage].is_gpu())
         };
         let slo = instance_slo(&w.instances[inst_id]);
+        #[expect(
+            clippy::panic,
+            reason = "a failed plane Get/Put is a DataPlane contract violation, so the run aborts"
+        )]
         let op = with_plane(w, now, slo, |p, ctx| p.get(ctx, token, d, dest))
-            // grouter-lint: allow(no-panic-in-dataplane): a failed plane Get/Put is a DataPlane contract violation; the driver aborts the run
             .unwrap_or_else(|e| panic!("Get({d:?}) failed: {e}"));
         start_op(
             w,
@@ -868,10 +884,13 @@ fn compute_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: us
     };
     w.instances[inst_id].stages[stage].state = StageState::Storing;
     let slo = instance_slo(&w.instances[inst_id]);
+    #[expect(
+        clippy::panic,
+        reason = "a failed plane Get/Put is a DataPlane contract violation, so the run aborts"
+    )]
     let put = with_plane(w, now, slo, |p, ctx| {
         p.put(ctx, token, dest, output_bytes, consumers)
     })
-    // grouter-lint: allow(no-panic-in-dataplane): a failed plane Get/Put is a DataPlane contract violation; the driver aborts the run
     .unwrap_or_else(|e| panic!("Put for stage {stage} failed: {e}"));
     let cat = {
         let inst = &w.instances[inst_id];
@@ -955,10 +974,13 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
         };
         let cat = edge_category(w.instances[inst_id].spec.stages[stage].is_gpu(), false);
         let slo = instance_slo(&w.instances[inst_id]);
+        #[expect(
+            clippy::panic,
+            reason = "a failed plane Get/Put is a DataPlane contract violation, so the run aborts"
+        )]
         let op = with_plane(w, now, slo, |p, ctx| {
             p.get(ctx, token, data, Destination::Host(node))
         })
-        // grouter-lint: allow(no-panic-in-dataplane): a failed plane Get/Put is a DataPlane contract violation; the driver aborts the run
         .unwrap_or_else(|e| panic!("egress Get failed: {e}"));
         start_op(
             w,
@@ -976,7 +998,10 @@ fn stage_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usiz
 
 fn finish_instance(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
     let now = s.now();
-    // grouter-lint: allow(no-panic-in-dataplane): scheduled events reference instances that outlive them; a miss is a scheduler bug
+    #[expect(
+        clippy::expect_used,
+        reason = "scheduled events reference instances that outlive them; a miss is a scheduler bug"
+    )]
     let inst = w.instances.remove(inst_id).expect("live");
     // Response payload back to the admitting gateway: the terminal stages'
     // outputs (what egress returned to the caller).
@@ -1061,7 +1086,10 @@ fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
     let leg = match w.ops.get_mut(op_id) {
         Some(pending) => {
             pending.staged = false;
-            // grouter-lint: allow(no-panic-in-dataplane): advance_op stages exactly one leg per BeginLeg event
+            #[expect(
+                clippy::expect_used,
+                reason = "advance_op stages exactly one leg per BeginLeg event"
+            )]
             let leg = pending.legs.pop_front().expect("staged leg");
             pending.rate_token = leg.rate_token;
             pending.ledger_release = leg.ledger_release;
@@ -1091,12 +1119,18 @@ fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
     w.net.begin_batch();
     for (node, rb) in &leg.reroutes {
         if let Some(fid) = w.nv_flow_index.find(*node, &rb.old) {
+            #[expect(
+                clippy::expect_used,
+                reason = "ledger rebalances route over edges of the live topology"
+            )]
             let links = grouter_transfer::plan::nvlink_route_links(&w.topo, *node, &rb.new)
-                // grouter-lint: allow(no-panic-in-dataplane): ledger rebalances route over edges of the live topology
                 .expect("rebalance routes use existing edges");
+            #[expect(
+                clippy::expect_used,
+                reason = "the flow id comes from nv_flow_index, which tracks only live flows"
+            )]
             w.net
                 .reroute_flow(now, fid, links)
-                // grouter-lint: allow(no-panic-in-dataplane): the flow id comes from nv_flow_index, which tracks only live flows
                 .expect("rerouted flow is live");
             w.nv_flow_index.insert(fid, *node, rb.new.clone());
             w.rebalances_applied += 1;
@@ -1111,7 +1145,10 @@ fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
     );
     w.net.commit_batch();
     match outcome {
-        // grouter-lint: allow(no-panic-in-dataplane): a plan over unknown links is a planner/topology mismatch; the driver aborts the run
+        #[expect(
+            clippy::panic,
+            reason = "a plan over unknown links is a planner/topology mismatch, so the run aborts"
+        )]
         Err(e) => panic!("transfer begin failed: {e}"),
         Ok(BeginOutcome::Immediate) => {
             release_rate_token(w, op_id);

@@ -18,6 +18,21 @@
 //!   GPU/CPU occupancy.
 //! * [`exec`] — the event-driven executor tying it all together.
 
+// No panics or prints in data-plane code; exceptions are `#[expect]`s (DESIGN §5.3).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod cluster;
 pub mod dataplane;
 pub mod exec;

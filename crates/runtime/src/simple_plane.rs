@@ -94,9 +94,12 @@ impl DataPlane for LocalityPlane {
                 let mut control = SimDuration::ZERO;
                 let grant = match ctx.pool(g).try_alloc(bytes) {
                     Ok(grant) => grant,
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "evict_lru() freed at least `shortfall`, so the retry cannot fail"
+                    )]
                     Err(AllocError::NeedsEviction { shortfall }) => {
                         legs.extend(evict_lru(ctx, g, shortfall, &PlanConfig::single_path()));
-                        // grouter-lint: allow(no-panic-in-dataplane): evict_lru() freed at least `shortfall`, so the retry cannot fail
                         ctx.pool(g).try_alloc(bytes).expect("eviction freed space")
                     }
                     Err(AllocError::TooLarge) => {

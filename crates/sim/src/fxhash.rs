@@ -40,7 +40,7 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            // grouter-lint: allow(no-panic-in-dataplane): chunks_exact(8) yields exactly 8 bytes
+            #[expect(clippy::expect_used, reason = "chunks_exact(8) yields exactly 8 bytes")]
             self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
         }
         let rest = chunks.remainder();

@@ -31,6 +31,21 @@
 //! seed produce bit-identical event orders — including sharded runs, where
 //! the result is additionally independent of the worker thread count.
 
+// No panics or prints in data-plane code; exceptions are `#[expect]`s (DESIGN §5.3).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod engine;
 pub mod fault;
 pub mod flownet;

@@ -429,21 +429,25 @@ mod tests {
 
     #[test]
     fn a_panicking_shard_fails_the_run_instead_of_hanging() {
-        use std::time::{Duration, Instant};
+        use std::sync::mpsc::RecvTimeoutError;
+        use std::time::Duration;
         // Shard 0 runs on the calling thread at every thread count; shard
         // 3 runs on a worker at 2 and 4 threads.
         for threads in [1, 2, 4] {
             for faulty in [0, 3] {
-                let run =
-                    std::thread::spawn(move || ring_engine(4, 8, 10, Some(faulty)).run(threads));
-                let deadline = Instant::now() + Duration::from_secs(30);
-                while !run.is_finished() {
-                    assert!(
-                        Instant::now() < deadline,
-                        "threads={threads} faulty={faulty}: run hung"
-                    );
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                // The run holds `alive` until it returns or unwinds, so the
+                // receiver disconnects when the run ends and times out if
+                // it hangs.
+                let (alive, ended) = channel::<()>();
+                let run = std::thread::spawn(move || {
+                    let _alive = alive;
+                    ring_engine(4, 8, 10, Some(faulty)).run(threads)
+                });
+                assert_eq!(
+                    ended.recv_timeout(Duration::from_secs(30)),
+                    Err(RecvTimeoutError::Disconnected),
+                    "threads={threads} faulty={faulty}: run hung"
+                );
                 assert!(
                     run.join().is_err(),
                     "threads={threads} faulty={faulty}: run completed"

@@ -158,15 +158,21 @@ impl<T> RidTable<T> {
 impl<T> std::ops::Index<u64> for RidTable<T> {
     type Output = T;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "indexing is for ids the caller knows are live, as with a map; a miss is a caller bug"
+    )]
     fn index(&self, rid: u64) -> &T {
-        // grouter-lint: allow(no-panic-in-dataplane): indexing is for ids the caller knows are live, as with a map; a miss is a caller bug
         self.get(rid).expect("no entry for id")
     }
 }
 
 impl<T> std::ops::IndexMut<u64> for RidTable<T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "indexing is for ids the caller knows are live, as with a map; a miss is a caller bug"
+    )]
     fn index_mut(&mut self, rid: u64) -> &mut T {
-        // grouter-lint: allow(no-panic-in-dataplane): indexing is for ids the caller knows are live, as with a map; a miss is a caller bug
         self.get_mut(rid).expect("no entry for id")
     }
 }

@@ -10,6 +10,21 @@
 //! `Get` takes) is what distinguishes GROUTER (`grouter` crate) from the
 //! baselines (`grouter-baselines`).
 
+// No panics or prints in data-plane code; exceptions are `#[expect]`s (DESIGN §5.3).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod api;
 pub mod id;
 pub mod patterns;

@@ -15,6 +15,21 @@
 //! * [`bwmatrix`] — the global bandwidth-usage matrix `BW(g, b)` that
 //!   Algorithm 1 reads and updates (§4.3.3).
 
+// No panics or prints in data-plane code; exceptions are `#[expect]`s (DESIGN §5.3).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod bwmatrix;
 pub mod cache;
 pub mod graph;

@@ -19,6 +19,21 @@
 //!   [`grouter_sim::FlowNet`], tracks completions, and releases NVLink
 //!   bandwidth reservations.
 
+// No panics or prints in data-plane code; exceptions are `#[expect]`s (DESIGN §5.3).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod chunk;
 pub mod exec;
 pub mod pipeline;

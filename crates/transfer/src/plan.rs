@@ -181,7 +181,10 @@ fn path_capacity(net: &FlowNet, links: &[LinkId]) -> f64 {
 /// * NVLink machine, single-path → direct edge, else shortest NVLink route,
 ///   else PCIe peer-to-peer.
 /// * PCIe-only machine → PCIe peer-to-peer.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "Algorithm 1 needs the topology, the live network and the path cache beside the transfer's endpoints, size and config"
+)]
 pub fn plan_intra_node(
     topo: &Topology,
     net: &FlowNet,

@@ -23,8 +23,8 @@
 //! made from a closure are attributed to the defining function — which is
 //! exactly the conservative attribution reachability needs.
 
+use crate::lexer::{ident_at, punct_at, Sp, Tok};
 use crate::model::{is_keyword, FnDef, Workspace};
-use grouter_lint::common::{Sp, Tok};
 
 #[derive(Debug, Clone)]
 pub enum Callee {
@@ -82,17 +82,6 @@ pub struct CallGraph {
     pub stats: GraphStats,
 }
 
-fn ident_at(toks: &[Sp], i: usize) -> Option<&str> {
-    match toks.get(i).map(|s| &s.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(toks: &[Sp], i: usize, c: char) -> bool {
-    matches!(toks.get(i).map(|s| &s.tok), Some(Tok::Punct(p)) if *p == c)
-}
-
 fn is_upper(s: &str) -> bool {
     s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
 }
@@ -131,7 +120,9 @@ pub fn extract_call_sites(toks: &[Sp], body: (usize, usize)) -> Vec<CallSite> {
         let Some(name) = ident_at(toks, p) else {
             continue;
         };
-        if is_keyword(name) || is_numeric(name) {
+        // `#[expect(`, `#[cfg(`: an attribute, not a call.
+        let attribute = p >= 2 && punct_at(toks, p - 1, '[') && punct_at(toks, p - 2, '#');
+        if attribute || is_keyword(name) || is_numeric(name) {
             continue;
         }
         let sp = &toks[p];
@@ -470,12 +461,7 @@ mod tests {
                 src: s.to_string(),
             })
             .collect();
-        parse_workspace(
-            &inputs,
-            &BTreeMap::new(),
-            &crate::PASSES,
-            &grouter_lint::RULES,
-        )
+        parse_workspace(&inputs, &BTreeMap::new())
     }
 
     fn fqn_edges(ws: &Workspace, g: &CallGraph) -> Vec<(String, String)> {

@@ -1,38 +1,14 @@
-//! Shared infrastructure for the workspace's source tools (`grouter-lint`
-//! and `grouter-analyze`): the hand-rolled lexer, `#[cfg(test)]` masking,
-//! the suppression-pragma parser, the diagnostic type, and the file walker.
+//! The analyzer's lexer, and what it reads straight off the token stream:
+//! `#[cfg(test)]` masking, the clippy expectations that justify a site and
+//! suppression pragmas; plus the walk that finds the workspace's files and
+//! crate names.
 //!
-//! Both tools consume this module so they cannot drift on path filtering,
-//! pragma syntax, or how Rust sources are tokenized. Everything here is
-//! zero-dependency and offline.
+//! A small hand-rolled tokenizer (no `syn`, no registry dependencies: the
+//! build is offline) that knows just enough Rust to keep strings, comments,
+//! char literals and lifetimes from being read as code.
 
-use std::fmt;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-// ---------------------------------------------------------------------------
-// Diagnostics
-// ---------------------------------------------------------------------------
-
-/// A finding at a source position. Displayed as `line:col: [rule] message`,
-/// so a driver printing `path:{diag}` yields the clickable
-/// `path:line:col: [rule] message` form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Diagnostic {
-    pub line: usize,
-    pub col: usize,
-    pub rule: String,
-    pub message: String,
-}
-
-impl fmt::Display for Diagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.line, self.col, self.rule, self.message
-        )
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -244,154 +220,244 @@ fn skip_char_or_lifetime(b: &[char], quote: usize) -> usize {
 // Token helpers
 // ---------------------------------------------------------------------------
 
-pub fn is_punct(sp: Option<&Sp>, c: char) -> bool {
-    matches!(sp, Some(Sp { tok: Tok::Punct(p), .. }) if *p == c)
+/// The identifier at `i`, if the token there is one.
+pub fn ident_at(toks: &[Sp], i: usize) -> Option<&str> {
+    match toks.get(i).map(|s| &s.tok) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
 }
 
-pub fn is_ident(sp: Option<&Sp>, name: &str) -> bool {
-    matches!(sp, Some(Sp { tok: Tok::Ident(s), .. }) if s == name)
+/// Is the token at `i` the punctuation `c`?
+pub fn punct_at(toks: &[Sp], i: usize, c: char) -> bool {
+    matches!(toks.get(i).map(|s| &s.tok), Some(Tok::Punct(p)) if *p == c)
+}
+
+/// Index of the bracket closing the `(`, `[` or `{` at `open` (the last
+/// token when it is unclosed).
+pub fn close_of(toks: &[Sp], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, sp) in toks.iter().enumerate().skip(open) {
+        match sp.tok {
+            Tok::Punct('(' | '[' | '{') => depth += 1,
+            Tok::Punct(')' | ']' | '}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+    }
+    toks.len().saturating_sub(1)
 }
 
 // ---------------------------------------------------------------------------
-// #[cfg(test)] exclusion
+// Attribute scopes
 // ---------------------------------------------------------------------------
 
-/// Mark every token covered by a `#[cfg(test)]` item (attribute through the
-/// end of the item's brace-delimited body, or its terminating `;`).
+/// One past the last token of the statement, match arm or item decorated
+/// by the attributes starting at `start` — the scope rustc gives an outer
+/// attribute:
+///
+/// * an item (`fn`, `impl`, `mod`, `struct`, …) ends with its body's `}`,
+///   or its `;` when it has none; `let`, `use`, `const`, `static` and `type`
+///   end with their `;`;
+/// * a match arm ends with its block body's `}`, or at the `,` (or the
+///   match's closing `}`) after an expression body;
+/// * an expression statement ends with its `;`, or with the `}` of a
+///   block-like statement (`if`, `match`, `for`, `while`, `loop`).
+pub fn decorated_end(toks: &[Sp], start: usize) -> usize {
+    let mut i = start;
+    while punct_at(toks, i, '#') && punct_at(toks, i + 1, '[') {
+        i = close_of(toks, i + 1) + 1;
+    }
+    // Visibility and qualifiers before an item keyword.
+    let mut k = i;
+    if ident_at(toks, k) == Some("pub") {
+        k += 1;
+        if punct_at(toks, k, '(') {
+            k = close_of(toks, k) + 1;
+        }
+    }
+    loop {
+        match ident_at(toks, k) {
+            Some("async" | "unsafe") if !punct_at(toks, k + 1, '{') => k += 1,
+            Some("const") if matches!(ident_at(toks, k + 1), Some("fn" | "async" | "unsafe")) => {
+                k += 1
+            }
+            _ => break,
+        }
+    }
+    let head = ident_at(toks, k);
+    let to_semi = matches!(head, Some("let" | "use" | "const" | "static" | "type"));
+    let item = matches!(
+        head,
+        Some("fn" | "impl" | "mod" | "trait" | "struct" | "enum" | "union" | "macro_rules")
+    );
+    let block_like = punct_at(toks, i, '{')
+        || matches!(
+            ident_at(toks, i),
+            Some("if" | "match" | "for" | "while" | "loop" | "unsafe")
+        );
+    let mut depth = 0usize;
+    let mut j = i;
+    while j < toks.len() {
+        match toks[j].tok {
+            Tok::Punct('{') if item && depth == 0 => return close_of(toks, j) + 1,
+            Tok::Punct('(' | '[' | '{') => depth += 1,
+            Tok::Punct(')' | ']' | '}') => {
+                if depth == 0 {
+                    return j; // the enclosing block or match closes
+                }
+                depth -= 1;
+                if depth == 0
+                    && block_like
+                    && punct_at(toks, j, '}')
+                    && ident_at(toks, j + 1) != Some("else")
+                {
+                    return j + 1;
+                }
+            }
+            Tok::Punct(';') if depth == 0 => return j + 1,
+            Tok::Punct(',') if depth == 0 && !to_semi && !item => return j,
+            Tok::Punct('=') if depth == 0 && !to_semi && !item && punct_at(toks, j + 1, '>') => {
+                if punct_at(toks, j + 2, '{') {
+                    return close_of(toks, j + 2) + 1;
+                }
+                j += 1;
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    toks.len()
+}
+
+/// Mark every token covered by a `#[cfg(test)]` item, attribute included.
 pub fn cfg_test_mask(toks: &[Sp]) -> Vec<bool> {
     let mut ex = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
-        let attr = is_punct(toks.get(i), '#')
-            && is_punct(toks.get(i + 1), '[')
-            && is_ident(toks.get(i + 2), "cfg")
-            && is_punct(toks.get(i + 3), '(')
-            && is_ident(toks.get(i + 4), "test")
-            && is_punct(toks.get(i + 5), ')')
-            && is_punct(toks.get(i + 6), ']');
-        if !attr {
+        let cfg_test = punct_at(toks, i, '#')
+            && punct_at(toks, i + 1, '[')
+            && ident_at(toks, i + 2) == Some("cfg")
+            && punct_at(toks, i + 3, '(')
+            && ident_at(toks, i + 4) == Some("test")
+            && punct_at(toks, i + 5, ')')
+            && punct_at(toks, i + 6, ']');
+        if !cfg_test {
             i += 1;
             continue;
         }
-        // Skip any further attributes between the cfg and the item.
-        let mut j = i + 7;
-        while is_punct(toks.get(j), '#') && is_punct(toks.get(j + 1), '[') {
-            let mut depth = 0i32;
-            let mut k = j + 1;
-            while k < toks.len() {
-                match toks[k].tok {
-                    Tok::Punct('[') => depth += 1,
-                    Tok::Punct(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            k += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            j = k;
-        }
-        // The item body is the first `{...}` block; a `;` first means a
-        // body-less item (e.g. `#[cfg(test)] use ...;`).
-        let mut k = j;
-        let mut open = None;
-        while k < toks.len() {
-            match toks[k].tok {
-                Tok::Punct(';') => break,
-                Tok::Punct('{') => {
-                    open = Some(k);
-                    break;
-                }
-                _ => k += 1,
-            }
-        }
-        let end = if let Some(open) = open {
-            let mut depth = 0i32;
-            let mut m = open;
-            while m < toks.len() {
-                match toks[m].tok {
-                    Tok::Punct('{') => depth += 1,
-                    Tok::Punct('}') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                m += 1;
-            }
-            m.min(toks.len() - 1)
-        } else {
-            k.min(toks.len() - 1)
-        };
-        for slot in ex.iter_mut().take(end + 1).skip(i) {
-            *slot = true;
-        }
-        i = end + 1;
+        let end = decorated_end(toks, i);
+        ex[i..end].fill(true);
+        i = end;
     }
     ex
+}
+
+/// An `#[expect(clippy::…, reason = "…")]`: the clippy lints it names and
+/// the token range `start..end` of the attribute and the statement, match
+/// arm or item it decorates, which is the scope clippy checks it over.
+#[derive(Debug, Clone)]
+pub struct Expectation {
+    pub lints: Vec<String>,
+    pub start: usize,
+    pub end: usize,
+}
+
+impl Expectation {
+    /// Does this expectation justify `lint` at token `tok`?
+    pub fn covers(&self, tok: usize, lint: &str) -> bool {
+        (self.start..self.end).contains(&tok) && self.lints.iter().any(|l| l == lint)
+    }
+}
+
+/// Every `#[expect(...)]` naming at least one clippy lint, in source order.
+pub fn expectations(toks: &[Sp]) -> Vec<Expectation> {
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if !(punct_at(toks, i, '#')
+            && punct_at(toks, i + 1, '[')
+            && ident_at(toks, i + 2) == Some("expect")
+            && punct_at(toks, i + 3, '('))
+        {
+            continue;
+        }
+        let lints: Vec<String> = (i + 4..close_of(toks, i + 3))
+            .filter(|&k| {
+                ident_at(toks, k) == Some("clippy")
+                    && punct_at(toks, k + 1, ':')
+                    && punct_at(toks, k + 2, ':')
+            })
+            .filter_map(|k| ident_at(toks, k + 3).map(str::to_string))
+            .collect();
+        if !lints.is_empty() {
+            out.push(Expectation {
+                lints,
+                start: i,
+                end: decorated_end(toks, i),
+            });
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Pragmas
 // ---------------------------------------------------------------------------
 
-/// A suppression pragma, e.g. `// grouter-lint: allow(<rule>): <why>`. The
-/// tool name (`grouter-lint:` / `grouter-analyze:`) is the `prefix`
-/// argument to [`parse_pragmas`]; the syntax is otherwise identical across
-/// tools. The justification after `):` is mandatory; a pragma without one
-/// (or naming a rule outside `known`) carries `parse_error`/`justified`
-/// state the caller reports as `bad-pragma`.
+/// A suppression pragma, `// grouter-analyze: allow(<pass>): <why>`. The
+/// justification after `):` is mandatory; a pragma without one (or naming a
+/// pass outside `known`) carries `parse_error`/`justified` state the caller
+/// reports as `bad-pragma`.
 #[derive(Debug, Clone)]
 pub struct Pragma {
     pub line: usize,
-    pub rules: Vec<String>,
+    pub passes: Vec<String>,
     pub justified: bool,
     pub parse_error: Option<String>,
 }
 
-pub fn parse_pragmas(comments: &[(usize, String)], prefix: &str, known: &[&str]) -> Vec<Pragma> {
+/// The `grouter-analyze:` pragmas among a file's line comments.
+pub fn parse_pragmas(comments: &[(usize, String)], known: &[&str]) -> Vec<Pragma> {
     let mut out = Vec::new();
     for (line, text) in comments {
-        let t = text.trim();
-        let Some(rest) = t.strip_prefix(prefix) else {
+        let Some(rest) = text.trim().strip_prefix("grouter-analyze:") else {
             continue;
         };
         let rest = rest.trim();
         let Some(inner) = rest.strip_prefix("allow(") else {
             out.push(Pragma {
                 line: *line,
-                rules: Vec::new(),
+                passes: Vec::new(),
                 justified: false,
-                parse_error: Some(format!("expected `allow(<rule>)`, got `{rest}`")),
+                parse_error: Some(format!("expected `allow(<pass>)`, got `{rest}`")),
             });
             continue;
         };
         let Some(close) = inner.find(')') else {
             out.push(Pragma {
                 line: *line,
-                rules: Vec::new(),
+                passes: Vec::new(),
                 justified: false,
                 parse_error: Some("unterminated `allow(` pragma".to_string()),
             });
             continue;
         };
-        let rules: Vec<String> = inner[..close]
+        let passes: Vec<String> = inner[..close]
             .split(',')
             .map(|r| r.trim().to_string())
             .filter(|r| !r.is_empty())
             .collect();
         let mut err = None;
-        for r in &rules {
+        for r in &passes {
             if !known.contains(&r.as_str()) {
-                err = Some(format!("unknown rule `{r}` in allow pragma"));
+                err = Some(format!("unknown pass `{r}` in allow pragma"));
             }
         }
-        if rules.is_empty() {
+        if passes.is_empty() {
             err = Some("empty allow pragma".to_string());
         }
         // Justification: non-empty text after the closing paren, typically
@@ -401,7 +467,7 @@ pub fn parse_pragmas(comments: &[(usize, String)], prefix: &str, known: &[&str])
             .trim();
         out.push(Pragma {
             line: *line,
-            rules,
+            passes,
             justified: !tail.is_empty(),
             parse_error: err,
         });
@@ -410,7 +476,7 @@ pub fn parse_pragmas(comments: &[(usize, String)], prefix: &str, known: &[&str])
 }
 
 // ---------------------------------------------------------------------------
-// File walker
+// Workspace files
 // ---------------------------------------------------------------------------
 
 fn walk_dir(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -451,17 +517,84 @@ pub fn walk_rs_files(roots: &[String]) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
+/// Map each directory under a `crates/`-style root to its crate identifier
+/// by reading `name = "..."` from its Cargo.toml (e.g. `core` → `grouter`).
+pub fn crate_names(roots: &[String]) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    for root in roots {
+        let Ok(entries) = std::fs::read_dir(root) else {
+            continue;
+        };
+        for entry in entries.flatten() {
+            let dir = entry.path();
+            if !dir.is_dir() {
+                continue;
+            }
+            let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+                continue;
+            };
+            for line in manifest.lines() {
+                let line = line.trim();
+                if let Some(rest) = line.strip_prefix("name") {
+                    let rest = rest.trim_start().trim_start_matches('=').trim();
+                    let name = rest.trim_matches('"');
+                    if !name.is_empty() {
+                        out.insert(
+                            entry.file_name().to_string_lossy().to_string(),
+                            name.replace('-', "_"),
+                        );
+                    }
+                    break;
+                }
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn idents(src: &str) -> Vec<String> {
+        tokenize(src)
+            .0
+            .into_iter()
+            .filter_map(|s| match s.tok {
+                Tok::Ident(name) => Some(name),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn columns_are_one_based_char_positions() {
         let (toks, _) = tokenize("let x = foo();\n  bar();\n");
-        let foo = toks.iter().find(|s| is_ident(Some(s), "foo")).unwrap();
+        let foo = toks.iter().position(|s| s.tok == Tok::Ident("foo".into()));
+        let foo = &toks[foo.expect("foo is lexed")];
         assert_eq!((foo.line, foo.col), (1, 9));
-        let bar = toks.iter().find(|s| is_ident(Some(s), "bar")).unwrap();
+        let bar = toks.iter().position(|s| s.tok == Tok::Ident("bar".into()));
+        let bar = &toks[bar.expect("bar is lexed")];
         assert_eq!((bar.line, bar.col), (2, 3));
+    }
+
+    #[test]
+    fn tokenizer_skips_strings_and_comments() {
+        let src = format!(
+            "// panic! in a comment\n\
+             /* .unwrap() in a /* nested */ block comment */\n\
+             let s = \"panic!() .unwrap()\";\n\
+             let r = r{h}\"unreachable!()\"{h};\n\
+             let c = '\\'';\n",
+            h = "#"
+        );
+        assert_eq!(idents(&src), ["let", "s", "let", "r", "let", "c"]);
+    }
+
+    #[test]
+    fn lifetimes_do_not_eat_code() {
+        let src = "fn f<'a>(x: &'a str) -> &'a str { x.unwrap() }\n";
+        assert_eq!(idents(src), ["fn", "f", "x", "str", "str", "x", "unwrap"]);
     }
 
     #[test]
@@ -480,20 +613,26 @@ mod tests {
     #[test]
     fn multiline_strings_keep_line_accounting() {
         let (toks, _) = tokenize("let s = \"a\nb\";\nfn after() {}\n");
-        let after = toks.iter().find(|s| is_ident(Some(s), "after")).unwrap();
-        assert_eq!(after.line, 3);
+        let after = toks
+            .iter()
+            .position(|s| s.tok == Tok::Ident("after".into()));
+        assert_eq!(toks[after.expect("after is lexed")].line, 3);
     }
 
     #[test]
-    fn pragma_prefix_is_parameterized() {
-        let comments = vec![(
-            1,
-            " grouter-analyze: allow(panic-reachable): why".to_string(),
-        )];
-        let p = parse_pragmas(&comments, "grouter-analyze:", &["panic-reachable"]);
+    fn only_analyzer_pragmas_parse() {
+        let comments = vec![
+            (
+                1,
+                " grouter-analyze: allow(panic-reachable): why".to_string(),
+            ),
+            (
+                2,
+                " some-other-tool: allow(panic-reachable): why".to_string(),
+            ),
+        ];
+        let p = parse_pragmas(&comments, &["panic-reachable"]);
         assert_eq!(p.len(), 1);
-        assert!(p[0].justified && p[0].parse_error.is_none());
-        // The other tool's prefix does not match.
-        assert!(parse_pragmas(&comments, "grouter-lint:", &["panic-reachable"]).is_empty());
+        assert!(p[0].line == 1 && p[0].justified && p[0].parse_error.is_none());
     }
 }

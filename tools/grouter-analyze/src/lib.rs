@@ -1,13 +1,15 @@
 //! grouter-analyze: interprocedural call-graph + determinism-taint
 //! analysis for the GROUTER workspace.
 //!
-//! Zero dependencies beyond `grouter-lint` (which contributes the shared
-//! lexer, pragma parser, and file walker). The analyzer parses every
-//! workspace source file into a lightweight item model ([`model`]), builds
-//! a name-resolved call graph ([`graph`]), and runs three passes
+//! Zero dependencies. The analyzer tokenizes every workspace source file
+//! ([`lexer`]), parses it into a lightweight item model ([`model`]), builds
+//! a name-resolved call graph ([`graph`]), and runs its passes
 //! ([`passes`]): panic-reachability and wallclock-reachability from the
-//! data-plane entry types, and function-local determinism taint from
-//! unordered sources to metric/obs/schedule/envelope sinks.
+//! data-plane entry types, function-local determinism taint from
+//! unordered sources to metric/obs/schedule/envelope sinks, and a lexical
+//! check for narrowing casts of byte/rate quantities. The source rules
+//! clippy can enforce live in the crates as lint levels (DESIGN §5.3);
+//! these are the checks it cannot make.
 //!
 //! Known findings live in `analyze-baseline.txt` at the repo root; every
 //! entry carries a justification. The CLI exits non-zero on any
@@ -17,6 +19,7 @@
 pub mod baseline;
 pub mod graph;
 pub mod json;
+pub mod lexer;
 pub mod model;
 pub mod passes;
 
@@ -25,12 +28,13 @@ pub use model::FileInput;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The three analysis passes, in report order. Pragmas
+/// The analysis passes, in report order. Pragmas
 /// (`// grouter-analyze: allow(<pass>): why`) must name one of these.
-pub const PASSES: [&str; 3] = [
+pub const PASSES: [&str; 4] = [
     "panic-reachable",
     "wallclock-reachable",
     "determinism-taint",
+    "silent-truncation",
 ];
 
 /// Data-plane entry types: every unmasked method of these types seeds the
@@ -43,9 +47,6 @@ pub const ENTRY_TYPES: [&str; 6] = [
     "World",
     "ShardedEngine",
 ];
-
-/// Comment prefix for suppression pragmas.
-pub const PRAGMA_PREFIX: &str = "grouter-analyze:";
 
 /// One finding from one pass, anchored to a source location.
 #[derive(Debug, Clone)]
@@ -95,7 +96,7 @@ pub struct Report {
 /// Run the full analysis over `files`. `crate_names` maps directories
 /// under `crates/` to crate identifiers (e.g. `core` → `grouter`).
 pub fn analyze(files: &[FileInput], crate_names: &BTreeMap<String, String>) -> Report {
-    let ws = model::parse_workspace(files, crate_names, &PASSES, &grouter_lint::RULES);
+    let ws = model::parse_workspace(files, crate_names);
     let g = graph::build(&ws);
     let scans: Vec<passes::BodyScan> = ws
         .fns

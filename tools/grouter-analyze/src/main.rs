@@ -11,8 +11,8 @@
 //! resolution at or above the floor), 1 findings/stale entries/bad pragmas/
 //! low resolution, 2 usage or I/O error.
 
+use grouter_analyze::lexer::{crate_names, walk_rs_files};
 use grouter_analyze::{analyze, baseline, json, FileInput};
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -60,41 +60,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(out)
 }
 
-/// Map each directory under a `crates/`-style root to its crate identifier
-/// by reading `name = "..."` from its Cargo.toml (e.g. `core` → `grouter`).
-fn crate_names(roots: &[String]) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for root in roots {
-        let Ok(entries) = std::fs::read_dir(root) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let dir = entry.path();
-            if !dir.is_dir() {
-                continue;
-            }
-            let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
-                continue;
-            };
-            for line in manifest.lines() {
-                let line = line.trim();
-                if let Some(rest) = line.strip_prefix("name") {
-                    let rest = rest.trim_start().trim_start_matches('=').trim();
-                    let name = rest.trim_matches('"');
-                    if !name.is_empty() {
-                        out.insert(
-                            entry.file_name().to_string_lossy().to_string(),
-                            name.replace('-', "_"),
-                        );
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    out
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -104,7 +69,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let paths = match grouter_lint::common::walk_rs_files(&args.roots) {
+    let paths = match walk_rs_files(&args.roots) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("grouter-analyze: {e}");

@@ -2,14 +2,17 @@
 //! functions (free, inherent-impl, trait-impl, trait-default), module
 //! paths, `use` imports, and hash-container-typed names.
 //!
-//! This is deliberately NOT a Rust parser — it is a cursor over the shared
-//! lexer's token stream that understands exactly the item grammar the
+//! This is deliberately NOT a Rust parser — it is a cursor over the
+//! [`crate::lexer`] token stream that understands exactly the item grammar the
 //! workspace uses: `fn`, `impl [Trait for] Type`, `trait`, inline `mod`,
 //! `use` trees, `struct`/`enum` field lists, and `const`/`static`/
 //! `macro_rules!` skipping. Everything it punts on is listed in
 //! DESIGN.md §5.8 (soundness caveats).
 
-use grouter_lint::common::{cfg_test_mask, parse_pragmas, tokenize, Pragma, Sp, Tok};
+use crate::lexer::{
+    cfg_test_mask, close_of, expectations, ident_at, parse_pragmas, punct_at, tokenize,
+    Expectation, Pragma, Sp, Tok,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One source file to analyze. `path` is the path the model sees (fixtures
@@ -39,9 +42,9 @@ pub struct FileCtx {
     pub hashy: BTreeSet<String>,
     /// `grouter-analyze:` pragmas in this file.
     pub pragmas: Vec<Pragma>,
-    /// `grouter-lint:` pragmas — honored by the panic/wallclock passes so
-    /// an invariant justified once in-source is not re-reported.
-    pub lint_pragmas: Vec<Pragma>,
+    /// `#[expect(clippy::…)]` attributes: clippy already holds each one to
+    /// a justified site, so the passes do not report that site again.
+    pub expects: Vec<Expectation>,
 }
 
 /// A function definition in the item model.
@@ -149,34 +152,16 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn ident(&self, i: usize) -> Option<&str> {
-        match self.toks.get(i).map(|s| &s.tok) {
-            Some(Tok::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
+        ident_at(self.toks, i)
     }
 
     fn punct(&self, i: usize, c: char) -> bool {
-        matches!(self.toks.get(i).map(|s| &s.tok), Some(Tok::Punct(p)) if *p == c)
+        punct_at(self.toks, i, c)
     }
 
     /// Index of the matching close brace for the open brace at `open`.
     fn match_brace(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut i = open;
-        while i < end {
-            match self.toks[i].tok {
-                Tok::Punct('{') => depth += 1,
-                Tok::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        end.saturating_sub(1)
+        close_of(self.toks, open).min(end.saturating_sub(1))
     }
 
     /// Scan from `i` for the first `{` (returning its index) or `;`
@@ -355,22 +340,7 @@ impl<'a> Parser<'a> {
                 // Attributes: skip the bracketed group so `#[cfg(feature =
                 // "x")]` contents are never mistaken for items.
                 if self.punct(i, '#') && self.punct(i + 1, '[') {
-                    let mut depth = 0i32;
-                    let mut k = i + 1;
-                    while k < end {
-                        match self.toks[k].tok {
-                            Tok::Punct('[') => depth += 1,
-                            Tok::Punct(']') => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    i = k + 1;
+                    i = close_of(self.toks, i + 1) + 1;
                 } else {
                     i += 1;
                 }
@@ -487,12 +457,8 @@ impl<'a> Parser<'a> {
 /// `name = FxHashMap::default()`-style bindings.
 fn collect_hashy(toks: &[Sp]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    let ident = |i: usize| match toks.get(i).map(|s| &s.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    };
-    let punct =
-        |i: usize, c: char| matches!(toks.get(i).map(|s| &s.tok), Some(Tok::Punct(p)) if *p == c);
+    let ident = |i: usize| ident_at(toks, i);
+    let punct = |i: usize, c: char| punct_at(toks, i, c);
     for i in 0..toks.len() {
         let Some(name) = ident(i) else { continue };
         if is_keyword(name) || name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
@@ -544,20 +510,15 @@ fn collect_hashy(toks: &[Sp]) -> BTreeSet<String> {
 /// Parse every file into the workspace model. `crate_names` maps a
 /// directory under `crates/` to its crate identifier (e.g. `core` →
 /// `grouter`); unknown directories fall back to `dir` with `-` → `_`.
-pub fn parse_workspace(
-    files: &[FileInput],
-    crate_names: &BTreeMap<String, String>,
-    analyze_rules: &[&str],
-    lint_rules: &[&str],
-) -> Workspace {
+pub fn parse_workspace(files: &[FileInput], crate_names: &BTreeMap<String, String>) -> Workspace {
     let mut ctxs = Vec::new();
     let mut fns: Vec<FnDef> = Vec::new();
     for (file_idx, f) in files.iter().enumerate() {
         let (toks, comments) = tokenize(&f.src);
         let cfg_mask = cfg_test_mask(&toks);
         let (module, masked_file) = module_path(&f.path, crate_names);
-        let pragmas = parse_pragmas(&comments, "grouter-analyze:", analyze_rules);
-        let lint_pragmas = parse_pragmas(&comments, "grouter-lint:", lint_rules);
+        let pragmas = parse_pragmas(&comments, &crate::PASSES);
+        let expects = expectations(&toks);
         let hashy = collect_hashy(&toks);
         let mut p = Parser {
             toks: &toks,
@@ -588,7 +549,7 @@ pub fn parse_workspace(
             globs,
             hashy,
             pragmas,
-            lint_pragmas,
+            expects,
         });
     }
 
@@ -643,8 +604,6 @@ mod tests {
                 src: src.into(),
             }],
             &BTreeMap::new(),
-            &crate::PASSES,
-            &grouter_lint::RULES,
         )
     }
 

@@ -1,25 +1,32 @@
-//! The three interprocedural passes: panic-reachability,
-//! wallclock-reachability, and determinism taint.
+//! The three interprocedural passes — panic-reachability,
+//! wallclock-reachability and determinism taint — and one lexical check,
+//! silent truncation.
 //!
 //! * **panic-reachable** — every `panic!`-class macro, `.unwrap()`/
 //!   `.expect()`, and non-literal indexing/slicing site inside a function
 //!   transitively reachable from a data-plane entry point
-//!   ([`crate::ENTRY_TYPES`]). Sites already justified by a
-//!   `grouter-lint: allow(no-panic-in-dataplane)` pragma are considered
-//!   documented invariants and are not re-reported.
+//!   ([`crate::ENTRY_TYPES`]). A site inside an `#[expect(clippy::…)]`
+//!   that names the lint flagging it (`unwrap_used`, `expect_used`,
+//!   `panic`, `unreachable`, `indexing_slicing`, …) is a documented
+//!   invariant clippy already holds to its reason, and is not re-reported.
 //! * **wallclock-reachable** — `Instant::now`/`SystemTime` sites in the
-//!   same closure; honors `allow(no-wallclock-in-sim)` pragmas.
+//!   same closure; honors `#[expect(clippy::disallowed_types)]`.
 //! * **determinism-taint** — sources are hash-container iteration, `{:p}`
 //!   pointer formatting, thread-id reads, and `spawn`ed-thread joins;
 //!   sinks are metric emission, obs trace emission, event scheduling, and
 //!   cross-shard envelope construction. A source followed (in the same
 //!   function, before any sort/canonicalization) by a direct sink or by a
 //!   call into a sink-reaching function is a finding.
+//! * **silent-truncation** — a narrowing `as u8/u16/u32/usize` cast of a
+//!   byte- or rate-named value (`total_bytes as u32`) anywhere outside test
+//!   code; such a value belongs in `try_from`. The lexical name filter is
+//!   the point: clippy's `cast_possible_truncation` flags every narrowing
+//!   cast, most of them of counts and indices.
 
 use crate::graph::{CallGraph, Resolution};
+use crate::lexer::{close_of, ident_at, punct_at, Pragma, Sp, Tok};
 use crate::model::Workspace;
 use crate::{Finding, ENTRY_TYPES};
-use grouter_lint::common::{Pragma, Sp, Tok};
 
 /// Sink categories, as bits so a fn's reachable-sink set is one byte.
 pub const SINK_CATS: [(&str, u8); 4] =
@@ -88,17 +95,6 @@ pub struct BodyScan {
     pub sinks: Vec<(usize, u8, String)>,
 }
 
-fn ident_at(toks: &[Sp], i: usize) -> Option<&str> {
-    match toks.get(i).map(|s| &s.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct_at(toks: &[Sp], i: usize, c: char) -> bool {
-    matches!(toks.get(i).map(|s| &s.tok), Some(Tok::Punct(p)) if *p == c)
-}
-
 fn is_numeric(s: &str) -> bool {
     !s.is_empty() && s.chars().all(|c| c.is_ascii_digit() || c == '_')
 }
@@ -137,22 +133,7 @@ pub fn scan_body(
                     continue;
                 }
                 // Find the matching `]` and classify the content.
-                let mut depth = 0i32;
-                let mut j = i;
-                while j < hi {
-                    match toks[j].tok {
-                        Tok::Punct('[') => depth += 1,
-                        Tok::Punct(']') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                let inner = &toks[i + 1..j.min(hi)];
+                let inner = &toks[i + 1..close_of(toks, i).clamp(i + 1, hi)];
                 let literal_only =
                     inner.len() == 1 && matches!(&inner[0].tok, Tok::Ident(s) if is_numeric(s));
                 let full_range = inner.len() == 2
@@ -343,13 +324,102 @@ pub fn scan_body(
     out
 }
 
-fn pragma_suppresses(pragmas: &[Pragma], rule: &str, lines: &[usize]) -> bool {
+fn pragma_suppresses(pragmas: &[Pragma], pass: &str, lines: &[usize]) -> bool {
     pragmas.iter().any(|p| {
         p.justified
             && p.parse_error.is_none()
-            && p.rules.iter().any(|r| r == rule)
+            && p.passes.iter().any(|r| r == pass)
             && lines.iter().any(|&l| p.line == l || p.line + 1 == l)
     })
+}
+
+/// The clippy lint that flags a panic or wallclock site, which is the lint
+/// an `#[expect]` justifying the site names.
+fn clippy_lint<'a>(toks: &'a [Sp], site: &Site) -> Option<&'a str> {
+    match (site.kind, ident_at(toks, site.tok)) {
+        ("unwrap", Some("unwrap")) => Some("unwrap_used"),
+        ("unwrap", Some("expect")) => Some("expect_used"),
+        ("panic-macro", Some(m @ ("panic" | "unreachable" | "todo" | "unimplemented"))) => Some(m),
+        ("index", _) => Some("indexing_slicing"),
+        ("instant-now" | "systemtime", _) => Some("disallowed_types"),
+        _ => None,
+    }
+}
+
+/// Identifier segments that mark a value as a byte or rate quantity.
+const QUANTITY_SEGMENTS: [&str; 8] = [
+    "bytes", "byte", "rate", "rates", "bw", "cap", "capacity", "size",
+];
+
+/// For a cast at token `as_idx`, the identifier naming the value cast:
+/// the ident directly before `as`, or, for a call like
+/// `self.total_bytes() as u32`, the ident before the matching `(`.
+fn cast_source_ident(toks: &[Sp], as_idx: usize) -> Option<&str> {
+    if !punct_at(toks, as_idx.checked_sub(1)?, ')') {
+        return ident_at(toks, as_idx - 1);
+    }
+    let mut depth = 0usize;
+    let mut j = as_idx - 1;
+    loop {
+        match toks[j].tok {
+            Tok::Punct(')') => depth += 1,
+            Tok::Punct('(') => {
+                depth -= 1;
+                if depth == 0 {
+                    return ident_at(toks, j.checked_sub(1)?);
+                }
+            }
+            _ => {}
+        }
+        j = j.checked_sub(1)?;
+    }
+}
+
+/// The silent-truncation check over every unmasked token of every file.
+fn truncations(ws: &Workspace, findings: &mut Vec<Finding>) {
+    for (file, ctx) in ws.files.iter().enumerate() {
+        if ctx.masked_file {
+            continue;
+        }
+        let toks = &ctx.toks;
+        for i in 0..toks.len() {
+            if ctx.cfg_mask[i] || ident_at(toks, i) != Some("as") {
+                continue;
+            }
+            let Some(ty @ ("u8" | "u16" | "u32" | "usize")) = ident_at(toks, i + 1) else {
+                continue;
+            };
+            let Some(value) = cast_source_ident(toks, i) else {
+                continue;
+            };
+            let quantity = value
+                .split('_')
+                .any(|seg| QUANTITY_SEGMENTS.contains(&seg.to_ascii_lowercase().as_str()));
+            if !quantity {
+                continue;
+            }
+            let func = ws
+                .fns
+                .iter()
+                .find(|f| f.file == file && (f.body.0..f.body.1).contains(&i));
+            let sp = &toks[i];
+            let lines = [sp.line, func.map_or(sp.line, |f| f.line)];
+            if pragma_suppresses(&ctx.pragmas, "silent-truncation", &lines) {
+                continue;
+            }
+            findings.push(Finding {
+                pass: "silent-truncation",
+                func: func.map_or_else(|| ctx.module.join("::"), |f| f.fqn.clone()),
+                file: ctx.path.clone(),
+                line: sp.line,
+                col: sp.col,
+                kind: format!("as-{ty}"),
+                message: format!(
+                    "narrowing cast `{value} as {ty}` on a byte/rate quantity; use try_from"
+                ),
+            });
+        }
+    }
 }
 
 fn cats_of(mask: u8) -> Vec<&'static str> {
@@ -374,7 +444,7 @@ fn short_chain(chain: &[String]) -> String {
     }
 }
 
-/// Run all three passes. `scans` must be indexed like `ws.fns`.
+/// Run every pass. `scans` must be indexed like `ws.fns`.
 pub fn run(ws: &Workspace, graph: &CallGraph, scans: &[BodyScan]) -> (Vec<Finding>, usize) {
     let mut findings = Vec::new();
 
@@ -400,11 +470,13 @@ pub fn run(ws: &Workspace, graph: &CallGraph, scans: &[BodyScan]) -> (Vec<Findin
         }
         let ctx = &ws.files[f.file];
         let chain = short_chain(&graph.chain(ws, &parent, idx));
+        let expected = |site: &Site| {
+            clippy_lint(&ctx.toks, site)
+                .is_some_and(|lint| ctx.expects.iter().any(|e| e.covers(site.tok, lint)))
+        };
         for site in &scans[idx].panics {
             let lines = [site.line, f.line];
-            if pragma_suppresses(&ctx.lint_pragmas, "no-panic-in-dataplane", &[site.line])
-                || pragma_suppresses(&ctx.pragmas, "panic-reachable", &lines)
-            {
+            if expected(site) || pragma_suppresses(&ctx.pragmas, "panic-reachable", &lines) {
                 continue;
             }
             findings.push(Finding {
@@ -422,9 +494,7 @@ pub fn run(ws: &Workspace, graph: &CallGraph, scans: &[BodyScan]) -> (Vec<Findin
         }
         for site in &scans[idx].wallclocks {
             let lines = [site.line, f.line];
-            if pragma_suppresses(&ctx.lint_pragmas, "no-wallclock-in-sim", &[site.line])
-                || pragma_suppresses(&ctx.pragmas, "wallclock-reachable", &lines)
-            {
+            if expected(site) || pragma_suppresses(&ctx.pragmas, "wallclock-reachable", &lines) {
                 continue;
             }
             findings.push(Finding {
@@ -519,6 +589,8 @@ pub fn run(ws: &Workspace, graph: &CallGraph, scans: &[BodyScan]) -> (Vec<Findin
             });
         }
     }
+
+    truncations(ws, &mut findings);
 
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.col, a.pass, &a.kind).cmp(&(&b.file, b.line, b.col, b.pass, &b.kind))

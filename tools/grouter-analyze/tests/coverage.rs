@@ -1,66 +1,36 @@
-//! Meta-test over both tools' fixture corpora: every grouter-lint rule
-//! (plus its `bad-pragma` pseudo-rule) and every grouter-analyze pass
-//! (plus its `bad-pragma` pseudo-pass) must have at least one fixture in
-//! which it actually fires. A rule or pass nobody can demonstrate with a
-//! fixture is either dead or untested — both are failures here.
+//! Meta-test over the fixture corpus: every grouter-analyze pass (plus its
+//! `bad-pragma` pseudo-pass) must have at least one fixture in which it
+//! actually fires. A pass nobody can demonstrate with a fixture is either
+//! dead or untested — both are failures here.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-/// Collect the second column of every non-comment line across a fixture
-/// directory's `.expected` files.
-fn firing_names(dir: &Path) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let entries =
-        fs::read_dir(dir).unwrap_or_else(|e| panic!("fixture dir {dir:?} is readable: {e}"));
-    for entry in entries {
-        let path = entry.expect("readable dir entry").path();
-        if path.extension().is_none_or(|e| e != "expected") {
-            continue;
-        }
-        let src = fs::read_to_string(&path).expect("expected file is readable");
-        for line in src.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some((_, name)) = line.split_once(' ') {
-                out.insert(name.trim().to_string());
-            }
-        }
-    }
-    out
-}
-
-#[test]
-fn every_lint_rule_has_a_firing_fixture() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../grouter-lint/tests/fixtures");
-    let firing = firing_names(&dir);
-    let mut missing: Vec<&str> = grouter_lint::RULES
-        .iter()
-        .chain(std::iter::once(&"bad-pragma"))
-        .filter(|r| !firing.contains(**r))
-        .copied()
-        .collect();
-    missing.sort();
-    assert!(
-        missing.is_empty(),
-        "lint rules with no firing fixture: {missing:?}"
-    );
-}
-
 #[test]
 fn every_analyze_pass_has_a_firing_fixture() {
+    // The second column of every non-comment line of the `.expected` files.
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let firing = firing_names(&dir);
-    let mut missing: Vec<&str> = grouter_analyze::PASSES
+    let mut firing = BTreeSet::new();
+    for entry in fs::read_dir(&dir).expect("fixture dir is readable") {
+        let path = entry.expect("readable dir entry").path();
+        if path.extension().is_some_and(|e| e == "expected") {
+            let src = fs::read_to_string(&path).expect("expected file is readable");
+            firing.extend(
+                src.lines()
+                    .map(str::trim)
+                    .filter(|l| !l.starts_with('#'))
+                    .filter_map(|l| l.split_once(' '))
+                    .map(|(_, name)| name.trim().to_string()),
+            );
+        }
+    }
+    let missing: Vec<&str> = grouter_analyze::PASSES
         .iter()
-        .chain(std::iter::once(&"bad-pragma"))
+        .chain(&["bad-pragma"])
         .filter(|p| !firing.contains(**p))
         .copied()
         .collect();
-    missing.sort();
     assert!(
         missing.is_empty(),
         "analyze passes with no firing fixture: {missing:?}"

@@ -1,4 +1,4 @@
-//! Fixture harness, mirroring grouter-lint's: each `tests/fixtures/*.rs`
+//! Fixture harness: each `tests/fixtures/*.rs`
 //! starts with a `//@ path: <virtual path>` header naming the in-tree
 //! location the analyzer should see, and the sibling `.expected` file
 //! lists findings as `<line> <pass>` pairs (empty for a clean fixture).

@@ -1,7 +1,5 @@
 //@ path: crates/sim/src/fixture.rs
-//! Justified pragmas silence each pass at the annotated site, and a
-//! justified grouter-lint no-panic pragma is honored by the panic pass so
-//! an invariant documented once in-source is not re-reported.
+//! Justified pragmas silence each pass at the annotated site.
 
 pub struct FlowNet {
     pending: FxHashMap<u64, u32>,
@@ -11,8 +9,6 @@ impl FlowNet {
     pub fn step(&mut self, i: usize, table: &mut MetricsTable) {
         // grouter-analyze: allow(panic-reachable): index validated by admit()
         let _v = self.slots[i];
-        // grouter-lint: allow(no-panic-in-dataplane): ring is non-empty here
-        let _w = self.head.unwrap();
         // grouter-analyze: allow(wallclock-reachable): debug stamp, never fed to sim time
         let _t0 = Instant::now();
         // grouter-analyze: allow(determinism-taint): rows are keyed by flow id, order-free

@@ -2,38 +2,16 @@
 //! for call-site resolution, the no-bad-pragma invariant, and the entry
 //! point set must all hold on the tree as committed.
 
+use grouter_analyze::lexer::{crate_names, walk_rs_files};
 use grouter_analyze::FileInput;
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 fn workspace_report() -> grouter_analyze::Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let crates = root.join("crates");
-    let paths = grouter_lint::common::walk_rs_files(&[crates.display().to_string()])
-        .expect("crates/ exists");
+    let roots = [root.join("crates").display().to_string()];
+    let paths = walk_rs_files(&roots).expect("crates/ exists");
     assert!(paths.len() > 50, "workspace walk looks truncated");
-    let mut crate_names = BTreeMap::new();
-    for entry in fs::read_dir(&crates).expect("crates/ is readable") {
-        let dir = entry.expect("dir entry").path();
-        let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) else {
-            continue;
-        };
-        for line in manifest.lines() {
-            if let Some(rest) = line.trim().strip_prefix("name") {
-                let name = rest
-                    .trim_start()
-                    .trim_start_matches('=')
-                    .trim()
-                    .trim_matches('"');
-                crate_names.insert(
-                    dir.file_name().unwrap().to_string_lossy().to_string(),
-                    name.replace('-', "_"),
-                );
-                break;
-            }
-        }
-    }
     let files: Vec<FileInput> = paths
         .iter()
         .map(|p| {
@@ -46,7 +24,7 @@ fn workspace_report() -> grouter_analyze::Report {
             }
         })
         .collect();
-    grouter_analyze::analyze(&files, &crate_names)
+    grouter_analyze::analyze(&files, &crate_names(&roots))
 }
 
 #[test]
