@@ -99,7 +99,7 @@ pub fn run() -> String {
     for (label, plane) in variants() {
         let m = run_at(plane, 0.10);
         let lat = m.latency_ms(None);
-        let pass = m.op_latency_ms(PassCategory::GpuGpu, None).mean();
+        let pass = m.op_mean_ms(PassCategory::GpuGpu);
         p99_at_10.push(lat.p99());
         table.row(&[
             label.to_string(),

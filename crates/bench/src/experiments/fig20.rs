@@ -117,8 +117,7 @@ pub fn run() -> String {
             PlaneKind::Infless => {
                 // Modelled as control latency, not ring events: count host
                 // legs = 2 gFn-host transfers per gFn stage (put + get).
-                let gfn_hops: usize = m.records().iter().map(|r| r.op_durations.len()).sum();
-                gfn_hops as u64
+                m.op_count_total()
             }
             _ => rt.world().pinned.iter().map(|r| r.pin_events()).sum(),
         };

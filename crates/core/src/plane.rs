@@ -701,11 +701,11 @@ impl DataPlane for GrouterPlane {
     }
 
     fn on_request(&mut self, ctx: &mut PlaneCtx<'_>, stages: &[Destination]) {
-        let mut seen = std::collections::BTreeSet::new();
-        for dest in stages {
-            if let Destination::Gpu(g) = dest {
-                if seen.insert(*g) {
-                    self.resize_pool(ctx, *g);
+        // Each GPU once, in the order of its first stage.
+        for (i, dest) in stages.iter().enumerate() {
+            if let Destination::Gpu(g) = *dest {
+                if !stages.iter().take(i).any(|d| d == dest) {
+                    self.resize_pool(ctx, g);
                 }
             }
         }

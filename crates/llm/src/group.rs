@@ -318,11 +318,17 @@ impl GroupState {
         }
     }
 
-    /// Remove `rid` from the group's requests, unpinning it first.
+    /// Remove `rid` from the group's requests, unpinning it first, and drop
+    /// its producer-only history from every scaler. Every caller has run
+    /// [`GroupState::drop_kv`] first, and a retired rid never produces
+    /// again (nor is it ever requested), so nothing reads that history.
     fn retire(&mut self, rid: u64) -> Option<ActiveRequest> {
         let req = self.requests.remove(rid)?;
         if req.decode_gpu.is_some() {
             self.decoding -= 1;
+        }
+        for sc in &mut self.scalers {
+            sc.forget(rid);
         }
         Some(req)
     }
@@ -894,6 +900,7 @@ impl GroupState {
         }
         for (i, sc) in self.scalers.iter().enumerate() {
             assert_eq!(sc.total_live_outputs(), 0, "scaler {i} leaks live outputs");
+            assert!(sc.is_empty(), "scaler {i} keeps {} functions", sc.len());
         }
     }
 }

@@ -85,7 +85,7 @@ impl Requested {
 /// Functions that only produced outputs here (a stage re-placed by fault
 /// recovery, or an LLM request's KV blocks) live apart from requested ones
 /// until their first request arrives, so the target walks only functions
-/// that can be active.
+/// that can be active, or until [`PrewarmScaler::forget`] drops them.
 #[derive(Debug, Default)]
 pub struct PrewarmScaler {
     requested: BTreeMap<u64, Requested>,
@@ -141,6 +141,23 @@ impl PrewarmScaler {
             None => self.producers.entry(func).or_insert_with(FuncStats::new),
         };
         stats.live_outputs = stats.live_outputs.saturating_sub(1);
+    }
+
+    /// Drop producer-only `func` and its history once all of its outputs
+    /// are consumed: the caller promises `func` will neither produce nor be
+    /// requested here again (an LLM request that left its group). A
+    /// function with live outputs stays, so the leak check still sees it,
+    /// and a requested one is never dropped. The scaler does not prune at
+    /// zero on its own: a re-placed stage's history must survive until its
+    /// first request here.
+    pub fn forget(&mut self, func: u64) {
+        if self
+            .producers
+            .get(&func)
+            .is_some_and(|s| s.live_outputs == 0)
+        {
+            self.producers.remove(&func);
+        }
     }
 
     /// The pool size the GPU should hold at `now`:
@@ -380,5 +397,65 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.total_live_outputs(), 0);
         assert_eq!(s.window_secs(1), None);
+    }
+
+    #[test]
+    fn forget_drops_a_drained_producer_only_function() {
+        let mut s = PrewarmScaler::new();
+        s.on_output(5, MB);
+        s.on_output(5, MB);
+        s.on_consumed(5);
+        s.on_consumed(5);
+        s.forget(5);
+        assert!(s.is_empty());
+        assert_eq!(s.window_secs(5), None);
+        // Forgetting an unknown function is a no-op.
+        s.forget(6);
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn forget_keeps_a_function_with_live_outputs() {
+        let mut s = PrewarmScaler::new();
+        s.on_output(5, MB);
+        s.on_output(5, MB);
+        s.on_consumed(5);
+        s.forget(5);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.live_outputs(5), 1);
+        assert_eq!(s.total_live_outputs(), 1);
+        s.on_consumed(5);
+        s.forget(5);
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn forget_never_drops_a_requested_function() {
+        let mut s = PrewarmScaler::new();
+        let t = SimTime::ZERO;
+        s.on_request(1, t);
+        s.on_output(1, 400.0 * MB);
+        s.on_consumed(1);
+        s.forget(1);
+        assert_eq!(s.len(), 1);
+        assert!((s.target_bytes(t) - 400.0 * MB).abs() < 1.0);
+    }
+
+    #[test]
+    fn a_request_after_forget_starts_from_empty_history() {
+        let mut s = PrewarmScaler::new();
+        for _ in 0..3 {
+            s.on_output(4, 500.0 * MB);
+        }
+        for _ in 0..3 {
+            s.on_consumed(4);
+        }
+        s.forget(4);
+        let t = SimTime::ZERO + SimDuration::from_secs(5);
+        s.on_request(4, t);
+        assert_eq!(s.live_outputs(4), 0);
+        // No R_size history survives: the function reserves nothing.
+        assert_eq!(s.target_bytes(t), params::MIN_POOL_BYTES);
+        assert_eq!(s.window_secs(4), Some(DEFAULT_WINDOW_S));
     }
 }

@@ -562,6 +562,10 @@ pub(crate) fn arrival(
         roots.len() as u32,
     );
 
+    // The operation log comes from the free list, sized for a failure-free
+    // run's operations.
+    let mut op_durations = w.free_op_logs.pop().unwrap_or_default();
+    op_durations.reserve(ops);
     w.instances.insert(
         inst_id,
         Instance {
@@ -573,7 +577,7 @@ pub(crate) fn arrival(
             terminals_left,
             compute_total: SimDuration::ZERO,
             passing: [SimDuration::ZERO; PassCategory::COUNT],
-            op_durations: Vec::with_capacity(ops),
+            op_durations,
             workflow_id: WorkflowId(inst_id),
             wf_name,
             fn_ids,
@@ -1009,14 +1013,15 @@ fn finish_instance(w: &mut World, s: &mut Scheduler<World>, inst_id: u64) {
         .filter(|&t| inst.spec.is_terminal(t))
         .map(|t| inst.spec.stages[t].output_bytes)
         .sum();
-    w.metrics.record(InstanceRecord {
+    let record = InstanceRecord {
         workflow: inst.wf_name,
         arrived: inst.arrived,
         completed: now,
         compute: inst.compute_total,
         passing: inst.passing,
-        op_durations: inst.op_durations,
-    });
+    };
+    w.metrics.record(record, &inst.op_durations);
+    w.recycle_op_log(inst.op_durations);
     crate::cluster::on_instance_finished(w, now, inst_id, resp_bytes);
     let _ = s;
 }

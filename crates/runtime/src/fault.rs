@@ -1086,7 +1086,9 @@ pub(crate) fn fail_instance(w: &mut World, s: &mut Scheduler<World>, inst_id: u6
     for data in doomed {
         drain_object(w, s, data);
     }
-    w.instances.remove(inst_id);
+    if let Some(inst) = w.instances.remove(inst_id) {
+        w.recycle_op_log(inst.op_durations);
+    }
     crate::cluster::on_instance_failed(w, inst_id);
     w.fault.retries.retain(|&(i, _), _| i != inst_id);
     w.metrics.failed += 1;

@@ -2,8 +2,10 @@
 //!
 //! The paper's headline analysis (Fig. 3) splits end-to-end latency into
 //! computation, gFn–gFn data passing, and gFn–host data passing; the
-//! elastic-storage experiments (Fig. 18) additionally need raw data-passing
-//! latencies. [`Metrics`] collects all of it per workflow instance.
+//! elastic-storage experiments (Fig. 18) additionally need the mean latency
+//! of one data-passing operation. [`Metrics`] keeps a fixed-size record per
+//! finished workflow instance and folds its operations into per-category
+//! counts and sums.
 
 use std::fmt::Write;
 
@@ -40,7 +42,7 @@ impl PassCategory {
 /// Finished-instance record. The workflow name is an interned id into the
 /// owning [`Metrics`]' name table ([`Metrics::intern`] /
 /// [`Metrics::workflow_name`]) so recording an instance never clones a
-/// `String` on the hot path.
+/// `String` on the hot path, and the record owns no heap memory.
 #[derive(Clone, Debug)]
 pub struct InstanceRecord {
     pub workflow: u32,
@@ -51,9 +53,10 @@ pub struct InstanceRecord {
     /// Data-passing wall time by category, summed over operations and
     /// indexed by [`PassCategory::index`].
     pub passing: [SimDuration; PassCategory::COUNT],
-    /// Individual data-passing operation durations (for Fig. 18c averages).
-    pub op_durations: Vec<(PassCategory, SimDuration)>,
 }
+
+// A serve run keeps one record per finished request: keep it small.
+const _: () = assert!(std::mem::size_of::<InstanceRecord>() <= 64);
 
 impl InstanceRecord {
     pub fn latency(&self) -> SimDuration {
@@ -83,6 +86,10 @@ pub struct Metrics {
     /// [`InstanceRecord::workflow`].
     names: Vec<String>,
     name_ids: grouter_sim::FxHashMap<String, u32>,
+    /// Data-passing operations of the recorded instances by category
+    /// ([`PassCategory::index`]): how many, and their durations in ms
+    /// summed in record order.
+    op_stats: [(u64, f64); PassCategory::COUNT],
 }
 
 impl Metrics {
@@ -113,7 +120,15 @@ impl Metrics {
         self.name_ids.get(name).copied()
     }
 
-    pub fn record(&mut self, rec: InstanceRecord) {
+    /// Record a finished instance and fold its data-passing operations
+    /// (`ops`, in completion order) into the per-category statistics.
+    pub fn record(&mut self, rec: InstanceRecord, ops: &[(PassCategory, SimDuration)]) {
+        for &(cat, d) in ops {
+            if let Some((n, ms)) = self.op_stats.get_mut(cat.index()) {
+                *n += 1;
+                *ms += d.as_millis_f64();
+            }
+        }
         self.records.push(rec);
     }
 
@@ -135,18 +150,24 @@ impl Metrics {
         s
     }
 
-    /// Distribution of per-operation data-passing latencies (ms) in a
-    /// category.
-    pub fn op_latency_ms(&self, cat: PassCategory, workflow: Option<&str>) -> Summary {
-        let mut s = Summary::new();
-        for r in self.filtered(workflow) {
-            for &(c, d) in &r.op_durations {
-                if c == cat {
-                    s.record(d.as_millis_f64());
-                }
-            }
+    /// Data-passing operations of the finished instances in `cat`.
+    pub fn op_count(&self, cat: PassCategory) -> u64 {
+        self.op_stats[cat.index()].0
+    }
+
+    /// Data-passing operations of the finished instances, every category.
+    pub fn op_count_total(&self) -> u64 {
+        self.op_stats.iter().map(|&(n, _)| n).sum()
+    }
+
+    /// Mean latency (ms) of one data-passing operation in `cat`, 0 when
+    /// there is none. The sum runs in record order, so this equals the
+    /// [`Summary::mean`] of the per-operation latencies bit for bit.
+    pub fn op_mean_ms(&self, cat: PassCategory) -> f64 {
+        match self.op_stats[cat.index()] {
+            (0, _) => 0.0,
+            (n, ms) => ms / n as f64,
         }
-        s
     }
 
     /// Distribution of per-instance total data-passing latencies (ms).
@@ -265,12 +286,12 @@ mod tests {
             completed: SimTime(done_ms * 1_000_000),
             compute: SimDuration::from_millis(done_ms - arrive_ms - gg_ms - gh_ms),
             passing,
-            op_durations: vec![
-                (PassCategory::GpuGpu, SimDuration::from_millis(gg_ms)),
-                (PassCategory::GpuHost, SimDuration::from_millis(gh_ms)),
-            ],
         };
-        m.record(InstanceRecord { workflow, ..record });
+        let ops = [
+            (PassCategory::GpuGpu, SimDuration::from_millis(gg_ms)),
+            (PassCategory::GpuHost, SimDuration::from_millis(gh_ms)),
+        ];
+        m.record(record, &ops);
     }
 
     #[test]
@@ -335,14 +356,54 @@ mod tests {
         assert!(lines[1].starts_with("a,0,100,"));
     }
 
-    #[test]
-    fn op_latency_collects_per_category() {
-        let mut m = Metrics::new();
-        rec(&mut m, "a", 0, 100, 40, 20);
-        let gg = m.op_latency_ms(PassCategory::GpuGpu, None);
-        assert_eq!(gg.len(), 1);
-        assert_eq!(gg.max(), 40.0);
-        let hh = m.op_latency_ms(PassCategory::HostHost, None);
-        assert!(hh.is_empty());
+    const CATEGORIES: [PassCategory; PassCategory::COUNT] = [
+        PassCategory::GpuGpu,
+        PassCategory::GpuHost,
+        PassCategory::HostHost,
+        PassCategory::Recovery,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+        /// Over many records with mixed categories, the folded count and
+        /// mean of each category equal those of a flat per-operation list
+        /// (one `Summary` sample per op, in record order) bit for bit.
+        #[test]
+        fn op_stats_match_a_flat_op_list(
+            instances in proptest::collection::vec(
+                proptest::collection::vec((0..PassCategory::COUNT, 0u64..5_000_000_000), 0..12),
+                0..40,
+            ),
+        ) {
+            let mut m = Metrics::new();
+            let workflow = m.intern("w");
+            let mut flat = Vec::new();
+            for ops in &instances {
+                let ops: Vec<(PassCategory, SimDuration)> = ops
+                    .iter()
+                    .map(|&(c, ns)| (CATEGORIES[c], SimDuration::from_nanos(ns)))
+                    .collect();
+                let record = InstanceRecord {
+                    workflow,
+                    arrived: SimTime::ZERO,
+                    completed: SimTime::ZERO,
+                    compute: SimDuration::ZERO,
+                    passing: [SimDuration::ZERO; PassCategory::COUNT],
+                };
+                m.record(record, &ops);
+                flat.extend(ops);
+            }
+            for cat in CATEGORIES {
+                let mut s = Summary::new();
+                for &(c, d) in &flat {
+                    if c == cat {
+                        s.record(d.as_millis_f64());
+                    }
+                }
+                proptest::prop_assert_eq!(m.op_count(cat), s.len() as u64);
+                proptest::prop_assert_eq!(m.op_mean_ms(cat).to_bits(), s.mean().to_bits());
+            }
+            proptest::prop_assert_eq!(m.op_count_total(), flat.len() as u64);
+        }
     }
 }

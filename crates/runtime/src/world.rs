@@ -128,6 +128,9 @@ pub struct Instance {
     pub compute_total: SimDuration,
     /// Data-passing time by category, indexed by [`PassCategory::index`].
     pub passing: [SimDuration; PassCategory::COUNT],
+    /// Data-passing operations in completion order, folded into the
+    /// metrics' per-category statistics when the instance finishes. The
+    /// buffer comes from and goes back to [`World::free_op_logs`].
     pub op_durations: Vec<(PassCategory, SimDuration)>,
     pub workflow_id: WorkflowId,
     /// Interned workflow name (id into `Metrics`' name table).
@@ -305,6 +308,9 @@ pub struct World {
     /// Recycled buffer of stage indices: an arrival's roots, a finished
     /// stage's dependents.
     pub stage_scratch: Vec<usize>,
+    /// Emptied operation logs of finished and failed instances, handed to
+    /// the next arrivals: at most one per instance ever live at once.
+    pub free_op_logs: Vec<Vec<(PassCategory, SimDuration)>>,
     pub metrics: Metrics,
     pub mem_series: Vec<TimeSeries>,
     /// Watched links and their utilisation-fraction time series (enabled by
@@ -410,6 +416,7 @@ impl World {
             started_scratch: Vec::new(),
             input_scratch: Vec::new(),
             stage_scratch: Vec::new(),
+            free_op_logs: Vec::new(),
             metrics: Metrics::new(),
             mem_series,
             link_series: Vec::new(),
@@ -440,6 +447,12 @@ impl World {
             crate::fault::record_recovery(&self.rec, now, &ev);
         }
         self.fault.log.push((now, ev));
+    }
+
+    /// Return a departed instance's operation log for a later arrival.
+    pub(crate) fn recycle_op_log(&mut self, mut log: Vec<(PassCategory, SimDuration)>) {
+        log.clear();
+        self.free_op_logs.push(log);
     }
 
     /// Flat GPU index (canonical ordering from [`Topology::flat_index`]).

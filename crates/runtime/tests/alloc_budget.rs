@@ -1,9 +1,11 @@
 //! Allocation budget of a steady-state workflow request. Once the executor
 //! is warm, a request of a two-stage GPU workflow allocates its `Instance`
-//! (placements, stage records, operation log) and the plane's plans for its
-//! data operations, and nothing per stage, per transfer or per network
-//! wake: the executor's and the transfer engine's buffers and records are
-//! all recycled, and the finished instance's log moves into its record.
+//! (placements and stage records) and the plane's plans for its data
+//! operations, and nothing per stage, per transfer or per network wake:
+//! the executor's and the transfer engine's buffers and records are all
+//! recycled, and so is the instance's operation log, which the metrics
+//! fold into per-category counts and sums before it goes back to the
+//! world's free list.
 
 use std::sync::Arc;
 
@@ -60,6 +62,7 @@ fn warm_request_allocations() {
     });
     assert_eq!(rt.metrics().completed(), 11);
     assert!(rt.world().quiescent());
-    // Three for the `Instance`, five for the plane's leg and plan lists.
+    // Two for the `Instance`, the rest for the plane's leg and plan lists
+    // (6 in all when last measured).
     assert!(allocs <= 8, "one warm request made {allocs} allocations");
 }

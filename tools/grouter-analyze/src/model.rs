@@ -442,6 +442,8 @@ impl<'a> Parser<'a> {
                         Err(semi) => i = semi + 1,
                     }
                 }
+                // `const fn` / `const unsafe fn`: a qualifier, not an item.
+                "const" if matches!(self.ident(i + 1), Some("fn" | "unsafe")) => i += 1,
                 "const" | "static" | "type" => i = self.skip_to_semi(i + 1, end),
                 "macro_rules" => match self.find_body(i + 1, end) {
                     Ok(open) => i = self.match_brace(open, end) + 1,
