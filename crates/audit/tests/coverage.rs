@@ -24,9 +24,9 @@ use grouter_transfer::plan::{plan_d2h, PlanConfig};
 use grouter_transfer::TransferEngine;
 
 /// Every checker the data plane registers, by crate:
-/// sim (5), topology (2), transfer (1), store (1), mem (3), runtime (1),
+/// sim (5), topology (2), transfer (1), store (1), mem (4), runtime (1),
 /// obs (1), llm (3).
-const CHECKERS: [&str; 17] = [
+const CHECKERS: [&str; 18] = [
     "flownet.link_caps",
     "flownet.slab",
     "flownet.heap",
@@ -39,6 +39,7 @@ const CHECKERS: [&str; 17] = [
     "pool.accounting",
     "pool.quarantine",
     "scaler.floor",
+    "scaler.demand",
     "recovery.no_orphans",
     "obs.spans_balanced",
     "llm.kv_blocks",

@@ -20,7 +20,7 @@ use grouter::sim::time::SimDuration;
 use grouter_cli::args::{parse_command, Command, LlmRun, PlaneFn, ServeRun, WorkflowRun, PLANES};
 use grouter_cli::parse_workflow;
 use grouter_ctl::ServiceSim;
-use grouter_llm::{LlmServeConfig, PlaneKind};
+use grouter_llm::{Fnv64, LlmServeConfig, PlaneKind};
 use grouter_workloads::azure::generate_trace;
 
 fn write(path: &str, contents: &str) -> Result<(), String> {
@@ -66,18 +66,24 @@ fn cmd_serve(run: &ServeRun) -> Result<(), String> {
         lat.max()
     );
     println!("heartbeats: {hb_sent} sent, {hb_recv} delivered, {hb_drop} dropped");
-    let csv = svc.merged_csv();
-    let admission = svc.admission_log();
-    let recovery = svc.merged_recovery_log();
+    // Each digest hashes its text as the rows are formatted; none of the
+    // three is built whole (a 1M-request run's CSV is about 50 MB).
+    let cluster = svc.cluster();
+    let (mut csv, mut admission, mut recovery) = (Fnv64::new(), Fnv64::new(), Fnv64::new());
+    cluster
+        .write_merged_csv(&mut csv)
+        .and_then(|()| cluster.write_admission_log(&mut admission))
+        .and_then(|()| cluster.write_merged_recovery_log(&mut recovery))
+        .map_err(|e| format!("cannot digest the run's outputs: {e}"))?;
     // Thread-count independence is checkable from the digests alone.
     println!(
         "digests: csv={:016x} admission={:016x} recovery={:016x}",
-        grouter_llm::fnv64(csv.as_bytes()),
-        grouter_llm::fnv64(admission.as_bytes()),
-        grouter_llm::fnv64(recovery.as_bytes())
+        csv.finish(),
+        admission.finish(),
+        recovery.finish()
     );
     if let Some(path) = &run.csv {
-        write(path, &csv)?;
+        write(path, &svc.merged_csv())?;
         println!("merged per-request records written to {path}");
     }
     Ok(())

@@ -45,8 +45,55 @@ pub(crate) fn parse_finite(s: &str) -> Option<f64> {
     s.trim().parse::<f64>().ok().filter(|v| v.is_finite())
 }
 
+/// A size or duration the format refuses, with the text as written.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ValueError {
+    /// `"size"` or `"duration"`.
+    pub what: &'static str,
+    pub text: String,
+    pub fault: ValueFault,
+}
+
+/// Why a size or duration was refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ValueFault {
+    /// No unit suffix; the payload lists the accepted ones.
+    NoUnit(&'static str),
+    /// Not a finite decimal number.
+    BadNumber,
+    Negative,
+    /// Scales past what the simulator holds: an infinite byte count, or a
+    /// duration of 2^64 nanoseconds or more.
+    Overflow,
+}
+
+impl ValueError {
+    fn new(what: &'static str, text: &str, fault: ValueFault) -> ValueError {
+        ValueError {
+            what,
+            text: text.to_string(),
+            fault,
+        }
+    }
+}
+
+impl std::fmt::Display for ValueError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (what, text) = (self.what, &self.text);
+        match self.fault {
+            ValueFault::NoUnit(units) => write!(f, "{what} '{text}' needs a {units} suffix"),
+            ValueFault::BadNumber => write!(f, "bad number in {what} '{text}'"),
+            ValueFault::Negative => write!(f, "{what} '{text}' is negative"),
+            ValueFault::Overflow => write!(f, "{what} '{text}' overflows the simulator"),
+        }
+    }
+}
+
+impl std::error::Error for ValueError {}
+
 /// Parse a size like `48MB`, `1.5GB`, `300KB`, `512B` into bytes.
-pub fn parse_size(s: &str) -> Result<f64, String> {
+pub fn parse_size(s: &str) -> Result<f64, ValueError> {
+    let fail = |fault| ValueError::new("size", s, fault);
     let lower = s.trim().to_ascii_uppercase();
     let (digits, factor) = if let Some(v) = lower.strip_suffix("GB") {
         (v, 1e9)
@@ -57,17 +104,22 @@ pub fn parse_size(s: &str) -> Result<f64, String> {
     } else if let Some(v) = lower.strip_suffix('B') {
         (v, 1.0)
     } else {
-        return Err(format!("size '{s}' needs a B/KB/MB/GB suffix"));
+        return Err(fail(ValueFault::NoUnit("B/KB/MB/GB")));
     };
-    let value = parse_finite(digits).ok_or_else(|| format!("bad number in size '{s}'"))?;
+    let value = parse_finite(digits).ok_or_else(|| fail(ValueFault::BadNumber))?;
     if value < 0.0 {
-        return Err(format!("size '{s}' is negative"));
+        return Err(fail(ValueFault::Negative));
     }
-    Ok(value * factor)
+    let bytes = value * factor;
+    if !bytes.is_finite() {
+        return Err(fail(ValueFault::Overflow));
+    }
+    Ok(bytes)
 }
 
 /// Parse a duration like `22ms`, `150us`, `1.5s`.
-pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
+pub fn parse_duration(s: &str) -> Result<SimDuration, ValueError> {
+    let fail = |fault| ValueError::new("duration", s, fault);
     let lower = s.trim().to_ascii_lowercase();
     let (digits, nanos_per_unit) = if let Some(v) = lower.strip_suffix("us") {
         (v, 1e3)
@@ -76,13 +128,19 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     } else if let Some(v) = lower.strip_suffix('s') {
         (v, 1e9)
     } else {
-        return Err(format!("duration '{s}' needs a us/ms/s suffix"));
+        return Err(fail(ValueFault::NoUnit("us/ms/s")));
     };
-    let value = parse_finite(digits).ok_or_else(|| format!("bad number in duration '{s}'"))?;
+    let value = parse_finite(digits).ok_or_else(|| fail(ValueFault::BadNumber))?;
     if value < 0.0 {
-        return Err(format!("duration '{s}' is negative"));
+        return Err(fail(ValueFault::Negative));
     }
-    Ok(SimDuration::from_secs_f64(value * nanos_per_unit / 1e9))
+    // `from_secs_f64` saturates at `SimDuration::MAX` exactly when the
+    // count does not fit in u64 nanoseconds.
+    let d = SimDuration::from_secs_f64(value * nanos_per_unit / 1e9);
+    if d == SimDuration::MAX {
+        return Err(fail(ValueFault::Overflow));
+    }
+    Ok(d)
 }
 
 /// Parse a full `.wf` document into a validated [`WorkflowSpec`].
@@ -115,13 +173,13 @@ pub fn parse_workflow(text: &str) -> Result<WorkflowSpec, ParseError> {
                 let v = words
                     .next()
                     .ok_or_else(|| err(lineno, "input needs a size"))?;
-                input_bytes = parse_size(v).map_err(|m| err(lineno, m))?;
+                input_bytes = parse_size(v).map_err(|e| err(lineno, e.to_string()))?;
             }
             "slo" => {
                 let v = words
                     .next()
                     .ok_or_else(|| err(lineno, "slo needs a duration"))?;
-                slo = parse_duration(v).map_err(|m| err(lineno, m))?;
+                slo = parse_duration(v).map_err(|e| err(lineno, e.to_string()))?;
             }
             "stage" => {
                 let stage_name = words
@@ -150,10 +208,17 @@ pub fn parse_workflow(text: &str) -> Result<WorkflowSpec, ParseError> {
                         .ok_or_else(|| err(lineno, format!("expected key=value, got '{kv}'")))?;
                     match key {
                         "compute" => {
-                            compute = Some(parse_duration(value).map_err(|m| err(lineno, m))?)
+                            compute = Some(
+                                parse_duration(value).map_err(|e| err(lineno, e.to_string()))?,
+                            )
                         }
-                        "out" => out_bytes = Some(parse_size(value).map_err(|m| err(lineno, m))?),
-                        "mem" => mem_bytes = parse_size(value).map_err(|m| err(lineno, m))?,
+                        "out" => {
+                            out_bytes =
+                                Some(parse_size(value).map_err(|e| err(lineno, e.to_string()))?)
+                        }
+                        "mem" => {
+                            mem_bytes = parse_size(value).map_err(|e| err(lineno, e.to_string()))?
+                        }
                         "deps" => {
                             for dep in value.split(',') {
                                 let idx = stage_index.get(dep).ok_or_else(|| {
@@ -269,6 +334,170 @@ stage classify gpu compute=9ms  out=1MB  mem=0.8GB deps=detect
             let text = format!("workflow x\nstage a gpu compute=1ms out=1MB cond=0:{weight}\n");
             let e = parse_workflow(&text).unwrap_err();
             assert!(e.message.contains("cond weight"), "{}", e.message);
+        }
+    }
+
+    #[test]
+    fn overflowing_sizes_and_durations_are_refused_with_their_line() {
+        assert_eq!(
+            parse_size("1e300GB").unwrap_err().fault,
+            ValueFault::Overflow
+        );
+        assert_eq!(
+            parse_duration("1e300s").unwrap_err().fault,
+            ValueFault::Overflow
+        );
+        // 2^64 ns is about 18,446,744,073.7 s: the last whole second below
+        // it fits, the next one does not.
+        assert!(parse_duration("18446744073s").unwrap() < SimDuration::MAX);
+        assert_eq!(
+            parse_duration("18446744074s").unwrap_err().fault,
+            ValueFault::Overflow
+        );
+        assert_eq!(parse_size("1e300B").unwrap(), 1e300);
+        let stage = "stage a gpu compute=1ms out=1MB";
+        for (text, line) in [
+            (format!("workflow x\ninput 1e300GB\n{stage}\n"), 2),
+            (format!("workflow x\nslo 1e300s\n{stage}\n"), 2),
+            (
+                format!("workflow x\n{stage}\nstage b gpu compute=1e300s out=1MB\n"),
+                3,
+            ),
+            (
+                format!("workflow x\n{stage}\nstage b gpu compute=1ms out=1e300GB\n"),
+                3,
+            ),
+            (
+                format!("workflow x\n{stage}\nstage b gpu compute=1ms out=1MB mem=1e300GB\n"),
+                3,
+            ),
+        ] {
+            let e = parse_workflow(&text).unwrap_err();
+            assert_eq!(e.line, line, "{text}");
+            assert!(e.message.contains("overflows"), "{}", e.message);
+        }
+    }
+
+    /// Pieces of `.wf` text: directives and stage attributes, names,
+    /// numbers (mostly sane, some overflowing or non-finite), units and
+    /// separators.
+    const WORDS: &[&str] = &[
+        "workflow", "input", "slo", "stage", "cpu", "gpu", "compute=", "out=", "mem=", "deps=",
+        "cond=", "a", "b", "c", " ", "  ", "=", ",", ":", "#", "\t", "\n",
+    ];
+    const NUMBERS: &[&str] = &[
+        "1",
+        "1.5",
+        "0",
+        "2",
+        "0.25",
+        "1e-300",
+        "18446744073",
+        "99999999999999999999",
+        "1e300",
+        "1e19",
+        "-1",
+        "nan",
+        "inf",
+    ];
+    const UNITS: &[&str] = &["B", "KB", "MB", "GB", "us", "ms", "s"];
+
+    /// A `.wf` text from `lines` of (kind, draws): directives filled from
+    /// the pools, or token soup. A clean text (`dirty` false) has no soup,
+    /// no second `workflow`, unique stage names, deps on earlier stages
+    /// and well-formed numbers (huge ones among them), so it parses about
+    /// one time in five; a dirty one draws from everything.
+    fn render(dirty: bool, lines: &[(u8, Vec<usize>)]) -> String {
+        let mut out = String::new();
+        let mut stages = 0;
+        for (kind, t) in lines {
+            let at = |k: usize| t.get(k).copied().unwrap_or(k);
+            let pick = |k: usize, pool: &[&'static str]| pool[at(k) % pool.len()];
+            let num = |k: usize| pick(k, if dirty { NUMBERS } else { &NUMBERS[..9] });
+            let size = |k: usize| format!("{}{}", num(k), pick(k + 1, &UNITS[..4]));
+            let dur = |k: usize| {
+                let units = if dirty { UNITS } else { &UNITS[4..] };
+                format!("{}{}", num(k), pick(k + 1, units))
+            };
+            let name = |k: usize| match (dirty, stages) {
+                (true, _) => pick(k, &WORDS[11..14]).to_string(),
+                (false, 0) => String::new(),
+                (false, n) => format!("s{}", at(k) % n),
+            };
+            let kind = match (dirty, kind % 8) {
+                (true, _) => kind % 20,
+                (false, 0) => 1,
+                (false, 1) => 2,
+                (false, _) => 4,
+            };
+            let line = match kind {
+                0 => format!("workflow {}", name(0)),
+                1 => format!("input {}", size(0)),
+                2 => format!("slo {}", dur(0)),
+                3 => t
+                    .iter()
+                    .map(|&i| match i % 3 {
+                        0 => WORDS[i % WORDS.len()],
+                        1 => NUMBERS[i % NUMBERS.len()],
+                        _ => UNITS[i % UNITS.len()],
+                    })
+                    .collect(),
+                _ => {
+                    let own = if dirty { name(0) } else { format!("s{stages}") };
+                    let deps = name(8);
+                    let mut words = vec![
+                        format!("stage {own}"),
+                        pick(1, &WORDS[4..6]).to_string(),
+                        format!("compute={}", dur(2)),
+                        format!("out={}", size(4)),
+                        format!("mem={}", size(6)),
+                        format!("deps={deps}"),
+                        format!("cond={}:{}", at(9) % 3, num(10)),
+                    ];
+                    // Optional attributes come and go; in a dirty text a
+                    // required one goes missing now and then.
+                    let mut k = 0;
+                    words.retain(|_| {
+                        k += 1;
+                        k <= 2
+                            || (k <= 4 && (!dirty || at(k) % 16 != 0))
+                            || (k > 4 && at(k) % 2 == 0 && (dirty || k != 6 || !deps.is_empty()))
+                    });
+                    stages += 1;
+                    words.join(" ")
+                }
+            };
+            out.push_str(&line);
+            out.push('\n');
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        /// `parse_workflow` never panics on token soup, and whatever it
+        /// accepts has finite sizes and stage computes the clock can hold.
+        #[test]
+        fn token_soup_parses_to_a_typed_error_or_a_sane_spec(
+            header in 0u8..8,
+            dirty in 0u8..2,
+            lines in proptest::collection::vec(
+                (0u8..20, proptest::collection::vec(0usize..1000, 12)),
+                0..8,
+            ),
+        ) {
+            let head = if header == 0 { "" } else { "workflow w\n" };
+            let text = format!("{head}{}", render(dirty == 1, &lines));
+            if let Ok(wf) = parse_workflow(&text) {
+                proptest::prop_assert!(wf.input_bytes.is_finite(), "{}", text);
+                for st in &wf.stages {
+                    proptest::prop_assert!(st.output_bytes.is_finite(), "{}", text);
+                    proptest::prop_assert!(st.compute < SimDuration::MAX, "{}", text);
+                    if let grouter_runtime::spec::StageKind::Gpu { mem_bytes } = st.kind {
+                        proptest::prop_assert!(mem_bytes.is_finite(), "{}", text);
+                    }
+                }
+            }
         }
     }
 

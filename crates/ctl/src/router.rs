@@ -15,8 +15,6 @@
 //! quiet group restarts its grace window, so a freshly woken worker has a
 //! full detector timeout to report in before being shunned.
 
-use std::fmt::Write as _;
-
 use grouter_obs::{Comp, Ids, Recorder};
 use grouter_runtime::{Heartbeat, RouterAgent};
 use grouter_sim::params;
@@ -158,10 +156,9 @@ impl RouterAgent for HeartbeatRouter {
         g as u32
     }
 
-    fn admission_log(&self) -> String {
-        let mut out = String::new();
+    fn write_admission_log(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
         for &(at, spec, g, eff, suspect) in &self.log {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "{} spec={} -> g{} eff={} suspect={}",
                 at.as_nanos(),
@@ -169,9 +166,9 @@ impl RouterAgent for HeartbeatRouter {
                 g,
                 eff,
                 u8::from(suspect)
-            );
+            )?;
         }
-        out
+        Ok(())
     }
 }
 

@@ -54,5 +54,5 @@ pub mod serve;
 pub mod world;
 
 pub use blocks::{KvBlock, KvBlockMap, RequestKv, KV_BLOCK_TOKENS};
-pub use metrics::{fnv64, LlmMetrics};
+pub use metrics::{fnv64, Fnv64, LlmMetrics};
 pub use serve::{run_llm_serve, LlmReport, LlmServeConfig, PlaneKind};

@@ -44,12 +44,45 @@ impl LlmMetrics {
 /// FNV-1a over a byte string — the digest the CLI prints and CI compares
 /// across worker-thread counts.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv64::new();
+    h.write_bytes(bytes);
+    h.finish()
+}
+
+/// [`fnv64`] as a `fmt::Write` sink: text hashed as it is formatted
+/// digests to the same value as the whole text would, without being
+/// built.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    pub fn new() -> Fnv64 {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Fnv64 {
+        Fnv64::new()
+    }
+}
+
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -77,5 +110,10 @@ mod tests {
     fn fnv_is_stable() {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv64(b"a"), fnv64(b"b"));
+        // Hashing text piecewise as it is formatted equals hashing it whole.
+        let mut sink = Fnv64::new();
+        std::fmt::Write::write_fmt(&mut sink, format_args!("{}-{:.2}\n", "x", 1.5)).unwrap();
+        sink.write_bytes(b"tail");
+        assert_eq!(sink.finish(), fnv64(b"x-1.50\ntail"));
     }
 }

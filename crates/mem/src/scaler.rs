@@ -12,12 +12,21 @@
 //! the total target is the sum over currently active functions
 //! (`MemPool_size = Σ Data_size · 1{window overlaps now}`), floored at the
 //! minimum pool.
+//!
+//! The target costs what changed since the last one. Each requested
+//! function caches the first nanosecond it goes idle, so the walk over
+//! functions compares integers; the walk's sum is cached until the
+//! earliest of those instants among the functions it counted. Only a
+//! request for a function the sum does not count, a counted function's
+//! `R_size · R_con` changing bits, or [`PrewarmScaler::quarantine`] drops
+//! the sum; a counted function's request folds its new idle instant in. A
+//! scaler nobody asks for a target never builds the sum.
 
 use std::collections::BTreeMap;
 
 use grouter_sim::params;
 use grouter_sim::stats::WindowedPercentile;
-use grouter_sim::time::SimTime;
+use grouter_sim::time::{SimDuration, SimTime};
 
 /// Samples remembered per function per signal.
 const WINDOW: usize = 256;
@@ -43,17 +52,58 @@ impl FuncStats {
             live_outputs: 0,
         }
     }
+
+    /// `R_window` in seconds; a conservative default before any history.
+    fn window_s(&mut self) -> f64 {
+        self.interval_s.p99().unwrap_or(DEFAULT_WINDOW_S)
+    }
+}
+
+/// The longest gap after a request, in nanoseconds, that a window of
+/// `window_s` seconds still covers: the largest `d` with
+/// `SimDuration(d).as_secs_f64() <= window_s`, or `None` when not even a
+/// zero gap is (a negative or NaN window). The test is monotone in `d`, so
+/// the answer is a bisection; `window_s · 1e9` brackets it to within a
+/// nanosecond or two wherever `d` is exact in an `f64`.
+fn covered_gap(window_s: f64) -> Option<u64> {
+    let covers = |d: u64| SimDuration(d).as_secs_f64() <= window_s;
+    if !covers(0) {
+        return None;
+    }
+    if covers(u64::MAX) {
+        return Some(u64::MAX);
+    }
+    let guess = (window_s * 1e9) as u64;
+    let (near_lo, near_hi) = (guess.saturating_sub(1), guess.saturating_add(2));
+    let (mut lo, mut hi) = if covers(near_lo) && !covers(near_hi) {
+        (near_lo, near_hi)
+    } else {
+        (0, u64::MAX)
+    };
+    // covers(lo) && !covers(hi)
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if covers(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
 }
 
 /// A function with at least one recorded request: the only kind that can
-/// be active, so the only kind the target sums over. Its `R_window` and
-/// `R_size · R_con` are cached until one of their windows records a sample.
+/// be active, so the only kind the target sums over. Its idle instant and
+/// `R_size · R_con` are cached until a request or an output changes them.
 #[derive(Debug)]
 struct Requested {
     stats: FuncStats,
     last_request: SimTime,
-    window_s: Option<f64>,
+    idle_at: Option<SimTime>,
     reservation: Option<f64>,
+    /// Whether the scaler's cached demand counts this function; meaningful
+    /// only while that demand exists.
+    counted: bool,
 }
 
 impl Requested {
@@ -67,17 +117,28 @@ impl Requested {
         })
     }
 
-    /// `R_window` in seconds; a conservative default before any history.
-    fn window_s(&mut self) -> f64 {
-        let interval = &mut self.stats.interval_s;
+    /// The first instant at which the function is idle: it is active at
+    /// `now` exactly when `now < idle_at`, i.e. when the gap since its
+    /// last request (zero before it) is at most `R_window`.
+    /// [`SimTime::MAX`] stands for never, as elsewhere in the simulator.
+    fn idle_at(&mut self) -> SimTime {
+        let (stats, last) = (&mut self.stats, self.last_request);
         *self
-            .window_s
-            .get_or_insert_with(|| interval.p99().unwrap_or(DEFAULT_WINDOW_S))
+            .idle_at
+            .get_or_insert_with(|| match covered_gap(stats.window_s()) {
+                Some(gap) => SimTime(last.0.saturating_add(gap).saturating_add(1)),
+                None => SimTime::ZERO,
+            })
     }
+}
 
-    fn active_at(&mut self, now: SimTime) -> bool {
-        (now - self.last_request.min(now)).as_secs_f64() <= self.window_s()
-    }
+/// The last walk's demand (`Σ R_size·R_con` over the functions it
+/// counted), exact for every `now` in `from..until`.
+#[derive(Clone, Copy, Debug)]
+struct Demand {
+    bytes: f64,
+    from: SimTime,
+    until: SimTime,
 }
 
 /// Per-GPU pre-warm estimator across all functions that store data there.
@@ -90,6 +151,7 @@ impl Requested {
 pub struct PrewarmScaler {
     requested: BTreeMap<u64, Requested>,
     producers: BTreeMap<u64, FuncStats>,
+    demand: Option<Demand>,
 }
 
 impl PrewarmScaler {
@@ -104,7 +166,13 @@ impl PrewarmScaler {
                 .interval_s
                 .record((now - r.last_request.min(now)).as_secs_f64());
             r.last_request = now;
-            r.window_s = None;
+            r.idle_at = None;
+            if let Some(d) = self.demand.as_mut().filter(|_| r.counted) {
+                // Counted and still active: the sum holds until it idles.
+                d.until = d.until.min(r.idle_at());
+            } else {
+                self.demand = None;
+            }
             return;
         }
         let stats = self.producers.remove(&func).unwrap_or_else(FuncStats::new);
@@ -113,25 +181,30 @@ impl PrewarmScaler {
             Requested {
                 stats,
                 last_request: now,
-                window_s: None,
+                idle_at: None,
                 reservation: None,
+                counted: false,
             },
         );
+        self.demand = None;
     }
 
     /// Record that `func` produced an output of `bytes` (feeds `R_size` and,
     /// via the live-output count, `R_con`).
     pub fn on_output(&mut self, func: u64, bytes: f64) {
-        let stats = match self.requested.get_mut(&func) {
-            Some(r) => {
-                r.reservation = None;
-                &mut r.stats
-            }
-            None => self.producers.entry(func).or_insert_with(FuncStats::new),
+        let Some(r) = self.requested.get_mut(&func) else {
+            let stats = self.producers.entry(func).or_insert_with(FuncStats::new);
+            record_output(stats, bytes);
+            return;
         };
-        stats.size_bytes.record(bytes);
-        stats.live_outputs += 1;
-        stats.concurrency.record(stats.live_outputs as f64);
+        record_output(&mut r.stats, bytes);
+        let before = r.reservation.take();
+        if r.counted && self.demand.is_some() {
+            let after = r.reservation();
+            if before.map(f64::to_bits) != Some(after.to_bits()) {
+                self.demand = None;
+            }
+        }
     }
 
     /// Record that one of `func`'s outputs was consumed/deleted.
@@ -163,11 +236,16 @@ impl PrewarmScaler {
     /// The pool size the GPU should hold at `now`:
     /// `max(Σ_active R_size·R_con, MIN_POOL_BYTES)`.
     pub fn target_bytes(&mut self, now: SimTime) -> f64 {
-        let mut demand = 0.0;
-        for r in self.requested.values_mut() {
-            if r.active_at(now) {
-                demand += r.reservation();
-            }
+        let demand = match self.demand {
+            Some(d) if d.from <= now && now < d.until => d.bytes,
+            _ => self.walk(now),
+        };
+        #[cfg(feature = "audit")]
+        if grouter_audit::every("scaler.demand", 16) {
+            let full = self.uncached_demand(now);
+            grouter_audit::check("scaler.demand", demand == full, || {
+                format!("cached pre-warm demand {demand} at {now:?}, full walk {full}")
+            });
         }
         let target = demand.max(params::MIN_POOL_BYTES);
         #[cfg(feature = "audit")]
@@ -179,10 +257,50 @@ impl PrewarmScaler {
         target
     }
 
+    /// Sum `R_size·R_con` over the functions active at `now`, in id order,
+    /// mark which ones it counted, and cache the sum until the first of
+    /// them goes idle.
+    fn walk(&mut self, now: SimTime) -> f64 {
+        let mut bytes = 0.0;
+        let mut until = SimTime::MAX;
+        for r in self.requested.values_mut() {
+            let idle_at = r.idle_at();
+            r.counted = now < idle_at;
+            if r.counted {
+                bytes += r.reservation();
+                until = until.min(idle_at);
+            }
+        }
+        self.demand = Some(Demand {
+            bytes,
+            from: now,
+            until,
+        });
+        bytes
+    }
+
+    /// The demand at `now` from first principles: every requested
+    /// function's percentiles read afresh and its activity tested in float
+    /// seconds, with no cached instant, reservation or sum.
+    #[cfg(any(test, feature = "audit"))]
+    fn uncached_demand(&mut self, now: SimTime) -> f64 {
+        let mut bytes = 0.0;
+        for r in self.requested.values_mut() {
+            let s = &mut r.stats;
+            let gap = (now - r.last_request.min(now)).as_secs_f64();
+            if gap <= s.window_s() {
+                let size = s.size_bytes.p99().unwrap_or(0.0);
+                let con = s.concurrency.p99().unwrap_or(1.0).max(1.0);
+                bytes += size * con;
+            }
+        }
+        bytes
+    }
+
     /// Reservation window for one function, if known (testing/diagnostics).
     pub fn window_secs(&mut self, func: u64) -> Option<f64> {
         match self.requested.get_mut(&func) {
-            Some(r) => Some(r.window_s()),
+            Some(r) => Some(r.stats.window_s()),
             None => self
                 .producers
                 .contains_key(&func)
@@ -219,6 +337,7 @@ impl PrewarmScaler {
     pub fn quarantine(&mut self) {
         self.requested.clear();
         self.producers.clear();
+        self.demand = None;
     }
 
     /// Number of tracked functions.
@@ -229,6 +348,14 @@ impl PrewarmScaler {
     pub fn is_empty(&self) -> bool {
         self.requested.is_empty() && self.producers.is_empty()
     }
+}
+
+/// Feed one output of `bytes` into `R_size` and, through the live-output
+/// count, `R_con`.
+fn record_output(stats: &mut FuncStats, bytes: f64) {
+    stats.size_bytes.record(bytes);
+    stats.live_outputs += 1;
+    stats.concurrency.record(stats.live_outputs as f64);
 }
 
 #[cfg(test)]
@@ -439,6 +566,132 @@ mod tests {
         s.forget(1);
         assert_eq!(s.len(), 1);
         assert!((s.target_bytes(t) - 400.0 * MB).abs() < 1.0);
+    }
+
+    #[test]
+    fn covered_gap_is_the_last_covered_nanosecond() {
+        let covers = |d: u64, w: f64| SimDuration(d).as_secs_f64() <= w;
+        for w in [
+            0.0,
+            1e-9,
+            1.5e-9,
+            0.1,
+            0.25,
+            1.0,
+            0.3,
+            7.123456789,
+            480.0,
+            1e7,
+            1.5e10,
+        ] {
+            let gap = covered_gap(w).expect("a non-negative window covers a zero gap");
+            assert!(
+                covers(gap, w) && !covers(gap + 1, w),
+                "window {w}: gap {gap}"
+            );
+        }
+        // Past the last representable gap every gap is covered.
+        assert_eq!(covered_gap(2e10), Some(u64::MAX));
+        assert_eq!(covered_gap(f64::INFINITY), Some(u64::MAX));
+        assert_eq!(covered_gap(-1.0), None);
+        assert_eq!(covered_gap(f64::NAN), None);
+    }
+
+    #[test]
+    fn demand_holds_until_a_counted_function_idles() {
+        let mut s = PrewarmScaler::new();
+        let t0 = SimTime::ZERO + SimDuration::from_secs(1);
+        s.on_request(1, t0);
+        s.on_output(1, 400.0 * MB);
+        // The default one-second window: active through t0 + 1 s exactly.
+        let last = t0 + SimDuration::from_secs(1);
+        assert!((s.target_bytes(t0) - 400.0 * MB).abs() < 1.0);
+        assert!((s.target_bytes(last) - 400.0 * MB).abs() < 1.0);
+        let idle = last + SimDuration::from_nanos(1);
+        assert_eq!(s.target_bytes(idle), params::MIN_POOL_BYTES);
+        // A request re-activates it, and a new output size shows at once.
+        s.on_request(1, idle);
+        assert!((s.target_bytes(idle) - 400.0 * MB).abs() < 1.0);
+        s.on_output(1, 900.0 * MB);
+        assert!((s.target_bytes(idle) - 1800.0 * MB).abs() < 1.0);
+    }
+
+    /// One step of the cached-versus-uncached property below.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Request(u64),
+        Output(u64, f64),
+        Consumed(u64),
+        Forget(u64),
+        Quarantine,
+        /// Advance the clock by this many nanoseconds.
+        Wait(u64),
+        /// Jump to a requested function's idle instant, or the nanosecond
+        /// before it (when still ahead).
+        ToIdle(u64, bool),
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::strategy::Strategy;
+        (0u8..40, 0u64..5, 0u8..6, 0u64..3_000_000_000).prop_map(|(op, f, k, ns)| match op {
+            0..=7 => Step::Request(f),
+            // A few sizes, so a reservation often keeps its bits.
+            8..=17 => Step::Output(f, [0.0, 1.0, 64.0, 200.0, 1e3, 4.5e3][usize::from(k)] * MB),
+            18..=23 => Step::Consumed(f),
+            24 | 25 => Step::Forget(f),
+            26 => Step::Quarantine,
+            27..=33 => Step::Wait(match k {
+                0 => 0,
+                1 => 1,
+                2 => ns % 1_000,
+                3 => ns % 50_000_000,
+                _ => ns,
+            }),
+            _ => Step::ToIdle(f, k % 2 == 0),
+        })
+    }
+
+    proptest::proptest! {
+        /// The cached target equals a walk from first principles, bit for
+        /// bit, after every step of any interleaving on a monotone clock,
+        /// including clocks landing exactly on (and just before) an idle
+        /// instant.
+        #[test]
+        fn cached_target_matches_an_uncached_walk(
+            steps in proptest::collection::vec(step(), 1..400),
+        ) {
+            let mut s = PrewarmScaler::new();
+            let mut now = SimTime::ZERO;
+            for (i, st) in steps.into_iter().enumerate() {
+                match st {
+                    Step::Request(f) => s.on_request(f, now),
+                    Step::Output(f, bytes) => s.on_output(f, bytes),
+                    Step::Consumed(f) => s.on_consumed(f),
+                    Step::Forget(f) => s.forget(f),
+                    Step::Quarantine => s.quarantine(),
+                    Step::Wait(ns) => now = now.saturating_add(SimDuration(ns)),
+                    Step::ToIdle(f, exact) => {
+                        if let Some(r) = s.requested.get_mut(&f) {
+                            let idle = r.idle_at();
+                            let to = if exact { idle } else { SimTime(idle.0.saturating_sub(1)) };
+                            now = now.max(to);
+                        }
+                    }
+                }
+                let got = s.target_bytes(now);
+                let want = s.uncached_demand(now).max(params::MIN_POOL_BYTES);
+                proptest::prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "step {} ({:?}) at {:?}: {} vs {}",
+                    i,
+                    st,
+                    now,
+                    got,
+                    want
+                );
+            }
+        }
     }
 
     #[test]

@@ -90,9 +90,17 @@ pub trait RouterAgent: Send {
     /// Pick the executing group for a request admitted at the router.
     fn route(&mut self, now: SimTime, spec: u32, rec: &grouter_obs::Recorder) -> u32;
 
-    /// The admission log accumulated so far (one line per routed request);
-    /// byte-identical across worker thread counts.
-    fn admission_log(&self) -> String;
+    /// Write the admission log accumulated so far (one line per routed
+    /// request); byte-identical across worker thread counts.
+    fn write_admission_log(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result;
+
+    /// The admission log as one string.
+    fn admission_log(&self) -> String {
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_admission_log(&mut out);
+        out
+    }
 }
 
 /// Heartbeat wiring for one group: publish snapshots to group `to` every
@@ -640,7 +648,17 @@ impl ClusterSim {
     /// The router agent's admission log, if any group carries one (service
     /// mode). Byte-identical across worker thread counts.
     pub fn admission_log(&self) -> Option<String> {
-        (0..self.groups()).find_map(|g| self.port(g).agent.as_ref().map(|a| a.admission_log()))
+        self.agent().map(|a| a.admission_log())
+    }
+
+    /// Write [`ClusterSim::admission_log`] to `out` (nothing without an
+    /// agent), without building it.
+    pub fn write_admission_log(&self, out: &mut dyn std::fmt::Write) -> std::fmt::Result {
+        self.agent().map_or(Ok(()), |a| a.write_admission_log(out))
+    }
+
+    fn agent(&self) -> Option<&dyn RouterAgent> {
+        (0..self.groups()).find_map(|g| self.port(g).agent.as_deref())
     }
 
     fn each(&self) -> impl Iterator<Item = &World> {
@@ -651,27 +669,43 @@ impl ClusterSim {
     /// CSV prefixed with a `group` column, groups in index order. Identical
     /// bytes for any worker thread count.
     pub fn merged_csv(&self) -> String {
-        let mut out = format!("group,{}", Metrics::CSV_HEADER);
-        for (g, w) in self.each().enumerate() {
-            w.metrics.write_csv_rows(&mut out, Some(g));
-        }
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_merged_csv(&mut out);
         out
+    }
+
+    /// Write [`ClusterSim::merged_csv`] to `out` row by row, without
+    /// building it.
+    pub fn write_merged_csv(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        write!(out, "group,{}", Metrics::CSV_HEADER)?;
+        for (g, w) in self.each().enumerate() {
+            w.metrics.write_csv_rows(out, Some(g))?;
+        }
+        Ok(())
     }
 
     /// Merged recovery log, ordered by `(time, group, per-group index)` —
     /// a deterministic global interleaving of every group's typed log.
     pub fn merged_recovery_log(&self) -> String {
-        let mut rows: Vec<(SimTime, usize, usize, String)> = Vec::new();
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_merged_recovery_log(&mut out);
+        out
+    }
+
+    /// Write [`ClusterSim::merged_recovery_log`] to `out` line by line.
+    pub fn write_merged_recovery_log(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        let mut rows = Vec::new();
         for (g, w) in self.each().enumerate() {
             for (i, (t, ev)) in w.recovery_log().iter().enumerate() {
-                rows.push((*t, g, i, format!("{ev:?}")));
+                rows.push((*t, g, i, ev));
             }
         }
         rows.sort_by_key(|r| (r.0, r.1, r.2));
-        let mut out = String::new();
         for (t, g, _, ev) in rows {
-            out.push_str(&format!("{} g{} {}\n", t.as_nanos(), g, ev));
+            writeln!(out, "{} g{} {:?}", t.as_nanos(), g, ev)?;
         }
-        out
+        Ok(())
     }
 }

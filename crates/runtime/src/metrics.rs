@@ -7,8 +7,6 @@
 //! finished workflow instance and folds its operations into per-category
 //! counts and sums.
 
-use std::fmt::Write;
-
 use grouter_sim::stats::Summary;
 use grouter_sim::time::{SimDuration, SimTime};
 
@@ -227,7 +225,8 @@ impl Metrics {
     /// `workflow,arrived_s,latency_ms,compute_ms,gfn_gfn_ms,gfn_host_ms,cfn_cfn_ms`.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(Self::CSV_HEADER);
-        self.write_csv_rows(&mut out, None);
+        // Writing into a `String` cannot fail.
+        let _ = self.write_csv_rows(&mut out, None);
         out
     }
 
@@ -235,15 +234,18 @@ impl Metrics {
     pub(crate) const CSV_HEADER: &'static str =
         "workflow,arrived_s,latency_ms,compute_ms,gfn_gfn_ms,gfn_host_ms,cfn_cfn_ms\n";
 
-    /// Append one [`Metrics::to_csv`] row per record to `out`, each line
+    /// Write one [`Metrics::to_csv`] row per record to `out`, each line
     /// led by a `group` column when `group` is given.
-    pub(crate) fn write_csv_rows(&self, out: &mut String, group: Option<usize>) {
+    pub(crate) fn write_csv_rows(
+        &self,
+        out: &mut impl std::fmt::Write,
+        group: Option<usize>,
+    ) -> std::fmt::Result {
         for r in &self.records {
-            // Writing into a `String` cannot fail.
             if let Some(g) = group {
-                let _ = write!(out, "{g},");
+                write!(out, "{g},")?;
             }
-            let _ = writeln!(
+            writeln!(
                 out,
                 "{},{},{},{},{},{},{}",
                 self.workflow_name(r.workflow),
@@ -253,8 +255,9 @@ impl Metrics {
                 r.passing_of(PassCategory::GpuGpu).as_millis_f64(),
                 r.passing_of(PassCategory::GpuHost).as_millis_f64(),
                 r.passing_of(PassCategory::HostHost).as_millis_f64(),
-            );
+            )?;
         }
+        Ok(())
     }
 
     fn filtered<'a>(

@@ -1,10 +1,53 @@
 //! Streaming statistics used by the elastic-storage policies (99th-percentile
 //! trackers) and by the experiment harness (latency distributions, time
 //! series).
+//!
+//! [`WindowedPercentile`] answers one query, the nearest-rank p99 of its
+//! window, from the window's three largest samples, which hold the answer
+//! for every window up to [`MAX_WINDOW`] samples. Once queried, a record is
+//! a ring push plus at most three compares; only evicting one of the three
+//! rescans the ring.
 
 use crate::time::SimTime;
 
-/// A bounded-window sample tracker with percentile queries.
+/// The largest window a [`WindowedPercentile`] takes: up to here the
+/// nearest-rank p99 of `n` samples is one of the three largest
+/// (`n - ⌈0.99·n⌉ ≤ 2`; at 300 samples it is the fourth).
+pub const MAX_WINDOW: usize = 299;
+
+/// A window's largest samples in descending `f64::total_cmp` order, with
+/// multiplicity: the first `len` slots hold the `min(3, n)` largest of the
+/// `n` samples offered.
+#[derive(Clone, Copy, Debug, Default)]
+struct Largest {
+    vals: [f64; 3],
+    len: u8,
+}
+
+impl Largest {
+    /// Take `value` into the list if it ranks among the three largest.
+    fn offer(&mut self, value: f64) {
+        let mut carry = value;
+        for slot in self.vals.iter_mut().take(usize::from(self.len)) {
+            if carry.total_cmp(slot).is_gt() {
+                carry = std::mem::replace(slot, carry);
+            }
+        }
+        if let Some(slot) = self.vals.get_mut(usize::from(self.len)) {
+            *slot = carry;
+            self.len += 1;
+        }
+    }
+
+    /// Whether `x` ranks at or above the smallest kept sample; always true
+    /// while fewer than three are kept.
+    fn reaches(&self, x: f64) -> bool {
+        usize::from(self.len) < self.vals.len()
+            || self.vals.last().is_some_and(|min| x.total_cmp(min).is_ge())
+    }
+}
+
+/// A bounded-window sample tracker with a 99th-percentile query.
 ///
 /// GROUTER's elastic storage characterises each function with the 99th
 /// percentiles of request interval (`R_window`), intermediate data size
@@ -12,77 +55,72 @@ use crate::time::SimTime;
 /// computed over a sliding window of recent observations.
 #[derive(Clone, Debug)]
 pub struct WindowedPercentile {
-    window: usize,
     /// The window in arrival order; once full, a ring whose oldest sample
     /// sits at `cursor`.
     samples: Vec<f64>,
-    cursor: usize,
-    /// `samples` in `f64::total_cmp` order, or empty until the first query
-    /// of a non-empty window. Once built, `record` keeps it current (one
-    /// binary search for the evicted sample, one for the new one, one
-    /// shift between them), so a query is a single lookup. Trackers that
-    /// are never queried — most of them — never pay for the copy.
-    sorted: Vec<f64>,
+    // Both at most MAX_WINDOW, so the tracker stays 64 bytes.
+    window: u16,
+    cursor: u16,
+    /// The window's three largest samples, or empty until the first query
+    /// of a non-empty window. Once built, `record` keeps them current, so
+    /// a query is a single lookup; trackers that are never queried — most
+    /// of them — never pay for the list.
+    top: Largest,
 }
+
+// Every function keeps three trackers per GPU; a larger tracker shifted
+// `serve`'s peak heap by a megabyte in measurement.
+const _: () = assert!(std::mem::size_of::<WindowedPercentile>() <= 64);
 
 impl WindowedPercentile {
     /// Create a tracker remembering the most recent `window` samples.
     ///
     /// # Panics
-    /// Panics if `window` is zero.
+    /// Panics if `window` is zero or larger than [`MAX_WINDOW`].
     pub fn new(window: usize) -> Self {
         assert!(window > 0, "window must be non-empty");
+        assert!(
+            window <= MAX_WINDOW,
+            "window must hold at most {MAX_WINDOW} samples"
+        );
         WindowedPercentile {
-            window,
             // Lazily grown: most trackers (one per function × signal × GPU)
             // see far fewer samples than the window bound, and eager 256-slot
             // buffers made tracker creation the hottest part of arrivals.
             samples: Vec::new(),
+            window: u16::try_from(window).unwrap_or(u16::MAX),
             cursor: 0,
-            sorted: Vec::new(),
+            top: Largest::default(),
         }
     }
 
     /// Record one observation.
     pub fn record(&mut self, value: f64) {
-        let evicted = if self.samples.len() < self.window {
+        let evicted = if self.samples.len() < usize::from(self.window) {
             self.samples.push(value);
             None
         } else {
-            let oldest = self.samples.get_mut(self.cursor);
+            let oldest = self.samples.get_mut(usize::from(self.cursor));
             self.cursor = (self.cursor + 1) % self.window;
             oldest.map(|slot| std::mem::replace(slot, value))
         };
-        if !self.sorted.is_empty() {
-            self.update_sorted(evicted, value);
+        if self.top.len == 0 {
+            return;
+        }
+        match evicted {
+            // A bit-equal replacement leaves the window's multiset as it was.
+            Some(old) if old.to_bits() == value.to_bits() => {}
+            // One of the largest left: the next largest may sit anywhere.
+            Some(old) if self.top.reaches(old) => self.rescan(),
+            _ => self.top.offer(value),
         }
     }
 
-    /// Keep `sorted` equal to the window after `value` replaced `evicted`
-    /// (or was appended, when nothing was evicted).
-    fn update_sorted(&mut self, evicted: Option<f64>, value: f64) {
-        let sorted = &mut self.sorted;
-        let to = sorted.partition_point(|x| x.total_cmp(&value).is_lt());
-        let from = evicted.and_then(|old| sorted.binary_search_by(|x| x.total_cmp(&old)).ok());
-        // Shift the samples between the evicted slot and the insertion
-        // point by one, towards the evicted slot, and drop `value` into the
-        // gap that opens.
-        let slot = match from {
-            None => {
-                sorted.insert(to, value);
-                return;
-            }
-            Some(from) if to <= from => {
-                sorted.copy_within(to..from, to + 1);
-                to
-            }
-            Some(from) => {
-                sorted.copy_within(from + 1..to, from);
-                to - 1
-            }
-        };
-        if let Some(s) = sorted.get_mut(slot) {
-            *s = value;
+    /// Rebuild the largest-samples list from the ring.
+    fn rescan(&mut self) {
+        self.top = Largest::default();
+        for &x in &self.samples {
+            self.top.offer(x);
         }
     }
 
@@ -95,35 +133,21 @@ impl WindowedPercentile {
         self.samples.is_empty()
     }
 
-    /// The `q`-quantile (q in [0, 1]) over the window, or `None` when empty.
+    /// The 99th percentile over the window, or `None` when empty.
     ///
     /// Uses the nearest-rank method, which matches how serverless pre-warming
     /// policies read "the 99th percentile" of a small histogram.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
+    pub fn p99(&mut self) -> Option<f64> {
+        let n = self.samples.len();
+        if n == 0 {
             return None;
         }
-        if self.sorted.is_empty() {
-            self.sorted.extend_from_slice(&self.samples);
-            self.sorted.sort_by(f64::total_cmp);
+        if self.top.len == 0 {
+            self.rescan();
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        self.sorted.get(rank - 1).copied()
-    }
-
-    /// Convenience: the 99th percentile.
-    pub fn p99(&mut self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-
-    /// Mean over the window, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
+        // Counted down from the largest sample: at most 2 below MAX_WINDOW.
+        let rank = ((0.99 * n as f64).ceil() as usize).clamp(1, n);
+        self.top.vals.get(n - rank).copied()
     }
 }
 
@@ -294,10 +318,12 @@ mod tests {
             w.record(i as f64);
         }
         assert_eq!(w.p99(), Some(99.0));
-        assert_eq!(w.quantile(0.5), Some(50.0));
-        assert_eq!(w.quantile(1.0), Some(100.0));
-        assert_eq!(w.quantile(0.0), Some(1.0));
-        assert_eq!(w.mean(), Some(50.5));
+        // Kept current after the first query, through evictions.
+        w.record(0.5);
+        assert_eq!(w.p99(), Some(99.0));
+        w.record(1000.0);
+        assert_eq!(w.p99(), Some(100.0));
+        assert_eq!(w.len(), 100);
     }
 
     #[test]
@@ -306,8 +332,9 @@ mod tests {
         for v in [100.0, 1.0, 2.0, 3.0] {
             w.record(v);
         }
-        // 100.0 fell out of the window.
-        assert_eq!(w.quantile(1.0), Some(3.0));
+        // 100.0 fell out of the window; the p99 of three samples is the
+        // largest.
+        assert_eq!(w.p99(), Some(3.0));
         assert_eq!(w.len(), 3);
     }
 
@@ -317,35 +344,59 @@ mod tests {
         let _ = WindowedPercentile::new(0);
     }
 
-    /// Nearest-rank `q`-quantile of `window`, sorted from scratch.
-    fn resorted_quantile(window: &std::collections::VecDeque<f64>, q: f64) -> Option<f64> {
+    #[test]
+    #[should_panic(expected = "window must hold at most 299 samples")]
+    fn oversize_window_panics() {
+        let _ = WindowedPercentile::new(MAX_WINDOW + 1);
+    }
+
+    /// Nearest-rank rank of the p99 among `n` samples, as `p99` computes it.
+    fn p99_rank(n: usize) -> usize {
+        ((0.99 * n as f64).ceil() as usize).clamp(1, n)
+    }
+
+    #[test]
+    fn the_three_largest_hold_the_p99_of_every_allowed_window() {
+        for n in 1..=MAX_WINDOW {
+            assert!(n - p99_rank(n) < 3, "n = {n}");
+        }
+        assert_eq!(MAX_WINDOW + 1 - p99_rank(MAX_WINDOW + 1), 3);
+    }
+
+    /// Nearest-rank p99 of `window`, sorted from scratch.
+    fn resorted_p99(window: &std::collections::VecDeque<f64>) -> Option<f64> {
         let mut sorted: Vec<f64> = window.iter().copied().collect();
         sorted.sort_by(f64::total_cmp);
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+        let rank = p99_rank(sorted.len().max(1));
         sorted.get(rank - 1).copied()
     }
 
     proptest::proptest! {
         /// The incrementally maintained window answers every query exactly
         /// as re-sorting the live samples would, bit for bit, whatever the
-        /// interleaving of records and queries, through wrap-around and with
-        /// duplicate, negative and signed-zero samples.
+        /// interleaving of records and queries: through wrap-around and
+        /// heavy eviction of windows from 1 to 256 samples, with runs of
+        /// equal values and with duplicate, negative and signed-zero
+        /// samples.
         #[test]
         fn incremental_window_matches_a_resort(
-            window in proptest::prop_oneof![1usize..9, proptest::Just(256usize)],
-            ops in proptest::collection::vec((0u8..4, 0u8..16), 0..1200),
+            window in proptest::prop_oneof![1usize..9, 100usize..257, proptest::Just(256usize)],
+            ops in proptest::collection::vec((0u8..4, 0u8..16, 1u8..6), 0..1600),
         ) {
             let mut w = WindowedPercentile::new(window);
             let mut live = std::collections::VecDeque::new();
-            for (op, code) in ops {
+            for (op, code, run) in ops {
                 if op == 0 {
-                    let q = [0.0, 0.5, 0.99, 1.0][usize::from(code % 4)];
-                    let got = w.quantile(q).map(f64::to_bits);
-                    let want = resorted_quantile(&live, q).map(f64::to_bits);
-                    proptest::prop_assert_eq!(got, want, "q {} over {:?}", q, live);
-                } else {
-                    // A few distinct values, so duplicates are common.
-                    let value = if code == 15 { -0.0 } else { f64::from(code) * 0.5 - 3.0 };
+                    let got = w.p99().map(f64::to_bits);
+                    let want = resorted_p99(&live).map(f64::to_bits);
+                    proptest::prop_assert_eq!(got, want, "over {:?}", live);
+                    continue;
+                }
+                // A few distinct values, so duplicates are common; an op
+                // of 3 records a run of the same value.
+                let value = if code == 15 { -0.0 } else { f64::from(code) * 0.5 - 3.0 };
+                let times = if op == 3 { run } else { 1 };
+                for _ in 0..times {
                     w.record(value);
                     live.push_back(value);
                     if live.len() > window {
@@ -354,6 +405,10 @@ mod tests {
                 }
             }
             proptest::prop_assert_eq!(w.len(), live.len());
+            proptest::prop_assert_eq!(
+                w.p99().map(f64::to_bits),
+                resorted_p99(&live).map(f64::to_bits)
+            );
         }
     }
 
