@@ -15,8 +15,7 @@ use grouter::topology::presets;
 use grouter::{GrouterConfig, GrouterPlane};
 use grouter_baselines::{deepplan_plane, InflessPlane, NvshmemPlane};
 use grouter_ctl::ServiceConfig;
-use grouter_llm::{LlmServeConfig, PlaneKind};
-use grouter_sim::fault::CtlFaultConfig;
+use grouter_llm::{LlmServeConfig, PlaneKind, NODE_GPUS};
 use grouter_workloads::azure::ArrivalPattern;
 use grouter_workloads::cluster::ClusterPreset;
 
@@ -273,7 +272,7 @@ fn parse_serve(mut f: Flags) -> Result<ServeRun, String> {
             "--seed" => config.seed = f.int("--seed")?,
             "--threads" => threads = f.int("--threads")?,
             "--hb-ms" => config.hb_interval = SimDuration::from_millis(f.int("--hb-ms")?),
-            "--faults" => config.ctl_faults = Some(CtlFaultConfig::default()),
+            "--faults" => config.ctl_faults = true,
             "--csv" => csv = Some(f.value("--csv")?.to_string()),
             flag => return Err(format!("unknown serve flag {flag}")),
         }
@@ -310,8 +309,6 @@ fn parse_llm(mut f: Flags) -> Result<LlmRun, String> {
         csv: None,
         config: LlmServeConfig::reference(PlaneKind::Grouter),
     };
-    // One H800 node per group: the GPUs decode does not take run prefill.
-    let gpus = run.config.prefill_gpus + run.config.decode_gpus;
     while let Some(word) = f.next()? {
         match word {
             "--plane" => run.planes = f.name("--plane", &LLM_PLANES)?.1,
@@ -333,13 +330,13 @@ fn parse_llm(mut f: Flags) -> Result<LlmRun, String> {
         return Err("--groups must be at least 1".to_string());
     }
     arrival_span("--requests", run.config.requests, run.config.rps)?;
-    if !(1..gpus).contains(&run.config.decode_gpus) {
+    // One H800 node per group: the GPUs decode does not take run prefill.
+    if !(1..NODE_GPUS).contains(&run.config.decode_gpus) {
         return Err(format!(
-            "--decode-gpus must be in 1..={} (one node is {gpus} GPUs)",
-            gpus - 1
+            "--decode-gpus must be in 1..={} (one node is {NODE_GPUS} GPUs)",
+            NODE_GPUS - 1
         ));
     }
-    run.config.prefill_gpus = gpus - run.config.decode_gpus;
     Ok(run)
 }
 
@@ -441,7 +438,7 @@ mod tests {
         assert_eq!(a.config.seed, 42);
         assert_eq!(a.config.seed, lib.seed);
         assert_eq!(a.config.hb_interval, SimDuration::from_millis(50));
-        assert!(a.config.ctl_faults.is_none());
+        assert!(!a.config.ctl_faults);
         let a = serve(&[
             "--preset",
             "hetero64",
@@ -472,7 +469,7 @@ mod tests {
         assert_eq!(a.config.seed, 9);
         assert_eq!(a.threads, 8);
         assert_eq!(a.config.hb_interval, SimDuration::from_millis(25));
-        assert!(a.config.ctl_faults.is_some());
+        assert!(a.config.ctl_faults);
         assert_eq!(a.csv.as_deref(), Some("m.csv"));
         // The whole preset may be asked for by size.
         assert_eq!(
@@ -518,7 +515,7 @@ mod tests {
         assert_eq!(a.config.seed, 7);
         assert_eq!(a.config.threads, 1);
         assert_eq!(a.config.decode_gpus, 4);
-        assert_eq!(a.config.prefill_gpus, 4);
+        assert_eq!(a.config.prefill_gpus(), 4);
         assert!(a.csv.is_none());
         let a = llm(&[
             "--plane",
@@ -549,7 +546,7 @@ mod tests {
         assert_eq!(a.config.seed, 11);
         assert_eq!(a.config.threads, 8);
         assert_eq!(a.config.decode_gpus, 6);
-        assert_eq!(a.config.prefill_gpus, 2);
+        assert_eq!(a.config.prefill_gpus(), 2);
         assert_eq!(a.csv.as_deref(), Some("llm.csv"));
     }
 

@@ -42,11 +42,7 @@ fn cmd_serve(run: &ServeRun) -> Result<(), String> {
         cfg.hb_interval.as_millis_f64(),
         cfg.seed,
         run.threads,
-        if cfg.ctl_faults.is_some() {
-            "on"
-        } else {
-            "off"
-        }
+        if cfg.ctl_faults { "on" } else { "off" }
     );
     let mut svc = ServiceSim::build(&run.preset, cfg);
     svc.run(run.threads);
@@ -97,7 +93,7 @@ fn cmd_llm(run: &LlmRun) -> Result<(), String> {
         "llm: {} groups x h800 ({} prefill + {} decode GPUs), {} pattern at {} req/s, \
          {} requests, seed {}, {} threads",
         cfg.groups,
-        cfg.prefill_gpus,
+        cfg.prefill_gpus(),
         cfg.decode_gpus,
         cfg.pattern.name(),
         cfg.rps,

@@ -10,7 +10,9 @@
 //!   dependencies referenced by stage name and defined earlier.
 //!
 //! Sizes accept `B`, `KB`, `MB`, `GB` (decimal); durations accept `us`,
-//! `ms`, `s`.
+//! `ms`, `s`. The stages' computes must also sum to less than
+//! [`SimDuration::MAX`], so no sum along any path of stages can pass the
+//! clock.
 
 use std::collections::HashMap;
 
@@ -150,6 +152,8 @@ pub fn parse_workflow(text: &str) -> Result<WorkflowSpec, ParseError> {
     let mut slo = SimDuration::ZERO;
     let mut stage_index: HashMap<String, usize> = HashMap::new();
     let mut stages: Vec<StageSpec> = Vec::new();
+    // Nanoseconds of compute over the stages so far.
+    let mut compute_sum: u64 = 0;
 
     for (lineno, raw) in text.lines().enumerate() {
         let lineno = lineno + 1;
@@ -246,6 +250,15 @@ pub fn parse_workflow(text: &str) -> Result<WorkflowSpec, ParseError> {
                 }
                 let compute =
                     compute.ok_or_else(|| err(lineno, "stage needs compute=<duration>"))?;
+                compute_sum = compute_sum
+                    .checked_add(compute.as_nanos())
+                    .filter(|&ns| ns < SimDuration::MAX.as_nanos())
+                    .ok_or_else(|| {
+                        err(
+                            lineno,
+                            "summed stage compute overflows the simulator's clock",
+                        )
+                    })?;
                 let out_bytes = out_bytes.ok_or_else(|| err(lineno, "stage needs out=<size>"))?;
                 let mut stage = if is_gpu {
                     StageSpec::gpu(stage_name.clone(), deps, compute, out_bytes, mem_bytes)
@@ -378,6 +391,20 @@ stage classify gpu compute=9ms  out=1MB  mem=0.8GB deps=detect
         }
     }
 
+    #[test]
+    fn summed_stage_computes_past_the_clock_are_refused_with_their_line() {
+        // Each 1e19 ns compute fits the clock; two of them do not, chained
+        // or side by side, and the stage that overflows the sum is named.
+        let stage = "gpu compute=10000000000s out=1MB";
+        assert!(parse_workflow(&format!("workflow w\nstage a {stage}\n")).is_ok());
+        for deps in [" deps=a", ""] {
+            let text = format!("workflow w\nstage a {stage}\n\nstage b {stage}{deps}\n");
+            let e = parse_workflow(&text).unwrap_err();
+            assert_eq!(e.line, 4, "{text}");
+            assert!(e.message.contains("overflows"), "{}", e.message);
+        }
+    }
+
     /// Pieces of `.wf` text: directives and stage attributes, names,
     /// numbers (mostly sane, some overflowing or non-finite), units and
     /// separators.
@@ -476,7 +503,8 @@ stage classify gpu compute=9ms  out=1MB  mem=0.8GB deps=detect
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
         /// `parse_workflow` never panics on token soup, and whatever it
-        /// accepts has finite sizes and stage computes the clock can hold.
+        /// accepts has finite sizes and stage computes whose sum the clock
+        /// can hold.
         #[test]
         fn token_soup_parses_to_a_typed_error_or_a_sane_spec(
             header in 0u8..8,
@@ -490,9 +518,10 @@ stage classify gpu compute=9ms  out=1MB  mem=0.8GB deps=detect
             let text = format!("{head}{}", render(dirty == 1, &lines));
             if let Ok(wf) = parse_workflow(&text) {
                 proptest::prop_assert!(wf.input_bytes.is_finite(), "{}", text);
+                let summed: u128 = wf.stages.iter().map(|st| u128::from(st.compute.as_nanos())).sum();
+                proptest::prop_assert!(summed < u128::from(SimDuration::MAX.as_nanos()), "{}", text);
                 for st in &wf.stages {
                     proptest::prop_assert!(st.output_bytes.is_finite(), "{}", text);
-                    proptest::prop_assert!(st.compute < SimDuration::MAX, "{}", text);
                     if let grouter_runtime::spec::StageKind::Gpu { mem_bytes } = st.kind {
                         proptest::prop_assert!(mem_bytes.is_finite(), "{}", text);
                     }

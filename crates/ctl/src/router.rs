@@ -90,7 +90,7 @@ impl HeartbeatRouter {
 }
 
 impl RouterAgent for HeartbeatRouter {
-    fn on_heartbeat(&mut self, now: SimTime, src: u32, hb: &Heartbeat, rec: &Recorder) {
+    fn on_heartbeat(&mut self, now: SimTime, src: u32, hb: Heartbeat, rec: &Recorder) {
         let Some(v) = self.view.get_mut(src as usize) else {
             return;
         };
@@ -98,9 +98,7 @@ impl RouterAgent for HeartbeatRouter {
         v.routed_since = 0;
         v.last_contact = now;
         v.active = hb.active;
-        let n = hb.pool.len().max(1) as f64;
-        let frac: f64 = hb.pool.iter().map(|p| p.fraction()).sum::<f64>() / n;
-        v.pool_pct = (frac * 100.0).round() as u32;
+        v.pool_pct = hb.pool_pct;
         if v.suspect_span != 0 {
             // The suspect window closes: the group is alive after all.
             rec.end(v.suspect_span, vec![("recovered", true.into())]);
@@ -175,17 +173,11 @@ impl RouterAgent for HeartbeatRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grouter_mem::PoolOccupancy;
 
-    fn beat(group: u32, seq: u64, at: SimTime, depth: u32, active: bool) -> Heartbeat {
+    fn beat(depth: u32, active: bool) -> Heartbeat {
         Heartbeat {
-            group,
-            seq,
-            at,
             depth,
-            pool: vec![PoolOccupancy::default(); 8],
-            completed: 0,
-            failed: 0,
+            pool_pct: 0,
             active,
         }
     }
@@ -199,9 +191,9 @@ mod tests {
         let rec = Recorder::disabled();
         let mut r = HeartbeatRouter::new(3, ms(50));
         let t = SimTime::ZERO + ms(10);
-        r.on_heartbeat(t, 0, &beat(0, 0, t, 5, true), &rec);
-        r.on_heartbeat(t, 1, &beat(1, 0, t, 1, true), &rec);
-        r.on_heartbeat(t, 2, &beat(2, 0, t, 9, true), &rec);
+        r.on_heartbeat(t, 0, beat(5, true), &rec);
+        r.on_heartbeat(t, 1, beat(1, true), &rec);
+        r.on_heartbeat(t, 2, beat(9, true), &rec);
         assert_eq!(r.route(t + ms(1), 0, &rec), 1);
         // Routed work counts against the believed depth immediately.
         assert_eq!(r.route(t + ms(2), 0, &rec), 1); // 1+1=2 still least
@@ -211,22 +203,44 @@ mod tests {
     }
 
     #[test]
+    fn equal_depths_break_toward_memory_headroom() {
+        let rec = Recorder::disabled();
+        let mut r = HeartbeatRouter::new(3, ms(50));
+        let t = SimTime::ZERO + ms(10);
+        let with_pct = |depth, pool_pct| Heartbeat {
+            pool_pct,
+            ..beat(depth, true)
+        };
+        r.on_heartbeat(t, 0, with_pct(2, 40), &rec);
+        r.on_heartbeat(t, 1, with_pct(2, 15), &rec);
+        r.on_heartbeat(t, 2, with_pct(3, 0), &rec);
+        // Groups 0 and 1 are equally deep: the emptier pools win, ahead of
+        // the lower index; a deeper group loses whatever its pools hold.
+        assert_eq!(r.route(t + ms(1), 0, &rec), 1);
+        // Group 1 is now one deeper (routed since its beat), so it ties
+        // with group 2 at 3; group 0 at 2 is least loaded.
+        assert_eq!(r.route(t + ms(2), 0, &rec), 0);
+        // All three at 3: group 2's empty pools break the tie.
+        assert_eq!(r.route(t + ms(3), 0, &rec), 2);
+    }
+
+    #[test]
     fn silent_active_group_becomes_suspect_and_recovers() {
         let rec = Recorder::disabled();
         let mut r = HeartbeatRouter::new(2, ms(50));
         let t0 = SimTime::ZERO + ms(10);
-        r.on_heartbeat(t0, 0, &beat(0, 0, t0, 3, true), &rec);
-        r.on_heartbeat(t0, 1, &beat(1, 0, t0, 0, true), &rec);
+        r.on_heartbeat(t0, 0, beat(3, true), &rec);
+        r.on_heartbeat(t0, 1, beat(0, true), &rec);
         // Within the detector window the lighter group wins.
         assert_eq!(r.route(t0 + ms(20), 0, &rec), 1);
         // Group 0 keeps beating; group 1 goes silent past 3 intervals while
         // claiming active.
-        r.on_heartbeat(t0 + ms(180), 0, &beat(0, 1, t0 + ms(180), 3, true), &rec);
+        r.on_heartbeat(t0 + ms(180), 0, beat(3, true), &rec);
         let late = t0 + ms(200);
         assert!(r.suspect(1, late));
         assert_eq!(r.route(late, 0, &rec), 0, "suspect group is shunned");
         // A fresh beat clears the suspicion.
-        r.on_heartbeat(late + ms(1), 1, &beat(1, 1, late + ms(1), 0, true), &rec);
+        r.on_heartbeat(late + ms(1), 1, beat(0, true), &rec);
         assert!(!r.suspect(1, late + ms(2)));
         assert_eq!(r.route(late + ms(2), 0, &rec), 1);
     }
@@ -237,7 +251,7 @@ mod tests {
         let mut r = HeartbeatRouter::new(2, ms(50));
         let t0 = SimTime::ZERO + ms(10);
         // Group 1 signs off: final beat with active=false.
-        r.on_heartbeat(t0, 1, &beat(1, 0, t0, 0, false), &rec);
+        r.on_heartbeat(t0, 1, beat(0, false), &rec);
         let late = t0 + ms(10_000);
         assert!(!r.suspect(1, late), "idle silence is not death");
         // Routing to it grants a grace window rather than instant suspicion.

@@ -7,7 +7,7 @@
 
 use grouter_runtime::cluster::ClusterSim;
 use grouter_runtime::simple_plane::LocalityPlane;
-use grouter_sim::fault::{CtlFaultConfig, FaultPlan};
+use grouter_sim::fault::FaultPlan;
 use grouter_sim::params;
 use grouter_sim::shard::RunStats;
 use grouter_sim::stats::Summary;
@@ -28,9 +28,9 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Worker heartbeat period — the staleness knob.
     pub hb_interval: SimDuration,
-    /// Randomized control-plane faults (worker deaths + heartbeat loss);
-    /// `None` for a fault-free run.
-    pub ctl_faults: Option<CtlFaultConfig>,
+    /// Randomized control-plane faults (worker deaths + heartbeat loss,
+    /// [`FaultPlan::randomized_ctl`]); `false` for a fault-free run.
+    pub ctl_faults: bool,
 }
 
 impl Default for ServiceConfig {
@@ -41,7 +41,7 @@ impl Default for ServiceConfig {
             total: 10_000,
             seed: 42,
             hb_interval: params::HEARTBEAT_INTERVAL,
-            ctl_faults: None,
+            ctl_faults: false,
         }
     }
 }
@@ -66,8 +66,8 @@ impl ServiceSim {
             |_| Box::new(LocalityPlane::new()),
         );
         let n = setups.len() as u32;
-        if let Some(fc) = &cfg.ctl_faults {
-            let plans = FaultPlan::randomized_ctl(cfg.seed, n, ROUTER_GROUP, fc);
+        if cfg.ctl_faults {
+            let plans = FaultPlan::randomized_ctl(cfg.seed, n, ROUTER_GROUP);
             for (g, plan) in plans.into_iter().enumerate() {
                 if !plan.is_empty() {
                     setups[g].fault_plans.push(plan);
@@ -170,7 +170,7 @@ mod tests {
         let cfg = ServiceConfig {
             total: 800,
             seed: 11,
-            ctl_faults: Some(CtlFaultConfig::default()),
+            ctl_faults: true,
             ..ServiceConfig::default()
         };
         let run = |threads: usize| {

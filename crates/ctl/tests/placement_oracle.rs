@@ -6,7 +6,6 @@
 //! detector or the routed-since correction broke.
 
 use grouter_ctl::{ServiceConfig, ServiceSim};
-use grouter_sim::fault::CtlFaultConfig;
 use grouter_sim::time::SimDuration;
 use grouter_workloads::cluster::ClusterPreset;
 
@@ -21,7 +20,7 @@ fn service_run(hb_millis: u64) -> (u64, f64) {
         total: 3_000,
         seed: 0xDE6,
         hb_interval: SimDuration::from_millis(hb_millis),
-        ctl_faults: Some(CtlFaultConfig::default()),
+        ctl_faults: true,
         ..ServiceConfig::default()
     };
     let mut svc = ServiceSim::build(&small_preset(), &cfg);

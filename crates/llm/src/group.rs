@@ -42,6 +42,23 @@ pub enum PlaneKind {
     Mooncake,
 }
 
+// The reference deployment every serving group runs (DESIGN.md §5.10).
+
+/// GPUs of one serving group: a single H800 node ([`presets::h800x8`]).
+pub const NODE_GPUS: usize = 8;
+/// Tensor-parallel degree of every model instance.
+const TP: u32 = 1;
+/// Model weights resident on every GPU (runtime footprint floor).
+const WEIGHTS_BYTES: f64 = 26e9;
+/// Decode activation/scratch bytes per active sequence — the pressure
+/// knob: a growing batch shrinks the pool's storage cap and triggers the
+/// plane's migration path.
+const ACT_PER_SEQ: f64 = 3.0e9;
+/// Every this-many tokens, decode re-touches its KV: blocks not resident
+/// on the decode GPU are fetched through the plane (remote relay for
+/// Mooncake+, h2d restore for migrated blocks).
+const TOUCH_TOKENS: u32 = 64;
+
 /// Group-level configuration (shared by every group of a run).
 #[derive(Clone, Copy, Debug)]
 pub struct GroupParams {
@@ -50,19 +67,6 @@ pub struct GroupParams {
     pub prefill_gpus: usize,
     /// GPUs `[prefill_gpus, prefill_gpus + decode_gpus)` run decode.
     pub decode_gpus: usize,
-    pub tp: u32,
-    /// Continuous-batch slots per decode GPU.
-    pub max_batch: u32,
-    /// Model weights resident on every GPU (runtime footprint floor).
-    pub weights_bytes: f64,
-    /// Decode activation/scratch bytes per active sequence — the pressure
-    /// knob: a growing batch shrinks the pool's storage cap and triggers
-    /// the plane's migration path.
-    pub act_per_seq: f64,
-    /// Every this-many tokens, decode re-touches its KV: blocks not
-    /// resident on the decode GPU are fetched through the plane (remote
-    /// relay for Mooncake+, h2d restore for migrated blocks).
-    pub touch_tokens: u32,
 }
 
 /// Events a group schedules for itself.
@@ -158,7 +162,7 @@ impl GroupState {
         for pool in &mut pools {
             // Model weights are resident everywhere from the start; the
             // storage cap is computed over what remains.
-            let _ = pool.set_runtime_used(p.weights_bytes);
+            let _ = pool.set_runtime_used(WEIGHTS_BYTES);
         }
         let scalers = (0..n_gpus).map(|_| PrewarmScaler::new()).collect();
         let ledgers = vec![PathLedger::from_topology(&topo)];
@@ -166,7 +170,7 @@ impl GroupState {
         let rates = vec![RateController::new()];
         let plane: Box<dyn DataPlane> = match p.plane {
             PlaneKind::Grouter => Box::new(GrouterPlane::new(GrouterConfig::full())),
-            PlaneKind::Mooncake => Box::new(MooncakePlane::new(p.tp)),
+            PlaneKind::Mooncake => Box::new(MooncakePlane::new(TP)),
         };
         let mut batches = BTreeMap::new();
         let mut tick_scheduled = BTreeMap::new();
@@ -392,11 +396,7 @@ impl GroupState {
             return;
         };
         let start = now.max(self.prefill_free_at[g]);
-        let done = start
-            + req
-                .spec
-                .model
-                .prefill_latency(req.kv_tokens, self.params.tp);
+        let done = start + req.spec.model.prefill_latency(req.kv_tokens, TP);
         self.prefill_free_at[g] = done;
         self.set_decode_pin(rid, None);
         out.at(done, GroupEv::PrefillDone { rid });
@@ -513,7 +513,7 @@ impl GroupState {
         self.refresh_next_use(rid);
         self.set_decode_pin(rid, Some(dg));
         if let Some(r) = self.requests.get_mut(rid) {
-            r.ready_at = t + spec.model.first_token_latency(self.params.tp);
+            r.ready_at = t + spec.model.first_token_latency(TP);
         }
         out.at(t, GroupEv::HandoffDone { rid });
         self.kv.audit_blocks(&self.store);
@@ -550,7 +550,7 @@ impl GroupState {
     /// dropped.
     fn update_pressure(&mut self, now: SimTime, flat: usize) {
         let n = self.batches.get(&flat).map(|b| b.len()).unwrap_or(0) as f64;
-        let used = self.params.weights_bytes + self.params.act_per_seq * n;
+        let used = WEIGHTS_BYTES + ACT_PER_SEQ * n;
         let _overflow = self.pools[flat].set_runtime_used(used);
         let gpu = GpuRef::new(0, flat);
         let ops = self.with_plane(now, |p, ctx| p.on_memory_change(ctx, gpu));
@@ -576,7 +576,7 @@ impl GroupState {
             .iter()
             .zip(present)
             .filter(|&(_, p)| p)
-            .map(|(m, _)| m.decode_step_latency(n, self.params.tp))
+            .map(|(m, _)| m.decode_step_latency(n, TP))
             .fold(floor, SimDuration::max)
     }
 
@@ -610,7 +610,7 @@ impl GroupState {
                 .get(rid)
                 .map(|r| r.stream.emitted)
                 .unwrap_or(0);
-            if emitted > 0 && emitted.is_multiple_of(self.params.touch_tokens) {
+            if emitted > 0 && emitted.is_multiple_of(TOUCH_TOKENS) {
                 let stall = self.touch_kv(now, rid);
                 if stall > SimDuration::ZERO {
                     self.metrics.restore_stalls += 1;
@@ -880,7 +880,7 @@ impl GroupState {
             }
         }
         // The dead GPU's batch is gone: republish its runtime footprint.
-        let _ = self.pools[gpu].set_runtime_used(self.params.weights_bytes);
+        let _ = self.pools[gpu].set_runtime_used(WEIGHTS_BYTES);
         let view = self.view();
         // Rematerialized requests went back to prefill: check the kept
         // count on this rare path every time, not only when sampled.

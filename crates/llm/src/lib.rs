@@ -55,4 +55,4 @@ pub mod world;
 
 pub use blocks::{KvBlock, KvBlockMap, RequestKv, KV_BLOCK_TOKENS};
 pub use metrics::{fnv64, Fnv64, LlmMetrics};
-pub use serve::{run_llm_serve, LlmReport, LlmServeConfig, PlaneKind};
+pub use serve::{run_llm_serve, LlmReport, LlmServeConfig, PlaneKind, NODE_GPUS};

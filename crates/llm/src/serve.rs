@@ -13,12 +13,29 @@ use grouter_sim::{params, ShardedEngine, Simulation};
 use grouter_workloads::llm::LlmMix;
 use grouter_workloads::{ArrivalPattern, OpenLoopGen};
 
-pub use crate::group::PlaneKind;
 use crate::group::{GroupEv, GroupParams, GroupState};
+pub use crate::group::{PlaneKind, NODE_GPUS};
 use crate::metrics::{fnv64, LlmMetrics};
 use crate::world::{Ev, LlmWorld, RouterState};
 
-/// Configuration of one serving run.
+/// The reference deployment's router-side admission budget: batch slots
+/// per decode GPU, and the KV soft cap per group.
+const MAX_BATCH: u32 = 16;
+const KV_SOFT_CAP: f64 = 4.0 * 20e9;
+
+/// The reference request mix: the 13B/7B chat mix with ~2K-token prompts
+/// and ~256-token answers.
+fn reference_mix() -> LlmMix {
+    LlmMix {
+        prompt_median: 2048.0,
+        output_mean: 256.0,
+        ..LlmMix::chat()
+    }
+}
+
+/// Configuration of one serving run. The deployment itself (model mix,
+/// batch slots, weights, activation pressure, KV budget) is the reference
+/// one, fixed in named constants (`DESIGN.md` §5.10).
 #[derive(Clone, Debug)]
 pub struct LlmServeConfig {
     pub plane: PlaneKind,
@@ -30,18 +47,9 @@ pub struct LlmServeConfig {
     /// Mean arrival rate, requests per second (whole cluster).
     pub rps: f64,
     pub pattern: ArrivalPattern,
-    pub prefill_gpus: usize,
+    /// GPUs of each group's node that run decode; the rest run prefill
+    /// ([`LlmServeConfig::prefill_gpus`]).
     pub decode_gpus: usize,
-    pub tp: u32,
-    /// Continuous-batch slots per decode GPU.
-    pub max_batch: u32,
-    /// Resident model weights per GPU.
-    pub weights_bytes: f64,
-    /// Decode activation bytes per active sequence (the pressure knob).
-    pub act_per_seq: f64,
-    /// Router-side KV soft cap per group (admission budget).
-    pub kv_soft_cap: f64,
-    pub mix: LlmMix,
     /// Chaos: fail decode GPU `(group, flat gpu index)` at the given time.
     pub fail: Option<(usize, usize, SimTime)>,
     /// Threads for the sharded engine, the calling thread included.
@@ -60,21 +68,16 @@ impl LlmServeConfig {
             requests: 10_000,
             rps: 20.0,
             pattern: ArrivalPattern::Sporadic,
-            prefill_gpus: 4,
             decode_gpus: 4,
-            tp: 1,
-            max_batch: 16,
-            weights_bytes: 26e9,
-            act_per_seq: 3.0e9,
-            kv_soft_cap: 4.0 * 20e9,
-            mix: LlmMix {
-                prompt_median: 2048.0,
-                output_mean: 256.0,
-                ..LlmMix::chat()
-            },
             fail: None,
             threads: 1,
         }
+    }
+
+    /// GPUs of each group's node that run prefill: the [`NODE_GPUS`] that
+    /// decode does not take. Prefill GPUs come first in flat index order.
+    pub fn prefill_gpus(&self) -> usize {
+        NODE_GPUS.saturating_sub(self.decode_gpus)
     }
 }
 
@@ -107,13 +110,13 @@ pub fn run_llm_serve(cfg: &LlmServeConfig) -> LlmReport {
     let mut rng = DetRng::new(cfg.seed);
     let gen = OpenLoopGen::unbounded(cfg.pattern, cfg.rps, rng.fork(1));
     let budget = DecodeBudget {
-        max_active: (cfg.decode_gpus as u32) * cfg.max_batch,
-        kv_soft_cap: cfg.kv_soft_cap,
+        max_active: (cfg.decode_gpus as u32) * MAX_BATCH,
+        kv_soft_cap: KV_SOFT_CAP,
     };
     let mut router = RouterState::new(
         gen,
         cfg.requests,
-        cfg.mix.clone(),
+        reference_mix(),
         rng.fork(2),
         cfg.groups,
         budget,
@@ -122,13 +125,8 @@ pub fn run_llm_serve(cfg: &LlmServeConfig) -> LlmReport {
 
     let gp = GroupParams {
         plane: cfg.plane,
-        prefill_gpus: cfg.prefill_gpus,
+        prefill_gpus: cfg.prefill_gpus(),
         decode_gpus: cfg.decode_gpus,
-        tp: cfg.tp,
-        max_batch: cfg.max_batch,
-        weights_bytes: cfg.weights_bytes,
-        act_per_seq: cfg.act_per_seq,
-        touch_tokens: 64,
     };
 
     let mut sims: Vec<Simulation<LlmWorld>> = Vec::with_capacity(cfg.groups + 1);

@@ -2,8 +2,9 @@
 //! across worker-thread counts, completion accounting on both planes, and
 //! chaos replay of a decode-GPU failure.
 
-use grouter_llm::{run_llm_serve, LlmServeConfig, PlaneKind};
+use grouter_llm::{run_llm_serve, LlmServeConfig, PlaneKind, NODE_GPUS};
 use grouter_sim::time::{SimDuration, SimTime};
+use grouter_topology::presets;
 
 /// A reduced-scale config that still exercises admission, handoff, batching
 /// and pressure in a few seconds of wall time.
@@ -13,6 +14,13 @@ fn small(plane: PlaneKind) -> LlmServeConfig {
         rps: 40.0,
         ..LlmServeConfig::reference(plane)
     }
+}
+
+#[test]
+fn prefill_takes_the_h800_gpus_decode_leaves() {
+    // Each group builds its node from the H800 preset.
+    assert_eq!(NODE_GPUS, presets::h800x8().gpus_per_node);
+    assert_eq!(small(PlaneKind::Grouter).prefill_gpus(), 4);
 }
 
 #[test]
@@ -84,7 +92,7 @@ fn decode_gpu_failure_rematerializes_and_replays_identically() {
         // flat indices after the prefill GPUs) two seconds in, mid-stream.
         fail: Some((
             0,
-            base.prefill_gpus + 1,
+            base.prefill_gpus() + 1,
             SimTime::ZERO + SimDuration::from_secs(2),
         )),
         ..base

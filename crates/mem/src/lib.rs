@@ -43,5 +43,5 @@ pub use eviction::{
     VictimHeap, VictimRank,
 };
 pub use pinned::PinnedRing;
-pub use pool::{AllocError, AllocGrant, ElasticPool, PoolDiscipline, PoolOccupancy};
+pub use pool::{AllocError, AllocGrant, ElasticPool, PoolDiscipline};
 pub use scaler::PrewarmScaler;

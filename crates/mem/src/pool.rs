@@ -79,36 +79,6 @@ impl std::error::Error for AllocError {}
 /// pool.reclaim_toward(0.0);
 /// assert_eq!(pool.reserved(), 300e6);
 /// ```
-/// Point-in-time memory occupancy of one GPU's pool, published to the
-/// service-mode router in heartbeats (see `DESIGN.md` §5.9). Fractions of
-/// `capacity`; `free = capacity - runtime_used - reserved`.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub struct PoolOccupancy {
-    /// Total GPU memory.
-    pub capacity: f64,
-    /// Pool bytes reserved from the GPU (storage footprint).
-    pub reserved: f64,
-    /// Pool bytes held by live objects (storage demand).
-    pub used: f64,
-    /// Memory used by function execution.
-    pub runtime_used: f64,
-}
-
-impl PoolOccupancy {
-    /// GPU memory not taken by the runtime or the pool.
-    pub fn idle(&self) -> f64 {
-        (self.capacity - self.runtime_used - self.reserved).max(0.0)
-    }
-
-    /// Occupied fraction of capacity, in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        if self.capacity <= 0.0 {
-            return 0.0;
-        }
-        ((self.runtime_used + self.reserved) / self.capacity).clamp(0.0, 1.0)
-    }
-}
-
 #[derive(Clone, Debug)]
 pub struct ElasticPool {
     discipline: PoolDiscipline,
@@ -344,16 +314,15 @@ impl ElasticPool {
         self.native_allocs
     }
 
-    /// Point-in-time occupancy snapshot, as shipped in service-mode
-    /// heartbeats. A plain value type so the control plane can carry it
-    /// across the fabric without borrowing the pool.
-    pub fn occupancy(&self) -> PoolOccupancy {
-        PoolOccupancy {
-            capacity: self.capacity,
-            reserved: self.reserved,
-            used: self.used,
-            runtime_used: self.runtime_used,
+    /// Share of the GPU taken by function execution and the pool's
+    /// reservation, clamped to `[0, 1]` (0 for a GPU without capacity).
+    /// Service-mode heartbeats report its mean over a group's GPUs
+    /// (`DESIGN.md` §5.9).
+    pub fn occupied_fraction(&self) -> f64 {
+        if self.capacity <= 0.0 {
+            return 0.0;
         }
+        ((self.runtime_used + self.reserved) / self.capacity).clamp(0.0, 1.0)
     }
 
     /// Record a change in runtime (function execution) memory usage.
@@ -519,6 +488,21 @@ mod tests {
         assert_eq!(p.storage_cap(), 8.0 * GB);
         p.set_runtime_used(8.0 * GB);
         assert_eq!(p.storage_cap(), 4.0 * GB);
+    }
+
+    #[test]
+    fn occupied_fraction_is_runtime_plus_reservation_within_capacity() {
+        let mut p = elastic(16.0 * GB);
+        // The 300 MB idle floor alone.
+        assert_eq!(p.occupied_fraction(), 300e6 / (16.0 * GB));
+        p.set_runtime_used(8.0 * GB);
+        assert_eq!(p.occupied_fraction(), (8.0 * GB + 300e6) / (16.0 * GB));
+        // Runtime memory at capacity plus the floor is clamped to 1.
+        p.set_runtime_used(16.0 * GB);
+        assert_eq!(p.occupied_fraction(), 1.0);
+        // A GPU without capacity counts as empty.
+        p.capacity = 0.0;
+        assert_eq!(p.occupied_fraction(), 0.0);
     }
 
     #[test]

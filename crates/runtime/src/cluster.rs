@@ -20,6 +20,7 @@
 
 use std::sync::Arc;
 
+use grouter_mem::ElasticPool;
 use grouter_sim::engine::Scheduler;
 use grouter_sim::fault::FaultPlan;
 use grouter_sim::params;
@@ -43,36 +44,38 @@ pub enum CrossMsg {
     Invoke { spec: u32, origin: u32 },
     /// Completion notification flowing back to the admitting group.
     Response,
-    /// Worker state snapshot published to the router (service mode). Boxed:
-    /// the snapshot carries per-GPU vectors and must not fatten every
-    /// envelope in the fabric.
-    Heartbeat(Box<Heartbeat>),
+    /// Worker state snapshot published to the router (service mode).
+    Heartbeat(Heartbeat),
 }
 
-/// One worker heartbeat: everything the router's scheduler is allowed to
-/// know about a group, as of the emission instant (`DESIGN.md` §5.9). The
-/// router's view is exactly the last snapshot per group — between beats it
-/// is stale by construction, which is the point of the control-plane
-/// boundary.
-#[derive(Clone, Debug, PartialEq)]
+/// One worker heartbeat: everything the router's scheduler reads about a
+/// group, as of the emission instant (`DESIGN.md` §5.9). The envelope
+/// carries the sender and the delivery time. The router's view is exactly
+/// the last snapshot per group — between beats it is stale by
+/// construction, which is the point of the control-plane boundary.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Heartbeat {
-    /// Emitting group.
-    pub group: u32,
-    /// Per-group monotone sequence number.
-    pub seq: u64,
-    /// Virtual emission time.
-    pub at: SimTime,
     /// Live workflow instances on the group (queue depth).
     pub depth: u32,
-    /// Per-GPU memory occupancy snapshots (flat index).
-    pub pool: Vec<grouter_mem::PoolOccupancy>,
-    /// Requests completed so far.
-    pub completed: u64,
-    /// Requests failed (typed) so far.
-    pub failed: u64,
+    /// Mean occupied share of the group's GPUs in whole percent (see
+    /// `pool_pct`): the router's tiebreak between equally deep groups.
+    pub pool_pct: u32,
     /// `false` on the final beat before the group's daemon goes idle; the
     /// router must not suspect a group that told it it went quiet.
     pub active: bool,
+}
+
+/// The heartbeat's memory summary: each pool's occupied fraction of its
+/// GPU ([`ElasticPool::occupied_fraction`]), averaged over the group's
+/// pools (0 for none), in whole percent, rounded.
+fn pool_pct(pools: &[ElasticPool]) -> u32 {
+    let n = pools.len().max(1) as f64;
+    let frac = pools
+        .iter()
+        .map(ElasticPool::occupied_fraction)
+        .sum::<f64>()
+        / n;
+    (frac * 100.0).round() as u32
 }
 
 /// Router-side admission/placement policy consulted by the service-mode
@@ -85,7 +88,7 @@ pub struct Heartbeat {
 /// without any thread-count dependence.
 pub trait RouterAgent: Send {
     /// A heartbeat from `src` survived the fabric (and any drop budget).
-    fn on_heartbeat(&mut self, now: SimTime, src: u32, hb: &Heartbeat, rec: &grouter_obs::Recorder);
+    fn on_heartbeat(&mut self, now: SimTime, src: u32, hb: Heartbeat, rec: &grouter_obs::Recorder);
 
     /// Pick the executing group for a request admitted at the router.
     fn route(&mut self, now: SimTime, spec: u32, rec: &grouter_obs::Recorder) -> u32;
@@ -160,10 +163,6 @@ pub struct ClusterPort {
     pub registry: Vec<RegisteredSpec>,
     /// This group's share of the frontend request stream.
     pub source: Option<Box<dyn ArrivalSource>>,
-    /// One-way frontend latency (also the engine lookahead floor).
-    pub cross_latency: SimDuration,
-    /// Directed per-(src,dst) frontend channel bandwidth, bytes/sec.
-    pub cross_bw: f64,
     /// Envelopes produced this window, drained by the sharded engine.
     pub(crate) outbox: Vec<Envelope<CrossMsg>>,
     /// Per-destination envelope sequence counter.
@@ -176,14 +175,10 @@ pub struct ClusterPort {
     /// Responses received for requests this group admitted (local
     /// completions count immediately; remote ones on `Response` delivery).
     pub responses: u64,
-    /// Invocations this group forwarded elsewhere.
-    pub remote_out: u64,
     /// Invocations this group executed for another group.
     pub remote_in: u64,
     /// Service-mode heartbeat wiring; `None` outside service mode.
     pub hb: Option<HeartbeatConfig>,
-    /// Per-group heartbeat sequence counter.
-    pub(crate) hb_seq: u64,
     /// A heartbeat tick chain is scheduled (armed on admit, disarmed by the
     /// final idle beat — the chain never outlives the work, so service runs
     /// still quiesce).
@@ -211,17 +206,13 @@ impl ClusterPort {
             groups,
             registry: Vec::new(),
             source: None,
-            cross_latency: params::CROSS_GROUP_LATENCY,
-            cross_bw: params::CROSS_GROUP_BW,
             outbox: Vec::new(),
             seq: 0,
             busy_until: FxHashMap::default(),
             origin: FxHashMap::default(),
             responses: 0,
-            remote_out: 0,
             remote_in: 0,
             hb: None,
-            hb_seq: 0,
             hb_armed: false,
             hb_muted: false,
             hb_drop: vec![0; groups as usize],
@@ -233,9 +224,9 @@ impl ClusterPort {
     }
 
     /// Queue `msg` for `dst`: serialize on the directed channel's FIFO,
-    /// transmit `bytes` at the channel bandwidth, then add the one-way
-    /// latency. The stamped time is always ≥ `now + cross_latency`, which
-    /// is what licenses the engine's lookahead.
+    /// transmit `bytes` at [`params::CROSS_GROUP_BW`], then add the one-way
+    /// [`params::CROSS_GROUP_LATENCY`]. The stamped time is always ≥ `now`
+    /// plus that latency, which is what licenses the engine's lookahead.
     fn send(&mut self, now: SimTime, dst: u32, bytes: f64, msg: CrossMsg) {
         let busy = self
             .busy_until
@@ -243,11 +234,11 @@ impl ClusterPort {
             .copied()
             .unwrap_or(SimTime::ZERO)
             .max(now);
-        let xfer = SimDuration::from_secs_f64(bytes.max(0.0) / self.cross_bw);
+        let xfer = SimDuration::from_secs_f64(bytes.max(0.0) / params::CROSS_GROUP_BW);
         let ready = busy + xfer;
         self.busy_until.insert(dst, ready);
         self.outbox.push(Envelope {
-            at: ready + self.cross_latency,
+            at: ready + params::CROSS_GROUP_LATENCY,
             src: self.group,
             dst,
             seq: self.seq,
@@ -255,13 +246,6 @@ impl ClusterPort {
         });
         self.seq += 1;
     }
-}
-
-/// The engine lookahead a cluster of these ports supports: the frontend
-/// one-way latency, which every cross-group message pays on top of its
-/// send time.
-pub fn cross_group_lookahead() -> SimDuration {
-    params::CROSS_GROUP_LATENCY
 }
 
 // ---------------------------------------------------------------------------
@@ -320,7 +304,6 @@ pub(crate) fn ingress(w: &mut World, s: &mut Scheduler<World>, spec: u32, home: 
     if home == me {
         admit(w, s, spec, None);
     } else {
-        port.remote_out += 1;
         let bytes = port.registry[spec as usize].spec.input_bytes;
         port.send(now, home, bytes, CrossMsg::Invoke { spec, origin: me });
     }
@@ -371,7 +354,7 @@ pub(crate) fn deliver(w: &mut World, s: &mut Scheduler<World>, src: u32, msg: Cr
             port.hb_recv += 1;
             if let Some(mut agent) = port.agent.take() {
                 rec.count(grouter_obs::Comp::Ctl, "hb_recv", 1);
-                agent.on_heartbeat(now, src, &hb, &rec);
+                agent.on_heartbeat(now, src, hb, &rec);
                 port.agent = Some(agent);
             }
         }
@@ -403,10 +386,11 @@ pub(crate) fn heartbeat_tick(w: &mut World, s: &mut Scheduler<World>) {
     let now = s.now();
     // Snapshot world state before borrowing the port.
     let depth = w.instances.len() as u32;
-    let active = depth > 0;
-    let pool: Vec<grouter_mem::PoolOccupancy> = w.pools.iter().map(|p| p.occupancy()).collect();
-    let completed = w.metrics.completed() as u64;
-    let failed = w.metrics.failed;
+    let hb = Heartbeat {
+        depth,
+        pool_pct: pool_pct(&w.pools),
+        active: depth > 0,
+    };
     let rec = w.rec.clone();
     let Some(port) = w.cluster.as_mut() else {
         return;
@@ -418,17 +402,6 @@ pub(crate) fn heartbeat_tick(w: &mut World, s: &mut Scheduler<World>) {
         port.hb_armed = false;
         return;
     }
-    let hb = Heartbeat {
-        group: port.group,
-        seq: port.hb_seq,
-        at: now,
-        depth,
-        pool,
-        completed,
-        failed,
-        active,
-    };
-    port.hb_seq += 1;
     port.hb_sent += 1;
     rec.count(grouter_obs::Comp::Ctl, "hb_sent", 1);
     let src = port.group;
@@ -438,7 +411,7 @@ pub(crate) fn heartbeat_tick(w: &mut World, s: &mut Scheduler<World>) {
         if let Some(mut agent) = port.agent.take() {
             port.hb_recv += 1;
             rec.count(grouter_obs::Comp::Ctl, "hb_recv", 1);
-            agent.on_heartbeat(now, src, &hb, &rec);
+            agent.on_heartbeat(now, src, hb, &rec);
             port.agent = Some(agent);
         }
     } else {
@@ -446,10 +419,10 @@ pub(crate) fn heartbeat_tick(w: &mut World, s: &mut Scheduler<World>) {
             now,
             cfg.to,
             params::HEARTBEAT_BYTES,
-            CrossMsg::Heartbeat(Box::new(hb)),
+            CrossMsg::Heartbeat(hb),
         );
     }
-    if active {
+    if hb.active {
         s.schedule_at(now + cfg.interval, Event::HeartbeatTick);
     } else {
         port.hb_armed = false;
@@ -585,7 +558,7 @@ impl ClusterSim {
             sims.push(rt.into_sim());
         }
         ClusterSim {
-            engine: ShardedEngine::from_sims(sims, cross_group_lookahead()),
+            engine: ShardedEngine::from_sims(sims, params::CROSS_GROUP_LATENCY),
         }
     }
 
@@ -707,5 +680,34 @@ impl ClusterSim {
             writeln!(out, "{} g{} {:?}", t.as_nanos(), g, ev)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grouter_mem::PoolDiscipline;
+
+    #[test]
+    fn pool_pct_is_the_rounded_mean_occupied_percent() {
+        const GB: f64 = 1e9;
+        assert_eq!(pool_pct(&[]), 0, "a group without GPUs reports 0");
+        let mut pools: Vec<ElasticPool> = (0..4)
+            .map(|_| ElasticPool::new(PoolDiscipline::Elastic, 16.0 * GB))
+            .collect();
+        // Four idle 300 MB floors: 1.875% each, rounded to 2.
+        assert_eq!(pool_pct(&pools), 2);
+        // One GPU past full (clamped to 1), one half busy: the mean of
+        // 1, 0.51875, 0.01875 and 0.01875 is 38.9375%.
+        pools[0].set_runtime_used(16.0 * GB);
+        pools[1].set_runtime_used(8.0 * GB);
+        assert_eq!(pools[0].occupied_fraction(), 1.0);
+        assert_eq!(pool_pct(&pools), 39);
+        let mean = pools
+            .iter()
+            .map(ElasticPool::occupied_fraction)
+            .sum::<f64>()
+            / 4.0;
+        assert_eq!(pool_pct(&pools), (100.0 * mean).round() as u32);
     }
 }

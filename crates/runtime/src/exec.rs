@@ -843,7 +843,9 @@ fn compute_done(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: us
             return;
         }
         let spec = &inst.spec.stages[stage];
-        inst.compute_total = inst.compute_total + spec.compute;
+        // Saturating: a stage re-run after recovery adds its compute again,
+        // so the total can pass the parse-time bound on the stages' sum.
+        inst.compute_total = inst.compute_total.saturating_add(spec.compute);
         let mem = match spec.kind {
             StageKind::Gpu { mem_bytes } => mem_bytes,
             StageKind::Cpu => 0.0,

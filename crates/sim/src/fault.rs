@@ -105,35 +105,19 @@ impl Default for FaultPlanConfig {
     }
 }
 
-/// Shape of a randomized control-plane fault plan (service mode): worker
-/// deaths mid-heartbeat-interval plus router-side heartbeat loss.
-#[derive(Clone, Debug)]
-pub struct CtlFaultConfig {
-    /// Events land uniformly over `[0, horizon)`.
-    pub horizon: SimDuration,
-    /// Worker-death events (each may add a paired restart).
-    pub deaths: usize,
-    /// Router-side heartbeat-loss events.
-    pub hb_losses: usize,
-    /// Heartbeats dropped per loss event, drawn from `1..=max_drops`.
-    pub max_drops: u32,
-    /// Outage duration range for paired restarts.
-    pub min_outage: SimDuration,
-    pub max_outage: SimDuration,
-}
-
-impl Default for CtlFaultConfig {
-    fn default() -> Self {
-        CtlFaultConfig {
-            horizon: SimDuration::from_secs_f64(2.0),
-            deaths: 2,
-            hb_losses: 3,
-            max_drops: 4,
-            min_outage: SimDuration::from_secs_f64(0.2),
-            max_outage: SimDuration::from_secs_f64(0.8),
-        }
-    }
-}
+/// The shape of every randomized control-plane plan set
+/// ([`FaultPlan::randomized_ctl`]): its events land uniformly over
+/// `[0, CTL_HORIZON)`.
+const CTL_HORIZON: SimDuration = SimDuration::from_secs(2);
+/// Worker-death events (each may add a paired restart).
+const CTL_DEATHS: usize = 2;
+/// Router-side heartbeat-loss events.
+const CTL_HB_LOSSES: usize = 3;
+/// Heartbeats dropped per loss event, drawn from `1..=CTL_MAX_DROPS`.
+const CTL_MAX_DROPS: u32 = 4;
+/// Outage duration range for paired restarts.
+const CTL_MIN_OUTAGE: SimDuration = SimDuration::from_millis(200);
+const CTL_MAX_OUTAGE: SimDuration = SimDuration::from_millis(800);
 
 /// A deterministic, seed-replayable schedule of fault events.
 #[derive(Clone, Debug, PartialEq)]
@@ -252,31 +236,21 @@ impl FaultPlan {
     /// the router's plan. A dedicated generator — rather than new arms in
     /// [`FaultPlan::randomized`] — keeps the existing weighted-roll RNG
     /// stream byte-stable for every seed the chaos goldens pin.
-    pub fn randomized_ctl(
-        seed: u64,
-        groups: u32,
-        router: u32,
-        cfg: &CtlFaultConfig,
-    ) -> Vec<FaultPlan> {
+    pub fn randomized_ctl(seed: u64, groups: u32, router: u32) -> Vec<FaultPlan> {
         assert!(groups > 0 && router < groups);
         let mut rng = DetRng::new(seed).fork(0xC71);
         let mut per_group: Vec<Vec<FaultEvent>> = vec![Vec::new(); groups as usize];
-        let horizon = cfg.horizon.as_nanos().max(1);
+        let horizon = CTL_HORIZON.as_nanos();
         let workers: Vec<u32> = (0..groups).filter(|&g| g != router).collect();
-        for _ in 0..cfg.deaths {
+        for _ in 0..CTL_DEATHS {
             if workers.is_empty() {
                 break;
             }
             let g = *rng.choose(&workers);
             let at = SimTime(rng.next_below(horizon));
             let outage = SimDuration(
-                cfg.min_outage.as_nanos()
-                    + rng.next_below(
-                        cfg.max_outage
-                            .as_nanos()
-                            .saturating_sub(cfg.min_outage.as_nanos())
-                            .max(1),
-                    ),
+                CTL_MIN_OUTAGE.as_nanos()
+                    + rng.next_below(CTL_MAX_OUTAGE.as_nanos() - CTL_MIN_OUTAGE.as_nanos()),
             );
             per_group[g as usize].push(FaultEvent {
                 at,
@@ -291,13 +265,13 @@ impl FaultPlan {
                 });
             }
         }
-        for _ in 0..cfg.hb_losses {
+        for _ in 0..CTL_HB_LOSSES {
             if workers.is_empty() {
                 break;
             }
             let g = *rng.choose(&workers);
             let at = SimTime(rng.next_below(horizon));
-            let drops = 1 + rng.next_below(cfg.max_drops.max(1) as u64) as u32;
+            let drops = 1 + rng.next_below(u64::from(CTL_MAX_DROPS)) as u32;
             per_group[router as usize].push(FaultEvent {
                 at,
                 kind: FaultKind::HeartbeatLoss {
@@ -389,16 +363,21 @@ mod tests {
 
     #[test]
     fn randomized_ctl_plans_are_deterministic_and_well_formed() {
-        let cfg = CtlFaultConfig::default();
-        let plans = FaultPlan::randomized_ctl(99, 4, 0, &cfg);
-        assert_eq!(plans, FaultPlan::randomized_ctl(99, 4, 0, &cfg));
+        let plans = FaultPlan::randomized_ctl(99, 4, 0);
+        assert_eq!(plans, FaultPlan::randomized_ctl(99, 4, 0));
         assert_eq!(plans.len(), 4);
         let mut deaths = 0;
         let mut losses = 0;
         for (g, plan) in plans.iter().enumerate() {
             assert!(plan.events().windows(2).all(|w| w[0].at <= w[1].at));
             for e in plan.events() {
-                assert!(e.at.as_nanos() <= cfg.horizon.saturating_mul(2).as_nanos());
+                // A restart lands at most one outage after its death.
+                assert!(e.at.as_nanos() < CTL_HORIZON.as_nanos() + CTL_MAX_OUTAGE.as_nanos());
+                if matches!(e.kind, FaultKind::WorkerRestart) {
+                    assert!(e.at.as_nanos() >= CTL_MIN_OUTAGE.as_nanos());
+                } else {
+                    assert!(e.at.as_nanos() < CTL_HORIZON.as_nanos());
+                }
                 match &e.kind {
                     FaultKind::WorkerDeath | FaultKind::WorkerRestart => {
                         // Deaths never land on the router group.
@@ -411,21 +390,21 @@ mod tests {
                         // Losses are router-side drop budgets for worker groups.
                         assert_eq!(g, 0);
                         assert!(*group != 0 && *group < 4);
-                        assert!(*drops >= 1 && *drops <= cfg.max_drops);
+                        assert!(*drops >= 1 && *drops <= CTL_MAX_DROPS);
                         losses += 1;
                     }
                     other => unreachable!("unexpected data-plane fault {other:?}"),
                 }
             }
         }
-        assert_eq!(deaths, cfg.deaths);
-        assert_eq!(losses, cfg.hb_losses);
+        assert_eq!(deaths, CTL_DEATHS);
+        assert_eq!(losses, CTL_HB_LOSSES);
     }
 
     #[test]
     fn randomized_ctl_single_group_degenerates_to_empty_plans() {
         // With no worker groups there is nothing to kill or mute.
-        let plans = FaultPlan::randomized_ctl(7, 1, 0, &CtlFaultConfig::default());
+        let plans = FaultPlan::randomized_ctl(7, 1, 0);
         assert_eq!(plans.len(), 1);
         assert!(plans[0].is_empty());
     }

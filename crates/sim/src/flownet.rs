@@ -542,37 +542,6 @@ impl FlowNet {
         Ok(())
     }
 
-    /// Change a flow's guaranteed floor (SLO re-negotiation).
-    pub fn set_floor(&mut self, now: SimTime, id: FlowId, floor: f64) -> Result<(), FlowNetError> {
-        let slot = *self
-            .id_index
-            .get(&id.0)
-            .ok_or(FlowNetError::UnknownFlow(id))?;
-        self.advance_clock(now);
-        self.settle_slot(slot);
-        self.slots[slot as usize].floor = floor.max(0.0);
-        self.recompute_scoped(&[slot], &[]);
-        Ok(())
-    }
-
-    /// Change a flow's rate cap (bandwidth partitioning).
-    ///
-    /// Non-positive caps are normalised to "uncapped", and a cap below the
-    /// flow's floor is dominated by the floor: a literal `cap = 0` would
-    /// otherwise leave the flow with `remaining > 0`, `rate = 0` and no
-    /// completion ever scheduled — a silent stall.
-    pub fn set_cap(&mut self, now: SimTime, id: FlowId, cap: f64) -> Result<(), FlowNetError> {
-        let slot = *self
-            .id_index
-            .get(&id.0)
-            .ok_or(FlowNetError::UnknownFlow(id))?;
-        self.advance_clock(now);
-        self.settle_slot(slot);
-        self.slots[slot as usize].cap = normalize_cap(cap);
-        self.recompute_scoped(&[slot], &[]);
-        Ok(())
-    }
-
     /// Change a link's capacity mid-run (failure injection: congestion from
     /// co-tenants, link flaps, degraded lanes). Progress is settled first;
     /// rates of the link's contention component are recomputed against the
@@ -624,24 +593,6 @@ impl FlowNet {
         self.recompute_scoped(&[slot], &old_links);
         old_links.clear();
         self.scratch.freed_links = old_links;
-        Ok(())
-    }
-
-    /// Change a flow's idle-bandwidth weight.
-    pub fn set_weight(
-        &mut self,
-        now: SimTime,
-        id: FlowId,
-        weight: f64,
-    ) -> Result<(), FlowNetError> {
-        let slot = *self
-            .id_index
-            .get(&id.0)
-            .ok_or(FlowNetError::UnknownFlow(id))?;
-        self.advance_clock(now);
-        self.settle_slot(slot);
-        self.slots[slot as usize].weight = if weight > 0.0 { weight } else { 1.0 };
-        self.recompute_scoped(&[slot], &[]);
         Ok(())
     }
 
@@ -1619,17 +1570,6 @@ mod tests {
     }
 
     #[test]
-    fn set_cap_zero_does_not_stall() {
-        let (mut net, l) = net_one_link(10.0 * GB);
-        let f = net
-            .start_flow(SimTime::ZERO, vec![l], GB, FlowOptions::default())
-            .unwrap();
-        net.set_cap(SimTime::ZERO, f, 0.0).unwrap();
-        assert!(net.next_completion().is_some(), "flow stalled by zero cap");
-        assert!((net.flow_rate(f).unwrap() - 10.0 * GB).abs() < 2.0);
-    }
-
-    #[test]
     fn cap_below_floor_is_dominated_by_floor() {
         // The SLO floor is a guarantee; a contradictory throttle must not
         // starve the flow below it (which would also break the completion
@@ -1776,7 +1716,8 @@ mod tests {
             .unwrap();
         assert!(net.version() > v0);
         let v1 = net.version();
-        net.set_cap(SimTime::ZERO, f, GB).unwrap();
+        net.set_link_capacity(SimTime::ZERO, l, GB);
+        assert!(net.flow_rate(f).unwrap() <= GB + 2.0);
         assert!(net.version() > v1);
     }
 
@@ -1972,7 +1913,7 @@ mod tests {
     #[test]
     fn link_utilization_matches_member_sum_under_churn() {
         // The O(1) aggregate must track the true member-rate sum through
-        // arrivals, departures, reroutes and constraint changes.
+        // arrivals, departures, reroutes and link capacity changes.
         let mut net = FlowNet::new();
         let links: Vec<LinkId> = (0..4)
             .map(|i| net.add_link(format!("l{i}"), 10.0 * GB))
@@ -2005,9 +1946,8 @@ mod tests {
                     }
                 }
                 _ => {
-                    if let Some((f, _)) = live.get((step as usize) % live.len().max(1)) {
-                        let _ = net.set_weight(t, *f, 1.0 + (step % 3) as f64);
-                    }
+                    let capacity = (5.0 + (step % 3) as f64) * GB;
+                    net.set_link_capacity(t, links[(step % 4) as usize], capacity);
                 }
             }
             // Compare the O(1) aggregate against a full scan.
@@ -2107,19 +2047,17 @@ mod proptests {
         (rate, util, net.next_completion())
     }
 
-    /// Start one flow over `path` at time zero, then at `t1` re-floor it,
-    /// snapshotting both fills. With `general` each recompute is also
-    /// seeded with the path's first link: the flood then finds the same
-    /// flow and the same links in the same order, but the lone-flow fast
-    /// path is off, so the general fill runs.
-    fn lone_flow_fills(
+    /// Start one flow over `path` at time zero and snapshot the fill. With
+    /// `general` the recompute is also seeded with the path's first link:
+    /// the flood then finds the same flow and the same links in the same
+    /// order, but the lone-flow fast path is off, so the general fill runs.
+    fn lone_flow_fill(
         caps: &[f64],
         path: &[usize],
         bytes: f64,
         opts: FlowOptions,
-        (t1, floor1): (u64, f64),
         general: bool,
-    ) -> (FillBits, FillBits) {
+    ) -> FillBits {
         let mut net = FlowNet::new();
         let links: Vec<LinkId> = caps
             .iter()
@@ -2127,31 +2065,22 @@ mod proptests {
             .map(|(i, &c)| net.add_link(format!("l{i}"), c))
             .collect();
         let path: Vec<LinkId> = path.iter().map(|&i| links[i]).collect();
-        let seed_general = |net: &mut FlowNet| {
-            if general {
-                net.batch.seed_links.push(path[0].0);
-            }
-        };
         net.begin_batch();
         let f = net
             .start_flow(SimTime::ZERO, &path, bytes, opts)
             .expect("valid flow");
-        seed_general(&mut net);
+        if general {
+            net.batch.seed_links.push(path[0].0);
+        }
         net.commit_batch();
-        let started = fill_bits(&mut net, f, &path);
-        net.begin_batch();
-        net.set_floor(SimTime(t1), f, floor1).expect("live");
-        seed_general(&mut net);
-        net.commit_batch();
-        (started, fill_bits(&mut net, f, &path))
+        fill_bits(&mut net, f, &path)
     }
 
     proptest! {
         /// The lone-flow fast path and the general fill agree bit for bit
         /// on rate, link utilisation and next completion, across floors
         /// above capacity, caps of 0, below the floor and above capacity,
-        /// uneven weights and zero-byte flows; a re-floor after some
-        /// progress also covers the settle step. A path that crosses a link
+        /// uneven weights and zero-byte flows. A path that crosses a link
         /// twice is no lone flow and keeps the general fill's rate.
         #[test]
         fn lone_flow_fast_path_matches_the_general_fill(
@@ -2159,7 +2088,6 @@ mod proptests {
             (len, start, stride) in (1usize..9, 0usize..8, 0usize..4),
             (zero_bytes, bytes) in (0u8..4, 1e3..1e9),
             (floor, cap_kind, cap, weight) in (0.0..1e11, 0u8..4, 1e8..1e11, 0.1..4.0),
-            refloor in (1u64..1_000_000_000, 0.0..1e11),
         ) {
             // An odd stride walks 8 links without repeating one.
             let path: Vec<usize> = (0..len).map(|k| (start + k * (2 * stride + 1)) % 8).collect();
@@ -2171,14 +2099,14 @@ mod proptests {
                 _ => cap,
             };
             let opts = FlowOptions { floor, cap, weight };
-            let fast = lone_flow_fills(&caps, &path, bytes, opts, refloor, false);
-            let general = lone_flow_fills(&caps, &path, bytes, opts, refloor, true);
+            let fast = lone_flow_fill(&caps, &path, bytes, opts, false);
+            let general = lone_flow_fill(&caps, &path, bytes, opts, true);
             prop_assert_eq!(fast, general);
 
             let mut twice = path.clone();
             twice.push(path[0]);
-            let (fast, _) = lone_flow_fills(&caps, &twice, bytes, opts, refloor, false);
-            let (general, _) = lone_flow_fills(&caps, &twice, bytes, opts, refloor, true);
+            let fast = lone_flow_fill(&caps, &twice, bytes, opts, false);
+            let general = lone_flow_fill(&caps, &twice, bytes, opts, true);
             prop_assert_eq!(fast, general);
         }
 

@@ -147,28 +147,6 @@ impl ReferenceNet {
         Ok(())
     }
 
-    pub fn set_floor(&mut self, now: SimTime, id: FlowId, floor: f64) -> Result<(), FlowNetError> {
-        self.settle(now);
-        let flow = self
-            .flows
-            .get_mut(&id.0)
-            .ok_or(FlowNetError::UnknownFlow(id))?;
-        flow.floor = floor.max(0.0);
-        self.recompute_rates();
-        Ok(())
-    }
-
-    pub fn set_cap(&mut self, now: SimTime, id: FlowId, cap: f64) -> Result<(), FlowNetError> {
-        self.settle(now);
-        let flow = self
-            .flows
-            .get_mut(&id.0)
-            .ok_or(FlowNetError::UnknownFlow(id))?;
-        flow.cap = normalize_cap(cap);
-        self.recompute_rates();
-        Ok(())
-    }
-
     pub fn set_link_capacity(&mut self, now: SimTime, link: LinkId, capacity: f64) {
         assert!(
             capacity.is_finite() && capacity > 0.0,
@@ -199,22 +177,6 @@ impl ReferenceNet {
             .get_mut(&id.0)
             .ok_or(FlowNetError::UnknownFlow(id))?;
         flow.path = new_path;
-        self.recompute_rates();
-        Ok(())
-    }
-
-    pub fn set_weight(
-        &mut self,
-        now: SimTime,
-        id: FlowId,
-        weight: f64,
-    ) -> Result<(), FlowNetError> {
-        self.settle(now);
-        let flow = self
-            .flows
-            .get_mut(&id.0)
-            .ok_or(FlowNetError::UnknownFlow(id))?;
-        flow.weight = if weight > 0.0 { weight } else { 1.0 };
         self.recompute_rates();
         Ok(())
     }

@@ -98,13 +98,15 @@ pub const CROSS_GROUP_LATENCY: SimDuration = SimDuration::from_millis(1);
 pub const CROSS_GROUP_BW: f64 = 10.0 * GBPS;
 
 /// Worker heartbeat period in service mode: each active node group
-/// publishes a state snapshot (queue depth, pool occupancy, SLO headroom)
-/// to the router this often. Small against the paper's second-scale SLOs,
-/// large against the per-request service times — the router's view is
-/// genuinely stale between beats.
+/// publishes a state snapshot (queue depth, mean pool occupancy, whether
+/// it is still busy) to the router this often. Small against the paper's
+/// second-scale SLOs, large against the per-request service times — the
+/// router's view is genuinely stale between beats.
 pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(50);
-/// Wire size of one heartbeat message on the frontend channel (a few
-/// counters plus per-GPU pool occupancy).
+/// Modelled wire size of one heartbeat on the frontend channel: what a
+/// real worker sends (a few counters plus per-GPU pool occupancy), not
+/// the three values the simulated beat carries. It sets how long a beat
+/// holds the channel, so it fixes service-mode timing.
 pub const HEARTBEAT_BYTES: f64 = 256.0;
 /// A worker is suspected dead after this many silent heartbeat intervals
 /// (classic 3× failure-detector timeout); the router stops routing to it

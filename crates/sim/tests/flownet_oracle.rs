@@ -26,9 +26,6 @@ enum Op {
         weight: f64,
     },
     Cancel(usize),
-    SetFloor(usize, f64),
-    SetCap(usize, f64),
-    SetWeight(usize, f64),
     Reroute(usize, Vec<usize>),
     SetLinkCapacity(usize, f64),
     Advance(u64),
@@ -50,9 +47,6 @@ fn arb_op(n_links: usize) -> impl Strategy<Value = Op> {
             }
         ),
         (0usize..64).prop_map(Op::Cancel),
-        (0usize..64, 0.0f64..8e9).prop_map(|(i, f)| Op::SetFloor(i, f)),
-        (0usize..64, 0.0f64..1e11).prop_map(|(i, c)| Op::SetCap(i, c)),
-        (0usize..64, 0.1f64..4.0).prop_map(|(i, w)| Op::SetWeight(i, w)),
         (0usize..64, path2).prop_map(|(i, p)| Op::Reroute(i, p)),
         (0usize..16, 1e9f64..50e9).prop_map(|(l, c)| Op::SetLinkCapacity(l, c)),
         (1u64..500_000_000).prop_map(Op::Advance),
@@ -189,42 +183,6 @@ impl Harness {
                     .map_err(|e| e.to_string())?;
                 self.refn
                     .cancel_flow(self.now, fr)
-                    .map_err(|e| e.to_string())?;
-            }
-            Op::SetFloor(i, f) => {
-                if self.live.is_empty() {
-                    return Ok(());
-                }
-                let (fi, fr) = self.live[i % self.live.len()];
-                self.inc
-                    .set_floor(self.now, fi, *f)
-                    .map_err(|e| e.to_string())?;
-                self.refn
-                    .set_floor(self.now, fr, *f)
-                    .map_err(|e| e.to_string())?;
-            }
-            Op::SetCap(i, c) => {
-                if self.live.is_empty() {
-                    return Ok(());
-                }
-                let (fi, fr) = self.live[i % self.live.len()];
-                self.inc
-                    .set_cap(self.now, fi, *c)
-                    .map_err(|e| e.to_string())?;
-                self.refn
-                    .set_cap(self.now, fr, *c)
-                    .map_err(|e| e.to_string())?;
-            }
-            Op::SetWeight(i, w) => {
-                if self.live.is_empty() {
-                    return Ok(());
-                }
-                let (fi, fr) = self.live[i % self.live.len()];
-                self.inc
-                    .set_weight(self.now, fi, *w)
-                    .map_err(|e| e.to_string())?;
-                self.refn
-                    .set_weight(self.now, fr, *w)
                     .map_err(|e| e.to_string())?;
             }
             Op::Reroute(i, path) => {

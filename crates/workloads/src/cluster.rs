@@ -103,8 +103,7 @@ impl ClusterPreset {
     }
 
     /// 64 GPUs as 8 homogeneous V100 groups — the sharded side of the
-    /// gated monolithic-vs-sharded comparison ([`monolithic_64`] is the
-    /// same iron as one world).
+    /// gated monolithic-vs-sharded comparison.
     pub fn uniform_64() -> ClusterPreset {
         ClusterPreset {
             name: "uniform64",
@@ -173,13 +172,6 @@ impl ClusterPreset {
             })
             .collect()
     }
-}
-
-/// The monolithic counterpart of [`ClusterPreset::uniform_64`]: the same
-/// 64 V100 GPUs as one 8-node world with a single global timeline —
-/// "the single-shard core" every sweep speedup is measured against.
-pub fn monolithic_64() -> (TopologySpec, usize, GpuClass) {
-    (presets::dgx_v100(), 8, GpuClass::V100)
 }
 
 /// Open-loop arrival source for one group's gateway: a Poisson(-ish)

@@ -60,7 +60,7 @@ echo "==> perfbench builds and passes its own tests"
 # instead of the benchmark run.
 CARGO_TARGET_DIR=target/perfbench cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> allocation gates (perfbench --trace 1, seed 11: wf <= 15.0, serve <= 8.5, llm <= 109.4 per request)"
+echo "==> allocation gates (perfbench --trace 1, seed 11: wf <= 15.0, serve <= 7.7, llm <= 109.4 per request)"
 # The counted run's host.allocs_per_request repeats exactly from run to run.
 # A steady-state transfer leg builds its link paths inline, FlowNet
 # recycles its slot buffers, and the executor and TransferEngine recycle
@@ -70,9 +70,11 @@ echo "==> allocation gates (perfbench --trace 1, seed 11: wf <= 15.0, serve <= 8
 # that puts the allocator back on these paths fails here. The gates sit 15%
 # above the counts measured when they were set (wf 12.97, 13.83 while the
 # p99 windows kept sorted copies and 15.83 before the operation log was
-# recycled; serve 7.36, 8.36 before that; llm 95.16).
+# recycled; serve 6.68, 7.36 while each heartbeat built a boxed per-GPU
+# occupancy list and 8.36 before the operation log was recycled; llm
+# 95.16).
 CARGO_TARGET_DIR=target/perfbench cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
-for gate in wf_v100_contended:15.0 serve_uniform64:8.5 llm_grouter:109.4; do
+for gate in wf_v100_contended:15.0 serve_uniform64:7.7 llm_grouter:109.4; do
     workload=${gate%%:*}
     limit=${gate#*:}
     allocs=$(target/perfbench/release/perfbench --workload "$workload" --trace 1 \

@@ -21,7 +21,6 @@
 
 use grouter::runtime::world::RuntimeConfig;
 use grouter::runtime::{RecoveryEvent, Runtime};
-use grouter::sim::fault::CtlFaultConfig;
 use grouter::sim::fault::{FaultDomain, FaultPlan, FaultPlanConfig};
 use grouter::sim::rng::DetRng;
 use grouter::sim::time::{SimDuration, SimTime};
@@ -405,7 +404,7 @@ fn ctl_chaos_run(seed: u64, threads: usize) -> ServiceSim {
     let cfg = ServiceConfig {
         total: 1_500,
         seed,
-        ctl_faults: Some(CtlFaultConfig::default()),
+        ctl_faults: true,
         ..ServiceConfig::default()
     };
     let mut svc = ServiceSim::build(&preset, &cfg);
@@ -534,7 +533,7 @@ fn llm_chaos_cfg(seed: u64) -> grouter_llm::LlmServeConfig {
         requests: 300,
         rps: 40.0,
         seed,
-        fail: Some((0, base.prefill_gpus + 1, fail_at)),
+        fail: Some((0, base.prefill_gpus() + 1, fail_at)),
         ..base
     }
 }

@@ -197,7 +197,6 @@ fn golden_runs_self_replay() {
 /// drift in the conservative parallel engine or the router's admission
 /// order shows up as a byte diff.
 fn service_run(threads: usize) -> grouter_ctl::ServiceSim {
-    use grouter::sim::fault::CtlFaultConfig;
     use grouter_ctl::{ServiceConfig, ServiceSim};
     use grouter_workloads::cluster::ClusterPreset;
 
@@ -206,7 +205,7 @@ fn service_run(threads: usize) -> grouter_ctl::ServiceSim {
     let cfg = ServiceConfig {
         total: 1_000,
         seed: 0xC4A0_5009,
-        ctl_faults: Some(CtlFaultConfig::default()),
+        ctl_faults: true,
         ..ServiceConfig::default()
     };
     let mut svc = ServiceSim::build(&preset, &cfg);
@@ -281,7 +280,7 @@ fn golden_llm_decode_gpu_failure_report() {
     let cfg = LlmServeConfig {
         fail: Some((
             0,
-            base.prefill_gpus + 1,
+            base.prefill_gpus() + 1,
             SimTime::ZERO + SimDuration::from_secs(2),
         )),
         ..base

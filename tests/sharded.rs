@@ -15,7 +15,7 @@
 
 use grouter::runtime::cluster::ClusterSim;
 use grouter::runtime::simple_plane::LocalityPlane;
-use grouter::sim::fault::{CtlFaultConfig, FaultDomain, FaultPlan, FaultPlanConfig};
+use grouter::sim::fault::{FaultDomain, FaultPlan, FaultPlanConfig};
 use grouter::sim::time::SimDuration;
 use grouter_ctl::{ServiceConfig, ServiceSim};
 use grouter_runtime::cluster::GroupSetup;
@@ -145,7 +145,7 @@ fn service_mode_thread_count_never_changes_outputs() {
     let cfg = ServiceConfig {
         total: 2_000,
         seed: SEED,
-        ctl_faults: Some(CtlFaultConfig::default()),
+        ctl_faults: true,
         ..ServiceConfig::default()
     };
     let mut runs = Vec::new();
