@@ -217,67 +217,10 @@ impl DataPlane for MooncakePlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grouter_mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
+    use grouter_runtime::dataplane::PlaneEnv;
     use grouter_sim::time::SimTime;
-    use grouter_sim::FlowNet;
-    use grouter_store::{DataStore, FunctionId, WorkflowId};
-    use grouter_topology::{presets, PathLedger, Topology};
-    use grouter_transfer::rate::RateController;
-
-    struct Fixture {
-        topo: Topology,
-        net: FlowNet,
-        store: DataStore,
-        pools: Vec<ElasticPool>,
-        scalers: Vec<PrewarmScaler>,
-        ledgers: Vec<PathLedger>,
-        pinned: Vec<grouter_mem::PinnedRing>,
-        rates: Vec<RateController>,
-    }
-
-    impl Fixture {
-        fn new(nodes: usize) -> Fixture {
-            let mut net = FlowNet::new();
-            let topo = Topology::build(presets::h800x8(), nodes, &mut net);
-            let pools = (0..topo.num_gpus())
-                .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
-                .collect();
-            let scalers = (0..topo.num_gpus()).map(|_| PrewarmScaler::new()).collect();
-            let ledgers = (0..nodes)
-                .map(|_| PathLedger::from_topology(&topo))
-                .collect();
-            let pinned = (0..nodes)
-                .map(|_| PinnedRing::new(grouter_sim::params::PINNED_RING_BYTES))
-                .collect();
-            let rates = (0..nodes).map(|_| RateController::new()).collect();
-            Fixture {
-                store: DataStore::new(nodes),
-                topo,
-                net,
-                pools,
-                scalers,
-                ledgers,
-                pinned,
-                rates,
-            }
-        }
-
-        fn ctx(&mut self) -> PlaneCtx<'_> {
-            PlaneCtx {
-                topo: &self.topo,
-                net: &self.net,
-                store: &mut self.store,
-                pools: &mut self.pools,
-                scalers: &mut self.scalers,
-                ledgers: &mut self.ledgers,
-                pinned: &mut self.pinned,
-                rates: &mut self.rates,
-                now: SimTime::ZERO,
-                slo: None,
-                trace: &grouter_obs::DISABLED,
-            }
-        }
-    }
+    use grouter_store::{FunctionId, WorkflowId};
+    use grouter_topology::presets;
 
     fn token() -> AccessToken {
         AccessToken {
@@ -288,11 +231,11 @@ mod tests {
 
     #[test]
     fn kv_lands_on_the_cache_gpu() {
-        let mut fx = Fixture::new(1);
+        let mut env = PlaneEnv::new(presets::h800x8(), 1);
         let mut plane = MooncakePlane::new(1);
         let put = plane
             .put(
-                &mut fx.ctx(),
+                &mut env.ctx(SimTime::ZERO),
                 token(),
                 Destination::Gpu(GpuRef::new(0, 5)),
                 2e9,
@@ -300,7 +243,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            fx.store.peek(put.id).unwrap().location,
+            env.store.peek(put.id).unwrap().location,
             Location::Gpu(GpuRef::new(0, 0))
         );
         // Producer ≠ cache GPU → relay copy.
@@ -309,12 +252,12 @@ mod tests {
 
     #[test]
     fn nic_fanout_grows_with_tp() {
-        let mut fx = Fixture::new(2);
+        let mut env = PlaneEnv::new(presets::h800x8(), 2);
         let mut plane1 = MooncakePlane::new(1);
         let mut plane8 = MooncakePlane::new(8);
         let put = plane1
             .put(
-                &mut fx.ctx(),
+                &mut env.ctx(SimTime::ZERO),
                 token(),
                 Destination::Gpu(GpuRef::new(0, 0)),
                 2e9,
@@ -323,7 +266,7 @@ mod tests {
             .unwrap();
         let g1 = plane1
             .get(
-                &mut fx.ctx(),
+                &mut env.ctx(SimTime::ZERO),
                 token(),
                 put.id,
                 Destination::Gpu(GpuRef::new(1, 3)),
@@ -331,7 +274,7 @@ mod tests {
             .unwrap();
         let g8 = plane8
             .get(
-                &mut fx.ctx(),
+                &mut env.ctx(SimTime::ZERO),
                 token(),
                 put.id,
                 Destination::Gpu(GpuRef::new(1, 3)),

@@ -252,69 +252,12 @@ impl DataPlane for NvshmemPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grouter_mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
+    use grouter_runtime::dataplane::PlaneEnv;
     use grouter_sim::time::SimTime;
-    use grouter_sim::FlowNet;
-    use grouter_store::{DataStore, FunctionId, WorkflowId};
-    use grouter_topology::{presets, PathLedger, Topology};
-    use grouter_transfer::rate::RateController;
+    use grouter_store::{FunctionId, WorkflowId};
+    use grouter_topology::presets;
 
     const MB: f64 = 1e6;
-
-    struct Fixture {
-        topo: Topology,
-        net: FlowNet,
-        store: DataStore,
-        pools: Vec<ElasticPool>,
-        scalers: Vec<PrewarmScaler>,
-        ledgers: Vec<PathLedger>,
-        pinned: Vec<grouter_mem::PinnedRing>,
-        rates: Vec<RateController>,
-    }
-
-    impl Fixture {
-        fn new(nodes: usize) -> Fixture {
-            let mut net = FlowNet::new();
-            let topo = Topology::build(presets::dgx_v100(), nodes, &mut net);
-            let pools = (0..topo.num_gpus())
-                .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
-                .collect();
-            let scalers = (0..topo.num_gpus()).map(|_| PrewarmScaler::new()).collect();
-            let ledgers = (0..nodes)
-                .map(|_| PathLedger::from_topology(&topo))
-                .collect();
-            let pinned = (0..nodes)
-                .map(|_| PinnedRing::new(grouter_sim::params::PINNED_RING_BYTES))
-                .collect();
-            let rates = (0..nodes).map(|_| RateController::new()).collect();
-            Fixture {
-                store: DataStore::new(nodes),
-                topo,
-                net,
-                pools,
-                scalers,
-                ledgers,
-                pinned,
-                rates,
-            }
-        }
-
-        fn ctx(&mut self) -> PlaneCtx<'_> {
-            PlaneCtx {
-                topo: &self.topo,
-                net: &self.net,
-                store: &mut self.store,
-                pools: &mut self.pools,
-                scalers: &mut self.scalers,
-                ledgers: &mut self.ledgers,
-                pinned: &mut self.pinned,
-                rates: &mut self.rates,
-                now: SimTime::ZERO,
-                slo: None,
-                trace: &grouter_obs::DISABLED,
-            }
-        }
-    }
 
     fn token() -> AccessToken {
         AccessToken {
@@ -325,20 +268,20 @@ mod tests {
 
     #[test]
     fn put_lands_on_random_gpu_of_same_node() {
-        let mut fx = Fixture::new(1);
+        let mut env = PlaneEnv::new(presets::dgx_v100(), 1);
         let mut plane = NvshmemPlane::new(7);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..32 {
             let put = plane
                 .put(
-                    &mut fx.ctx(),
+                    &mut env.ctx(SimTime::ZERO),
                     token(),
                     Destination::Gpu(GpuRef::new(0, 2)),
                     1.0 * MB,
                     1,
                 )
                 .unwrap();
-            let loc = fx.store.peek(put.id).unwrap().location;
+            let loc = env.store.peek(put.id).unwrap().location;
             let Location::Gpu(g) = loc else {
                 panic!("GPU store")
             };
@@ -351,14 +294,14 @@ mod tests {
 
     #[test]
     fn put_to_other_gpu_needs_a_relay_leg() {
-        let mut fx = Fixture::new(1);
+        let mut env = PlaneEnv::new(presets::dgx_v100(), 1);
         let mut plane = NvshmemPlane::new(1);
         // Find a put that landed on a different GPU than the producer.
         let mut relayed = 0;
         for _ in 0..16 {
             let put = plane
                 .put(
-                    &mut fx.ctx(),
+                    &mut env.ctx(SimTime::ZERO),
                     token(),
                     Destination::Gpu(GpuRef::new(0, 0)),
                     1.0 * MB,
@@ -375,11 +318,11 @@ mod tests {
 
     #[test]
     fn cross_node_get_relays_through_remote_store() {
-        let mut fx = Fixture::new(2);
+        let mut env = PlaneEnv::new(presets::dgx_v100(), 2);
         let mut plane = NvshmemPlane::new(3);
         let put = plane
             .put(
-                &mut fx.ctx(),
+                &mut env.ctx(SimTime::ZERO),
                 token(),
                 Destination::Gpu(GpuRef::new(0, 0)),
                 10.0 * MB,
@@ -388,7 +331,7 @@ mod tests {
             .unwrap();
         let get = plane
             .get(
-                &mut fx.ctx(),
+                &mut env.ctx(SimTime::ZERO),
                 token(),
                 put.id,
                 Destination::Gpu(GpuRef::new(1, 5)),
@@ -404,11 +347,11 @@ mod tests {
 
     #[test]
     fn access_control_enforced() {
-        let mut fx = Fixture::new(1);
+        let mut env = PlaneEnv::new(presets::dgx_v100(), 1);
         let mut plane = NvshmemPlane::new(3);
         let put = plane
             .put(
-                &mut fx.ctx(),
+                &mut env.ctx(SimTime::ZERO),
                 token(),
                 Destination::Gpu(GpuRef::new(0, 0)),
                 1.0 * MB,
@@ -421,7 +364,7 @@ mod tests {
         };
         let err = plane
             .get(
-                &mut fx.ctx(),
+                &mut env.ctx(SimTime::ZERO),
                 intruder,
                 put.id,
                 Destination::Gpu(GpuRef::new(0, 1)),

@@ -14,7 +14,6 @@ use grouter::sim::{FlowNet, FlowOptions};
 use grouter::store::{AccessToken, DataStore, FunctionId, Location, WorkflowId};
 use grouter::topology::paths::select_parallel_paths;
 use grouter::topology::{presets, BwMatrix, GpuRef, PathLedger, PathSelector, Topology};
-use grouter::transfer::chunk::{proportional_split, ChunkPlan};
 use grouter::transfer::pipeline::{BatchPipeline, Offered};
 use grouter::transfer::plan::{plan_cross_node, plan_d2h, plan_intra_node, PlanConfig};
 
@@ -168,16 +167,6 @@ fn bench_batch_pipeline(c: &mut Criterion) {
     });
 }
 
-fn bench_chunking(c: &mut Criterion) {
-    c.bench_function("chunk_plan_and_proportional_split", |b| {
-        b.iter(|| {
-            let plan = ChunkPlan::with_defaults(black_box(512e6));
-            let shares = proportional_split(512e6, &[48e9, 24e9, 24e9, 12e9]);
-            black_box((plan, shares))
-        })
-    });
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(30);
@@ -188,7 +177,6 @@ criterion_group!(
         bench_eviction,
         bench_scaler,
         bench_ledger,
-        bench_batch_pipeline,
-        bench_chunking
+        bench_batch_pipeline
 );
 criterion_main!(benches);

@@ -2,61 +2,12 @@
 //! efficient temporary storage. Each capability is established by a probe
 //! on the live plane rather than asserted by fiat.
 
-use grouter::mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
-use grouter::runtime::dataplane::{DataPlane, Destination, PlaneCtx};
+use grouter::runtime::dataplane::{DataPlane, Destination, PlaneEnv};
 use grouter::sim::time::SimTime;
-use grouter::sim::FlowNet;
-use grouter::store::{AccessToken, DataStore, FunctionId, Location, WorkflowId};
-use grouter::topology::{presets, GpuRef, PathLedger, Topology};
-use grouter::transfer::rate::RateController;
+use grouter::store::{AccessToken, FunctionId, Location, WorkflowId};
+use grouter::topology::{presets, GpuRef};
 
 use crate::harness::{PlaneKind, Table};
-
-struct Probe {
-    topo: Topology,
-    net: FlowNet,
-    store: DataStore,
-    pools: Vec<ElasticPool>,
-    scalers: Vec<PrewarmScaler>,
-    ledgers: Vec<PathLedger>,
-    pinned: Vec<PinnedRing>,
-    rates: Vec<RateController>,
-}
-
-impl Probe {
-    fn new() -> Probe {
-        let mut net = FlowNet::new();
-        let topo = Topology::build(presets::dgx_v100(), 1, &mut net);
-        Probe {
-            store: DataStore::new(1),
-            pools: (0..8)
-                .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
-                .collect(),
-            scalers: (0..8).map(|_| PrewarmScaler::new()).collect(),
-            ledgers: vec![PathLedger::from_topology(&topo)],
-            pinned: vec![PinnedRing::new(grouter_sim::params::PINNED_RING_BYTES)],
-            rates: vec![RateController::new()],
-            topo,
-            net,
-        }
-    }
-
-    fn ctx(&mut self) -> PlaneCtx<'_> {
-        PlaneCtx {
-            topo: &self.topo,
-            net: &self.net,
-            store: &mut self.store,
-            pools: &mut self.pools,
-            scalers: &mut self.scalers,
-            ledgers: &mut self.ledgers,
-            pinned: &mut self.pinned,
-            rates: &mut self.rates,
-            now: SimTime::ZERO,
-            slo: None,
-            trace: &grouter_obs::DISABLED,
-        }
-    }
-}
 
 fn token() -> AccessToken {
     AccessToken {
@@ -67,11 +18,17 @@ fn token() -> AccessToken {
 
 /// Locality: do puts stay on the producer's GPU?
 fn has_locality(plane: &mut dyn DataPlane) -> bool {
-    let mut probe = Probe::new();
+    let mut probe = PlaneEnv::new(presets::dgx_v100(), 1);
     for trial in 0..8 {
         let src = GpuRef::new(0, (trial % 8) as usize);
         let put = plane
-            .put(&mut probe.ctx(), token(), Destination::Gpu(src), 1e6, 1)
+            .put(
+                &mut probe.ctx(SimTime::ZERO),
+                token(),
+                Destination::Gpu(src),
+                1e6,
+                1,
+            )
             .expect("put");
         match probe.store.peek(put.id).map(|e| e.location) {
             Some(Location::Gpu(g)) if g == src => {}
@@ -83,10 +40,10 @@ fn has_locality(plane: &mut dyn DataPlane) -> bool {
 
 /// Harvesting: does a large gFn→host egress use more than one path?
 fn has_harvesting(plane: &mut dyn DataPlane) -> bool {
-    let mut probe = Probe::new();
+    let mut probe = PlaneEnv::new(presets::dgx_v100(), 1);
     let put = plane
         .put(
-            &mut probe.ctx(),
+            &mut probe.ctx(SimTime::ZERO),
             token(),
             Destination::Gpu(GpuRef::new(0, 0)),
             400e6,
@@ -94,7 +51,12 @@ fn has_harvesting(plane: &mut dyn DataPlane) -> bool {
         )
         .expect("put");
     let get = plane
-        .get(&mut probe.ctx(), token(), put.id, Destination::Host(0))
+        .get(
+            &mut probe.ctx(SimTime::ZERO),
+            token(),
+            put.id,
+            Destination::Host(0),
+        )
         .expect("get");
     get.legs.iter().any(|l| l.plan.flows.len() > 1)
 }
@@ -102,17 +64,17 @@ fn has_harvesting(plane: &mut dyn DataPlane) -> bool {
 /// Efficient temporary storage: does the plane's storage shrink back after
 /// demand disappears (elastic pooling)?
 fn has_elastic_storage(plane: &mut dyn DataPlane) -> bool {
-    let mut probe = Probe::new();
+    let mut probe = PlaneEnv::new(presets::dgx_v100(), 1);
     let src = Destination::Gpu(GpuRef::new(0, 0));
     let mut ids = Vec::new();
     for _ in 0..4 {
         let put = plane
-            .put(&mut probe.ctx(), token(), src, 500e6, 1)
+            .put(&mut probe.ctx(SimTime::ZERO), token(), src, 500e6, 1)
             .expect("put");
         ids.push(put.id);
     }
     for id in ids {
-        plane.on_consumed(&mut probe.ctx(), id);
+        plane.on_consumed(&mut probe.ctx(SimTime::ZERO), id);
     }
     // After consumption every pool must be back near the idle floor.
     probe

@@ -186,13 +186,17 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// `count` arrivals at `rps` may span at most 1e7 s (about 116 days) on
-/// average. That keeps them well inside the simulated clock, which ends at
-/// about 1.8e10 s (an arrival stamped past its end could never be reached),
-/// and bounds generation time: the bursty process draws one on/off phase
-/// per ~2.25 simulated seconds, arrival or not.
+/// Arrivals may span at most 1e7 s (about 116 days), on average when a
+/// count and a rate set the span. That keeps them well inside the simulated
+/// clock, which ends at about 1.8e10 s (an arrival stamped past its end
+/// could never be reached), and bounds generation time: the bursty process
+/// draws one on/off phase per ~2.25 simulated seconds, arrival or not. A
+/// heartbeat interval is held to the same span, so the next beat's instant
+/// fits the clock too.
+const MAX_SPAN_S: f64 = 1e7;
+
+/// `count` arrivals at `rps` may span at most [`MAX_SPAN_S`] on average.
 fn arrival_span(count_flag: &str, count: u64, rps: f64) -> Result<(), String> {
-    const MAX_SPAN_S: f64 = 1e7;
     let span = count as f64 / rps;
     if span > MAX_SPAN_S {
         return Err(format!(
@@ -255,6 +259,12 @@ fn parse_workflow_run(mut f: Flags) -> Result<WorkflowRun, String> {
     if run.nodes == 0 {
         return Err("--nodes must be at least 1".to_string());
     }
+    if run.seconds as f64 > MAX_SPAN_S {
+        return Err(format!(
+            "--seconds {} exceeds the longest arrival span, {MAX_SPAN_S:e} s",
+            run.seconds
+        ));
+    }
     run.config.trace = run.trace_out.is_some();
     Ok(run)
 }
@@ -271,7 +281,15 @@ fn parse_serve(mut f: Flags) -> Result<ServeRun, String> {
             "--total" => config.total = f.int("--total")?,
             "--seed" => config.seed = f.int("--seed")?,
             "--threads" => threads = f.int("--threads")?,
-            "--hb-ms" => config.hb_interval = SimDuration::from_millis(f.int("--hb-ms")?),
+            "--hb-ms" => {
+                let ms: u64 = f.int("--hb-ms")?;
+                if ms as f64 > MAX_SPAN_S * 1e3 {
+                    return Err(format!(
+                        "--hb-ms {ms} exceeds the longest arrival span, {MAX_SPAN_S:e} s"
+                    ));
+                }
+                config.hb_interval = SimDuration::from_millis(ms);
+            }
             "--faults" => config.ctl_faults = true,
             "--csv" => csv = Some(f.value("--csv")?.to_string()),
             flag => return Err(format!("unknown serve flag {flag}")),
@@ -498,6 +516,14 @@ mod tests {
         assert!(e.contains("--groups"), "{e}");
         assert!(serve(&["--preset", "uniform128", "--groups", "17"]).is_err());
         assert!(serve(&["--preset", "uniform128", "--groups", "16"]).is_ok());
+        // 18446744073710 ms is the first interval whose nanoseconds
+        // overflow the clock; 1e10 ms + 1 the first past the 1e7 s span.
+        for ms in ["18446744073710", "10000000001"] {
+            let e = serve(&["--hb-ms", ms]).err().expect("interval refused");
+            assert!(e.contains("--hb-ms") && e.contains("1e7 s"), "{e}");
+        }
+        let a = serve(&["--hb-ms", "10000000000"]).expect("a 1e7 s interval");
+        assert_eq!(a.config.hb_interval, SimDuration::from_secs(10_000_000));
         assert!(matches!(
             parse_command(&argv(&["plain.wf"])),
             Ok(Command::Run(_))
@@ -620,9 +646,171 @@ mod tests {
             "bad trace buffer"
         );
         assert!(parse(&["a.wf", "--help"]).is_err(), "help prints usage");
+        // The horizon may span 1e7 s, like serve's and llm's arrivals;
+        // 18446744074 s is the first whose nanoseconds overflow the clock.
+        for secs in ["18446744074", "10000001"] {
+            let e = parse(&["a.wf", "--seconds", secs])
+                .err()
+                .expect("span refused");
+            assert!(e.contains("--seconds") && e.contains("1e7 s"), "{e}");
+        }
+        assert!(parse(&["a.wf", "--seconds", "10000000"]).is_ok());
         for (flag, value) in [("--plane", "bogus"), ("--topology", "bogus")] {
             let e = parse(&["a.wf", flag, value]).err().expect("unknown name");
             assert!(e.contains(flag) && e.contains(value), "{e}");
+        }
+    }
+
+    /// Each mode's flags: the workflow run's, `serve`'s and `llm`'s.
+    const FLAGS: [&[&str]; 3] = [
+        &[
+            "--plane",
+            "--topology",
+            "--nodes",
+            "--pattern",
+            "--rps",
+            "--seconds",
+            "--seed",
+            "--compare",
+            "--csv",
+            "--trace-out",
+            "--trace-buffer",
+        ],
+        &[
+            "--preset",
+            "--groups",
+            "--pattern",
+            "--rps",
+            "--total",
+            "--seed",
+            "--threads",
+            "--hb-ms",
+            "--faults",
+            "--csv",
+        ],
+        &[
+            "--plane",
+            "--groups",
+            "--requests",
+            "--rps",
+            "--pattern",
+            "--seed",
+            "--threads",
+            "--decode-gpus",
+            "--csv",
+        ],
+    ];
+
+    /// Numbers at, inside and past every bound.
+    const NUMBERS: [&str; 20] = [
+        "0",
+        "1",
+        "2",
+        "7",
+        "8",
+        "100",
+        "10000000",
+        "10000001",
+        "10000000001",
+        "18446744073710",
+        "18446744074",
+        "18446744073709551615",
+        "1e-12",
+        "1e300",
+        "nan",
+        "inf",
+        "-1",
+        "-inf",
+        "0.5",
+        "1e-9",
+    ];
+
+    /// Names the flags take, words no flag takes, and junk.
+    const WORDS: [&str; 16] = [
+        "grouter",
+        "mooncake",
+        "both",
+        "infless",
+        "deepplan",
+        "h800",
+        "a10",
+        "uniform128",
+        "hetero64",
+        "bursty",
+        "periodic",
+        "a.wf",
+        "--help",
+        "--bogus",
+        "x",
+        "",
+    ];
+
+    /// The argv a generated case spells: the workflow file, `serve`, `llm`
+    /// or nothing (`mode` 3, read as a workflow run), then each item as a
+    /// flag of the mode's with a number, a flag with a word, a flag alone,
+    /// or a word alone.
+    fn soup(mode: usize, items: &[(usize, usize, u8)]) -> Vec<String> {
+        let mut words: Vec<&str> = ["a.wf", "serve", "llm"]
+            .get(mode)
+            .copied()
+            .into_iter()
+            .collect();
+        let flags = FLAGS[mode % 3];
+        for &(flag, value, shape) in items {
+            let flag = flags[flag % flags.len()];
+            match shape {
+                0..=2 => words.extend([flag, NUMBERS[value % NUMBERS.len()]]),
+                3 => words.extend([flag, WORDS[value % WORDS.len()]]),
+                4 => words.push(flag),
+                _ => words.push(WORDS[value % WORDS.len()]),
+            }
+        }
+        argv(&words)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+        /// `parse_command` never panics on token soup, and whatever it
+        /// accepts is inside the bounds the parsers document.
+        #[test]
+        fn token_soup_parses_to_an_error_or_a_bounded_run(
+            mode in 0usize..4,
+            items in proptest::collection::vec((0usize..64, 0usize..64, 0u8..6), 0..6),
+        ) {
+            let words = soup(mode, &items);
+            let span_ok = |count: u64, rps: f64| {
+                rps.is_finite() && rps > 0.0 && count as f64 / rps <= MAX_SPAN_S
+            };
+            match parse_command(&words) {
+                Err(_) => {}
+                Ok(Command::Run(r)) => {
+                    proptest::prop_assert!(r.nodes >= 1, "{:?}", words);
+                    proptest::prop_assert!(r.seconds as f64 <= MAX_SPAN_S, "{:?}", words);
+                    proptest::prop_assert!(r.rps.is_finite() && r.rps > 0.0, "{:?}", words);
+                }
+                Ok(Command::Serve(r)) => {
+                    let hb = r.config.hb_interval;
+                    let groups = PRESETS
+                        .iter()
+                        .find(|(name, _)| *name == r.preset.name)
+                        .map(|(_, preset)| preset().groups.len());
+                    proptest::prop_assert!(r.threads >= 1, "{:?}", words);
+                    proptest::prop_assert!(hb > SimDuration::ZERO, "{:?}", words);
+                    proptest::prop_assert!(hb.as_secs_f64() <= MAX_SPAN_S, "{:?}", words);
+                    proptest::prop_assert!(span_ok(r.config.total, r.config.rps), "{:?}", words);
+                    proptest::prop_assert!(
+                        groups.is_some_and(|g| (1..=g).contains(&r.preset.groups.len())),
+                        "{:?}",
+                        words
+                    );
+                }
+                Ok(Command::Llm(r)) => {
+                    let c = &r.config;
+                    proptest::prop_assert!(c.threads >= 1 && c.groups >= 1, "{:?}", words);
+                    proptest::prop_assert!(span_ok(c.requests, c.rps), "{:?}", words);
+                    proptest::prop_assert!((1..NODE_GPUS).contains(&c.decode_gpus), "{:?}", words);
+                }
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use grouter::runtime::dataplane::{DataPlane, Destination};
+use grouter::runtime::dataplane::{DataPlane, Destination, PlaneEnv};
 use grouter::runtime::metrics::PassCategory;
 use grouter::runtime::placement::PlacementPolicy;
 use grouter::runtime::spec::{StageSpec, WorkflowSpec};
@@ -57,55 +57,6 @@ fn gfn_host_ms(rt: &Runtime) -> f64 {
     rt.metrics().records()[0]
         .passing_of(PassCategory::GpuHost)
         .as_millis_f64()
-}
-
-/// The state a [`PlaneCtx`] borrows, for calling a plane directly on one
-/// DGX-V100 node.
-struct PlaneRig {
-    net: grouter::sim::FlowNet,
-    topo: grouter::topology::Topology,
-    store: grouter::store::DataStore,
-    pools: Vec<grouter::mem::ElasticPool>,
-    scalers: Vec<grouter::mem::PrewarmScaler>,
-    ledgers: Vec<grouter::topology::PathLedger>,
-    pinned: Vec<grouter::mem::PinnedRing>,
-    rates: Vec<grouter::transfer::rate::RateController>,
-}
-
-impl PlaneRig {
-    fn new() -> PlaneRig {
-        use grouter::mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
-        let mut net = grouter::sim::FlowNet::new();
-        let topo = grouter::topology::Topology::build(presets::dgx_v100(), 1, &mut net);
-        PlaneRig {
-            store: grouter::store::DataStore::new(1),
-            pools: (0..8)
-                .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
-                .collect(),
-            scalers: (0..8).map(|_| PrewarmScaler::new()).collect(),
-            ledgers: vec![grouter::topology::PathLedger::from_topology(&topo)],
-            pinned: vec![PinnedRing::new(grouter::sim::params::PINNED_RING_BYTES)],
-            rates: vec![grouter::transfer::rate::RateController::new()],
-            net,
-            topo,
-        }
-    }
-
-    fn ctx(&mut self) -> grouter::runtime::dataplane::PlaneCtx<'_> {
-        grouter::runtime::dataplane::PlaneCtx {
-            topo: &self.topo,
-            net: &self.net,
-            store: &mut self.store,
-            pools: &mut self.pools,
-            scalers: &mut self.scalers,
-            ledgers: &mut self.ledgers,
-            pinned: &mut self.pinned,
-            rates: &mut self.rates,
-            now: SimTime::ZERO,
-            slo: None,
-            trace: &grouter_obs::DISABLED,
-        }
-    }
 }
 
 #[test]
@@ -302,8 +253,8 @@ fn access_control_blocks_cross_workflow_reads() {
     // Build a tiny world manually to call the plane directly.
     use grouter::store::{AccessToken, FunctionId, WorkflowId};
 
-    let mut rig = PlaneRig::new();
-    let mut ctx = rig.ctx();
+    let mut env = PlaneEnv::new(presets::dgx_v100(), 1);
+    let mut ctx = env.ctx(SimTime::ZERO);
     let mut plane = GrouterPlane::new(GrouterConfig::full());
     let owner = AccessToken {
         function: FunctionId(1),
@@ -341,8 +292,8 @@ fn consuming_a_migrated_object_releases_its_scaler_reservation() {
     // ratcheting the concurrency p99 and the pool target upward.
     use grouter::store::{AccessToken, FunctionId, Location, WorkflowId};
 
-    let mut rig = PlaneRig::new();
-    let mut ctx = rig.ctx();
+    let mut env = PlaneEnv::new(presets::dgx_v100(), 1);
+    let mut ctx = env.ctx(SimTime::ZERO);
     let mut plane = GrouterPlane::new(GrouterConfig::full());
     let producer = AccessToken {
         function: FunctionId(1),
@@ -368,7 +319,7 @@ fn consuming_a_migrated_object_releases_its_scaler_reservation() {
     // occupies its pool.
     plane.on_consumed(&mut ctx, put.id);
     assert_eq!(
-        rig.scalers[0].live_outputs(1),
+        env.scalers[0].live_outputs(1),
         0,
         "consuming a migrated object leaked its live-output count"
     );
@@ -381,8 +332,8 @@ fn proactive_restore_waits_for_usage_below_the_headroom_line() {
     // evict again.
     use grouter::store::{AccessToken, FunctionId, Location, WorkflowId};
 
-    let mut rig = PlaneRig::new();
-    let mut ctx = rig.ctx();
+    let mut env = PlaneEnv::new(presets::dgx_v100(), 1);
+    let mut ctx = env.ctx(SimTime::ZERO);
     let mut plane = GrouterPlane::new(GrouterConfig::full());
     let token = |f: u64| AccessToken {
         function: FunctionId(f),
@@ -438,8 +389,8 @@ fn restores_walk_only_the_home_gpu_in_next_use_then_key_order() {
     // object consumed while on host is released and never restored.
     use grouter::store::{AccessToken, DataId, FunctionId, Location, WorkflowId};
 
-    let mut rig = PlaneRig::new();
-    let mut ctx = rig.ctx();
+    let mut env = PlaneEnv::new(presets::dgx_v100(), 1);
+    let mut ctx = env.ctx(SimTime::ZERO);
     let mut plane = GrouterPlane::new(GrouterConfig::full());
     let (g0, g1) = (GpuRef::new(0, 0), GpuRef::new(0, 1));
     let mut put = |ctx: &mut grouter::runtime::dataplane::PlaneCtx<'_>,

@@ -11,12 +11,9 @@
 //! released exactly as `release_leg_resources` would, or the group's
 //! ledgers would leak reservations and later operations would starve.
 
-use grouter_mem::PinnedRing;
-use grouter_runtime::dataplane::{DataOp, OpLeg};
+use grouter_runtime::dataplane::{DataOp, OpLeg, PlaneEnv};
 use grouter_sim::time::SimDuration;
 use grouter_sim::FlowNet;
-use grouter_topology::PathLedger;
-use grouter_transfer::rate::RateController;
 
 /// Duration of one leg at dedicated hardware bandwidth.
 fn leg_duration(leg: &OpLeg, net: &FlowNet) -> SimDuration {
@@ -37,24 +34,21 @@ fn leg_duration(leg: &OpLeg, net: &FlowNet) -> SimDuration {
 /// Release everything a completed leg held — the analytic mirror of the
 /// full executor's `release_leg_resources`, plus the NVLink path
 /// reservations the flow teardown path would return.
-fn release_leg(
-    leg: &OpLeg,
-    ledgers: &mut [PathLedger],
-    pinned: &mut [PinnedRing],
-    rates: &mut [RateController],
-) {
+fn release_leg(leg: &OpLeg, env: &mut PlaneEnv) {
     if let Some((node, token)) = leg.rate_token {
-        rates[node].finish(token);
+        env.rates[node].finish(token);
     }
     if let Some((node, res)) = leg.ledger_release {
-        ledgers[node].release(res);
+        env.ledgers[node].release(res);
     }
     if let Some((node, bytes)) = leg.pinned_release {
-        pinned[node].release(bytes);
+        env.pinned[node].release(bytes);
     }
     for flow in &leg.plan.flows {
         if let Some((route, rate)) = &flow.nv_reservation {
-            ledgers[leg.nv_node].bwm_mut().release_path(route, *rate);
+            env.ledgers[leg.nv_node]
+                .bwm_mut()
+                .release_path(route, *rate);
         }
     }
 }
@@ -62,33 +56,21 @@ fn release_leg(
 /// Execute one operation: control latency plus its legs run strictly in
 /// order, with every leg's resources released on completion. Returns the
 /// operation's total duration.
-pub fn run_op(
-    op: &DataOp,
-    net: &FlowNet,
-    ledgers: &mut [PathLedger],
-    pinned: &mut [PinnedRing],
-    rates: &mut [RateController],
-) -> SimDuration {
+pub fn run_op(op: &DataOp, env: &mut PlaneEnv) -> SimDuration {
     let mut total = op.control_latency;
     for leg in &op.legs {
-        total = total + leg_duration(leg, net);
-        release_leg(leg, ledgers, pinned, rates);
+        total = total + leg_duration(leg, &env.net);
+        release_leg(leg, env);
     }
     total
 }
 
 /// Execute a batch of background operations (migrations, proactive
 /// restores); returns the sum of their durations.
-pub fn run_ops(
-    ops: &[DataOp],
-    net: &FlowNet,
-    ledgers: &mut [PathLedger],
-    pinned: &mut [PinnedRing],
-    rates: &mut [RateController],
-) -> SimDuration {
+pub fn run_ops(ops: &[DataOp], env: &mut PlaneEnv) -> SimDuration {
     let mut total = SimDuration::ZERO;
     for op in ops {
-        total = total + run_op(op, net, ledgers, pinned, rates);
+        total = total + run_op(op, env);
     }
     total
 }

@@ -15,15 +15,13 @@ use std::collections::BTreeMap;
 use grouter::{GrouterConfig, GrouterPlane};
 use grouter_baselines::MooncakePlane;
 use grouter_ctl::DecodeView;
-use grouter_mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
-use grouter_runtime::dataplane::{DataPlane, Destination, PlaneCtx};
+use grouter_runtime::dataplane::{DataPlane, Destination, PlaneEnv};
 use grouter_runtime::pin_decode;
+use grouter_sim::params;
 use grouter_sim::table::RidTable;
 use grouter_sim::time::{SimDuration, SimTime};
-use grouter_sim::{params, FlowNet};
-use grouter_store::{AccessToken, DataId, DataStore, FunctionId, Location, WorkflowId};
-use grouter_topology::{presets, GpuRef, PathLedger, Topology};
-use grouter_transfer::rate::RateController;
+use grouter_store::{AccessToken, DataId, FunctionId, Location, WorkflowId};
+use grouter_topology::{presets, GpuRef};
 use grouter_workloads::llm::{LlmModel, LlmRequestSpec};
 
 use crate::blocks::{KvBlock, KvBlockMap, RequestKv, KV_BLOCK_TOKENS};
@@ -113,14 +111,8 @@ impl Actions {
 
 pub struct GroupState {
     pub params: GroupParams,
-    pub topo: Topology,
-    pub net: FlowNet,
-    pub store: DataStore,
-    pub pools: Vec<ElasticPool>,
-    pub scalers: Vec<PrewarmScaler>,
-    pub ledgers: Vec<PathLedger>,
-    pub pinned: Vec<PinnedRing>,
-    pub rates: Vec<RateController>,
+    /// The node's topology, flow network, store, pools and ledgers.
+    pub env: PlaneEnv,
     pub plane: Box<dyn DataPlane>,
     /// Earliest instant each prefill GPU is free (serial prefill queue).
     prefill_free_at: Vec<SimTime>,
@@ -153,21 +145,13 @@ pub struct GroupState {
 
 impl GroupState {
     pub fn new(p: GroupParams) -> GroupState {
-        let mut net = FlowNet::new();
-        let topo = Topology::build(presets::h800x8(), 1, &mut net);
-        let n_gpus = topo.num_gpus();
-        let mut pools: Vec<ElasticPool> = (0..n_gpus)
-            .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
-            .collect();
-        for pool in &mut pools {
+        let mut env = PlaneEnv::new(presets::h800x8(), 1);
+        for pool in &mut env.pools {
             // Model weights are resident everywhere from the start; the
             // storage cap is computed over what remains.
             let _ = pool.set_runtime_used(WEIGHTS_BYTES);
         }
-        let scalers = (0..n_gpus).map(|_| PrewarmScaler::new()).collect();
-        let ledgers = vec![PathLedger::from_topology(&topo)];
-        let pinned = vec![PinnedRing::new(params::PINNED_RING_BYTES)];
-        let rates = vec![RateController::new()];
+        let n_gpus = env.topo.num_gpus();
         let plane: Box<dyn DataPlane> = match p.plane {
             PlaneKind::Grouter => Box::new(GrouterPlane::new(GrouterConfig::full())),
             PlaneKind::Mooncake => Box::new(MooncakePlane::new(TP)),
@@ -183,14 +167,7 @@ impl GroupState {
             kv: KvBlockMap::new(n_gpus),
             failed: vec![false; n_gpus],
             params: p,
-            topo,
-            net,
-            store: DataStore::new(1),
-            pools,
-            scalers,
-            ledgers,
-            pinned,
-            rates,
+            env,
             plane,
             batches,
             tick_scheduled,
@@ -212,60 +189,6 @@ impl GroupState {
             function: FunctionId(rid),
             workflow: WorkflowId(rid),
         }
-    }
-
-    /// Run a closure against the plane with a freshly assembled context.
-    fn with_plane<R>(
-        &mut self,
-        now: SimTime,
-        f: impl FnOnce(&mut dyn DataPlane, &mut PlaneCtx<'_>) -> R,
-    ) -> R {
-        let GroupState {
-            topo,
-            net,
-            store,
-            pools,
-            scalers,
-            ledgers,
-            pinned,
-            rates,
-            plane,
-            ..
-        } = self;
-        let mut ctx = PlaneCtx {
-            topo,
-            net,
-            store,
-            pools,
-            scalers,
-            ledgers,
-            pinned,
-            rates,
-            now,
-            slo: None,
-            trace: &grouter_obs::DISABLED,
-        };
-        f(plane.as_mut(), &mut ctx)
-    }
-
-    fn run(&mut self, op: &grouter_runtime::DataOp) -> SimDuration {
-        run_op(
-            op,
-            &self.net,
-            &mut self.ledgers,
-            &mut self.pinned,
-            &mut self.rates,
-        )
-    }
-
-    fn run_background(&mut self, ops: &[grouter_runtime::DataOp]) -> SimDuration {
-        run_ops(
-            ops,
-            &self.net,
-            &mut self.ledgers,
-            &mut self.pinned,
-            &mut self.rates,
-        )
     }
 
     /// The heartbeat view the router sees: O(1), from the kept count of
@@ -331,7 +254,7 @@ impl GroupState {
         if req.decode_gpu.is_some() {
             self.decoding -= 1;
         }
-        for sc in &mut self.scalers {
+        for sc in &mut self.env.scalers {
             sc.forget(rid);
         }
         Some(req)
@@ -427,12 +350,16 @@ impl GroupState {
         while remaining > 0 {
             let tok = remaining.min(KV_BLOCK_TOKENS);
             let bytes = per_token * tok as f64;
-            let put = self.with_plane(t, |p, ctx| {
-                p.put(ctx, Self::token(rid), Destination::Gpu(pf), bytes, 1)
-            });
+            let put = self.plane.put(
+                &mut self.env.ctx(t),
+                Self::token(rid),
+                Destination::Gpu(pf),
+                bytes,
+                1,
+            );
             match put {
                 Ok(po) => {
-                    t += self.run(&po.op);
+                    t += run_op(&po.op, &mut self.env);
                     staged.push((po.id, tok, bytes));
                 }
                 Err(_) => break,
@@ -449,8 +376,8 @@ impl GroupState {
         );
         if eligible.is_empty() {
             for (id, _, _) in &staged {
-                let ops = self.with_plane(t, |p, ctx| p.on_consumed(ctx, *id));
-                self.run_background(&ops);
+                let ops = self.plane.on_consumed(&mut self.env.ctx(t), *id);
+                run_ops(&ops, &mut self.env);
             }
             self.staged = staged;
             self.eligible = eligible;
@@ -464,11 +391,14 @@ impl GroupState {
         // Handoff: fetch every block to the decode GPU in parallel.
         let mut hand = SimDuration::ZERO;
         for (id, _, _) in &staged {
-            let got = self.with_plane(t, |p, ctx| {
-                p.get(ctx, Self::token(rid), *id, Destination::Gpu(dg))
-            });
+            let got = self.plane.get(
+                &mut self.env.ctx(t),
+                Self::token(rid),
+                *id,
+                Destination::Gpu(dg),
+            );
             if let Ok(op) = got {
-                hand = hand.max(self.run(&op));
+                hand = hand.max(run_op(&op, &mut self.env));
             }
         }
         t += hand;
@@ -477,14 +407,19 @@ impl GroupState {
         // decode home.
         let mut blocks: Vec<KvBlock> = Vec::with_capacity(staged.len());
         for (id, tok, bytes) in &staged {
-            let ops = self.with_plane(t, |p, ctx| p.on_consumed(ctx, *id));
-            self.run_background(&ops);
-            let put = self.with_plane(t, |p, ctx| {
-                p.put(ctx, Self::token(rid), Destination::Gpu(dg), *bytes, 1)
-            });
+            let ops = self.plane.on_consumed(&mut self.env.ctx(t), *id);
+            run_ops(&ops, &mut self.env);
+            let put = self.plane.put(
+                &mut self.env.ctx(t),
+                Self::token(rid),
+                Destination::Gpu(dg),
+                *bytes,
+                1,
+            );
             if let Ok(po) = put {
-                t += self.run(&po.op);
+                t += run_op(&po.op, &mut self.env);
                 let home = self
+                    .env
                     .store
                     .peek(po.id)
                     .map(|e| e.location)
@@ -508,7 +443,7 @@ impl GroupState {
                 decode_gpu: dg,
                 blocks,
             },
-            self.topo.gpus_per_node(),
+            self.env.topo.gpus_per_node(),
         );
         self.refresh_next_use(rid);
         self.set_decode_pin(rid, Some(dg));
@@ -516,7 +451,7 @@ impl GroupState {
             r.ready_at = t + spec.model.first_token_latency(TP);
         }
         out.at(t, GroupEv::HandoffDone { rid });
-        self.kv.audit_blocks(&self.store);
+        self.kv.audit_blocks(&self.env.store);
     }
 
     // ------------------------------------------------------------------
@@ -551,10 +486,10 @@ impl GroupState {
     fn update_pressure(&mut self, now: SimTime, flat: usize) {
         let n = self.batches.get(&flat).map(|b| b.len()).unwrap_or(0) as f64;
         let used = WEIGHTS_BYTES + ACT_PER_SEQ * n;
-        let _overflow = self.pools[flat].set_runtime_used(used);
+        let _overflow = self.env.pools[flat].set_runtime_used(used);
         let gpu = GpuRef::new(0, flat);
-        let ops = self.with_plane(now, |p, ctx| p.on_memory_change(ctx, gpu));
-        self.run_background(&ops);
+        let ops = self.plane.on_memory_change(&mut self.env.ctx(now), gpu);
+        run_ops(&ops, &mut self.env);
     }
 
     /// One decode step on `gpu`'s batch: the slowest model in the batch
@@ -644,7 +579,7 @@ impl GroupState {
             }
             out.at(now + step, GroupEv::DecodeTick { gpu });
         }
-        self.kv.audit_blocks(&self.store);
+        self.kv.audit_blocks(&self.env.store);
     }
 
     /// Emit one token: record stream progress and append its KV.
@@ -684,19 +619,20 @@ impl GroupState {
         let mut grown = false;
         if let Some((tid, tokens, sealed)) = tail {
             if !sealed && tokens < KV_BLOCK_TOKENS {
-                let loc = self.store.peek(tid).map(|e| e.location);
+                let loc = self.env.store.peek(tid).map(|e| e.location);
                 let reserve = match loc {
                     Some(Location::Gpu(g)) => {
-                        let flat = g.node * self.topo.gpus_per_node() + g.gpu;
-                        self.pools[flat].try_alloc(delta).is_ok()
+                        let flat = g.node * self.env.topo.gpus_per_node() + g.gpu;
+                        self.env.pools[flat].try_alloc(delta).is_ok()
                     }
                     // Migrated tails grow host-side; host memory is not
                     // pool-tracked.
                     Some(Location::Host(_)) => true,
                     None => false,
                 };
-                if reserve && self.store.grow(now, tid, delta).is_ok() {
-                    self.kv.extend_tail(rid, delta, self.topo.gpus_per_node());
+                if reserve && self.env.store.grow(now, tid, delta).is_ok() {
+                    self.kv
+                        .extend_tail(rid, delta, self.env.topo.gpus_per_node());
                     grown = true;
                 }
             }
@@ -705,12 +641,17 @@ impl GroupState {
             // Seal the tail (it is full, or its pool is out of headroom)
             // and open a new block through the plane.
             self.kv.seal_tail(rid);
-            let put = self.with_plane(now, |p, ctx| {
-                p.put(ctx, Self::token(rid), Destination::Gpu(dg), delta, 1)
-            });
+            let put = self.plane.put(
+                &mut self.env.ctx(now),
+                Self::token(rid),
+                Destination::Gpu(dg),
+                delta,
+                1,
+            );
             if let Ok(po) = put {
-                self.run(&po.op);
+                run_op(&po.op, &mut self.env);
                 let home = self
+                    .env
                     .store
                     .peek(po.id)
                     .map(|e| e.location)
@@ -722,7 +663,8 @@ impl GroupState {
                     home,
                     sealed: false,
                 };
-                self.kv.push_block(rid, block, self.topo.gpus_per_node());
+                self.kv
+                    .push_block(rid, block, self.env.topo.gpus_per_node());
             }
             self.refresh_next_use(rid);
         }
@@ -742,6 +684,7 @@ impl GroupState {
         let mut stall = SimDuration::ZERO;
         for &id in &ids {
             let resident = self
+                .env
                 .store
                 .peek(id)
                 .map(|e| e.location == Location::Gpu(dg))
@@ -749,11 +692,14 @@ impl GroupState {
             if resident {
                 continue;
             }
-            let got = self.with_plane(now, |p, ctx| {
-                p.get(ctx, Self::token(rid), id, Destination::Gpu(dg))
-            });
+            let got = self.plane.get(
+                &mut self.env.ctx(now),
+                Self::token(rid),
+                id,
+                Destination::Gpu(dg),
+            );
             if let Ok(op) = got {
-                stall = stall + self.run(&op);
+                stall = stall + run_op(&op, &mut self.env);
             }
         }
         self.touch_ids = ids;
@@ -776,7 +722,7 @@ impl GroupState {
             } else {
                 clock + 1_000 + (n - i) as u64
             };
-            self.store.set_next_use(b.id, Some(rank));
+            self.env.store.set_next_use(b.id, Some(rank));
         }
     }
 
@@ -788,12 +734,12 @@ impl GroupState {
     /// scaler live-output released — identical accounting whether the
     /// bytes were read or lost).
     fn drop_kv(&mut self, now: SimTime, rid: u64) {
-        let Some(kvreq) = self.kv.remove(rid, self.topo.gpus_per_node()) else {
+        let Some(kvreq) = self.kv.remove(rid, self.env.topo.gpus_per_node()) else {
             return;
         };
         for b in kvreq.blocks {
-            let ops = self.with_plane(now, |p, ctx| p.on_consumed(ctx, b.id));
-            self.run_background(&ops);
+            let ops = self.plane.on_consumed(&mut self.env.ctx(now), b.id);
+            run_ops(&ops, &mut self.env);
         }
     }
 
@@ -880,7 +826,7 @@ impl GroupState {
             }
         }
         // The dead GPU's batch is gone: republish its runtime footprint.
-        let _ = self.pools[gpu].set_runtime_used(WEIGHTS_BYTES);
+        let _ = self.env.pools[gpu].set_runtime_used(WEIGHTS_BYTES);
         let view = self.view();
         // Rematerialized requests went back to prefill: check the kept
         // count on this rare path every time, not only when sampled.
@@ -894,11 +840,11 @@ impl GroupState {
     pub fn assert_drained(&self) {
         assert!(self.requests.is_empty(), "requests linger");
         assert!(self.kv.is_empty(), "KV blocks linger");
-        assert_eq!(self.store.len(), 0, "store not empty");
-        for (i, pool) in self.pools.iter().enumerate() {
+        assert_eq!(self.env.store.len(), 0, "store not empty");
+        for (i, pool) in self.env.pools.iter().enumerate() {
             assert_eq!(pool.used(), 0.0, "pool {i} leaks stored bytes");
         }
-        for (i, sc) in self.scalers.iter().enumerate() {
+        for (i, sc) in self.env.scalers.iter().enumerate() {
             assert_eq!(sc.total_live_outputs(), 0, "scaler {i} leaks live outputs");
             assert!(sc.is_empty(), "scaler {i} keeps {} functions", sc.len());
         }

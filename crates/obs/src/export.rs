@@ -1,13 +1,12 @@
-//! Exporters for a drained [`Trace`]: Chrome `trace_event` JSON (async
+//! The exporter for a drained [`Trace`]: Chrome `trace_event` JSON (async
 //! begin/end + instant events, loadable in `chrome://tracing` / Perfetto)
-//! and a compact CSV summary of counters and histograms — plus a tiny
-//! recursive-descent JSON well-formedness validator used by CI's
-//! trace-smoke step (the container has no guaranteed Python/jq).
+//! — plus a tiny recursive-descent JSON well-formedness validator used by
+//! CI's trace-smoke step (the container has no guaranteed Python/jq).
 //!
 //! Everything here is byte-deterministic: events are written in `(t_ns,
-//! seq)` ring order, aggregates iterate `BTreeMap`s, floats use shortest
-//! round-trip formatting, and virtual-time microsecond timestamps are fixed
-//! three-decimal renderings of integer nanoseconds.
+//! seq)` ring order, floats use shortest round-trip formatting, and
+//! virtual-time microsecond timestamps are fixed three-decimal renderings
+//! of integer nanoseconds.
 
 use crate::{format_f64, Phase, Trace, Val};
 
@@ -118,29 +117,6 @@ impl Trace {
         );
         out.push_str(&self.dropped.to_string());
         out.push_str("}}\n");
-        out
-    }
-
-    /// Compact CSV summary of counters and histograms, one row per metric,
-    /// sorted by (kind, component, name). Histogram quantiles are the
-    /// deterministic log-bucket readouts.
-    pub fn csv_summary(&self) -> String {
-        let mut out = String::from("kind,component,name,count,sum,min,max,p50,p99\n");
-        for ((comp, name), v) in &self.stats.counters {
-            out.push_str(&format!("counter,{},{name},{v},,,,,\n", comp.label()));
-        }
-        for ((comp, name), h) in &self.stats.hists {
-            out.push_str(&format!(
-                "hist,{},{name},{},{},{},{},{},{}\n",
-                comp.label(),
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.quantile(0.5).unwrap_or(0),
-                h.quantile(0.99).unwrap_or(0),
-            ));
-        }
         out
     }
 }
@@ -356,7 +332,6 @@ mod tests {
         );
         r.set_now(9_999);
         r.end(sp, vec![("ok", true.into())]);
-        r.count(Comp::Topo, "cache_hit", 2);
         r.drain()
     }
 
@@ -372,14 +347,6 @@ mod tests {
         assert!(a.contains("\"ts\":1.234"));
         assert!(a.contains("\"cat\":\"transfer\""));
         assert!(a.contains("\"flow\":3"));
-    }
-
-    #[test]
-    fn csv_summary_lists_counters_and_hists() {
-        let csv = sample_trace().csv_summary();
-        assert!(csv.starts_with("kind,component,name,count,sum,min,max,p50,p99\n"));
-        assert!(csv.contains("counter,topo,cache_hit,2,,,,,\n"));
-        assert!(csv.contains("hist,transfer,leg,1,"));
     }
 
     #[test]

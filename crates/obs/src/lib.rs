@@ -3,11 +3,11 @@
 //! A zero-dependency structured-event subsystem for the GROUTER data plane.
 //! Components emit *typed events* — spans (begin/end pairs) and instants —
 //! tagged with correlation ids (data-op, flow, workflow instance) into a
-//! bounded ring-buffer **flight recorder**, plus per-component counters and
-//! log-bucketed histograms. A drained [`Trace`] snapshot can be queried
-//! in-process ([`Trace::events_for_flow`], [`Trace::spans_overlapping`]) or
-//! exported as Chrome `trace_event` JSON (loadable in `chrome://tracing` /
-//! Perfetto) and a compact CSV summary.
+//! bounded ring-buffer **flight recorder**, plus per-component counters. A
+//! drained [`Trace`] snapshot can be queried in-process
+//! ([`Trace::events_for_flow`], [`Trace::spans_overlapping`]) or exported
+//! as Chrome `trace_event` JSON (loadable in `chrome://tracing` /
+//! Perfetto).
 //!
 //! ## Determinism contract
 //!
@@ -87,8 +87,7 @@ impl Comp {
         1 << (self as u8)
     }
 
-    /// Short lowercase label used as the Chrome-trace category and the CSV
-    /// component column.
+    /// Short lowercase label used as the Chrome-trace category.
     pub const fn label(self) -> &'static str {
         match self {
             Comp::Sim => "sim",
@@ -240,95 +239,10 @@ pub struct Event {
     pub args: Vec<(&'static str, Val)>,
 }
 
-/// Log2-bucketed histogram over `u64` samples (latency ns, bytes).
-///
-/// Bucket `b` holds values in `[2^(b-1)+1, 2^b]` (bucket 0 holds zero), so
-/// quantile readout is exact to within one power of two and — because the
-/// readout walks fixed integer bucket counts — perfectly deterministic.
-#[derive(Clone, Debug)]
-pub struct Hist {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Hist {
-    fn default() -> Self {
-        Hist {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-}
-
-impl Hist {
-    #[inline]
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile sample
-    /// (`q` in `[0, 1]`), clamped to the observed max. Returns `None` when
-    /// empty. `quantile(0.5)` is the p50 readout, `quantile(0.99)` the p99.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target sample, 1-based; ceil without float rounding
-        // surprises at the boundaries.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let hi = if b == 0 { 0 } else { 1u64 << b };
-                return Some(hi.min(self.max).max(self.min));
-            }
-        }
-        Some(self.max)
-    }
-}
-
-/// Aggregates owned by the recorder, keyed `(component, name)`.
+/// Counters owned by the recorder, keyed `(component, name)`.
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     pub counters: BTreeMap<(Comp, &'static str), u64>,
-    pub hists: BTreeMap<(Comp, &'static str), Hist>,
 }
 
 struct State {
@@ -351,8 +265,8 @@ struct Inner {
 }
 
 /// A drained, immutable snapshot of the flight recorder: the event ring in
-/// `(t_ns, seq)` order plus counter/histogram aggregates. All queries and
-/// exporters live here so the recorder lock is never held across I/O.
+/// `(t_ns, seq)` order plus the counters. All queries and exporters live
+/// here so the recorder lock is never held across I/O.
 #[derive(Clone, Debug)]
 pub struct Trace {
     pub events: Vec<Event>,
@@ -426,15 +340,6 @@ impl Trace {
             .find(|((c, n), _)| *c == comp && *n == name)
             .map(|(_, v)| *v)
             .unwrap_or(0)
-    }
-
-    /// Histogram readout, if any samples were recorded.
-    pub fn hist(&self, comp: Comp, name: &str) -> Option<&Hist> {
-        self.stats
-            .hists
-            .iter()
-            .find(|((c, n), _)| *c == comp && *n == name)
-            .map(|(_, h)| h)
     }
 }
 
@@ -622,8 +527,7 @@ impl Recorder {
         span
     }
 
-    /// Close a span opened by [`Recorder::begin`]. The span's duration is
-    /// also recorded into the `(comp, name)` latency histogram.
+    /// Close a span opened by [`Recorder::begin`].
     pub fn end(&self, span: u64, args: Vec<(&'static str, Val)>) {
         if span == 0 {
             return;
@@ -631,16 +535,11 @@ impl Recorder {
         let Some(i) = &self.0 else { return };
         let t_ns = i.clock_ns.load(Ordering::Relaxed);
         let mut st = i.state.lock().unwrap();
-        let Some((comp, name, t0)) = st.live.remove(&span) else {
+        let Some((comp, name, _)) = st.live.remove(&span) else {
             return;
         };
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.stats
-            .hists
-            .entry((comp, name))
-            .or_default()
-            .record(t_ns.saturating_sub(t0));
         Self::push(
             &mut st,
             Event {
@@ -666,17 +565,6 @@ impl Recorder {
         *st.stats.counters.entry((comp, name)).or_insert(0) += delta;
     }
 
-    /// Record a sample (latency ns, bytes, ...) into the `(comp, name)`
-    /// histogram (subject to the mask).
-    pub fn sample(&self, comp: Comp, name: &'static str, v: u64) {
-        let Some(i) = &self.0 else { return };
-        if i.mask.load(Ordering::Relaxed) & comp.bit() == 0 {
-            return;
-        }
-        let mut st = i.state.lock().unwrap();
-        st.stats.hists.entry((comp, name)).or_default().record(v);
-    }
-
     /// Clone out a snapshot without draining the ring.
     pub fn snapshot(&self) -> Trace {
         match &self.0 {
@@ -696,8 +584,8 @@ impl Recorder {
         }
     }
 
-    /// Drain the ring into a [`Trace`], leaving counters/histograms in
-    /// place. Drain time is when span balance is checked: under the `audit`
+    /// Drain the ring into a [`Trace`], leaving the counters in place.
+    /// Drain time is when span balance is checked: under the `audit`
     /// feature the `obs.spans_balanced` checker fires, panicking if any span
     /// is still open (every begin must have had a matching end).
     pub fn drain(&self) -> Trace {
@@ -799,10 +687,9 @@ mod tests {
         assert_eq!(t.events[0].phase, Phase::Begin);
         assert_eq!(t.events[1].phase, Phase::End);
         assert_eq!(t.events[0].span, t.events[1].span);
-        let h = t.hist(Comp::Transfer, "leg").unwrap();
-        assert_eq!(h.count(), 1);
-        // 3000 ns lands in bucket (4096]; readout clamps to observed max.
-        assert_eq!(h.quantile(0.5), Some(3_000));
+        let spans = t.spans_overlapping(0, u64::MAX);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].t1_ns - spans[0].t0_ns, 3_000);
     }
 
     #[test]
@@ -844,26 +731,6 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].t0_ns, 20);
         assert_eq!(spans[0].t1_ns, 40);
-    }
-
-    #[test]
-    fn hist_quantiles_are_deterministic() {
-        let mut h = Hist::default();
-        for v in [1u64, 2, 3, 100, 1000, 100_000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 100_000);
-        let p50 = h.quantile(0.5).unwrap();
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p50 <= p99);
-        assert_eq!(h.quantile(0.0), Some(2)); // bucket upper bound for value 1
-        assert_eq!(h.quantile(1.0), Some(100_000));
-        // Zero handling: bucket 0.
-        let mut z = Hist::default();
-        z.record(0);
-        assert_eq!(z.quantile(0.5), Some(0));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! architecture: the storage/transfer layer is a service below the
 //! serverless platform, swapped out per experiment.
 
-use grouter_mem::{ElasticPool, PinnedRing, PrewarmScaler};
+use grouter_mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
 use grouter_sim::time::{SimDuration, SimTime};
-use grouter_sim::FlowNet;
+use grouter_sim::{params, FlowNet};
 use grouter_store::{AccessToken, DataId, DataStore, StoreError};
+use grouter_topology::graph::TopologySpec;
 use grouter_topology::ledger::{PathLedger, Rebalance, ResId};
 use grouter_topology::{GpuRef, Topology};
 use grouter_transfer::plan::TransferPlan;
@@ -114,7 +115,7 @@ pub struct PlaneCtx<'a> {
     /// guarantees of §4.3.2.
     pub slo: Option<SloSpec>,
     /// Trace recorder for plane-level decisions (route-GPU picks, rate
-    /// clamps), borrowed from the world; hand-built contexts borrow
+    /// clamps), borrowed from the world; [`PlaneEnv::ctx`] borrows
     /// [`grouter_obs::DISABLED`].
     pub trace: &'a grouter_obs::Recorder,
 }
@@ -133,6 +134,65 @@ impl<'a> PlaneCtx<'a> {
     pub fn scaler(&mut self, gpu: GpuRef) -> &mut PrewarmScaler {
         let idx = self.pool_index(gpu);
         &mut self.scalers[idx]
+    }
+}
+
+/// The cluster state a [`PlaneCtx`] borrows, owned: for running a plane
+/// outside the executor (the llm serving groups, capability probes, unit
+/// tests). Pools are elastic, every node has its own ledger, pinned ring
+/// and rate controller, and path caches start cold. [`crate::world::World`]
+/// keeps its own copy of these parts, because it also wires them to its
+/// recorder and warms one path cache for every node to clone.
+pub struct PlaneEnv {
+    pub topo: Topology,
+    pub net: FlowNet,
+    pub store: DataStore,
+    pub pools: Vec<ElasticPool>,
+    pub scalers: Vec<PrewarmScaler>,
+    pub ledgers: Vec<PathLedger>,
+    pub pinned: Vec<PinnedRing>,
+    pub rates: Vec<RateController>,
+}
+
+impl PlaneEnv {
+    /// `nodes` copies of `spec`, with every pool and ledger idle.
+    pub fn new(spec: TopologySpec, nodes: usize) -> PlaneEnv {
+        let mut net = FlowNet::new();
+        let topo = Topology::build(spec, nodes, &mut net);
+        let gpus = topo.num_gpus();
+        PlaneEnv {
+            store: DataStore::new(nodes),
+            pools: (0..gpus)
+                .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
+                .collect(),
+            scalers: (0..gpus).map(|_| PrewarmScaler::new()).collect(),
+            ledgers: (0..nodes)
+                .map(|_| PathLedger::from_topology(&topo))
+                .collect(),
+            pinned: (0..nodes)
+                .map(|_| PinnedRing::new(params::PINNED_RING_BYTES))
+                .collect(),
+            rates: (0..nodes).map(|_| RateController::new()).collect(),
+            topo,
+            net,
+        }
+    }
+
+    /// A context at `now` for work outside any workflow: no SLO, no trace.
+    pub fn ctx(&mut self, now: SimTime) -> PlaneCtx<'_> {
+        PlaneCtx {
+            topo: &self.topo,
+            net: &self.net,
+            store: &mut self.store,
+            pools: &mut self.pools,
+            scalers: &mut self.scalers,
+            ledgers: &mut self.ledgers,
+            pinned: &mut self.pinned,
+            rates: &mut self.rates,
+            now,
+            slo: None,
+            trace: &grouter_obs::DISABLED,
+        }
     }
 }
 

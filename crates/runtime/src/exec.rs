@@ -14,7 +14,6 @@
 use std::sync::Arc;
 
 use grouter_sim::engine::{Scheduler, Simulation};
-use grouter_sim::params;
 use grouter_sim::time::{SimDuration, SimTime};
 use grouter_store::{AccessToken, DataId, FunctionId, Location, WorkflowId};
 use grouter_topology::graph::TopologySpec;
@@ -706,8 +705,6 @@ pub(crate) fn try_dispatch_gpu(w: &mut World, s: &mut Scheduler<World>, gpu_idx:
                 );
                 w.rec
                     .count(grouter_obs::Comp::Runtime, "stage_dispatches", 1);
-                w.rec
-                    .sample(grouter_obs::Comp::Runtime, "queue_wait_ns", wait_ns);
             }
             start_fetch(w, s, inst_id, stage);
             return;
@@ -778,7 +775,7 @@ fn start_fetch(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usi
 
 fn start_running(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: usize) {
     let now = s.now();
-    let (dest, compute, mem_bytes, fid, attempt) = {
+    let (dest, compute, mem_bytes, attempt) = {
         let inst = &mut w.instances[inst_id];
         inst.stages[stage].state = StageState::Running;
         let spec = &inst.spec.stages[stage];
@@ -790,21 +787,13 @@ fn start_running(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: u
             inst.placements[stage],
             spec.compute,
             mem,
-            inst.fn_ids[stage],
             inst.stages[stage].attempt,
         )
     };
 
-    let mut delay = SimDuration::ZERO;
+    // Containers are pre-warmed (the paper's setting, SHEPHERD-style), so a
+    // stage starts computing at once.
     if let Destination::Gpu(g) = dest {
-        // Cold start unless pre-warmed (paper pre-warms, SHEPHERD-style).
-        // Function ids are bijective with (workflow, stage), so the warm key
-        // never clones the workflow name.
-        let warm_key = (fid, w.gpu_index(g.node, g.gpu));
-        if !w.config.prewarm && !w.warm.contains(&warm_key) {
-            delay = params::COLD_START_GFN;
-        }
-        w.warm.insert(warm_key);
         // Model memory while running — may squeeze the storage pool.
         let idx = w.gpu_index(g.node, g.gpu);
         let used = w.pools[idx].runtime_used() + mem_bytes;
@@ -814,12 +803,10 @@ fn start_running(w: &mut World, s: &mut Scheduler<World>, inst_id: u64, stage: u
         if w.config.sample_memory {
             w.sample_memory(now);
         }
-    } else if !w.config.prewarm {
-        delay = params::COLD_START_CFN;
     }
 
     s.schedule_in(
-        delay + compute,
+        compute,
         Event::ComputeDone {
             inst: inst_id,
             stage,

@@ -14,7 +14,7 @@ use grouter_sim::rng::DetRng;
 use grouter_sim::stats::TimeSeries;
 use grouter_sim::table::RidTable;
 use grouter_sim::time::{SimDuration, SimTime};
-use grouter_sim::{FlowNet, FxHashMap, FxHashSet};
+use grouter_sim::{FlowNet, FxHashMap};
 use grouter_store::DataStore;
 use grouter_store::{DataId, WorkflowId};
 use grouter_topology::graph::TopologySpec;
@@ -36,9 +36,6 @@ pub struct RuntimeConfig {
     pub placement_nodes: Vec<usize>,
     /// Deterministic seed for branch sampling and random-placement planes.
     pub seed: u64,
-    /// Pre-warm containers (the paper's default, SHEPHERD-style). When
-    /// `false`, the first run of a stage on a GPU pays a cold start.
-    pub prewarm: bool,
     /// Record a per-GPU idle-memory time series (Fig. 7a).
     pub sample_memory: bool,
     /// GPU pool discipline (elastic for GROUTER, static/symmetric for the
@@ -59,7 +56,6 @@ impl Default for RuntimeConfig {
             placement: PlacementPolicy::Mapa,
             placement_nodes: Vec::new(),
             seed: 42,
-            prewarm: true,
             sample_memory: false,
             pool_discipline: PoolDiscipline::Elastic,
             trace: false,
@@ -96,8 +92,8 @@ pub struct StageRun {
     pub output: Option<DataId>,
     /// Global enqueue rank (queue-aware migration input).
     pub rank: Option<u64>,
-    /// When the stage entered its GPU queue (feeds the queue-wait
-    /// histogram; `None` for host stages, which never queue).
+    /// When the stage entered its GPU queue (the traced dispatch's queue
+    /// wait; `None` for host stages, which never queue).
     pub enqueued: Option<SimTime>,
     /// Execution attempt, bumped on every recovery reset. Scheduled events
     /// (compute completions, retry re-issues) carry the attempt they were
@@ -316,9 +312,6 @@ pub struct World {
     /// Watched links and their utilisation-fraction time series (enabled by
     /// `Runtime::schedule_link_samples`).
     pub link_series: Vec<(grouter_sim::LinkId, TimeSeries)>,
-    /// `(function id, flat GPU index)` pairs that have run at least once
-    /// (container warm; function ids are bijective with (workflow, stage)).
-    pub warm: FxHashSet<(u64, usize)>,
     pub config: RuntimeConfig,
     pub enqueue_counter: u64,
     pub next_instance: u64,
@@ -420,7 +413,6 @@ impl World {
             metrics: Metrics::new(),
             mem_series,
             link_series: Vec::new(),
-            warm: FxHashSet::default(),
             config,
             enqueue_counter: 0,
             next_instance: 0,

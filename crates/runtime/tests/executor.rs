@@ -206,31 +206,6 @@ fn cross_node_workflow_completes() {
 }
 
 #[test]
-fn cold_start_penalty_applies_once() {
-    let mut wf = WorkflowSpec::new("cold", 1.0 * MB);
-    wf.push(StageSpec::gpu("a", vec![], ms(10), 1.0 * MB, 1e9));
-    let spec = Arc::new(wf);
-    let pin = PlacementPolicy::Pinned(vec![Destination::Gpu(GpuRef::new(0, 0))]);
-    let cfg = RuntimeConfig {
-        placement: pin,
-        placement_nodes: vec![0],
-        prewarm: false,
-        ..Default::default()
-    };
-    let mut rt = Runtime::new(presets::dgx_v100(), 1, Box::new(LocalityPlane::new()), cfg);
-    rt.submit(spec.clone(), SimTime::ZERO);
-    rt.submit(spec, SimTime(5_000_000_000));
-    rt.run();
-    let m = rt.metrics();
-    let first = m.records()[0].latency();
-    let second = m.records()[1].latency();
-    assert!(
-        first - second >= SimDuration::from_millis(1900),
-        "cold start missing: first {first}, second {second}"
-    );
-}
-
-#[test]
 fn memory_sampling_produces_series() {
     let cfg = RuntimeConfig {
         placement: PlacementPolicy::Mapa,

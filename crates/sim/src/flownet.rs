@@ -884,11 +884,6 @@ impl FlowNet {
             ],
         );
         self.rec.count(grouter_obs::Comp::Net, "realloc_waves", 1);
-        self.rec.sample(
-            grouter_obs::Comp::Net,
-            "component_flows",
-            self.scratch.comp_flows.len() as u64,
-        );
     }
 
     /// Post-recompute invariants (`--features audit`): per-link capacity

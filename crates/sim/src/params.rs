@@ -113,11 +113,6 @@ pub const HEARTBEAT_BYTES: f64 = 256.0;
 /// until a fresh heartbeat arrives.
 pub const HEARTBEAT_SUSPECT_FACTOR: u64 = 3;
 
-/// Container cold start (pull + init) for a CPU function.
-pub const COLD_START_CFN: SimDuration = SimDuration::from_millis(500);
-/// Container cold start + model load for a GPU function.
-pub const COLD_START_GFN: SimDuration = SimDuration::from_millis(2_000);
-
 // ---------------------------------------------------------------------------
 // GROUTER policy defaults (paper values)
 // ---------------------------------------------------------------------------

@@ -259,25 +259,6 @@ impl TimeSeries {
         &self.points
     }
 
-    /// Down-sample to at most `n` evenly spaced points (for printing).
-    pub fn resample(&self, n: usize) -> Vec<(SimTime, f64)> {
-        if self.points.len() <= n || n == 0 {
-            return self.points.clone();
-        }
-        let step = self.points.len() as f64 / n as f64;
-        (0..n)
-            .map(|i| self.points[(i as f64 * step) as usize])
-            .collect()
-    }
-
-    /// Minimum value over the series.
-    pub fn min_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
     /// Maximum value over the series.
     pub fn max_value(&self) -> Option<f64> {
         self.points
@@ -452,10 +433,7 @@ mod tests {
         // 257 numbers (1..300 minus multiples of 7), then 43 NaNs: the
         // 150th number is 174.
         assert_eq!(s.p50(), 174.0);
-        assert!(s.quantile(1.0).is_nan());
-        let cdf = s.cdf_points(4);
-        assert_eq!(cdf[1].0, 174.0);
-        assert!(cdf[2].0.is_finite() && cdf[3].0.is_nan());
+        assert!(s.quantile(0.75).is_finite() && s.quantile(1.0).is_nan());
     }
 
     #[test]
@@ -466,13 +444,11 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_resample_and_stats() {
+    fn timeseries_max_value() {
         let mut ts = TimeSeries::new();
         for i in 0..10 {
             ts.record(SimTime(i * 10), i as f64);
         }
-        assert_eq!(ts.resample(5).len(), 5);
-        assert_eq!(ts.min_value(), Some(0.0));
         assert_eq!(ts.max_value(), Some(9.0));
     }
 
@@ -492,83 +468,5 @@ mod tests {
         ts.record(SimTime(100), 0.0);
         // 10.0 held for 90 ns, 0.0 for 10 ns → mean 9.0
         assert!((ts.time_weighted_mean().unwrap() - 9.0).abs() < 1e-9);
-    }
-}
-
-impl Summary {
-    /// `n` evenly spaced CDF points `(value, fraction ≤ value)` — the shape
-    /// the paper's distribution figures (e.g. Fig. 18a) plot.
-    pub fn cdf_points(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        (1..=n)
-            .map(|k| {
-                let q = k as f64 / n as f64;
-                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-                (sorted[rank - 1], q)
-            })
-            .collect()
-    }
-
-    /// Comma-separated `value,cdf` lines for external plotting.
-    pub fn cdf_csv(&self, n: usize) -> String {
-        let mut out = String::from("value,cdf\n");
-        for (v, q) in self.cdf_points(n) {
-            out.push_str(&format!("{v},{q}\n"));
-        }
-        out
-    }
-}
-
-impl TimeSeries {
-    /// Comma-separated `seconds,value` lines for external plotting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("seconds,value\n");
-        for &(t, v) in &self.points {
-            out.push_str(&format!("{},{v}\n", t.as_secs_f64()));
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-
-    #[test]
-    fn cdf_points_are_monotone_and_cover_range() {
-        let mut s = Summary::new();
-        for i in 1..=100 {
-            s.record(i as f64);
-        }
-        let cdf = s.cdf_points(10);
-        assert_eq!(cdf.len(), 10);
-        assert!(cdf.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
-        assert_eq!(cdf.last().unwrap().0, 100.0);
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn cdf_empty_and_zero_n() {
-        let s = Summary::new();
-        assert!(s.cdf_points(5).is_empty());
-        let mut s2 = Summary::new();
-        s2.record(1.0);
-        assert!(s2.cdf_points(0).is_empty());
-    }
-
-    #[test]
-    fn csv_headers_present() {
-        let mut s = Summary::new();
-        s.record(2.0);
-        assert!(s.cdf_csv(2).starts_with("value,cdf\n"));
-        let mut ts = TimeSeries::new();
-        ts.record(SimTime(1_000_000_000), 7.0);
-        let csv = ts.to_csv();
-        assert!(csv.starts_with("seconds,value\n"));
-        assert!(csv.contains("1,7"));
     }
 }

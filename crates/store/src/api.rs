@@ -114,8 +114,6 @@ impl DataStore {
         if self.rec.on(grouter_obs::Comp::Store) {
             self.emit_store_event("put", id, bytes, location);
             self.rec.count(grouter_obs::Comp::Store, "puts", 1);
-            self.rec
-                .sample(grouter_obs::Comp::Store, "put_bytes", bytes.max(0.0) as u64);
         }
         (id, grouter_sim::params::LOCAL_TABLE_LOOKUP)
     }

@@ -244,11 +244,6 @@ impl TransferEngine {
                     args,
                 );
             }
-            self.rec.sample(
-                grouter_obs::Comp::Transfer,
-                "chunk_batch",
-                started.len() as u64,
-            );
         }
         act.started = now;
         act.bytes = total_bytes;

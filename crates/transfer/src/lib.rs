@@ -4,8 +4,8 @@
 //! that turns "move N bytes from A to B" into a set of concurrent flows over
 //! NVLink, PCIe and NIC links.
 //!
-//! * [`chunk`] — 2 MB chunking, 5-chunk batches, and capacity-proportional
-//!   chunk sizing across heterogeneous paths (§4.3.1, §4.3.3).
+//! * [`chunk`] — capacity-proportional byte shares across heterogeneous
+//!   paths (§4.3.3).
 //! * [`rate`] — SLO-aware transfer rate control: `Rate_least =
 //!   size / (L_slo − L_infer)`, idle-bandwidth assignment to the tightest
 //!   SLO (§4.3.2).
@@ -40,7 +40,6 @@ pub mod pipeline;
 pub mod plan;
 pub mod rate;
 
-pub use chunk::{chunk_count, proportional_split, ChunkPlan};
 pub use exec::{TransferDone, TransferEngine, TransferId};
 pub use pipeline::{BatchPipeline, Completion, Offered};
 pub use plan::{PlanConfig, PlannedFlow, TransferPlan};

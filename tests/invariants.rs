@@ -1,5 +1,5 @@
 //! Property-based invariants across the core data structures: bandwidth
-//! conservation in the flow network, byte conservation in chunking,
+//! conservation in the flow network, byte conservation in path splitting,
 //! soundness of eviction selection, and Algorithm 1 reservation hygiene.
 
 use proptest::prelude::*;
@@ -9,7 +9,7 @@ use grouter::sim::time::SimTime;
 use grouter::sim::{FlowNet, FlowOptions};
 use grouter::topology::paths::select_parallel_paths;
 use grouter::topology::{presets, BwMatrix, Topology};
-use grouter::transfer::chunk::{chunk_count, proportional_split};
+use grouter::transfer::chunk::split_in_place;
 
 proptest! {
     /// Shares are non-negative, sum to the total, and only positive-capacity
@@ -19,7 +19,8 @@ proptest! {
         bytes in 0.0f64..1e12,
         caps in proptest::collection::vec(-1.0f64..100.0, 0..12),
     ) {
-        let shares = proportional_split(bytes, &caps);
+        let mut shares = caps.clone();
+        split_in_place(bytes, &mut shares, |c| c);
         prop_assert_eq!(shares.len(), caps.len());
         let sum: f64 = shares.iter().sum();
         let usable: f64 = caps.iter().filter(|&&c| c > 0.0).sum();
@@ -33,17 +34,6 @@ proptest! {
             if *cap <= 0.0 {
                 prop_assert_eq!(*share, 0.0);
             }
-        }
-    }
-
-    /// Chunk counts are ceilings: enough chunks to hold the bytes, never one
-    /// more than needed.
-    #[test]
-    fn chunk_count_is_tight(bytes in 0.0f64..1e11, chunk in 1.0f64..1e8) {
-        let n = chunk_count(bytes, chunk);
-        prop_assert!(n as f64 * chunk >= bytes);
-        if n > 0 {
-            prop_assert!((n - 1) as f64 * chunk < bytes);
         }
     }
 

@@ -2,64 +2,11 @@
 //! across all source/destination pattern combinations, enforce access
 //! control, and clean up pool accounting.
 
-use grouter::mem::{ElasticPool, PinnedRing, PoolDiscipline, PrewarmScaler};
-use grouter::runtime::dataplane::{Destination, PlaneCtx};
+use grouter::runtime::dataplane::{Destination, PlaneEnv};
 use grouter::sim::time::SimTime;
-use grouter::sim::FlowNet;
-use grouter::store::{AccessToken, DataStore, FunctionId, StoreError, WorkflowId};
-use grouter::topology::{presets, GpuRef, PathLedger, Topology};
-use grouter::transfer::rate::RateController;
+use grouter::store::{AccessToken, FunctionId, StoreError, WorkflowId};
+use grouter::topology::{presets, GpuRef};
 use grouter_integration_tests::all_planes;
-
-struct Cluster {
-    topo: Topology,
-    net: FlowNet,
-    store: DataStore,
-    pools: Vec<ElasticPool>,
-    scalers: Vec<PrewarmScaler>,
-    ledgers: Vec<PathLedger>,
-    pinned: Vec<PinnedRing>,
-    rates: Vec<RateController>,
-}
-
-impl Cluster {
-    fn new(nodes: usize) -> Cluster {
-        let mut net = FlowNet::new();
-        let topo = Topology::build(presets::dgx_v100(), nodes, &mut net);
-        Cluster {
-            store: DataStore::new(nodes),
-            pools: (0..topo.num_gpus())
-                .map(|_| ElasticPool::new(PoolDiscipline::Elastic, topo.gpu_mem_bytes()))
-                .collect(),
-            scalers: (0..topo.num_gpus()).map(|_| PrewarmScaler::new()).collect(),
-            ledgers: (0..nodes)
-                .map(|_| PathLedger::from_topology(&topo))
-                .collect(),
-            pinned: (0..nodes)
-                .map(|_| PinnedRing::new(grouter_sim::params::PINNED_RING_BYTES))
-                .collect(),
-            rates: (0..nodes).map(|_| RateController::new()).collect(),
-            topo,
-            net,
-        }
-    }
-
-    fn ctx(&mut self) -> PlaneCtx<'_> {
-        PlaneCtx {
-            topo: &self.topo,
-            net: &self.net,
-            store: &mut self.store,
-            pools: &mut self.pools,
-            scalers: &mut self.scalers,
-            ledgers: &mut self.ledgers,
-            pinned: &mut self.pinned,
-            rates: &mut self.rates,
-            now: SimTime::ZERO,
-            slo: None,
-            trace: &grouter_obs::DISABLED,
-        }
-    }
-}
 
 fn token(wf: u64) -> AccessToken {
     AccessToken {
@@ -87,13 +34,13 @@ fn put_get_covers_every_pattern() {
     for mut plane in all_planes(3) {
         for &src in &sources {
             for &dst in &dests {
-                let mut cl = Cluster::new(2);
+                let mut cl = PlaneEnv::new(presets::dgx_v100(), 2);
                 let bytes = 32e6;
                 let put = plane
-                    .put(&mut cl.ctx(), token(1), src, bytes, 1)
+                    .put(&mut cl.ctx(SimTime::ZERO), token(1), src, bytes, 1)
                     .unwrap_or_else(|e| panic!("{}: put {src:?} failed: {e}", plane.name()));
                 let get = plane
-                    .get(&mut cl.ctx(), token(1), put.id, dst)
+                    .get(&mut cl.ctx(SimTime::ZERO), token(1), put.id, dst)
                     .unwrap_or_else(|e| {
                         panic!("{}: get {src:?}->{dst:?} failed: {e}", plane.name())
                     });
@@ -115,7 +62,7 @@ fn put_get_covers_every_pattern() {
                     }
                 }
                 // Consuming releases the object.
-                plane.on_consumed(&mut cl.ctx(), put.id);
+                plane.on_consumed(&mut cl.ctx(SimTime::ZERO), put.id);
                 assert!(
                     cl.store.peek(put.id).is_none(),
                     "{}: object not GC'd",
@@ -129,12 +76,12 @@ fn put_get_covers_every_pattern() {
 #[test]
 fn pools_return_to_zero_after_consumption() {
     for mut plane in all_planes(7) {
-        let mut cl = Cluster::new(1);
+        let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let mut ids = Vec::new();
         for i in 0..6 {
             let put = plane
                 .put(
-                    &mut cl.ctx(),
+                    &mut cl.ctx(SimTime::ZERO),
                     token(1),
                     Destination::Gpu(GpuRef::new(0, i % 8)),
                     64e6,
@@ -144,7 +91,7 @@ fn pools_return_to_zero_after_consumption() {
             ids.push(put.id);
         }
         for id in ids {
-            plane.on_consumed(&mut cl.ctx(), id);
+            plane.on_consumed(&mut cl.ctx(SimTime::ZERO), id);
         }
         for (i, pool) in cl.pools.iter().enumerate() {
             assert_eq!(
@@ -161,10 +108,10 @@ fn pools_return_to_zero_after_consumption() {
 #[test]
 fn access_control_is_universal() {
     for mut plane in all_planes(11) {
-        let mut cl = Cluster::new(1);
+        let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let put = plane
             .put(
-                &mut cl.ctx(),
+                &mut cl.ctx(SimTime::ZERO),
                 token(1),
                 Destination::Gpu(GpuRef::new(0, 2)),
                 1e6,
@@ -173,7 +120,7 @@ fn access_control_is_universal() {
             .expect("put");
         let err = plane
             .get(
-                &mut cl.ctx(),
+                &mut cl.ctx(SimTime::ZERO),
                 token(2),
                 put.id,
                 Destination::Gpu(GpuRef::new(0, 3)),
@@ -191,10 +138,10 @@ fn access_control_is_universal() {
 fn unknown_object_is_reported_not_panicked() {
     use grouter::store::DataId;
     for mut plane in all_planes(13) {
-        let mut cl = Cluster::new(1);
+        let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let err = plane
             .get(
-                &mut cl.ctx(),
+                &mut cl.ctx(SimTime::ZERO),
                 token(1),
                 DataId(424242),
                 Destination::Gpu(GpuRef::new(0, 0)),
@@ -211,19 +158,19 @@ fn unknown_object_is_reported_not_panicked() {
 #[test]
 fn double_consume_is_idempotent() {
     for mut plane in all_planes(17) {
-        let mut cl = Cluster::new(1);
+        let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let put = plane
             .put(
-                &mut cl.ctx(),
+                &mut cl.ctx(SimTime::ZERO),
                 token(1),
                 Destination::Gpu(GpuRef::new(0, 1)),
                 8e6,
                 1,
             )
             .expect("put");
-        plane.on_consumed(&mut cl.ctx(), put.id);
+        plane.on_consumed(&mut cl.ctx(SimTime::ZERO), put.id);
         // Second consume of a GC'd object must be harmless.
-        plane.on_consumed(&mut cl.ctx(), put.id);
+        plane.on_consumed(&mut cl.ctx(SimTime::ZERO), put.id);
         assert_eq!(cl.pools[1].used(), 0.0, "{}", plane.name());
     }
 }
@@ -231,12 +178,12 @@ fn double_consume_is_idempotent() {
 #[test]
 fn memory_pressure_hook_never_leaves_overflow() {
     for mut plane in all_planes(19) {
-        let mut cl = Cluster::new(1);
+        let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         // Fill GPU 0's pool.
         let mut ids = Vec::new();
         for _ in 0..10 {
             if let Ok(put) = plane.put(
-                &mut cl.ctx(),
+                &mut cl.ctx(SimTime::ZERO),
                 token(1),
                 Destination::Gpu(GpuRef::new(0, 0)),
                 500e6,
@@ -251,7 +198,7 @@ fn memory_pressure_hook_never_leaves_overflow() {
             pool.set_runtime_used(capacity * 0.9);
         }
         for g in 0..8 {
-            plane.on_memory_change(&mut cl.ctx(), GpuRef::new(0, g));
+            plane.on_memory_change(&mut cl.ctx(SimTime::ZERO), GpuRef::new(0, g));
         }
         for (i, pool) in cl.pools.iter().enumerate() {
             assert!(
@@ -268,10 +215,10 @@ fn memory_pressure_hook_never_leaves_overflow() {
 #[test]
 fn multi_consumer_objects_survive_until_last_reader() {
     for mut plane in all_planes(23) {
-        let mut cl = Cluster::new(1);
+        let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let put = plane
             .put(
-                &mut cl.ctx(),
+                &mut cl.ctx(SimTime::ZERO),
                 token(1),
                 Destination::Gpu(GpuRef::new(0, 0)),
                 16e6,
@@ -282,13 +229,13 @@ fn multi_consumer_objects_survive_until_last_reader() {
         // last one consumes.
         for round in 0..3 {
             let get = plane.get(
-                &mut cl.ctx(),
+                &mut cl.ctx(SimTime::ZERO),
                 token(1),
                 put.id,
                 Destination::Gpu(GpuRef::new(0, (round + 1) as usize)),
             );
             assert!(get.is_ok(), "{}: round {round} failed", plane.name());
-            plane.on_consumed(&mut cl.ctx(), put.id);
+            plane.on_consumed(&mut cl.ctx(SimTime::ZERO), put.id);
         }
         assert!(
             cl.store.peek(put.id).is_none(),
@@ -304,11 +251,11 @@ fn multi_consumer_objects_survive_until_last_reader() {
 fn oversized_objects_fall_back_to_host_storage() {
     use grouter::store::Location;
     for mut plane in all_planes(29) {
-        let mut cl = Cluster::new(1);
+        let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         // 10 GB exceeds the 8 GB storage cap of an idle 16 GB V100.
         let put = plane
             .put(
-                &mut cl.ctx(),
+                &mut cl.ctx(SimTime::ZERO),
                 token(1),
                 Destination::Gpu(GpuRef::new(0, 0)),
                 10e9,
@@ -323,7 +270,7 @@ fn oversized_objects_fall_back_to_host_storage() {
         );
         // And it is still readable.
         let get = plane.get(
-            &mut cl.ctx(),
+            &mut cl.ctx(SimTime::ZERO),
             token(1),
             put.id,
             Destination::Gpu(GpuRef::new(0, 1)),
