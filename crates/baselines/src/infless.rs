@@ -6,14 +6,17 @@
 //! deserialise. gFn–gFn hops therefore cost two PCIe crossings plus
 //! serialisation at both ends — the 92 %-of-latency pathology of Fig. 3.
 
-use grouter_runtime::dataplane::{DataOp, DataPlane, Destination, PlaneCtx, PutOp};
+use grouter_runtime::dataplane::{DataOp, DataPlane, Destination, OpLeg, PlaneCtx, PutOp};
 use grouter_runtime::simple_plane::gc_consumed;
 use grouter_sim::time::SimDuration;
 use grouter_store::{AccessToken, DataId, Location, StoreError};
 use grouter_topology::GpuRef;
 use grouter_transfer::plan::PlanConfig;
 
-use crate::common;
+/// Serialisation latency of a host-centric store (`bytes / HOST_SERIALIZE_BW`).
+fn serialize_latency(bytes: f64) -> SimDuration {
+    SimDuration::from_secs_f64(bytes / grouter_sim::params::HOST_SERIALIZE_BW)
+}
 
 /// Host-centric data plane.
 #[derive(Debug)]
@@ -61,9 +64,8 @@ impl DataPlane for InflessPlane {
             // Serialise the device tensor, pin a staging buffer (allocated
             // per transfer — no shared ring), then stage it down over the
             // producer's own PCIe link only.
-            control =
-                control + common::serialize_latency(bytes) + grouter_sim::params::PINNED_ALLOC;
-            legs.push(common::leg_d2h(ctx, g, bytes, &self.cfg));
+            control = control + serialize_latency(bytes) + grouter_sim::params::PINNED_ALLOC;
+            legs.push(OpLeg::d2h(ctx, g, bytes, &self.cfg));
         }
         Ok(PutOp {
             id,
@@ -94,19 +96,14 @@ impl DataPlane for InflessPlane {
         match dest {
             Destination::Gpu(g) => {
                 if data_node != g.node {
-                    legs.push(common::leg_hh(ctx, data_node, g.node, entry.bytes));
+                    legs.push(OpLeg::host_to_host(ctx, data_node, g.node, entry.bytes));
                 }
-                control = control
-                    + common::serialize_latency(entry.bytes)
-                    + grouter_sim::params::PINNED_ALLOC;
-                legs.push(common::leg_h2d(ctx, g, entry.bytes, &self.cfg));
+                control =
+                    control + serialize_latency(entry.bytes) + grouter_sim::params::PINNED_ALLOC;
+                legs.push(OpLeg::h2d(ctx, g, entry.bytes, &self.cfg));
             }
             Destination::Host(n) => {
-                if data_node != n {
-                    legs.push(common::leg_hh(ctx, data_node, n, entry.bytes));
-                } else {
-                    legs.push(common::leg_shm(ctx, n, entry.bytes));
-                }
+                legs.push(OpLeg::host_to_host(ctx, data_node, n, entry.bytes));
             }
         }
         Ok(DataOp {
@@ -130,10 +127,10 @@ impl DataPlane for InflessPlane {
 /// on a PCIe link of `pcie_bw` — serialise + d2h + h2d + deserialise. Used
 /// by tests and the Fig. 3 analysis.
 pub fn host_roundtrip_floor(bytes: f64, pcie_bw: f64) -> SimDuration {
-    common::serialize_latency(bytes)
+    serialize_latency(bytes)
         + SimDuration::from_secs_f64(bytes / pcie_bw)
         + SimDuration::from_secs_f64(bytes / pcie_bw)
-        + common::serialize_latency(bytes)
+        + serialize_latency(bytes)
 }
 
 #[cfg(test)]
@@ -199,7 +196,7 @@ mod tests {
         // 1 GB at 1.5 GB/s serialise + deserialise ≈ 1.33 s vs ~0.17 s of
         // PCIe time: the paper's "data passing dominates" shape.
         let floor = host_roundtrip_floor(1e9, grouter_sim::params::PCIE_GEN3_X16);
-        let ser = common::serialize_latency(1e9);
+        let ser = serialize_latency(1e9);
         assert!(ser.as_secs_f64() * 2.0 / floor.as_secs_f64() > 0.8);
     }
 }

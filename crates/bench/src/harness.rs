@@ -15,7 +15,7 @@ use grouter::sim::time::{SimDuration, SimTime};
 use grouter::topology::graph::TopologySpec;
 use grouter::topology::GpuRef;
 use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::{deepplan_plane, InflessPlane, MooncakePlane, NvshmemPlane};
+use grouter_baselines::{deepplan_plane, mooncake_plane, nvshmem_plane, InflessPlane};
 use grouter_workloads::azure::{generate_trace, ArrivalPattern};
 
 pub const MB: f64 = 1e6;
@@ -54,11 +54,11 @@ impl PlaneKind {
     pub fn build(&self, seed: u64) -> Box<dyn DataPlane> {
         match self {
             PlaneKind::Infless => Box::new(InflessPlane::new()),
-            PlaneKind::Nvshmem => Box::new(NvshmemPlane::new(seed)),
-            PlaneKind::Deepplan => deepplan_plane(seed),
+            PlaneKind::Nvshmem => Box::new(nvshmem_plane(seed)),
+            PlaneKind::Deepplan => Box::new(deepplan_plane(seed)),
             PlaneKind::Grouter => Box::new(GrouterPlane::new(GrouterConfig::full())),
             PlaneKind::GrouterCfg(cfg) => Box::new(GrouterPlane::new(*cfg)),
-            PlaneKind::Mooncake(tp) => Box::new(MooncakePlane::new(*tp)),
+            PlaneKind::Mooncake(tp) => Box::new(mooncake_plane(*tp)),
         }
     }
 }

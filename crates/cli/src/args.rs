@@ -13,7 +13,7 @@ use grouter::sim::time::SimDuration;
 use grouter::topology::graph::TopologySpec;
 use grouter::topology::presets;
 use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::{deepplan_plane, InflessPlane, NvshmemPlane};
+use grouter_baselines::{deepplan_plane, nvshmem_plane, InflessPlane};
 use grouter_ctl::ServiceConfig;
 use grouter_llm::{LlmServeConfig, PlaneKind, NODE_GPUS};
 use grouter_workloads::azure::ArrivalPattern;
@@ -28,8 +28,8 @@ type PresetFn = fn() -> ClusterPreset;
 /// Workflow-mode `--plane` choices, in `--compare` table order.
 pub const PLANES: [(&str, PlaneFn); 4] = [
     ("infless", |_| Box::new(InflessPlane::new())),
-    ("nvshmem", |seed| Box::new(NvshmemPlane::new(seed))),
-    ("deepplan", deepplan_plane),
+    ("nvshmem", |seed| Box::new(nvshmem_plane(seed))),
+    ("deepplan", |seed| Box::new(deepplan_plane(seed))),
     ("grouter", |_| {
         Box::new(GrouterPlane::new(GrouterConfig::full()))
     }),

@@ -4,13 +4,14 @@
 //! prints with a committed file under `tests/golden/`, so a change to flag
 //! parsing, defaults, banners or report formatting shows up as a byte diff.
 //! The remaining tests pin how flags reach the run: the seed drives the
-//! world RNG, and bad names are refused before anything is printed.
+//! world RNG, and bad names are refused before anything is printed; and
+//! how a run ends when its stdout closes early.
 //!
 //! Regenerate (only when an intentional behaviour change is being made):
 //! `GROUTER_GOLDEN_WRITE=1 cargo test -p grouter-cli --test cli_golden`.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn manifest_dir() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -167,5 +168,33 @@ fn bad_names_fail_before_the_banner() {
         assert!(out.stdout.is_empty(), "{args:?} printed before failing");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(args[args.len() - 2]), "{args:?}: {err}");
+    }
+}
+
+/// `grouter-cli … | head` closes stdout under a running simulation: every
+/// mode stops at its next line with success and says nothing on stderr.
+#[test]
+fn a_closed_stdout_ends_every_mode_quietly() {
+    for args in [
+        &[TRAFFIC, "--seconds", "1"][..],
+        &["serve", "--groups", "2", "--total", "200"],
+        &["llm", "--requests", "20"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_grouter-cli"))
+            .args(args)
+            .current_dir(manifest_dir().join("../.."))
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn grouter-cli");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "{args:?} exited {}: {err}",
+            out.status
+        );
+        assert!(err.is_empty(), "{args:?} wrote to stderr: {err}");
     }
 }

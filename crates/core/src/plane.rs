@@ -25,13 +25,13 @@ use grouter_mem::{
 use grouter_runtime::dataplane::{
     DataOp, DataPlane, Destination, LegHealth, OpLeg, PlaneCtx, PlaneStats, PutOp,
 };
+use grouter_runtime::simple_plane::StoreSite;
 use grouter_sim::rng::DetRng;
 use grouter_sim::time::SimDuration;
 use grouter_store::{AccessToken, DataId, Location, StoreError};
 use grouter_topology::GpuRef;
 use grouter_transfer::plan::{
-    nvlink_route_links, plan_cross_node, plan_d2h, plan_h2d, plan_host_to_host, plan_intra_node,
-    plan_shm, PlannedFlow, TransferPlan,
+    nvlink_route_links, plan_intra_node, PlanConfig, PlannedFlow, TransferPlan,
 };
 
 use crate::config::GrouterConfig;
@@ -44,9 +44,9 @@ const RESTORE_HEADROOM: f64 = 0.7;
 #[derive(Debug)]
 pub struct GrouterPlane {
     cfg: GrouterConfig,
-    /// Randomness only used when the unified framework is ablated away
-    /// (random store GPU, NVSHMEM-style).
-    rng: DetRng,
+    /// Where a GPU `Put` stores: the producer's GPU with the unified
+    /// framework, a random GPU of its node (NVSHMEM-style) without it.
+    site: StoreSite,
     /// Objects migrated to host memory and the GPU they should return to.
     /// An object is tracked from the moment `migrate` moves it off its GPU
     /// until `restores` brings it back or `on_consumed` drops it, so an
@@ -69,7 +69,11 @@ impl GrouterPlane {
     pub fn new(cfg: GrouterConfig) -> GrouterPlane {
         GrouterPlane {
             cfg,
-            rng: DetRng::new(0x6706_7265),
+            site: if cfg.unified_framework {
+                StoreSite::Local
+            } else {
+                StoreSite::Random(DetRng::new(0x6706_7265))
+            },
             migrated_home: BTreeMap::new(),
             migrated_by_home: BTreeMap::new(),
             victim_metas: Vec::new(),
@@ -217,21 +221,14 @@ impl GrouterPlane {
             // shortest route). The leg is typed Degraded so the executor's
             // recovery log and the plane stats surface the downgrade instead
             // of silently absorbing it.
-            let plan = plan_intra_node(
-                ctx.topo,
-                ctx.net,
-                None,
-                node,
-                src,
-                dst,
-                bytes,
-                &grouter_transfer::plan::PlanConfig::single_path(),
-            );
+            let single = PlanConfig::single_path();
+            let plan = plan_intra_node(ctx.topo, ctx.net, None, node, src, dst, bytes, &single);
             ctx.ledgers[node].release(res);
-            let mut leg = OpLeg::new(plan, node);
-            leg.health = LegHealth::Degraded;
             self.stats.degraded_legs += 1;
-            return leg;
+            return OpLeg {
+                health: LegHealth::Degraded,
+                ..OpLeg::new(plan, node)
+            };
         }
         grouter_transfer::chunk::split_in_place(bytes, &mut flows, |f| &mut f.bytes);
         let plan = TransferPlan {
@@ -306,10 +303,7 @@ impl GrouterPlane {
             if ctx.store.relocate(id, Location::Host(gpu.node)).is_err() {
                 continue;
             }
-            legs.push(OpLeg::new(
-                plan_d2h(ctx.topo, ctx.net, gpu.node, gpu.gpu, bytes, &host_cfg),
-                gpu.node,
-            ));
+            legs.push(OpLeg::d2h(ctx, gpu, bytes, &host_cfg));
             let idx = ctx.pool_index(gpu);
             ctx.pools[idx].free(bytes);
             self.stats.migrations += 1;
@@ -381,10 +375,7 @@ impl GrouterPlane {
             self.stats.restores += 1;
             ops.push(DataOp {
                 control_latency: grant.latency,
-                legs: vec![OpLeg::new(
-                    plan_h2d(ctx.topo, ctx.net, gpu.node, gpu.gpu, bytes, &host_cfg),
-                    gpu.node,
-                )],
+                legs: vec![OpLeg::h2d(ctx, gpu, bytes, &host_cfg)],
             });
         }
         ops
@@ -418,103 +409,67 @@ impl DataPlane for GrouterPlane {
         bytes: f64,
         consumers: u32,
     ) -> Result<PutOp, StoreError> {
-        match source {
-            Destination::Gpu(g) => {
-                // Locality: keep the data on the producer's GPU. Without the
-                // unified framework the store is placement-blind (random).
-                let store_gpu = if self.cfg.unified_framework {
-                    g
-                } else {
-                    GpuRef::new(
-                        g.node,
-                        self.rng.next_below(ctx.topo.gpus_per_node() as u64) as usize,
-                    )
-                };
-                match self.alloc(ctx, store_gpu, bytes) {
-                    Ok((alloc_lat, mut legs)) => {
-                        if self.cfg.elastic_storage {
-                            let idx = ctx.pool_index(store_gpu);
-                            ctx.scalers[idx].on_output(token.function.0, bytes);
-                        }
-                        let (id, lookup) = ctx.store.put(
-                            ctx.now,
-                            token,
-                            Location::Gpu(store_gpu),
-                            bytes,
-                            consumers,
-                        );
-                        if store_gpu != g {
-                            // Relay copy (only without UF).
-                            if self.cfg.topology_aware {
-                                legs.push(self.ledger_intra_leg(
-                                    ctx,
-                                    g.node,
-                                    g.gpu,
-                                    store_gpu.gpu,
-                                    bytes,
-                                ));
-                            } else {
-                                let plan = plan_intra_node(
-                                    ctx.topo,
-                                    ctx.net,
-                                    None,
-                                    g.node,
-                                    g.gpu,
-                                    store_gpu.gpu,
-                                    bytes,
-                                    &self.cfg.intra_cfg(),
-                                );
-                                legs.push(OpLeg::new(plan, g.node));
-                            }
-                        }
-                        Ok(PutOp {
-                            id,
-                            op: DataOp {
-                                control_latency: lookup
-                                    + alloc_lat
-                                    + grouter_sim::params::IPC_MAP_CACHED,
-                                legs,
-                            },
-                        })
-                    }
-                    Err(()) => {
-                        // Oversized object: store in host memory.
-                        let (id, lookup) =
-                            ctx.store
-                                .put(ctx.now, token, Location::Host(g.node), bytes, consumers);
-                        let mut leg = OpLeg::new(
-                            plan_d2h(
-                                ctx.topo,
-                                ctx.net,
-                                g.node,
-                                g.gpu,
-                                bytes,
-                                &self.cfg.host_cfg(),
-                            ),
-                            g.node,
-                        );
-                        self.apply_slo(ctx, &mut leg);
-                        self.apply_pinned(ctx, &mut leg);
-                        Ok(PutOp {
-                            id,
-                            op: DataOp {
-                                control_latency: lookup,
-                                legs: vec![leg],
-                            },
-                        })
-                    }
-                }
-            }
+        let g = match source {
+            Destination::Gpu(g) => g,
             Destination::Host(n) => {
                 let (id, lookup) =
                     ctx.store
                         .put(ctx.now, token, Location::Host(n), bytes, consumers);
-                Ok(PutOp {
+                return Ok(PutOp {
                     id,
                     op: DataOp::control_only(lookup),
-                })
+                });
+            }
+        };
+        // Locality: keep the data on the producer's GPU. Without the unified
+        // framework the store is placement-blind (random).
+        let store_gpu = self.site.pick(ctx.topo, g);
+        let Ok((alloc_lat, mut legs)) = self.alloc(ctx, store_gpu, bytes) else {
+            // Oversized object: store in host memory.
+            let (id, lookup) =
+                ctx.store
+                    .put(ctx.now, token, Location::Host(g.node), bytes, consumers);
+            let mut leg = OpLeg::d2h(ctx, g, bytes, &self.cfg.host_cfg());
+            self.apply_slo(ctx, &mut leg);
+            self.apply_pinned(ctx, &mut leg);
+            return Ok(PutOp {
+                id,
+                op: DataOp {
+                    control_latency: lookup,
+                    legs: vec![leg],
+                },
+            });
+        };
+        if self.cfg.elastic_storage {
+            let idx = ctx.pool_index(store_gpu);
+            ctx.scalers[idx].on_output(token.function.0, bytes);
+        }
+        let (id, lookup) =
+            ctx.store
+                .put(ctx.now, token, Location::Gpu(store_gpu), bytes, consumers);
+        if store_gpu != g {
+            // Relay copy (only without UF).
+            let (src, dst) = (g.gpu, store_gpu.gpu);
+            if self.cfg.topology_aware {
+                legs.push(self.ledger_intra_leg(ctx, g.node, src, dst, bytes));
+            } else {
+                legs.extend(OpLeg::intra(
+                    ctx,
+                    g.node,
+                    src,
+                    dst,
+                    bytes,
+                    &self.cfg.intra_cfg(),
+                ));
             }
         }
+        Ok(PutOp {
+            id,
+            op: DataOp {
+                control_latency: lookup + alloc_lat + grouter_sim::params::IPC_MAP_CACHED,
+                legs,
+            },
+        })
     }
 
     fn get(
@@ -541,25 +496,13 @@ impl DataPlane for GrouterPlane {
                 if self.cfg.topology_aware && ctx.topo.has_nvlink() {
                     legs.push(self.ledger_intra_leg(ctx, s.node, s.gpu, d.gpu, entry.bytes));
                 } else {
-                    let plan = plan_intra_node(
-                        ctx.topo,
-                        ctx.net,
-                        None,
-                        s.node,
-                        s.gpu,
-                        d.gpu,
-                        entry.bytes,
-                        &self.cfg.intra_cfg(),
-                    );
-                    legs.push(OpLeg::new(plan, s.node));
+                    let cfg = self.cfg.intra_cfg();
+                    legs.extend(OpLeg::intra(ctx, s.node, s.gpu, d.gpu, entry.bytes, &cfg));
                 }
             }
             (Location::Gpu(s), Destination::Gpu(d)) => {
                 // Direct GDR, multi-NIC when harvesting (Fig. 9a).
-                let mut leg = OpLeg::new(
-                    plan_cross_node(ctx.topo, ctx.net, s, d, entry.bytes, &self.cfg.xnode_cfg()),
-                    s.node,
-                );
+                let mut leg = OpLeg::cross_node(ctx, s, d, entry.bytes, &self.cfg.xnode_cfg());
                 if ctx.trace.on(grouter_obs::Comp::Plane) {
                     ctx.trace.instant(
                         grouter_obs::Comp::Plane,
@@ -581,58 +524,25 @@ impl DataPlane for GrouterPlane {
                 legs.push(leg);
             }
             (Location::Gpu(s), Destination::Host(n)) => {
-                let mut leg = OpLeg::new(
-                    plan_d2h(
-                        ctx.topo,
-                        ctx.net,
-                        s.node,
-                        s.gpu,
-                        entry.bytes,
-                        &self.cfg.host_cfg(),
-                    ),
-                    s.node,
-                );
+                let mut leg = OpLeg::d2h(ctx, s, entry.bytes, &self.cfg.host_cfg());
                 self.apply_slo(ctx, &mut leg);
                 self.apply_pinned(ctx, &mut leg);
                 legs.push(leg);
                 if s.node != n {
-                    legs.push(OpLeg::new(
-                        plan_host_to_host(ctx.topo, ctx.net, s.node, n, entry.bytes),
-                        s.node,
-                    ));
+                    legs.push(OpLeg::host_to_host(ctx, s.node, n, entry.bytes));
                 }
             }
             (Location::Host(h), Destination::Gpu(d)) => {
                 if h != d.node {
-                    legs.push(OpLeg::new(
-                        plan_host_to_host(ctx.topo, ctx.net, h, d.node, entry.bytes),
-                        h,
-                    ));
+                    legs.push(OpLeg::host_to_host(ctx, h, d.node, entry.bytes));
                 }
-                let mut leg = OpLeg::new(
-                    plan_h2d(
-                        ctx.topo,
-                        ctx.net,
-                        d.node,
-                        d.gpu,
-                        entry.bytes,
-                        &self.cfg.host_cfg(),
-                    ),
-                    d.node,
-                );
+                let mut leg = OpLeg::h2d(ctx, d, entry.bytes, &self.cfg.host_cfg());
                 self.apply_slo(ctx, &mut leg);
                 self.apply_pinned(ctx, &mut leg);
                 legs.push(leg);
             }
             (Location::Host(a), Destination::Host(b)) => {
-                if a == b {
-                    legs.push(OpLeg::new(plan_shm(ctx.topo, ctx.net, a, entry.bytes), a));
-                } else {
-                    legs.push(OpLeg::new(
-                        plan_host_to_host(ctx.topo, ctx.net, a, b, entry.bytes),
-                        a,
-                    ));
-                }
+                legs.push(OpLeg::host_to_host(ctx, a, b, entry.bytes));
             }
         }
         Ok(DataOp {

@@ -14,7 +14,7 @@ use grouter::runtime::Runtime;
 use grouter::sim::time::{SimDuration, SimTime};
 use grouter::topology::{presets, GpuRef};
 use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::{InflessPlane, NvshmemPlane};
+use grouter_baselines::{nvshmem_plane, InflessPlane};
 
 const MB: f64 = 1e6;
 
@@ -72,11 +72,7 @@ fn grouter_intra_node_beats_host_centric_and_nvshmem() {
         hop_workflow(bytes),
         vec![0, 1],
     );
-    let nvshmem = run_pinned(
-        Box::new(NvshmemPlane::new(5)),
-        hop_workflow(bytes),
-        vec![0, 1],
-    );
+    let nvshmem = run_pinned(Box::new(nvshmem_plane(5)), hop_workflow(bytes), vec![0, 1]);
     let g = gfn_gfn_ms(&grouter);
     // Attribution is by logical edge: INFless+'s detour through host memory
     // still counts as the gFn–gFn hop, exactly like the paper's Fig. 3.

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::MooncakePlane;
+use grouter_baselines::mooncake_plane;
 use grouter_ctl::DecodeView;
 use grouter_runtime::dataplane::{DataPlane, Destination, PlaneEnv};
 use grouter_runtime::pin_decode;
@@ -154,7 +154,7 @@ impl GroupState {
         let n_gpus = env.topo.num_gpus();
         let plane: Box<dyn DataPlane> = match p.plane {
             PlaneKind::Grouter => Box::new(GrouterPlane::new(GrouterConfig::full())),
-            PlaneKind::Mooncake => Box::new(MooncakePlane::new(TP)),
+            PlaneKind::Mooncake => Box::new(mooncake_plane(TP)),
         };
         let mut batches = BTreeMap::new();
         let mut tick_scheduled = BTreeMap::new();

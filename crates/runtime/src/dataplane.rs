@@ -14,7 +14,10 @@ use grouter_store::{AccessToken, DataId, DataStore, StoreError};
 use grouter_topology::graph::TopologySpec;
 use grouter_topology::ledger::{PathLedger, Rebalance, ResId};
 use grouter_topology::{GpuRef, Topology};
-use grouter_transfer::plan::TransferPlan;
+use grouter_transfer::plan::{
+    plan_cross_node, plan_d2h, plan_h2d, plan_host_to_host, plan_intra_node, plan_shm, PlanConfig,
+    TransferPlan,
+};
 use grouter_transfer::rate::{RateController, SloSpec};
 
 pub use grouter_store::patterns::Destination;
@@ -62,6 +65,57 @@ impl OpLeg {
             pinned_release: None,
             reroutes: Vec::new(),
         }
+    }
+
+    /// GPU-to-GPU leg within `node` (`None` for the same GPU, which needs
+    /// no copy). The planner works without a reservation ledger.
+    pub fn intra(
+        ctx: &PlaneCtx<'_>,
+        node: usize,
+        src: usize,
+        dst: usize,
+        bytes: f64,
+        cfg: &PlanConfig,
+    ) -> Option<OpLeg> {
+        (src != dst).then(|| {
+            let plan = plan_intra_node(ctx.topo, ctx.net, None, node, src, dst, bytes, cfg);
+            OpLeg::new(plan, node)
+        })
+    }
+
+    /// Device-to-host leg from `gpu` into its node's memory.
+    pub fn d2h(ctx: &PlaneCtx<'_>, gpu: GpuRef, bytes: f64, cfg: &PlanConfig) -> OpLeg {
+        let plan = plan_d2h(ctx.topo, ctx.net, gpu.node, gpu.gpu, bytes, cfg);
+        OpLeg::new(plan, gpu.node)
+    }
+
+    /// Host-to-device leg from `gpu`'s node memory into `gpu`.
+    pub fn h2d(ctx: &PlaneCtx<'_>, gpu: GpuRef, bytes: f64, cfg: &PlanConfig) -> OpLeg {
+        let plan = plan_h2d(ctx.topo, ctx.net, gpu.node, gpu.gpu, bytes, cfg);
+        OpLeg::new(plan, gpu.node)
+    }
+
+    /// GPU-to-GPU leg between nodes, held by the source node.
+    pub fn cross_node(
+        ctx: &PlaneCtx<'_>,
+        src: GpuRef,
+        dst: GpuRef,
+        bytes: f64,
+        cfg: &PlanConfig,
+    ) -> OpLeg {
+        let plan = plan_cross_node(ctx.topo, ctx.net, src, dst, bytes, cfg);
+        OpLeg::new(plan, src.node)
+    }
+
+    /// Host-to-host leg: shared memory within a node, the network between
+    /// two, held by the source node.
+    pub fn host_to_host(ctx: &PlaneCtx<'_>, src: usize, dst: usize, bytes: f64) -> OpLeg {
+        let plan = if src == dst {
+            plan_shm(ctx.topo, ctx.net, src, bytes)
+        } else {
+            plan_host_to_host(ctx.topo, ctx.net, src, dst, bytes)
+        };
+        OpLeg::new(plan, src)
     }
 }
 

@@ -17,7 +17,7 @@ use grouter::sim::rng::DetRng;
 use grouter::sim::time::SimDuration;
 use grouter::topology::{presets, GpuRef};
 use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::NvshmemPlane;
+use grouter_baselines::nvshmem_plane;
 use grouter_workloads::azure::{generate_trace, ArrivalPattern};
 
 const MB: f64 = 1e6;
@@ -86,7 +86,7 @@ fn main() {
         "plane", "p50 (ms)", "p99 (ms)", "native allocs"
     );
     let runs: Vec<(Box<dyn DataPlane>, &str)> = vec![
-        (Box::new(NvshmemPlane::new(3)), "NVSHMEM+ (LRU)"),
+        (Box::new(nvshmem_plane(3)), "NVSHMEM+ (LRU)"),
         (
             Box::new(GrouterPlane::new(GrouterConfig::full().no_es())),
             "GROUTER w/o ES (LRU)",

@@ -17,7 +17,7 @@ use grouter::runtime::Runtime;
 use grouter::sim::time::SimTime;
 use grouter::topology::{presets, GpuRef};
 use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::{InflessPlane, MooncakePlane};
+use grouter_baselines::{mooncake_plane, InflessPlane};
 use grouter_workloads::llm::LlmModel;
 
 /// Sender agent on node 0 → receiver agent on node 1, passing the KV cache.
@@ -71,12 +71,7 @@ fn main() {
     );
     for tokens in [1024u32, 2048, 4096, 8192] {
         let inf = ttft_ms(Box::new(InflessPlane::new()), LlmModel::Llama7B, tokens, 1);
-        let moon = ttft_ms(
-            Box::new(MooncakePlane::new(1)),
-            LlmModel::Llama7B,
-            tokens,
-            1,
-        );
+        let moon = ttft_ms(Box::new(mooncake_plane(1)), LlmModel::Llama7B, tokens, 1);
         let ours = ttft_ms(
             Box::new(GrouterPlane::new(GrouterConfig::full())),
             LlmModel::Llama7B,
@@ -94,7 +89,7 @@ fn main() {
     for model in LlmModel::ALL {
         for tp in [1u32, 8] {
             let inf = ttft_ms(Box::new(InflessPlane::new()), model, 4096, tp);
-            let moon = ttft_ms(Box::new(MooncakePlane::new(tp)), model, 4096, tp);
+            let moon = ttft_ms(Box::new(mooncake_plane(tp)), model, 4096, tp);
             let ours = ttft_ms(
                 Box::new(GrouterPlane::new(GrouterConfig::full())),
                 model,

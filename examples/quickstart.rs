@@ -14,7 +14,7 @@ use grouter::runtime::Runtime;
 use grouter::sim::time::{SimDuration, SimTime};
 use grouter::topology::presets;
 use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::{InflessPlane, NvshmemPlane};
+use grouter_baselines::{nvshmem_plane, InflessPlane};
 
 const MB: f64 = 1e6;
 
@@ -65,7 +65,7 @@ fn main() {
     );
     let planes: Vec<Box<dyn DataPlane>> = vec![
         Box::new(InflessPlane::new()),
-        Box::new(NvshmemPlane::new(42)),
+        Box::new(nvshmem_plane(42)),
         Box::new(GrouterPlane::new(GrouterConfig::full())),
     ];
     let mut rows = Vec::new();

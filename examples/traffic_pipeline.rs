@@ -12,7 +12,7 @@ use grouter::sim::rng::DetRng;
 use grouter::sim::time::SimDuration;
 use grouter::topology::presets;
 use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::{deepplan_plane, InflessPlane, NvshmemPlane};
+use grouter_baselines::{deepplan_plane, nvshmem_plane, InflessPlane};
 use grouter_workloads::apps::{traffic, WorkloadParams};
 use grouter_workloads::azure::{generate_trace, ArrivalPattern};
 use grouter_workloads::models::GpuClass;
@@ -51,8 +51,8 @@ fn main() {
     );
     let planes: Vec<Box<dyn DataPlane>> = vec![
         Box::new(InflessPlane::new()),
-        Box::new(NvshmemPlane::new(7)),
-        deepplan_plane(7),
+        Box::new(nvshmem_plane(7)),
+        Box::new(deepplan_plane(7)),
         Box::new(GrouterPlane::new(GrouterConfig::full())),
     ];
     let mut p99s = Vec::new();

@@ -9,7 +9,7 @@ use grouter::sim::rng::DetRng;
 use grouter::sim::time::SimDuration;
 use grouter::topology::graph::TopologySpec;
 use grouter::{GrouterConfig, GrouterPlane};
-use grouter_baselines::{deepplan_plane, InflessPlane, NvshmemPlane};
+use grouter_baselines::{deepplan_plane, nvshmem_plane, InflessPlane};
 use grouter_runtime::spec::WorkflowSpec;
 use grouter_workloads::azure::{generate_trace, ArrivalPattern};
 
@@ -18,8 +18,8 @@ use grouter_workloads::azure::{generate_trace, ArrivalPattern};
 pub fn all_planes(seed: u64) -> Vec<Box<dyn DataPlane>> {
     vec![
         Box::new(InflessPlane::new()),
-        Box::new(NvshmemPlane::new(seed)),
-        deepplan_plane(seed),
+        Box::new(nvshmem_plane(seed)),
+        Box::new(deepplan_plane(seed)),
         Box::new(GrouterPlane::new(GrouterConfig::full())),
     ]
 }

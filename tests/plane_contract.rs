@@ -2,11 +2,22 @@
 //! across all source/destination pattern combinations, enforce access
 //! control, and clean up pool accounting.
 
-use grouter::runtime::dataplane::{Destination, PlaneEnv};
+use grouter::runtime::dataplane::{DataPlane, Destination, PlaneEnv};
+use grouter::runtime::simple_plane::LocalityPlane;
 use grouter::sim::time::SimTime;
 use grouter::store::{AccessToken, FunctionId, StoreError, WorkflowId};
 use grouter::topology::{presets, GpuRef};
+use grouter_baselines::mooncake_plane;
 use grouter_integration_tests::all_planes;
+
+/// The four evaluated planes, then every other configuration of the GPU
+/// store: the locality plane and Mooncake+ (two TP ranks, two NICs).
+fn contract_planes(seed: u64) -> Vec<Box<dyn DataPlane>> {
+    let mut planes = all_planes(seed);
+    planes.push(Box::new(LocalityPlane::new()));
+    planes.push(Box::new(mooncake_plane(2)));
+    planes
+}
 
 fn token(wf: u64) -> AccessToken {
     AccessToken {
@@ -31,7 +42,7 @@ fn put_get_covers_every_pattern() {
         Destination::Host(0),
         Destination::Host(1),
     ];
-    for mut plane in all_planes(3) {
+    for mut plane in contract_planes(3) {
         for &src in &sources {
             for &dst in &dests {
                 let mut cl = PlaneEnv::new(presets::dgx_v100(), 2);
@@ -75,7 +86,7 @@ fn put_get_covers_every_pattern() {
 
 #[test]
 fn pools_return_to_zero_after_consumption() {
-    for mut plane in all_planes(7) {
+    for mut plane in contract_planes(7) {
         let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let mut ids = Vec::new();
         for i in 0..6 {
@@ -107,7 +118,7 @@ fn pools_return_to_zero_after_consumption() {
 
 #[test]
 fn access_control_is_universal() {
-    for mut plane in all_planes(11) {
+    for mut plane in contract_planes(11) {
         let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let put = plane
             .put(
@@ -137,7 +148,7 @@ fn access_control_is_universal() {
 #[test]
 fn unknown_object_is_reported_not_panicked() {
     use grouter::store::DataId;
-    for mut plane in all_planes(13) {
+    for mut plane in contract_planes(13) {
         let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let err = plane
             .get(
@@ -157,7 +168,7 @@ fn unknown_object_is_reported_not_panicked() {
 
 #[test]
 fn double_consume_is_idempotent() {
-    for mut plane in all_planes(17) {
+    for mut plane in contract_planes(17) {
         let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let put = plane
             .put(
@@ -177,7 +188,7 @@ fn double_consume_is_idempotent() {
 
 #[test]
 fn memory_pressure_hook_never_leaves_overflow() {
-    for mut plane in all_planes(19) {
+    for mut plane in contract_planes(19) {
         let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         // Fill GPU 0's pool.
         let mut ids = Vec::new();
@@ -214,7 +225,7 @@ fn memory_pressure_hook_never_leaves_overflow() {
 
 #[test]
 fn multi_consumer_objects_survive_until_last_reader() {
-    for mut plane in all_planes(23) {
+    for mut plane in contract_planes(23) {
         let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         let put = plane
             .put(
@@ -250,7 +261,7 @@ fn multi_consumer_objects_survive_until_last_reader() {
 #[test]
 fn oversized_objects_fall_back_to_host_storage() {
     use grouter::store::Location;
-    for mut plane in all_planes(29) {
+    for mut plane in contract_planes(29) {
         let mut cl = PlaneEnv::new(presets::dgx_v100(), 1);
         // 10 GB exceeds the 8 GB storage cap of an idle 16 GB V100.
         let put = plane
