@@ -13,9 +13,9 @@ use grouter::sim::time::SimTime;
 use grouter::sim::{FlowNet, FlowOptions};
 use grouter::store::{AccessToken, DataStore, FunctionId, Location, WorkflowId};
 use grouter::topology::paths::select_parallel_paths;
-use grouter::topology::{presets, BwMatrix, GpuRef, PathLedger, PathSelector, Topology};
+use grouter::topology::{presets, BwMatrix, GpuRef, PathLedger, Topology};
 use grouter::transfer::pipeline::{BatchPipeline, Offered};
-use grouter::transfer::plan::{plan_cross_node, plan_d2h, plan_intra_node, PlanConfig};
+use grouter::transfer::plan::{plan_cross_node, plan_d2h, plan_nvlink_paths, PlanConfig};
 
 fn v100() -> (FlowNet, Topology) {
     let mut net = FlowNet::new();
@@ -58,19 +58,17 @@ fn bench_transfer_planning(c: &mut Criterion) {
     c.bench_function("plan_d2h_parallel_pcie", |b| {
         b.iter(|| black_box(plan_d2h(&topo, &net, 0, 0, 256e6, &grouter)))
     });
-    c.bench_function("plan_intra_node_parallel_nvlink", |b| {
-        // Warmed selector outside the loop: this measures the cached,
-        // allocation-free steady state the runtime actually runs in.
-        let mut sel = PathSelector::from_topology(&topo);
-        sel.warm(grouter.max_hops);
+    c.bench_function("plan_nvlink_paths_from_ledger", |b| {
+        // Warmed ledger outside the loop: this measures the cached steady
+        // state the runtime actually runs in, Algorithm 1's reservation
+        // plus the flows laid over its paths.
+        let mut ledger = PathLedger::from_topology(&topo);
+        ledger.warm(3);
         b.iter(|| {
-            let plan = plan_intra_node(&topo, &net, Some(&mut sel), 0, 0, 1, 256e6, &grouter);
-            // Undo the plan's reservations so the matrix never saturates.
-            for f in &plan.flows {
-                if let Some((route, rate)) = &f.nv_reservation {
-                    sel.bwm_mut().release_path(route, *rate);
-                }
-            }
+            let (id, selection, _) = ledger.reserve(0, 1, 3, 4);
+            let plan = plan_nvlink_paths(&topo, 0, selection, 256e6);
+            // Release the reservation so the matrix never saturates.
+            ledger.release(id);
             black_box(plan)
         })
     });

@@ -195,6 +195,14 @@ impl<'a> Flags<'a> {
 /// fits the clock too.
 const MAX_SPAN_S: f64 = 1e7;
 
+/// A workflow run may expect at most 1e6 arrivals on average (`--rps` ×
+/// `--seconds`). It builds its whole arrival trace before the run starts,
+/// and each arrival holds 80 bytes until it fires: 8 for its entry in the
+/// trace `Vec` and 72 for its pre-scheduled arrival event (the instant, the
+/// sequence stamp and the 56-byte event). 1e6 arrivals thus hold about
+/// 80 MB, and at most twice that while the two buffers grow by doubling.
+const MAX_ARRIVALS: f64 = 1e6;
+
 /// `count` arrivals at `rps` may span at most [`MAX_SPAN_S`] on average.
 fn arrival_span(count_flag: &str, count: u64, rps: f64) -> Result<(), String> {
     let span = count as f64 / rps;
@@ -263,6 +271,14 @@ fn parse_workflow_run(mut f: Flags) -> Result<WorkflowRun, String> {
         return Err(format!(
             "--seconds {} exceeds the longest arrival span, {MAX_SPAN_S:e} s",
             run.seconds
+        ));
+    }
+    let arrivals = run.rps * run.seconds as f64;
+    if arrivals > MAX_ARRIVALS {
+        return Err(format!(
+            "--rps {} for --seconds {} expects {arrivals:.3e} arrivals; \
+             a workflow run may expect at most {MAX_ARRIVALS:e}",
+            run.rps, run.seconds
         ));
     }
     run.config.trace = run.trace_out.is_some();
@@ -654,7 +670,16 @@ mod tests {
                 .expect("span refused");
             assert!(e.contains("--seconds") && e.contains("1e7 s"), "{e}");
         }
-        assert!(parse(&["a.wf", "--seconds", "10000000"]).is_ok());
+        assert!(parse(&["a.wf", "--seconds", "10000000", "--rps", "0.1"]).is_ok());
+        // So is the mean arrival count, whose trace is built before the
+        // run starts: 1e9 req/s for 100 s would be 1e11 arrivals.
+        for (rps, secs) in [("1e9", "100"), ("100001", "10")] {
+            let e = parse(&["a.wf", "--rps", rps, "--seconds", secs])
+                .err()
+                .expect("arrival count refused");
+            assert!(e.contains("--rps") && e.contains("at most 1e6"), "{e}");
+        }
+        assert!(parse(&["a.wf", "--rps", "1e5", "--seconds", "10"]).is_ok());
         for (flag, value) in [("--plane", "bogus"), ("--topology", "bogus")] {
             let e = parse(&["a.wf", flag, value]).err().expect("unknown name");
             assert!(e.contains(flag) && e.contains(value), "{e}");
@@ -787,6 +812,11 @@ mod tests {
                     proptest::prop_assert!(r.nodes >= 1, "{:?}", words);
                     proptest::prop_assert!(r.seconds as f64 <= MAX_SPAN_S, "{:?}", words);
                     proptest::prop_assert!(r.rps.is_finite() && r.rps > 0.0, "{:?}", words);
+                    proptest::prop_assert!(
+                        r.rps * r.seconds as f64 <= MAX_ARRIVALS,
+                        "{:?}",
+                        words
+                    );
                 }
                 Ok(Command::Serve(r)) => {
                     let hb = r.config.hb_interval;

@@ -90,10 +90,8 @@ impl GrouterConfig {
         PlanConfig {
             parallel_pcie: self.bandwidth_harvesting,
             parallel_nics: false,
-            parallel_nvlink: false,
             topology_aware: self.topology_aware,
             max_paths: self.max_paths,
-            max_hops: self.max_hops,
         }
     }
 
@@ -102,22 +100,8 @@ impl GrouterConfig {
         PlanConfig {
             parallel_pcie: false,
             parallel_nics: self.bandwidth_harvesting,
-            parallel_nvlink: false,
             topology_aware: self.topology_aware,
             max_paths: self.max_paths,
-            max_hops: self.max_hops,
-        }
-    }
-
-    /// Planner config for intra-node gFn–gFn (NVLink) transfers.
-    pub fn intra_cfg(&self) -> PlanConfig {
-        PlanConfig {
-            parallel_pcie: false,
-            parallel_nics: false,
-            parallel_nvlink: self.topology_aware,
-            topology_aware: self.topology_aware,
-            max_paths: self.max_paths,
-            max_hops: self.max_hops,
         }
     }
 }
@@ -133,7 +117,6 @@ mod tests {
         assert!(c.topology_aware && c.elastic_storage);
         assert!(c.host_cfg().parallel_pcie);
         assert!(c.xnode_cfg().parallel_nics);
-        assert!(c.intra_cfg().parallel_nvlink);
     }
 
     #[test]
@@ -143,7 +126,6 @@ mod tests {
         assert!(!c.bandwidth_harvesting && !c.unified_framework);
         assert!(!c.host_cfg().parallel_pcie);
         assert!(!c.xnode_cfg().parallel_nics);
-        assert!(!c.intra_cfg().parallel_nvlink);
     }
 
     #[test]
@@ -151,6 +133,6 @@ mod tests {
         let c = GrouterConfig::full().no_ta();
         let h = c.host_cfg();
         assert!(h.parallel_pcie && !h.topology_aware);
-        assert!(!c.intra_cfg().parallel_nvlink);
+        assert!(!c.xnode_cfg().topology_aware);
     }
 }

@@ -30,9 +30,7 @@ use grouter_sim::rng::DetRng;
 use grouter_sim::time::SimDuration;
 use grouter_store::{AccessToken, DataId, Location, StoreError};
 use grouter_topology::GpuRef;
-use grouter_transfer::plan::{
-    nvlink_route_links, plan_intra_node, PlanConfig, PlannedFlow, TransferPlan,
-};
+use grouter_transfer::plan::{plan_intra_node, plan_nvlink_paths};
 
 use crate::config::GrouterConfig;
 
@@ -115,7 +113,7 @@ impl GrouterPlane {
         let grant = ctx.pinned[node].acquire(want);
         leg.plan.setup = leg.plan.setup + grant.latency;
         if !grant.pinned_fresh {
-            leg.pinned_release = Some((node, want));
+            leg.holds.pinned_release = Some((node, want));
         }
     }
 
@@ -149,7 +147,7 @@ impl GrouterPlane {
         for flow in &mut leg.plan.flows {
             flow.opts = ctx.rates[node].flow_options(token, flow.bytes, domain_bw);
         }
-        leg.rate_token = Some((node, token));
+        leg.holds.rate_token = Some((node, token));
         if ctx.trace.on(grouter_obs::Comp::Plane) {
             use grouter_transfer::rate::{rate_least_typed, RateLeast};
             let guaranteed = matches!(
@@ -187,7 +185,8 @@ impl GrouterPlane {
         dst: usize,
         bytes: f64,
     ) -> OpLeg {
-        use grouter_sim::params;
+        // NVSwitch fabrics gain nothing from detours (the port is the
+        // bottleneck): reserve direct paths only.
         let max_hops = if ctx.topo.has_nvswitch() {
             1
         } else {
@@ -195,75 +194,24 @@ impl GrouterPlane {
         };
         let (res, sel, rebalances) =
             ctx.ledgers[node].reserve(src, dst, max_hops, self.cfg.max_paths);
-        // Resolve each selected GPU route to its links up front. A hop
-        // without an NVLink edge cannot happen while the path cache is
-        // epoch-coherent with the topology; if it ever does, that path is
-        // dropped and planning degrades rather than crashing the data plane.
-        // Routes move into the planned flows instead of being re-cloned per
-        // path, and each flow carries its selected rate as the capacity its
-        // byte share is split by.
-        let mut flows: Vec<PlannedFlow> = sel
-            .paths
-            .into_iter()
-            .filter_map(|p| {
-                Some(PlannedFlow {
-                    links: nvlink_route_links(ctx.topo, node, &p.gpus)?,
-                    bytes: p.rate,
-                    opts: Default::default(),
-                    nv_reservation: None, // the ledger owns the reservation
-                    route: Some(p.gpus),
-                })
-            })
-            .collect();
-        if flows.is_empty() {
+        let Some(plan) = plan_nvlink_paths(ctx.topo, node, sel, bytes) else {
             // No NVLink route (all masked out by failures, or none existed):
             // fall back to the single-path planner (PCIe peer-to-peer or
             // shortest route). The leg is typed Degraded so the executor's
             // recovery log and the plane stats surface the downgrade instead
             // of silently absorbing it.
-            let single = PlanConfig::single_path();
-            let plan = plan_intra_node(ctx.topo, ctx.net, None, node, src, dst, bytes, &single);
+            let plan = plan_intra_node(ctx.topo, ctx.net, node, src, dst, bytes);
             ctx.ledgers[node].release(res);
             self.stats.degraded_legs += 1;
             return OpLeg {
                 health: LegHealth::Degraded,
                 ..OpLeg::new(plan, node)
             };
-        }
-        grouter_transfer::chunk::split_in_place(bytes, &mut flows, |f| &mut f.bytes);
-        let plan = TransferPlan {
-            flows,
-            setup: params::IPC_MAP_FIRST + params::DMA_LAUNCH + params::CHUNK_OVERHEAD,
-            total_bytes: bytes,
         };
         let mut leg = OpLeg::new(plan, node);
-        leg.ledger_release = Some((node, res));
+        leg.holds.ledger_release = Some((node, res));
         leg.reroutes = rebalances.into_iter().map(|rb| (node, rb)).collect();
         leg
-    }
-
-    /// Allocate `bytes` of pool space on `gpu`, migrating victims to host
-    /// memory if needed (queue-aware with ES, LRU without). Returns the
-    /// allocation latency and the migration legs; `Err(())` when the object
-    /// can never fit (caller falls back to host storage).
-    fn alloc(
-        &mut self,
-        ctx: &mut PlaneCtx<'_>,
-        gpu: GpuRef,
-        bytes: f64,
-    ) -> Result<(SimDuration, Vec<OpLeg>), ()> {
-        let idx = ctx.pool_index(gpu);
-        match ctx.pools[idx].try_alloc(bytes) {
-            Ok(grant) => Ok((grant.latency, Vec::new())),
-            Err(AllocError::NeedsEviction { shortfall }) => {
-                let legs = self.migrate(ctx, gpu, shortfall);
-                match ctx.pools[idx].try_alloc(bytes) {
-                    Ok(grant) => Ok((grant.latency, legs)),
-                    Err(_) => Err(()),
-                }
-            }
-            Err(AllocError::TooLarge) => Err(()),
-        }
     }
 
     /// Migrate at least `need` bytes off `gpu` to host memory.
@@ -424,24 +372,36 @@ impl DataPlane for GrouterPlane {
         // Locality: keep the data on the producer's GPU. Without the unified
         // framework the store is placement-blind (random).
         let store_gpu = self.site.pick(ctx.topo, g);
-        let Ok((alloc_lat, mut legs)) = self.alloc(ctx, store_gpu, bytes) else {
-            // Oversized object: store in host memory.
+        let idx = ctx.pool_index(store_gpu);
+        let mut legs = Vec::new();
+        let grant = match ctx.pools[idx].try_alloc(bytes) {
+            Err(AllocError::NeedsEviction { shortfall }) => {
+                // Queue-aware victims with ES, LRU without.
+                legs = self.migrate(ctx, store_gpu, shortfall);
+                ctx.pools[idx].try_alloc(bytes)
+            }
+            first => first,
+        };
+        let Ok(grant) = grant else {
+            // The pool cannot hold the object: store it in host memory. The
+            // victims `migrate` already moved there still need their copies,
+            // so those legs run first.
             let (id, lookup) =
                 ctx.store
                     .put(ctx.now, token, Location::Host(g.node), bytes, consumers);
             let mut leg = OpLeg::d2h(ctx, g, bytes, &self.cfg.host_cfg());
             self.apply_slo(ctx, &mut leg);
             self.apply_pinned(ctx, &mut leg);
+            legs.push(leg);
             return Ok(PutOp {
                 id,
                 op: DataOp {
                     control_latency: lookup,
-                    legs: vec![leg],
+                    legs,
                 },
             });
         };
         if self.cfg.elastic_storage {
-            let idx = ctx.pool_index(store_gpu);
             ctx.scalers[idx].on_output(token.function.0, bytes);
         }
         let (id, lookup) =
@@ -453,20 +413,13 @@ impl DataPlane for GrouterPlane {
             if self.cfg.topology_aware {
                 legs.push(self.ledger_intra_leg(ctx, g.node, src, dst, bytes));
             } else {
-                legs.extend(OpLeg::intra(
-                    ctx,
-                    g.node,
-                    src,
-                    dst,
-                    bytes,
-                    &self.cfg.intra_cfg(),
-                ));
+                legs.extend(OpLeg::intra(ctx, g.node, src, dst, bytes));
             }
         }
         Ok(PutOp {
             id,
             op: DataOp {
-                control_latency: lookup + alloc_lat + grouter_sim::params::IPC_MAP_CACHED,
+                control_latency: lookup + grant.latency + grouter_sim::params::IPC_MAP_CACHED,
                 legs,
             },
         })
@@ -496,8 +449,7 @@ impl DataPlane for GrouterPlane {
                 if self.cfg.topology_aware && ctx.topo.has_nvlink() {
                     legs.push(self.ledger_intra_leg(ctx, s.node, s.gpu, d.gpu, entry.bytes));
                 } else {
-                    let cfg = self.cfg.intra_cfg();
-                    legs.extend(OpLeg::intra(ctx, s.node, s.gpu, d.gpu, entry.bytes, &cfg));
+                    legs.extend(OpLeg::intra(ctx, s.node, s.gpu, d.gpu, entry.bytes));
                 }
             }
             (Location::Gpu(s), Destination::Gpu(d)) => {
@@ -619,5 +571,52 @@ impl DataPlane for GrouterPlane {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grouter_runtime::dataplane::PlaneEnv;
+    use grouter_sim::time::SimTime;
+    use grouter_store::{FunctionId, WorkflowId};
+    use grouter_topology::presets;
+
+    const TOKEN: AccessToken = AccessToken {
+        function: FunctionId(1),
+        workflow: WorkflowId(1),
+    };
+
+    fn put(env: &mut PlaneEnv, plane: &mut GrouterPlane, gpu: GpuRef, bytes: f64) -> PutOp {
+        plane
+            .put(
+                &mut env.ctx(SimTime::ZERO),
+                TOKEN,
+                Destination::Gpu(gpu),
+                bytes,
+                1,
+            )
+            .expect("put")
+    }
+
+    #[test]
+    fn a_spill_after_migration_still_copies_the_victims() {
+        let mut env = PlaneEnv::new(presets::dgx_v100(), 1);
+        let mut plane = GrouterPlane::new(GrouterConfig::full());
+        let gpu = GpuRef::new(0, 2);
+        // Most of the pool is held by bytes no object owns, so migrating
+        // the one small resident object cannot make room for the next put.
+        let cap = env.pools[2].storage_cap();
+        env.pools[2].try_alloc(cap - 8e6).expect("fill the pool");
+        let small = put(&mut env, &mut plane, gpu, 4e6);
+        assert!(small.op.legs.is_empty(), "stored on the producer's GPU");
+        let big = put(&mut env, &mut plane, gpu, 16e6);
+        for (id, what) in [(small.id, "migrated"), (big.id, "spilled")] {
+            let location = env.store.peek(id).map(|e| e.location);
+            assert_eq!(location, Some(Location::Host(0)), "{what}");
+        }
+        assert_eq!(plane.stats().migrations, 1);
+        let moved: Vec<f64> = big.op.legs.iter().map(|l| l.plan.total_bytes).collect();
+        assert_eq!(moved, [4e6, 16e6], "the victim's copy, then the spill's");
     }
 }

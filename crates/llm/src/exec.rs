@@ -6,10 +6,11 @@
 //! `setup + max over flows of bytes / bottleneck-capacity`, i.e. every
 //! flow gets its path's full hardware bandwidth (the dedicated-bandwidth
 //! approximation — DESIGN.md §5.10 discusses the gap). What is **not**
-//! approximated is the resource contract: every leg's rate token, ledger
-//! reservation, pinned-ring bytes and NVLink path reservations are
-//! released exactly as `release_leg_resources` would, or the group's
-//! ledgers would leak reservations and later operations would starve.
+//! approximated is the resource contract: what every leg holds (its rate
+//! token, ledger reservation and pinned-ring bytes) is released through
+//! the same [`grouter_runtime::dataplane::LegHolds::release`] the full
+//! executor calls, or the group's ledgers would leak reservations and
+//! later operations would starve.
 
 use grouter_runtime::dataplane::{DataOp, OpLeg, PlaneEnv};
 use grouter_sim::time::SimDuration;
@@ -31,28 +32,6 @@ fn leg_duration(leg: &OpLeg, net: &FlowNet) -> SimDuration {
     leg.plan.setup + SimDuration::from_secs_f64(slowest)
 }
 
-/// Release everything a completed leg held — the analytic mirror of the
-/// full executor's `release_leg_resources`, plus the NVLink path
-/// reservations the flow teardown path would return.
-fn release_leg(leg: &OpLeg, env: &mut PlaneEnv) {
-    if let Some((node, token)) = leg.rate_token {
-        env.rates[node].finish(token);
-    }
-    if let Some((node, res)) = leg.ledger_release {
-        env.ledgers[node].release(res);
-    }
-    if let Some((node, bytes)) = leg.pinned_release {
-        env.pinned[node].release(bytes);
-    }
-    for flow in &leg.plan.flows {
-        if let Some((route, rate)) = &flow.nv_reservation {
-            env.ledgers[leg.nv_node]
-                .bwm_mut()
-                .release_path(route, *rate);
-        }
-    }
-}
-
 /// Execute one operation: control latency plus its legs run strictly in
 /// order, with every leg's resources released on completion. Returns the
 /// operation's total duration.
@@ -60,7 +39,8 @@ pub fn run_op(op: &DataOp, env: &mut PlaneEnv) -> SimDuration {
     let mut total = op.control_latency;
     for leg in &op.legs {
         total = total + leg_duration(leg, &env.net);
-        release_leg(leg, env);
+        leg.holds
+            .release(&mut env.rates, &mut env.ledgers, &mut env.pinned);
     }
     total
 }

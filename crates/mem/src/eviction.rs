@@ -7,12 +7,13 @@
 //!   oriented memory managers do, and it is wrong for serverless workflows:
 //!   the output of function `a₁` was written earliest, so LRU evicts it even
 //!   though its consumer `b₁` is at the *head* of the request queue.
-//! * [`QueueAwarePolicy`] (RQ) — evict the data whose consumer sits deepest
-//!   in the request queue (needed latest); data for imminent invocations
-//!   stays resident.
-//! * [`GrouterPolicy`] — queue-aware selection plus *proactive restoration*:
-//!   a [`RestoreQueue`] hands migrated objects back in ascending need order
-//!   so the store can pull them back as soon as memory frees.
+//! * [`GrouterPolicy`] — request-queue-aware: evict the data whose consumer
+//!   sits deepest in the request queue (needed latest); data for imminent
+//!   invocations stays resident. GROUTER pairs it with *proactive
+//!   restoration*: a [`RestoreQueue`] hands migrated objects back in
+//!   ascending need order so the store can pull them back as soon as memory
+//!   frees. The paper's "RQ" variant (Fig. 18) is the same selection with
+//!   restoration off.
 //!
 //! Both orders are taken lazily from a binary heap: a caller orders only
 //! the prefix it uses. A caller that selects often keeps the heaps (a
@@ -116,11 +117,13 @@ impl EvictionPolicy for LruPolicy {
     }
 }
 
-/// Request-queue-aware eviction (RQ): evict data needed latest first.
+/// GROUTER's request-queue-aware eviction: evict data needed latest first.
+/// Its companion [`RestoreQueue`] restores migrated data proactively when
+/// memory frees up.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct QueueAwarePolicy;
+pub struct GrouterPolicy;
 
-impl EvictionPolicy for QueueAwarePolicy {
+impl EvictionPolicy for GrouterPolicy {
     fn victim_rank(&self, o: &ObjectMeta) -> VictimRank {
         // Best victims first: objects nobody is scheduled to read, then
         // objects whose consumer sits deepest in the queue.
@@ -128,22 +131,6 @@ impl EvictionPolicy for QueueAwarePolicy {
             None => (0, 0, o.key),
             Some(rank) => (1, u64::MAX - rank, o.key),
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "RQ"
-    }
-}
-
-/// GROUTER's policy: queue-aware victim selection (identical to
-/// [`QueueAwarePolicy`]) + a [`RestoreQueue`] for proactive restoration of
-/// migrated data when memory frees up.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GrouterPolicy;
-
-impl EvictionPolicy for GrouterPolicy {
-    fn victim_rank(&self, o: &ObjectMeta) -> VictimRank {
-        QueueAwarePolicy.victim_rank(o)
     }
 
     fn name(&self) -> &'static str {
@@ -212,7 +199,7 @@ mod tests {
             obj(1, 100.0, 10, Some(0)), // a1's output — b1 is next
             obj(2, 100.0, 20, Some(7)), // a2's output — b2 is far back
         ];
-        let victims = QueueAwarePolicy.select_victims(&objects, 100.0);
+        let victims = GrouterPolicy.select_victims(&objects, 100.0);
         assert_eq!(victims, vec![2]);
     }
 
@@ -223,7 +210,7 @@ mod tests {
             obj(2, 100.0, 20, None), // nobody scheduled to read it
             obj(3, 100.0, 30, Some(1)),
         ];
-        let victims = QueueAwarePolicy.select_victims(&objects, 250.0);
+        let victims = GrouterPolicy.select_victims(&objects, 250.0);
         assert_eq!(victims, vec![2, 1, 3]);
     }
 
@@ -234,14 +221,14 @@ mod tests {
             obj(2, 400.0, 20, Some(1)),
             obj(3, 400.0, 30, Some(0)),
         ];
-        let victims = QueueAwarePolicy.select_victims(&objects, 300.0);
+        let victims = GrouterPolicy.select_victims(&objects, 300.0);
         assert_eq!(victims, vec![1], "one object already covers the need");
     }
 
     #[test]
     fn empty_set_yields_no_victims() {
         assert!(LruPolicy.select_victims(&[], 100.0).is_empty());
-        assert!(QueueAwarePolicy.select_victims(&[], 100.0).is_empty());
+        assert!(GrouterPolicy.select_victims(&[], 100.0).is_empty());
     }
 
     #[test]
@@ -249,19 +236,6 @@ mod tests {
         let objects = vec![obj(1, 10.0, 1, None), obj(2, 10.0, 2, Some(0))];
         let victims = GrouterPolicy.select_victims(&objects, 1e9);
         assert_eq!(victims.len(), 2);
-    }
-
-    #[test]
-    fn grouter_matches_queue_aware_selection() {
-        let objects = vec![
-            obj(1, 100.0, 10, Some(0)),
-            obj(2, 100.0, 20, Some(7)),
-            obj(3, 100.0, 5, None),
-        ];
-        assert_eq!(
-            GrouterPolicy.select_victims(&objects, 100.0),
-            QueueAwarePolicy.select_victims(&objects, 100.0)
-        );
     }
 
     #[test]
@@ -340,7 +314,6 @@ mod tests {
                 Some(rank) => (1, u64::MAX - rank, o.key),
             };
             let want = sorted_prefix(&objects, need, queue_rank);
-            proptest::prop_assert_eq!(QueueAwarePolicy.select_victims(&objects, need), want.clone());
             proptest::prop_assert_eq!(GrouterPolicy.select_victims(&objects, need), want.clone());
             // Warm buffers left over from another selection change nothing.
             let (mut heap, mut out) = (VictimHeap::default(), vec![99]);
@@ -353,7 +326,7 @@ mod tests {
     #[test]
     fn deterministic_tie_break_by_key() {
         let objects = vec![obj(5, 100.0, 10, Some(3)), obj(2, 100.0, 10, Some(3))];
-        let victims = QueueAwarePolicy.select_victims(&objects, 100.0);
+        let victims = GrouterPolicy.select_victims(&objects, 100.0);
         assert_eq!(victims, vec![2], "ties resolve by key for determinism");
     }
 }

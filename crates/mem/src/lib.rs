@@ -13,8 +13,8 @@
 //!   `R_window`, `R_size`, `R_con` 99th percentiles per function and the
 //!   resulting target pool size `Σ R_size·R_con·1{active}`.
 //! * [`eviction`] — migration victim selection: classic LRU (NVSHMEM+
-//!   baseline), the request-queue-aware policy (RQ), and queue-aware +
-//!   proactive restore (GROUTER, Fig. 11b).
+//!   baseline) and GROUTER's request-queue-aware policy, plus the queue its
+//!   proactive restoration takes objects from (Fig. 11b).
 //! * [`pinned`] — the circular pinned host-buffer ring reused across
 //!   batched PCIe transfers (§4.3.2).
 
@@ -39,8 +39,7 @@ pub mod pool;
 pub mod scaler;
 
 pub use eviction::{
-    EvictionPolicy, GrouterPolicy, LruPolicy, ObjectMeta, QueueAwarePolicy, RestoreQueue,
-    VictimHeap, VictimRank,
+    EvictionPolicy, GrouterPolicy, LruPolicy, ObjectMeta, RestoreQueue, VictimHeap, VictimRank,
 };
 pub use pinned::PinnedRing;
 pub use pool::{AllocError, AllocGrant, ElasticPool, PoolDiscipline};

@@ -34,21 +34,52 @@ pub enum LegHealth {
     Degraded,
 }
 
+/// What a leg holds from when the plane plans it until it completes or is
+/// abandoned, each on a node: an SLO rate-controller registration, an
+/// Algorithm 1 reservation in the node's ledger and pinned-ring bytes.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LegHolds {
+    /// Registered SLO-transfer token `(node, token)`.
+    pub rate_token: Option<(usize, u64)>,
+    /// Ledger reservation `(node, id)` (GROUTER's NVLink paths).
+    pub ledger_release: Option<(usize, ResId)>,
+    /// Pinned-ring bytes `(node, bytes)`.
+    pub pinned_release: Option<(usize, f64)>,
+}
+
+impl LegHolds {
+    /// Give everything back to the per-node rate controllers, ledgers and
+    /// pinned rings it came from.
+    pub fn release(
+        self,
+        rates: &mut [RateController],
+        ledgers: &mut [PathLedger],
+        pinned: &mut [PinnedRing],
+    ) {
+        if let Some((node, token)) = self.rate_token {
+            rates[node].finish(token);
+        }
+        if let Some((node, res)) = self.ledger_release {
+            ledgers[node].release(res);
+        }
+        if let Some((node, bytes)) = self.pinned_release {
+            pinned[node].release(bytes);
+        }
+    }
+}
+
 /// One transfer leg of a data operation.
 #[derive(Clone, Debug)]
 pub struct OpLeg {
     pub plan: TransferPlan,
-    /// Node whose bandwidth matrix holds the plan's NVLink reservations.
+    /// The leg's node, read by the executor's
+    /// `TransferEngine::transfers_using_route` (which legs a failed GPU
+    /// strands) and by the trace.
     pub nv_node: usize,
     /// Nominal vs degraded-fallback path class (see [`LegHealth`]).
     pub health: LegHealth,
-    /// Registered SLO-transfer token to release on completion, if any.
-    pub rate_token: Option<(usize, u64)>,
-    /// Ledger reservation `(node, id)` to release when the leg completes
-    /// (GROUTER's Algorithm 1 reservations).
-    pub ledger_release: Option<(usize, ResId)>,
-    /// Pinned-ring bytes `(node, bytes)` to return when the leg completes.
-    pub pinned_release: Option<(usize, f64)>,
+    /// What the leg holds until it completes.
+    pub holds: LegHolds,
     /// Rebalances of *other* functions' paths to apply when this leg
     /// starts: `(node, move)` — the executor re-paths the in-flight flow.
     pub reroutes: Vec<(usize, Rebalance)>,
@@ -60,25 +91,22 @@ impl OpLeg {
             plan,
             nv_node,
             health: LegHealth::Nominal,
-            rate_token: None,
-            ledger_release: None,
-            pinned_release: None,
+            holds: LegHolds::default(),
             reroutes: Vec::new(),
         }
     }
 
-    /// GPU-to-GPU leg within `node` (`None` for the same GPU, which needs
-    /// no copy). The planner works without a reservation ledger.
+    /// Single-path GPU-to-GPU leg within `node` (`None` for the same GPU,
+    /// which needs no copy). It reserves nothing in the node's ledger.
     pub fn intra(
         ctx: &PlaneCtx<'_>,
         node: usize,
         src: usize,
         dst: usize,
         bytes: f64,
-        cfg: &PlanConfig,
     ) -> Option<OpLeg> {
         (src != dst).then(|| {
-            let plan = plan_intra_node(ctx.topo, ctx.net, None, node, src, dst, bytes, cfg);
+            let plan = plan_intra_node(ctx.topo, ctx.net, node, src, dst, bytes);
             OpLeg::new(plan, node)
         })
     }

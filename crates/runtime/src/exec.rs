@@ -19,7 +19,7 @@ use grouter_store::{AccessToken, DataId, FunctionId, Location, WorkflowId};
 use grouter_topology::graph::TopologySpec;
 use grouter_transfer::exec::BeginOutcome;
 
-use crate::dataplane::{DataOp, DataPlane, Destination, PlaneCtx};
+use crate::dataplane::{DataOp, DataPlane, Destination, LegHolds, PlaneCtx};
 use crate::metrics::{InstanceRecord, Metrics, PassCategory};
 use crate::spec::{StageKind, WorkflowSpec};
 use crate::world::{Instance, OpKind, PendingOp, RuntimeConfig, StageRun, StageState, World};
@@ -412,7 +412,7 @@ pub(crate) fn arrival(
     let now = s.now();
     let inst_id = w.next_instance;
     w.next_instance += 1;
-    let mut placements = w.placer.place(&w.topo, &spec, &mut w.rng);
+    let mut placements = w.placer.place(&w.topo, &spec);
 
     // Failed-GPU avoidance: the load-aware policies already steer around
     // down GPUs, but pinned placements (and the all-GPUs-down corner) can
@@ -1052,9 +1052,7 @@ pub(crate) fn start_op(
             started: s.now(),
             kind,
             category,
-            rate_token: None,
-            ledger_release: None,
-            pinned_release: None,
+            holds: LegHolds::default(),
             span,
         },
     );
@@ -1085,18 +1083,16 @@ fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
                 reason = "advance_op stages exactly one leg per BeginLeg event"
             )]
             let leg = pending.legs.pop_front().expect("staged leg");
-            pending.rate_token = leg.rate_token;
-            pending.ledger_release = leg.ledger_release;
-            pending.pinned_release = leg.pinned_release;
+            pending.holds = leg.holds;
             leg
         }
         None => {
             // The op was cancelled by recovery between advance_op and this
-            // event; cancel_op parked the staged leg. Its pre-attached
-            // reservations were made when the plane built it and would leak
-            // without an explicit release.
-            if let Some(leg) = w.orphan_legs.remove(&op_id) {
-                release_leg_resources(w, &leg);
+            // event; cancel_op parked what the staged leg holds. The plane
+            // took it when it built the leg, and it would leak without an
+            // explicit release.
+            if let Some(holds) = w.orphan_legs.remove(&op_id) {
+                holds.release(&mut w.rates, &mut w.ledgers, &mut w.pinned);
             }
             return;
         }
@@ -1145,8 +1141,7 @@ fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
         )]
         Err(e) => panic!("transfer begin failed: {e}"),
         Ok(BeginOutcome::Immediate) => {
-            release_rate_token(w, op_id);
-            release_ledger(w, op_id);
+            release_current_leg(w, op_id);
             advance_op(w, s, op_id);
         }
         Ok(BeginOutcome::InFlight(tid)) => {
@@ -1161,36 +1156,10 @@ fn begin_leg(w: &mut World, s: &mut Scheduler<World>, op_id: u64) {
     }
 }
 
-/// Release a not-yet-begun leg's reservations (rate token, ledger paths,
-/// pinned staging bytes) without running it.
-pub(crate) fn release_leg_resources(w: &mut World, leg: &crate::dataplane::OpLeg) {
-    if let Some((node, token)) = leg.rate_token {
-        w.rates[node].finish(token);
-    }
-    if let Some((node, res)) = leg.ledger_release {
-        w.ledgers[node].release(res);
-    }
-    if let Some((node, bytes)) = leg.pinned_release {
-        w.pinned[node].release(bytes);
-    }
-}
-
-fn release_rate_token(w: &mut World, op_id: u64) {
+/// The op's current leg finished: release what it held.
+fn release_current_leg(w: &mut World, op_id: u64) {
     if let Some(pending) = w.ops.get_mut(op_id) {
-        if let Some((node, token)) = pending.rate_token.take() {
-            w.rates[node].finish(token);
-        }
-    }
-}
-
-fn release_ledger(w: &mut World, op_id: u64) {
-    if let Some(pending) = w.ops.get_mut(op_id) {
-        if let Some((node, res)) = pending.ledger_release.take() {
-            w.ledgers[node].release(res);
-        }
-        if let Some((node, bytes)) = pending.pinned_release.take() {
-            w.pinned[node].release(bytes);
-        }
+        std::mem::take(&mut pending.holds).release(&mut w.rates, &mut w.ledgers, &mut w.pinned);
     }
 }
 
@@ -1293,12 +1262,8 @@ fn net_wake(w: &mut World, s: &mut Scheduler<World>, version: u64) {
     done.clear();
     w.flow_scratch = done;
     for td in finished.drain(..) {
-        for (route, rate) in &td.nv_releases {
-            w.ledgers[td.nv_node].bwm_mut().release_path(route, *rate);
-        }
         if let Some(op_id) = w.transfer_waiters.remove(&td.id) {
-            release_rate_token(w, op_id);
-            release_ledger(w, op_id);
+            release_current_leg(w, op_id);
             advance_op(w, s, op_id);
         }
     }

@@ -454,32 +454,27 @@ fn apply_gpu_fail(w: &mut World, s: &mut Scheduler<World>, gpu: usize) {
 // Op-level recovery (cancel + bounded retry)
 // ---------------------------------------------------------------------------
 
-/// Tear down an in-flight data operation: release its current-leg holds,
-/// its queued legs' pre-attached reservations, and any transfers (flows,
-/// NVLink path reservations) it was waiting on. Returns what it was doing.
+/// Tear down an in-flight data operation: release what its current and
+/// queued legs hold (parking a staged leg's holds for its `BeginLeg`
+/// event) and cancel the flows of any transfer it was waiting on. Returns
+/// what it was doing.
 pub(crate) fn cancel_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) -> Option<OpKind> {
     let now = s.now();
     let mut op = w.ops.remove(op_id)?;
     w.rec.end(op.span, vec![("cancelled", true.into())]);
-    if let Some((node, token)) = op.rate_token.take() {
-        w.rates[node].finish(token);
-    }
-    if let Some((node, res)) = op.ledger_release.take() {
-        w.ledgers[node].release(res);
-    }
-    if let Some((node, bytes)) = op.pinned_release.take() {
-        w.pinned[node].release(bytes);
-    }
+    op.holds
+        .release(&mut w.rates, &mut w.ledgers, &mut w.pinned);
     if op.staged {
         if let Some(leg) = op.legs.pop_front() {
-            // A BeginLeg event for this leg is still in flight; park the
-            // leg so that event releases its reservations at the instant
-            // it fires.
-            w.orphan_legs.insert(op_id, leg);
+            // A BeginLeg event for this leg is still in flight; park what
+            // the leg holds so that event releases it at the instant it
+            // fires.
+            w.orphan_legs.insert(op_id, leg.holds);
         }
     }
     for leg in op.legs.drain(..) {
-        exec::release_leg_resources(w, &leg);
+        leg.holds
+            .release(&mut w.rates, &mut w.ledgers, &mut w.pinned);
     }
     let mut tids: Vec<grouter_transfer::exec::TransferId> = w
         .transfer_waiters
@@ -490,12 +485,9 @@ pub(crate) fn cancel_op(w: &mut World, s: &mut Scheduler<World>, op_id: u64) -> 
     tids.sort();
     for tid in tids {
         w.transfer_waiters.remove(&tid);
-        if let Some((td, flows)) = w.engine.cancel(&mut w.net, now, tid) {
+        if let Some(flows) = w.engine.cancel(&mut w.net, now, tid) {
             for fid in &flows {
                 w.nv_flow_index.remove(fid);
-            }
-            for (route, rate) in &td.nv_releases {
-                w.ledgers[td.nv_node].bwm_mut().release_path(route, *rate);
             }
         }
     }

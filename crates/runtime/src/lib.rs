@@ -49,7 +49,7 @@ pub use cluster::{
     ArrivalSource, ClusterArrival, ClusterPort, ClusterSim, CrossMsg, GroupSetup, Heartbeat,
     HeartbeatConfig, RouterAgent,
 };
-pub use dataplane::{DataOp, DataPlane, Destination, LegHealth, OpLeg, PlaneCtx, PutOp};
+pub use dataplane::{DataOp, DataPlane, Destination, LegHealth, LegHolds, OpLeg, PlaneCtx, PutOp};
 pub use exec::{Event, Runtime};
 pub use fault::{FaultState, RecoveryEvent};
 pub use metrics::{InstanceRecord, Metrics, PassCategory};

@@ -5,7 +5,6 @@
 //! while spreading load. Baselines and microbenchmarks use round-robin or
 //! pinned placements.
 
-use grouter_sim::rng::DetRng;
 use grouter_topology::Topology;
 
 use crate::dataplane::Destination;
@@ -79,15 +78,11 @@ impl Placer {
         }
     }
 
-    /// Place all stages of one workflow instance. CPU stages land on the
-    /// node hosting the majority of their upstream GPU stages (or the first
-    /// domain node).
-    pub fn place(
-        &mut self,
-        topo: &Topology,
-        spec: &WorkflowSpec,
-        rng: &mut DetRng,
-    ) -> Vec<Destination> {
+    /// Place all stages of one workflow instance. Under MAPA a CPU stage
+    /// goes to the node of its first dependency, and a root CPU stage to
+    /// the next domain node in rotation; round-robin puts every CPU stage
+    /// on the first domain node.
+    pub fn place(&mut self, topo: &Topology, spec: &WorkflowSpec) -> Vec<Destination> {
         let mut out: Vec<Destination> = Vec::with_capacity(spec.stages.len());
         match &self.policy {
             PlacementPolicy::Pinned(fixed) => {
@@ -109,27 +104,29 @@ impl Placer {
                 }
             }
             PlacementPolicy::Mapa => {
-                for (i, stage) in spec.stages.iter().enumerate() {
+                for stage in &spec.stages {
                     if stage.is_gpu() {
-                        let gpu = self.mapa_pick(topo, &spec.stages[i].deps, &out, rng);
+                        let gpu = mapa_scan(
+                            topo,
+                            &self.nodes,
+                            &self.load,
+                            &self.failed,
+                            &stage.deps,
+                            &out,
+                        );
                         out.push(Destination::Gpu(gpu));
                     } else {
                         // CPU stages follow their producers' node; root CPU
                         // stages rotate across the domain so ingress traffic
                         // doesn't funnel through one node.
-                        let node = spec.stages[i]
-                            .deps
-                            .iter()
-                            .map(|&d| match out[d] {
-                                Destination::Gpu(g) => g.node,
-                                Destination::Host(n) => n,
-                            })
-                            .next()
-                            .unwrap_or_else(|| {
+                        let node = match stage.deps.first() {
+                            Some(&d) => out[d].node_of(),
+                            None => {
                                 let n = self.nodes[self.cpu_rr % self.nodes.len()];
                                 self.cpu_rr += 1;
                                 n
-                            });
+                            }
+                        };
                         out.push(Destination::Host(node));
                     }
                 }
@@ -206,23 +203,13 @@ impl Placer {
         self.rr_next += 1;
         (self.nodes[slot / g], slot % g)
     }
-
-    /// MAPA-style scoring: connectivity to placed upstream stages minus a
-    /// load penalty; ties broken by lower load, then index (deterministic).
-    fn mapa_pick(
-        &self,
-        topo: &Topology,
-        deps: &[usize],
-        placed: &[Destination],
-        _rng: &mut DetRng,
-    ) -> GpuRef {
-        mapa_scan(topo, &self.nodes, &self.load, &self.failed, deps, placed)
-    }
 }
 
-/// The MAPA scoring scan, as a pure function of per-GPU state: `load` and
-/// `failed` are indexed by flat GPU index ([`Topology::flat_index`]), and
-/// the [`Placer`] passes its live counters.
+/// The MAPA scoring scan, as a pure function of per-GPU state: connectivity
+/// to placed upstream stages minus a load penalty, ties broken by lower
+/// load, then index (deterministic). `load` and `failed` are indexed by
+/// flat GPU index ([`Topology::flat_index`]), and the [`Placer`] passes its
+/// live counters.
 pub fn mapa_scan(
     topo: &Topology,
     nodes: &[usize],
@@ -306,8 +293,7 @@ mod tests {
     fn round_robin_cycles_gpus() {
         let topo = v100();
         let mut placer = Placer::new(PlacementPolicy::RoundRobin, &topo, vec![0]);
-        let mut rng = DetRng::new(1);
-        let placed = placer.place(&topo, &chain(10), &mut rng);
+        let placed = placer.place(&topo, &chain(10));
         let gpus: Vec<usize> = placed
             .iter()
             .map(|d| match d {
@@ -322,8 +308,7 @@ mod tests {
     fn mapa_prefers_connected_gpus() {
         let topo = v100();
         let mut placer = Placer::new(PlacementPolicy::Mapa, &topo, vec![0]);
-        let mut rng = DetRng::new(1);
-        let placed = placer.place(&topo, &chain(3), &mut rng);
+        let placed = placer.place(&topo, &chain(3));
         // Consecutive stages must be NVLink-connected (or co-located).
         for pair in placed.windows(2) {
             let (Destination::Gpu(a), Destination::Gpu(b)) = (pair[0], pair[1]) else {
@@ -341,10 +326,9 @@ mod tests {
     fn mapa_balances_load_across_instances() {
         let topo = v100();
         let mut placer = Placer::new(PlacementPolicy::Mapa, &topo, vec![0]);
-        let mut rng = DetRng::new(1);
         let mut used = std::collections::BTreeSet::new();
         for _ in 0..8 {
-            let placed = placer.place(&topo, &chain(1), &mut rng);
+            let placed = placer.place(&topo, &chain(1));
             if let Destination::Gpu(g) = placed[0] {
                 used.insert(g.gpu);
             }
@@ -357,8 +341,7 @@ mod tests {
     fn release_decrements_load() {
         let topo = v100();
         let mut placer = Placer::new(PlacementPolicy::Mapa, &topo, vec![0]);
-        let mut rng = DetRng::new(1);
-        let placed = placer.place(&topo, &chain(1), &mut rng);
+        let placed = placer.place(&topo, &chain(1));
         placer.release(&topo, placed[0]);
         assert!(placer.load.iter().all(|&l| l == 0));
     }
@@ -367,11 +350,10 @@ mod tests {
     fn cpu_stages_follow_their_producers_node() {
         let topo = v100();
         let mut placer = Placer::new(PlacementPolicy::Mapa, &topo, vec![1]);
-        let mut rng = DetRng::new(1);
         let mut wf = WorkflowSpec::new("mixed", 1e6);
         let a = wf.push(StageSpec::gpu("det", vec![], ms(10), 1e6, 1e9));
         wf.push(StageSpec::cpu("post", vec![a], ms(2), 1e5));
-        let placed = placer.place(&topo, &wf, &mut rng);
+        let placed = placer.place(&topo, &wf);
         let Destination::Gpu(g) = placed[0] else {
             panic!()
         };
@@ -388,8 +370,7 @@ mod tests {
             &topo,
             vec![0],
         );
-        let mut rng = DetRng::new(1);
-        placer.place(&topo, &chain(2), &mut rng);
+        placer.place(&topo, &chain(2));
     }
 
     #[test]

@@ -191,14 +191,7 @@ impl DataPlane for StorePlane {
             .store
             .put(ctx.now, token, Location::Gpu(site), bytes, consumers);
         // Relay copy producer → site, unless the site is the producer.
-        legs.extend(OpLeg::intra(
-            ctx,
-            g.node,
-            g.gpu,
-            site.gpu,
-            bytes,
-            &PlanConfig::single_path(),
-        ));
+        legs.extend(OpLeg::intra(ctx, g.node, g.gpu, site.gpu, bytes));
         Ok(PutOp {
             id,
             op: DataOp {
@@ -224,12 +217,11 @@ impl DataPlane for StorePlane {
             }
         }
         let bytes = entry.bytes;
-        let single = PlanConfig::single_path();
         // Each list is allocated at its final length: most gets carry one
         // leg.
         let legs = match (entry.location, dest) {
             (Location::Gpu(s), Destination::Gpu(d)) if s.node == d.node => {
-                OpLeg::intra(ctx, d.node, s.gpu, d.gpu, bytes, &single)
+                OpLeg::intra(ctx, d.node, s.gpu, d.gpu, bytes)
                     .into_iter()
                     .collect()
             }
@@ -240,7 +232,7 @@ impl DataPlane for StorePlane {
                 let via = self.site.pick(ctx.topo, d);
                 let mut legs = Vec::with_capacity(1 + usize::from(via != d));
                 legs.push(OpLeg::cross_node(ctx, s, via, bytes, &self.xnode_cfg));
-                legs.extend(OpLeg::intra(ctx, d.node, via.gpu, d.gpu, bytes, &single));
+                legs.extend(OpLeg::intra(ctx, d.node, via.gpu, d.gpu, bytes));
                 legs
             }
             (Location::Gpu(s), Destination::Host(n)) => {
@@ -263,7 +255,7 @@ impl DataPlane for StorePlane {
                     legs.push(OpLeg::host_to_host(ctx, h, d.node, bytes));
                 }
                 legs.push(OpLeg::h2d(ctx, to, bytes, &self.host_cfg));
-                legs.extend(OpLeg::intra(ctx, d.node, to.gpu, d.gpu, bytes, &single));
+                legs.extend(OpLeg::intra(ctx, d.node, to.gpu, d.gpu, bytes));
                 legs
             }
             (Location::Host(a), Destination::Host(b)) => {

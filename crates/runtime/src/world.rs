@@ -22,7 +22,7 @@ use grouter_topology::{PathLedger, Topology};
 use grouter_transfer::exec::{TransferDone, TransferEngine, TransferId};
 use grouter_transfer::rate::RateController;
 
-use crate::dataplane::{DataPlane, Destination, OpLeg};
+use crate::dataplane::{DataPlane, Destination, LegHolds, OpLeg};
 use crate::metrics::{Metrics, PassCategory};
 use crate::placement::{PlacementPolicy, Placer};
 use crate::slab::NvFlowIndex;
@@ -244,13 +244,8 @@ pub struct PendingOp {
     pub started: SimTime,
     pub kind: OpKind,
     pub category: PassCategory,
-    /// SLO rate-controller registration of the current leg, released when
-    /// the leg completes.
-    pub rate_token: Option<(usize, u64)>,
-    /// Ledger reservation of the current leg, released when it completes.
-    pub ledger_release: Option<(usize, grouter_topology::ResId)>,
-    /// Pinned-ring bytes of the current leg, returned when it completes.
-    pub pinned_release: Option<(usize, f64)>,
+    /// What the current leg holds, released when the leg completes.
+    pub holds: LegHolds,
     /// Trace span covering the op from issue to completion (0 = untraced).
     pub span: u64,
 }
@@ -289,9 +284,9 @@ pub struct World {
     /// indexed so a ledger rebalance finds the in-flight flow for a route
     /// without scanning (see [`NvFlowIndex`]).
     pub nv_flow_index: NvFlowIndex,
-    /// Staged legs of cancelled ops, parked until their still-in-flight
-    /// `BeginLeg` event fires and releases them.
-    pub orphan_legs: FxHashMap<u64, OpLeg>,
+    /// What the staged legs of cancelled ops hold, parked until their
+    /// still-in-flight `BeginLeg` event fires and releases it.
+    pub orphan_legs: FxHashMap<u64, LegHolds>,
     /// Recycled buffer for flow-completion harvests (net-wake batches).
     pub flow_scratch: Vec<grouter_sim::FlowId>,
     /// Recycled buffer for the transfers a net wake finished.

@@ -75,14 +75,6 @@ impl PathLedger {
         self.selector.bwm()
     }
 
-    /// Raw matrix access for callers that manage reservations themselves
-    /// (the planner-level API used by tests and non-ledger planes). Paths
-    /// occupied this way are invisible to rebalancing. Capacity changes made
-    /// here still invalidate the path cache via the topology epoch.
-    pub fn bwm_mut(&mut self) -> &mut BwMatrix {
-        self.selector.bwm_mut()
-    }
-
     /// The cached selector serving this ledger's Algorithm 1 calls.
     pub fn selector(&self) -> &PathSelector {
         &self.selector

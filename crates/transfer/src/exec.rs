@@ -5,7 +5,7 @@
 //! [`grouter_sim::FlowNet`] and calls [`TransferEngine::on_flows_complete`]
 //! with whatever [`grouter_sim::FlowNet::advance_to`] harvested; the engine
 //! reports which logical transfers finished so the runtime can resume the
-//! waiting function and release NVLink reservations.
+//! waiting operation and release what its leg held.
 //!
 //! Both calls write into buffers the caller keeps, and finished transfer
 //! records go back to a free list with their flow and route lists'
@@ -28,14 +28,13 @@ struct Active {
     /// Flows not yet complete. Plans are at most a handful of paths wide, so
     /// a flat vector with `swap_remove` beats a hash set on every metric.
     pending: Vec<FlowId>,
-    started: SimTime,
     bytes: f64,
-    nv_releases: Vec<(Vec<usize>, f64)>,
     /// Every GPU on the NVLink routes of this transfer's flows, routes
     /// concatenated: all [`TransferEngine::transfers_using_route`] asks is
     /// whether a GPU is on any of them.
     route_gpus: Vec<usize>,
-    /// Node whose bandwidth matrix holds the reservations.
+    /// The leg's node, read by [`TransferEngine::transfers_using_route`]
+    /// and by the trace.
     nv_node: usize,
     /// Open `transfer.leg` span (0 when tracing was off at begin).
     span: u64,
@@ -45,12 +44,7 @@ struct Active {
 #[derive(Clone, Debug)]
 pub struct TransferDone {
     pub id: TransferId,
-    /// When the flows started (after plan setup).
-    pub started: SimTime,
     pub bytes: f64,
-    /// NVLink reservations `(gpu route, rate)` to release on `nv_node`.
-    pub nv_releases: Vec<(Vec<usize>, f64)>,
-    pub nv_node: usize,
 }
 
 /// Tracks in-flight transfers.
@@ -160,13 +154,12 @@ impl TransferEngine {
         self.active.contains_key(&id.0)
     }
 
-    /// Start `plan`'s flows at `now`. `nv_node` names the node whose
-    /// bandwidth matrix holds the plan's NVLink reservations (ignored when
-    /// the plan has none).
+    /// Start `plan`'s flows at `now`. `nv_node` is the leg's node, which
+    /// [`TransferEngine::transfers_using_route`] and the trace read.
     ///
-    /// The plan is consumed: its link paths, reservations and routes move
-    /// straight into the flow network, the active-transfer record and
-    /// `started`, so a steady-state leg start performs no per-flow clones.
+    /// The plan is consumed: its link paths and routes move straight into
+    /// the flow network, the active-transfer record and `started`, so a
+    /// steady-state leg start performs no per-flow clones.
     /// `started` is cleared, then receives each started flow with its GPU
     /// route (if any); it is left empty on error and for zero-copy plans.
     ///
@@ -197,9 +190,6 @@ impl TransferEngine {
                 Ok(fid) => {
                     act.pending.push(fid);
                     self.flow_owner.insert(fid, id);
-                    if let Some(res) = flow.nv_reservation {
-                        act.nv_releases.push(res);
-                    }
                     if let Some(route) = &flow.route {
                         act.route_gpus.extend_from_slice(route);
                     }
@@ -245,7 +235,6 @@ impl TransferEngine {
                 );
             }
         }
-        act.started = now;
         act.bytes = total_bytes;
         act.nv_node = nv_node;
         act.span = span;
@@ -259,22 +248,8 @@ impl TransferEngine {
     /// capacity, and park it for the next [`TransferEngine::begin`].
     fn retire(&mut self, mut act: Active) {
         act.pending.clear();
-        act.nv_releases.clear();
         act.route_gpus.clear();
         self.spare.push(act);
-    }
-
-    /// Move a record's results out and retire it.
-    fn finish(&mut self, id: u64, mut act: Active) -> TransferDone {
-        let done = TransferDone {
-            id: TransferId(id),
-            started: act.started,
-            bytes: act.bytes,
-            nv_releases: std::mem::take(&mut act.nv_releases),
-            nv_node: act.nv_node,
-        };
-        self.retire(act);
-        done
     }
 
     /// Feed flow completions from `FlowNet::advance_to`; appends to
@@ -301,8 +276,11 @@ impl TransferEngine {
                     if act.span != 0 {
                         self.rec.end(act.span, vec![("bytes", act.bytes.into())]);
                     }
-                    let td = self.finish(tid, act);
-                    finished.push(td);
+                    finished.push(TransferDone {
+                        id: TransferId(tid),
+                        bytes: act.bytes,
+                    });
+                    self.retire(act);
                 }
             }
         }
@@ -313,16 +291,15 @@ impl TransferEngine {
         self.audit_pending();
     }
 
-    /// Abort an in-flight transfer, cancelling its flows. Returns the
-    /// reservations to release plus the flow ids that were torn down (so the
-    /// caller can drop any per-flow indices), or `None` if the id is
-    /// unknown/complete.
+    /// Abort an in-flight transfer, cancelling its flows. Returns the flow
+    /// ids that were torn down, ascending (so the caller can drop any
+    /// per-flow indices), or `None` if the id is unknown/complete.
     pub fn cancel(
         &mut self,
         net: &mut FlowNet,
         now: SimTime,
         id: TransferId,
-    ) -> Option<(TransferDone, Vec<FlowId>)> {
+    ) -> Option<Vec<FlowId>> {
         let act = self.active.remove(&id.0)?;
         self.rec.end(act.span, vec![("cancelled", true.into())]);
         let mut cancelled: Vec<FlowId> = act.pending.to_vec();
@@ -331,7 +308,8 @@ impl TransferEngine {
             self.flow_owner.remove(fid);
             let _ = net.cancel_flow(now, *fid);
         }
-        Some((self.finish(id.0, act), cancelled))
+        self.retire(act);
+        Some(cancelled)
     }
 
     /// In-flight transfers on `nv_node` whose NVLink routes visit `gpu`
@@ -349,9 +327,9 @@ impl TransferEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{plan_d2h, plan_intra_node, PlanConfig, TransferPlan};
+    use crate::plan::{plan_d2h, plan_nvlink_paths, PlanConfig, TransferPlan};
     use grouter_sim::time::SimDuration;
-    use grouter_topology::{presets, PathSelector, Topology};
+    use grouter_topology::{presets, PathLedger, Topology};
 
     const MB: f64 = 1e6;
 
@@ -359,6 +337,13 @@ mod tests {
         let mut net = FlowNet::new();
         let topo = Topology::build(presets::dgx_v100(), 1, &mut net);
         (net, topo)
+    }
+
+    /// GROUTER's NVLink plan for `src → dst` on node 0: the paths Algorithm
+    /// 1 reserves in a fresh ledger, as flows.
+    fn nvlink_plan(topo: &Topology, src: usize, dst: usize, bytes: f64) -> TransferPlan {
+        let (_, selection, _) = PathLedger::from_topology(topo).reserve(src, dst, 3, 4);
+        plan_nvlink_paths(topo, 0, selection, bytes).expect("NVLink routes")
     }
 
     /// Drive the net until all of `eng`'s transfers finish; returns
@@ -429,56 +414,28 @@ mod tests {
     fn transfer_finishes_only_when_all_flows_do() {
         let (mut net, topo) = setup();
         let mut eng = TransferEngine::new();
-        let mut sel = PathSelector::from_topology(&topo);
-        let plan = plan_intra_node(
-            &topo,
-            &net,
-            Some(&mut sel),
-            0,
-            0,
-            1,
-            100.0 * MB,
-            &PlanConfig::grouter(),
-        );
+        let plan = nvlink_plan(&topo, 0, 1, 100.0 * MB);
         assert!(plan.flows.len() >= 2);
-        eng.begin(&mut net, SimTime::ZERO, plan.clone(), 0, &mut Vec::new())
+        let mut started = Vec::new();
+        eng.begin(&mut net, SimTime::ZERO, plan, 0, &mut started)
             .unwrap();
-        // First completion may not finish the transfer if flows end at
-        // different instants; drain handles the general case.
-        let (_, done) = drain(&mut net, &mut eng);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].nv_releases.len(), plan.flows.len());
-    }
-
-    #[test]
-    fn reservations_surface_in_completion() {
-        let (mut net, topo) = setup();
-        let mut eng = TransferEngine::new();
-        let mut sel = PathSelector::from_topology(&topo);
-        let plan = plan_intra_node(
-            &topo,
-            &net,
-            Some(&mut sel),
-            0,
-            0,
-            3,
-            10.0 * MB,
-            &PlanConfig::grouter(),
-        );
-        eng.begin(&mut net, SimTime::ZERO, plan, 0, &mut Vec::new())
-            .unwrap();
-        let (_, done) = drain(&mut net, &mut eng);
-        for (route, rate) in &done[0].nv_releases {
-            assert!(route.len() >= 2);
-            assert!(*rate > 0.0);
-            sel.bwm_mut().release_path(route, *rate);
+        let mut pending: Vec<FlowId> = started.iter().map(|&(fid, _)| fid).collect();
+        // However the flows' ends fall, the transfer finishes with the
+        // last of them.
+        let mut finished = Vec::new();
+        while let Some(next) = net.next_completion() {
+            assert!(finished.is_empty(), "finished with flows pending");
+            let done = net.advance_to(next);
+            pending.retain(|fid| !done.contains(fid));
+            eng.on_flows_complete(&done, &mut finished);
         }
-        // Fully released → matrix idle again.
-        assert!(sel.bwm().is_idle(0, 3));
+        assert!(pending.is_empty());
+        assert_eq!(finished.len(), 1);
+        assert!((finished[0].bytes - 100.0 * MB).abs() < 1.0);
     }
 
     #[test]
-    fn cancel_removes_flows_and_returns_reservations() {
+    fn cancel_removes_flows_and_reports_them() {
         let (mut net, topo) = setup();
         let mut eng = TransferEngine::new();
         let plan = plan_d2h(&topo, &net, 0, 0, 480.0 * MB, &PlanConfig::grouter());
@@ -490,10 +447,9 @@ mod tests {
         };
         assert!(net.num_flows() > 0);
         let flows_before = net.num_flows();
-        let (done, cancelled) = eng
+        let cancelled = eng
             .cancel(&mut net, SimTime::ZERO, id)
             .expect("cancellable");
-        assert_eq!(done.id, id);
         assert_eq!(cancelled.len(), flows_before, "every pending flow reported");
         assert!(cancelled.windows(2).all(|w| w[0] < w[1]), "sorted flow ids");
         assert_eq!(net.num_flows(), 0);
@@ -506,17 +462,7 @@ mod tests {
     fn route_query_finds_transfers_crossing_a_gpu() {
         let (mut net, topo) = setup();
         let mut eng = TransferEngine::new();
-        let mut sel = PathSelector::from_topology(&topo);
-        let plan = plan_intra_node(
-            &topo,
-            &net,
-            Some(&mut sel),
-            0,
-            0,
-            3,
-            100.0 * MB,
-            &PlanConfig::grouter(),
-        );
+        let plan = nvlink_plan(&topo, 0, 3, 100.0 * MB);
         let BeginOutcome::InFlight(id) = eng
             .begin(&mut net, SimTime::ZERO, plan.clone(), 0, &mut Vec::new())
             .unwrap()

@@ -12,12 +12,13 @@
 //! * [`pipeline`] — the batched chunk-admission discipline on one link:
 //!   the fairness-vs-overhead trade-off behind the 5-chunk batch default.
 //! * [`plan`] — transfer planning for every data-passing pattern: parallel
-//!   PCIe staging via route GPUs, parallel NIC fan-out/fan-in, parallel
-//!   NVLink paths via Algorithm 1, plus the degraded single-path variants
-//!   the baselines use.
+//!   PCIe staging via route GPUs, parallel NIC fan-out/fan-in, the parallel
+//!   NVLink paths Algorithm 1 reserved in a node's
+//!   [`grouter_topology::PathLedger`], plus the degraded single-path
+//!   variants the baselines use.
 //! * [`exec`] — the transfer engine: starts a plan's flows on the
-//!   [`grouter_sim::FlowNet`], tracks completions, and releases NVLink
-//!   bandwidth reservations.
+//!   [`grouter_sim::FlowNet`], tracks completions and cancellations, and
+//!   answers which in-flight transfers route through a GPU.
 
 // No panics or prints in data-plane code; exceptions are `#[expect]`s (DESIGN §5.3).
 #![cfg_attr(

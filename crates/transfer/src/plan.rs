@@ -2,35 +2,35 @@
 //!
 //! A [`TransferPlan`] is the static part of one data movement: which link
 //! paths participate, how many bytes each carries (capacity-proportional,
-//! §4.3.3), which NVLink reservations Algorithm 1 took, and the software
-//! setup latency to charge before the first byte moves. Executing the plan
-//! (starting flows, waiting for completions) is [`crate::exec`]'s job.
+//! §4.3.3), and the software setup latency to charge before the first byte
+//! moves. Executing the plan (starting flows, waiting for completions) is
+//! [`crate::exec`]'s job.
 //!
-//! Each planner has a GROUTER mode and the degraded modes the baselines use
+//! Parallel NVLink paths come from Algorithm 1 in the node's
+//! [`grouter_topology::PathLedger`], which also holds their reservations;
+//! [`plan_nvlink_paths`] turns the ledger's selection into flows. The other
+//! planners have a GROUTER mode and the degraded modes the baselines use
 //! (single path, or DeepPlan-style parallel PCIe without topology
 //! awareness), selected through [`PlanConfig`].
 
 use grouter_sim::time::SimDuration;
 use grouter_sim::{params, FlowNet, FlowOptions, LinkId, LinkPath, PathTooLong};
-use grouter_topology::{GpuRef, PathSelector, Topology};
+use grouter_topology::{GpuRef, PathSelection, Topology};
 
-/// Feature switches for the planners (the ablation knobs of Fig. 16 map to
-/// these plus the storage/locality toggles in the core crate).
+/// Feature switches for the PCIe and NIC planners (the ablation knobs of
+/// Fig. 16 map to these plus the storage/locality toggles in the core
+/// crate).
 #[derive(Clone, Copy, Debug)]
 pub struct PlanConfig {
     /// Stage gFn–host traffic over peer GPUs' PCIe links in parallel (BH).
     pub parallel_pcie: bool,
     /// Fan cross-node traffic over multiple NICs in parallel (BH).
     pub parallel_nics: bool,
-    /// Use Algorithm 1 multi-path NVLink transfers (TA).
-    pub parallel_nvlink: bool,
     /// Select route GPUs topology-aware (exclude shared PCIe switches,
     /// require NVLink reachability). DeepPlan+ sets this to `false`.
     pub topology_aware: bool,
     /// Maximum parallel paths per transfer.
     pub max_paths: usize,
-    /// Maximum NVLink hops for detour paths.
-    pub max_hops: usize,
 }
 
 impl PlanConfig {
@@ -39,10 +39,8 @@ impl PlanConfig {
         PlanConfig {
             parallel_pcie: true,
             parallel_nics: true,
-            parallel_nvlink: true,
             topology_aware: true,
             max_paths: 4,
-            max_hops: 3,
         }
     }
 
@@ -51,23 +49,19 @@ impl PlanConfig {
         PlanConfig {
             parallel_pcie: false,
             parallel_nics: false,
-            parallel_nvlink: false,
             topology_aware: true,
             max_paths: 1,
-            max_hops: 1,
         }
     }
 
     /// DeepPlan: parallel PCIe staging, but no topology awareness and no
-    /// NVLink/NIC multi-pathing.
+    /// NIC multi-pathing.
     pub fn deepplan() -> PlanConfig {
         PlanConfig {
             parallel_pcie: true,
             parallel_nics: false,
-            parallel_nvlink: false,
             topology_aware: false,
             max_paths: 4,
-            max_hops: 1,
         }
     }
 }
@@ -81,10 +75,6 @@ pub struct PlannedFlow {
     pub bytes: f64,
     /// Rate constraints (rewritten by the SLO controller where applicable).
     pub opts: FlowOptions,
-    /// NVLink bandwidth reservation to release on completion:
-    /// `(GPU route, reserved bytes/s)` in the source node's matrix.
-    /// `None` when a `PathLedger` owns the reservation instead.
-    pub nv_reservation: Option<(Vec<usize>, f64)>,
     /// GPU route of this flow, if it rides NVLink paths — the key under
     /// which the executor indexes the flow for live rebalancing.
     pub route: Option<Vec<usize>>,
@@ -122,15 +112,14 @@ impl TransferPlan {
     }
 }
 
-/// A candidate flow over `links` with no NVLink reservation. Its `bytes`
-/// holds the path's bottleneck capacity until [`share_by_capacity`]
-/// replaces it with the flow's share.
+/// A candidate flow over `links` with no NVLink route. Its `bytes` holds
+/// the path's bottleneck capacity until [`share_by_capacity`] replaces it
+/// with the flow's share.
 fn candidate(net: &FlowNet, links: LinkPath) -> PlannedFlow {
     PlannedFlow {
         bytes: path_capacity(net, &links),
         links,
         opts: FlowOptions::default(),
-        nv_reservation: None,
         route: None,
     }
 }
@@ -171,88 +160,45 @@ fn path_capacity(net: &FlowNet, links: &[LinkId]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Plan an intra-node gFn–gFn transfer (paper §4.2.2 pattern 1, Fig. 9b).
+/// Software latency of a GPU-to-GPU copy within a node: first IPC mapping,
+/// DMA launch and one chunk's overhead.
+fn peer_copy_setup() -> SimDuration {
+    params::IPC_MAP_FIRST + params::DMA_LAUNCH + params::CHUNK_OVERHEAD
+}
+
+/// Plan an intra-node gFn–gFn transfer over one path (paper §4.2.2
+/// pattern 1): the planner of every leg that does not go through a node's
+/// reservation ledger, and the degraded fallback of one that does.
 ///
 /// * Same GPU → zero-copy (IPC address sharing).
-/// * NVLink machine + `parallel_nvlink` → Algorithm 1 multi-path selection
-///   through the cached `selector` (reservations recorded for release at
-///   completion; candidate paths come from the topology-epoch cache, so no
-///   DFS or intermediate path vectors on this hot path).
-/// * NVLink machine, single-path → direct edge, else shortest NVLink route,
-///   else PCIe peer-to-peer.
+/// * NVLink machine → direct edge, else the shortest NVLink route, else
+///   PCIe peer-to-peer.
 /// * PCIe-only machine → PCIe peer-to-peer.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "Algorithm 1 needs the topology, the live network and the path cache beside the transfer's endpoints, size and config"
-)]
 pub fn plan_intra_node(
     topo: &Topology,
     net: &FlowNet,
-    selector: Option<&mut PathSelector>,
     node: usize,
     src: usize,
     dst: usize,
     bytes: f64,
-    cfg: &PlanConfig,
 ) -> TransferPlan {
     if src == dst {
         return TransferPlan::zero_copy(params::IPC_MAP_CACHED);
     }
-    let setup = params::IPC_MAP_FIRST + params::DMA_LAUNCH + params::CHUNK_OVERHEAD;
-
-    if topo.has_nvlink() {
-        if cfg.parallel_nvlink {
-            if let Some(sel) = selector {
-                // NVSwitch fabrics gain nothing from detours (the port is
-                // the bottleneck): restrict to the direct path.
-                let max_hops = if topo.has_nvswitch() { 1 } else { cfg.max_hops };
-                if !sel.select(src, dst, max_hops, cfg.max_paths).is_empty() {
-                    // Resolve each selected GPU route to its link sequence.
-                    // A route over a vanished edge cannot happen while the
-                    // selection cache is epoch-coherent with the topology;
-                    // if it ever does, release that reservation and degrade
-                    // to fewer paths instead of crashing the data plane.
-                    // Each flow's selected rate is its capacity weight.
-                    let nv_paths = sel.take_last_selection();
-                    let mut flows = Vec::with_capacity(nv_paths.len());
-                    for p in nv_paths {
-                        match nvlink_route_links(topo, node, &p.gpus) {
-                            Some(links) => flows.push(PlannedFlow {
-                                route: Some(p.gpus.clone()),
-                                links,
-                                bytes: p.rate,
-                                opts: FlowOptions::default(),
-                                nv_reservation: Some((p.gpus, p.rate)),
-                            }),
-                            None => sel.bwm_mut().release_path(&p.gpus, p.rate),
-                        }
-                    }
-                    if !flows.is_empty() {
-                        return TransferPlan {
-                            flows: share_by_capacity(flows, bytes),
-                            setup,
-                            total_bytes: bytes,
-                        };
-                    }
-                }
-                // No NVLink route at all → fall through to PCIe.
-            }
-        }
-        // Single NVLink path: direct edge, else shortest route. The route
-        // comes from the live topology, so every hop has an edge; should
-        // one be missing, feeder_links degrades that hop to PCIe p2p.
-        if let Some(route) = topo.nvlink_route(src, dst) {
-            let mut links = LinkPath::new();
-            if feeder_links(&mut links, topo, node, hops(route)).is_ok() {
-                return TransferPlan {
-                    flows: share_by_capacity(vec![candidate(net, links)], bytes),
-                    setup,
-                    total_bytes: bytes,
-                };
-            }
+    let setup = peer_copy_setup();
+    // Direct edge, else shortest route; a PCIe-only machine has none. The
+    // route comes from the live topology, so every hop has an edge; should
+    // one be missing, feeder_links degrades that hop to PCIe p2p.
+    if let Some(route) = topo.nvlink_route(src, dst) {
+        let mut links = LinkPath::new();
+        if feeder_links(&mut links, topo, node, hops(route)).is_ok() {
+            return TransferPlan {
+                flows: share_by_capacity(vec![candidate(net, links)], bytes),
+                setup,
+                total_bytes: bytes,
+            };
         }
     }
-
     // PCIe peer-to-peer fallback.
     let links = topo.pcie_p2p_path(node, src, dst);
     TransferPlan {
@@ -260,6 +206,49 @@ pub fn plan_intra_node(
         setup,
         total_bytes: bytes,
     }
+}
+
+/// Plan an intra-node gFn–gFn transfer over the parallel NVLink paths that
+/// Algorithm 1 reserved in `node`'s [`grouter_topology::PathLedger`]
+/// (paper §4.3.3, Fig. 9b): one flow per selected route, keyed by that
+/// route for live rebalancing, with the bytes split in proportion to the
+/// rates reserved. The ledger keeps the reservations; this only lays out
+/// the flows.
+///
+/// Routes move into the flows rather than being cloned. A route with a hop
+/// that has no NVLink edge cannot happen while the ledger's path cache is
+/// epoch-coherent with the topology; if it ever does, that path is dropped
+/// so planning degrades instead of crashing the data plane. `None` when no
+/// route is left: the caller falls back to [`plan_intra_node`].
+pub fn plan_nvlink_paths(
+    topo: &Topology,
+    node: usize,
+    selection: PathSelection,
+    bytes: f64,
+) -> Option<TransferPlan> {
+    let mut flows: Vec<PlannedFlow> = selection
+        .paths
+        .into_iter()
+        .filter_map(|p| {
+            Some(PlannedFlow {
+                links: nvlink_route_links(topo, node, &p.gpus)?,
+                bytes: p.rate,
+                opts: FlowOptions::default(),
+                route: Some(p.gpus),
+            })
+        })
+        .collect();
+    if flows.is_empty() {
+        return None;
+    }
+    // Unlike `share_by_capacity`, drop no flow, even one left with no
+    // share: each stands for a route the ledger reserved.
+    crate::chunk::split_in_place(bytes, &mut flows, |f| &mut f.bytes);
+    Some(TransferPlan {
+        flows,
+        setup: peer_copy_setup(),
+        total_bytes: bytes,
+    })
 }
 
 /// Route-GPU candidates for parallel PCIe staging from `gpu`.
@@ -451,9 +440,9 @@ pub fn plan_cross_node(
     let mut flows = Vec::with_capacity(cfg.max_paths.max(1));
     if cfg.parallel_nics && topo.has_nvlink() {
         for (nic, src_route, dst_route) in nic_routes(topo, src.gpu, dst.gpu) {
-            // Routes come from `nvlink_shortest_route`, so every hop has an
-            // edge and the endpoints exist; a NIC whose routes cannot be
-            // resolved is simply skipped.
+            // Routes come from the topology's cached `nvlink_route`, so
+            // every hop has an edge and the endpoints exist; a NIC whose
+            // routes cannot be resolved is simply skipped.
             let path = || {
                 let (&fwd, &entry) = (src_route.last()?, dst_route.first()?);
                 let mut links = nvlink_route_links(topo, src.node, src_route)?;
@@ -527,7 +516,7 @@ pub fn plan_shm(topo: &Topology, net: &FlowNet, node: usize, bytes: f64) -> Tran
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grouter_topology::presets;
+    use grouter_topology::{presets, PathLedger};
 
     const MB: f64 = 1e6;
 
@@ -537,32 +526,50 @@ mod tests {
         (net, topo)
     }
 
+    /// The ledger-backed plan GROUTER makes for `src → dst` on node 0: an
+    /// Algorithm 1 reservation of up to four paths (direct paths only on
+    /// NVSwitch fabrics, as the plane asks), laid out by
+    /// [`plan_nvlink_paths`], with the reservation's id.
+    fn ledger_plan(
+        topo: &Topology,
+        ledger: &mut PathLedger,
+        src: usize,
+        dst: usize,
+        bytes: f64,
+    ) -> (grouter_topology::ResId, Option<TransferPlan>) {
+        let max_hops = if topo.has_nvswitch() { 1 } else { 3 };
+        let (id, selection, _) = ledger.reserve(src, dst, max_hops, 4);
+        (id, plan_nvlink_paths(topo, 0, selection, bytes))
+    }
+
     #[test]
     fn same_gpu_is_zero_copy() {
         let (net, topo) = v100(1);
-        let cfg = PlanConfig::grouter();
-        let p = plan_intra_node(&topo, &net, None, 0, 2, 2, 100.0 * MB, &cfg);
+        let p = plan_intra_node(&topo, &net, 0, 2, 2, 100.0 * MB);
         assert!(p.is_zero_copy());
         assert_eq!(p.setup, params::IPC_MAP_CACHED);
     }
 
     #[test]
     fn parallel_nvlink_plan_conserves_bytes() {
-        let (net, topo) = v100(1);
-        let mut sel = PathSelector::from_topology(&topo);
-        let cfg = PlanConfig::grouter();
-        let p = plan_intra_node(&topo, &net, Some(&mut sel), 0, 0, 1, 100.0 * MB, &cfg);
+        let (_, topo) = v100(1);
+        let mut ledger = PathLedger::from_topology(&topo);
+        let (id, p) = ledger_plan(&topo, &mut ledger, 0, 1, 100.0 * MB);
+        let p = p.expect("NVLink routes");
         assert!(p.flows.len() >= 2, "weak pair should use parallel paths");
         assert!((p.assigned_bytes() - 100.0 * MB).abs() < 1.0);
-        // Every flow carries an NVLink reservation to release later.
-        assert!(p.flows.iter().all(|f| f.nv_reservation.is_some()));
+        // Every flow is keyed by its route for live rebalancing, and the
+        // ledger, not the plan, holds the reservation.
+        assert!(p.flows.iter().all(|f| f.route.is_some()));
+        assert!(!ledger.bwm().is_idle(0, 1));
+        assert!(ledger.release(id));
+        assert!(ledger.bwm().is_idle(0, 1));
     }
 
     #[test]
     fn single_path_uses_direct_edge() {
         let (net, topo) = v100(1);
-        let cfg = PlanConfig::single_path();
-        let p = plan_intra_node(&topo, &net, None, 0, 0, 3, 100.0 * MB, &cfg);
+        let p = plan_intra_node(&topo, &net, 0, 0, 3, 100.0 * MB);
         assert_eq!(p.flows.len(), 1);
         assert_eq!(p.flows[0].links.len(), 1, "0-3 is a direct NVLink edge");
     }
@@ -570,9 +577,8 @@ mod tests {
     #[test]
     fn weak_pair_without_ta_takes_shortest_route() {
         let (net, topo) = v100(1);
-        let cfg = PlanConfig::single_path();
         // 1 and 4 lack a direct NVLink.
-        let p = plan_intra_node(&topo, &net, None, 0, 1, 4, 100.0 * MB, &cfg);
+        let p = plan_intra_node(&topo, &net, 0, 1, 4, 100.0 * MB);
         assert_eq!(p.flows.len(), 1);
         assert_eq!(p.flows[0].links.len(), 2, "two NVLink hops");
     }
@@ -581,9 +587,10 @@ mod tests {
     fn a10_falls_back_to_pcie_p2p() {
         let mut net = FlowNet::new();
         let topo = Topology::build(presets::a10x4(), 1, &mut net);
-        let cfg = PlanConfig::grouter();
-        let mut sel = PathSelector::from_topology(&topo);
-        let p = plan_intra_node(&topo, &net, Some(&mut sel), 0, 0, 1, 100.0 * MB, &cfg);
+        let mut ledger = PathLedger::from_topology(&topo);
+        let (_, p) = ledger_plan(&topo, &mut ledger, 0, 1, 100.0 * MB);
+        assert!(p.is_none(), "no NVLink route to plan over");
+        let p = plan_intra_node(&topo, &net, 0, 0, 1, 100.0 * MB);
         assert_eq!(p.flows.len(), 1);
         // Distinct switches → 4 PCIe hops.
         assert_eq!(p.flows[0].links.len(), 4);
@@ -712,9 +719,9 @@ mod tests {
     fn nvswitch_plan_is_direct_only() {
         let mut net = FlowNet::new();
         let topo = Topology::build(presets::dgx_a100(), 1, &mut net);
-        let mut sel = PathSelector::from_topology(&topo);
-        let cfg = PlanConfig::grouter();
-        let p = plan_intra_node(&topo, &net, Some(&mut sel), 0, 0, 5, 100.0 * MB, &cfg);
+        let mut ledger = PathLedger::from_topology(&topo);
+        let (_, p) = ledger_plan(&topo, &mut ledger, 0, 5, 100.0 * MB);
+        let p = p.expect("NVSwitch route");
         assert_eq!(p.flows.len(), 1, "NVSwitch gains nothing from detours");
         assert_eq!(p.flows[0].links.len(), 2, "egress + ingress port");
     }
@@ -742,11 +749,28 @@ mod tests {
             let mut net = FlowNet::new();
             let topo = Topology::build(spec, 2, &mut net);
             let g = topo.gpus_per_node();
+            // Intra-node: one path, or one flow per path the ledger picked.
+            let mut ledger = PathLedger::from_topology(&topo);
+            for a in 0..g {
+                for b in 0..g {
+                    let plan = plan_intra_node(&topo, &net, 0, a, b, MB);
+                    assert_eq!(plan.flows.len(), usize::from(a != b), "intra {a}->{b}");
+                    overall = overall.max(longest(&plan).unwrap_or(0));
+                    if a != b {
+                        let max_hops = if topo.has_nvswitch() { 1 } else { 3 };
+                        let (id, selection, _) = ledger.reserve(a, b, max_hops, 4);
+                        let picked = selection.paths.len();
+                        let plan = plan_nvlink_paths(&topo, 0, selection, MB);
+                        assert!(ledger.release(id));
+                        let flows = plan.as_ref().map_or(0, |p| p.flows.len());
+                        assert_eq!(flows, picked, "nvlink {a}->{b}");
+                        overall = overall.max(plan.as_ref().and_then(longest).unwrap_or(0));
+                    }
+                }
+            }
             for cfg in &cfgs {
-                let mut sel = PathSelector::from_topology(&topo);
                 let staged = cfg.parallel_pcie && topo.has_nvlink();
                 let nic_fanout = cfg.parallel_nics && topo.has_nvlink();
-                let max_hops = if topo.has_nvswitch() { 1 } else { cfg.max_hops };
                 for a in 0..g {
                     // Feeder routes come out as a stable (hops, last GPU)
                     // sort of the table prefix; naive ones in table order.
@@ -778,23 +802,6 @@ mod tests {
                         overall = overall.max(longest(&plan).unwrap_or(0));
                     }
                     for b in 0..g {
-                        let mut want = usize::from(a != b);
-                        if a != b && cfg.parallel_nvlink && topo.has_nvlink() {
-                            let picked = sel.select(a, b, max_hops, cfg.max_paths).paths.len();
-                            for p in sel.take_last_selection() {
-                                sel.bwm_mut().release_path(&p.gpus, p.rate);
-                            }
-                            want = want.max(picked);
-                        }
-                        let plan = plan_intra_node(&topo, &net, Some(&mut sel), 0, a, b, MB, cfg);
-                        for (route, rate) in
-                            plan.flows.iter().filter_map(|f| f.nv_reservation.as_ref())
-                        {
-                            sel.bwm_mut().release_path(route, *rate);
-                        }
-                        assert_eq!(plan.flows.len(), want, "intra {a}->{b}");
-                        overall = overall.max(longest(&plan).unwrap_or(0));
-
                         let nics = nic_routes(&topo, a, b).count().min(cfg.max_paths);
                         let want = if nic_fanout && nics > 0 { nics } else { 1 };
                         let (src, dst) = (GpuRef::new(0, a), GpuRef::new(1, b));

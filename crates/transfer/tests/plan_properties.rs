@@ -6,28 +6,21 @@ use proptest::prelude::*;
 
 use grouter_sim::FlowNet;
 use grouter_topology::graph::TopologySpec;
-use grouter_topology::{presets, GpuRef, PathSelector, Topology};
+use grouter_topology::{presets, GpuRef, PathLedger, Topology};
 use grouter_transfer::plan::{
-    plan_cross_node, plan_d2h, plan_h2d, plan_intra_node, plan_shm, PlanConfig, TransferPlan,
+    plan_cross_node, plan_d2h, plan_h2d, plan_intra_node, plan_nvlink_paths, plan_shm, PlanConfig,
+    TransferPlan,
 };
 
 fn arb_cfg() -> impl Strategy<Value = PlanConfig> {
-    (
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        1usize..6,
-        1usize..4,
-    )
-        .prop_map(|(pcie, nics, nvl, ta, max_paths, max_hops)| PlanConfig {
+    (any::<bool>(), any::<bool>(), any::<bool>(), 1usize..6).prop_map(
+        |(pcie, nics, ta, max_paths)| PlanConfig {
             parallel_pcie: pcie,
             parallel_nics: nics,
-            parallel_nvlink: nvl,
             topology_aware: ta,
             max_paths,
-            max_hops,
-        })
+        },
+    )
 }
 
 fn arb_preset() -> impl Strategy<Value = TopologySpec> {
@@ -60,45 +53,44 @@ fn check_plan(plan: &TransferPlan, bytes: f64, net: &FlowNet, max_paths: usize) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The single-path plan, and the plan over the NVLink paths a ledger
+    /// reserved, move every byte over valid links; releasing the
+    /// reservation leaves every residual within [0, capacity].
     #[test]
     fn intra_node_plans_are_sound(
         spec in arb_preset(),
-        cfg in arb_cfg(),
         src in 0usize..8,
         dst in 0usize..8,
         bytes in 0.0f64..1e9,
-        use_selector in any::<bool>(),
+        max_hops in 1usize..4,
+        max_paths in 1usize..6,
     ) {
         let mut net = FlowNet::new();
         let topo = Topology::build(spec, 1, &mut net);
         let g = topo.gpus_per_node();
         let (src, dst) = (src % g, dst % g);
-        let mut sel = PathSelector::from_topology(&topo);
-        let plan = plan_intra_node(
-            &topo,
-            &net,
-            if use_selector { Some(&mut sel) } else { None },
-            0,
-            src,
-            dst,
-            bytes,
-            &cfg,
-        );
+        let plan = plan_intra_node(&topo, &net, 0, src, dst, bytes);
         if src == dst {
             prop_assert!(plan.is_zero_copy());
         } else {
-            check_plan(&plan, bytes, &net, cfg.max_paths);
-            // Reservations in the plan must be releasable without going
-            // negative or over capacity.
-            for f in &plan.flows {
-                if let Some((route, rate)) = &f.nv_reservation {
-                    sel.bwm_mut().release_path(route, *rate);
+            check_plan(&plan, bytes, &net, 1);
+            let mut ledger = PathLedger::from_topology(&topo);
+            let (id, selection, _) = ledger.reserve(src, dst, max_hops, max_paths);
+            let picked = selection.paths.len();
+            match plan_nvlink_paths(&topo, 0, selection, bytes) {
+                Some(plan) => {
+                    check_plan(&plan, bytes, &net, max_paths);
+                    prop_assert_eq!(plan.flows.len(), picked, "a flow per reserved path");
+                    prop_assert!(plan.flows.iter().all(|f| f.route.is_some()));
                 }
+                None => prop_assert_eq!(picked, 0),
             }
+            prop_assert!(ledger.release(id));
+            let bwm = ledger.bwm();
             for a in 0..g {
                 for b in 0..g {
-                    prop_assert!(sel.bwm().residual(a, b) <= sel.bwm().capacity(a, b) + 1.0);
-                    prop_assert!(sel.bwm().residual(a, b) >= 0.0);
+                    prop_assert!(bwm.residual(a, b) <= bwm.capacity(a, b) + 1.0);
+                    prop_assert!(bwm.residual(a, b) >= 0.0);
                 }
             }
         }

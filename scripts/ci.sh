@@ -27,15 +27,15 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # `unfulfilled_lint_expectations`.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> exception budget (#[allow(/#[expect( and grouter-analyze pragmas under crates/ <= 20)"
+echo "==> exception budget (#[allow(/#[expect( and grouter-analyze pragmas under crates/ <= 19)"
 # Every exception is a justified lint expectation, allow or analyzer
 # pragma; the count may only fall. Lower the budget when a change removes
 # one.
 exceptions=$(grep -rEo --include='*.rs' '#\[(allow|expect)\(|grouter-analyze: allow' crates | wc -l)
-[ "$exceptions" -le 20 ] || {
-    echo "$exceptions exceptions under crates/, budget 20" >&2; exit 1;
+[ "$exceptions" -le 19 ] || {
+    echo "$exceptions exceptions under crates/, budget 19" >&2; exit 1;
 }
-echo "$exceptions exceptions (budget 20)"
+echo "$exceptions exceptions (budget 19)"
 
 echo "==> grouter-analyze (call-graph passes; zero unbaselined findings)"
 # Interprocedural panic-/wallclock-reachability, determinism taint and the
